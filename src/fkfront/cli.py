@@ -36,8 +36,15 @@ from .domain import (
     make_quadratic_diffusion,
     step_initial_condition,
 )
-from .front import FrontNotTransitedError, fit_power_law, locate_front, track_front, trapping_time
-from .solver import SolverConfig, Trajectory, simulate
+from .front import (
+    FrontNotTransitedError,
+    FrontPath,
+    fit_power_law,
+    front_positions,
+    locate_front,
+    trapping_time,
+)
+from .solver import SolverConfig, Trajectory, build_operator, factor_step_matrix, march, simulate
 from .spectral import average_prediction, solve_eigenproblem
 from .wkb import Branch, integrate_characteristic
 
@@ -113,23 +120,25 @@ def cmd_compare_sfa(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     io.write_json(io.sidecar_path(csv_path), _meta(cfg, "compare-sfa"))
 
 
-def _trap_case(args: tuple) -> tuple:
-    """Worker for one sweep member; primitives only so it pickles cleanly."""
-    (eps, L, n, x_c0, dt, t_end, stride, radius) = args
-    traj = simulate(
-        Grid(L=L, n=n),
-        make_quadratic_diffusion(eps),
-        logistic_reaction(),
-        FrontSpec(x_c0=x_c0),
-        SolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride),
-    )
-    path = track_front(traj)
-    try:
-        duration = trapping_time(path, radius=radius)
-    except FrontNotTransitedError as exc:
-        status = "not-exited" if exc.entered else "not-entered"
-        return (eps, status, math.nan, exc.partial)
-    return (eps, "transited", duration, None)
+def _front_paths(cfg: ExperimentConfig, epsilons: list[float]) -> list[FrontPath]:
+    """Front paths of the sweep members, marched together as one stacked system.
+
+    Only the front position is kept from each stored step; no field is stored.
+    """
+    grid = _grid(cfg)
+    ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
+    u0 = step_initial_condition(grid, FrontSpec(x_c0=cfg.x_c0)).values
+    times: list[float] = []
+    positions: list[np.ndarray] = []
+
+    def observe(t: float, u: np.ndarray) -> None:
+        times.append(t)
+        positions.append(front_positions(u, grid.x))
+
+    march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)), logistic_reaction(),
+          _solver_config(cfg), observe)
+    table = np.array(positions)
+    return [FrontPath(times=np.array(times), positions=table[:, b]) for b in range(len(ops))]
 
 
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -139,28 +148,31 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             log.warning("duplicate epsilon %g in sweep; keeping first occurrence", eps)
             continue
         epsilons.append(eps)
-    jobs = [
-        (eps, cfg.L, cfg.n, cfg.x_c0, cfg.dt, cfg.t_end, cfg.snapshot_stride, cfg.trap_radius)
-        for eps in epsilons
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trap_case, jobs))
+    if workers > 1 and len(epsilons) > 1:
+        chunks = [c.tolist() for c in np.array_split(epsilons, min(workers, len(epsilons)))]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            paths = [p for chunk in pool.map(_front_paths, [cfg] * len(chunks), chunks)
+                     for p in chunk]
     else:
-        results = [_trap_case(job) for job in jobs]
+        paths = _front_paths(cfg, epsilons)
 
     statuses = {}
     rows = []
     pairs = []
-    for eps, status, duration, partial in results:
-        statuses[io.format_cell(eps)] = (
-            status if partial is None else f"{status} (>= {partial:.6g})"
-        )
-        rows.append((eps, duration))
-        if status == "transited":
-            pairs.append((eps, duration))
-        else:
+    for eps, path in zip(epsilons, paths):
+        try:
+            duration = trapping_time(path, radius=cfg.trap_radius)
+        except FrontNotTransitedError as exc:
+            status = "not-exited" if exc.entered else "not-entered"
+            statuses[io.format_cell(eps)] = (
+                status if exc.partial is None else f"{status} (>= {exc.partial:.6g})"
+            )
+            rows.append((eps, math.nan))
             log.warning("epsilon %g: front %s within t_end=%g", eps, status, cfg.t_end)
+            continue
+        statuses[io.format_cell(eps)] = "transited"
+        rows.append((eps, duration))
+        pairs.append((eps, duration))
 
     meta = _meta(cfg, "trap-sweep", radius=cfg.trap_radius, statuses=statuses)
     csv_path = out / "trap_times.csv"

@@ -21,6 +21,7 @@ __all__ = [
     "FrontNotTransitedError",
     "FrontPath",
     "FitReport",
+    "front_positions",
     "locate_front",
     "track_front",
     "trapping_time",
@@ -42,25 +43,37 @@ class FrontNotTransitedError(Exception):
         self.partial = partial
 
 
+def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np.ndarray:
+    """Row-wise :func:`locate_front` over ``values`` of shape ``(B, n)``.
+
+    Returns the B front positions on the nodes ``x``, NaN for a row without
+    a crossing.  The crossing, tie and finiteness rules are those of
+    :func:`locate_front`.
+    """
+    u = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("field values must be finite")
+    s = u - level
+    left, right = s[:, :-1], s[:, 1:]
+    bracket = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
+    rows = np.arange(u.shape[0])
+    last = bracket.shape[1] - 1 - np.argmax(bracket[:, ::-1], axis=1)
+    found = bracket[rows, last]
+    rows, i = rows[found], last[found]
+    positions = np.full(u.shape[0], math.nan)
+    theta = left[rows, i] / (left[rows, i] - right[rows, i])
+    positions[rows] = x[i] + theta * (x[i + 1] - x[i])
+    return positions
+
+
 def locate_front(field: Field, level: float = 0.5) -> float | None:
     """Rightmost ``x`` where the interpolated profile crosses ``level``.
 
     Returns ``None`` when no crossing exists (e.g. a constant field).  Cells
     sitting identically at the level are not crossings.
     """
-    u = field.values
-    if not np.all(np.isfinite(u)):
-        raise ValueError("field values must be finite")
-    s = u - level
-    left, right = s[:-1], s[1:]
-    bracket = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
-    idx = np.nonzero(bracket)[0]
-    if idx.size == 0:
-        return None
-    i = int(idx[-1])
-    x = field.grid.x
-    theta = left[i] / (left[i] - right[i])
-    return float(x[i] + theta * (x[i + 1] - x[i]))
+    found = front_positions(field.values[np.newaxis], field.grid.x, level)[0]
+    return None if math.isnan(found) else float(found)
 
 
 @dataclass(frozen=True)

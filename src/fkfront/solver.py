@@ -23,14 +23,22 @@ Time: backward Euler on the diffusion, forward Euler on the reaction
 ``I - dt D`` is an M-matrix with unit row sums, and the explicit logistic
 map keeps ``[0, 1]`` invariant for ``dt <= 1``, so iterates respect the
 maximum principle ``0 <= u <= 1``.
+
+The matrix does not change between steps, so a run factors it once
+(LAPACK ``dgttrf``) and each step is a single ``dgttrs`` solve against the
+stored factors.  Several runs that share a grid and ``dt`` -- an epsilon
+sweep -- march together as one block-diagonal tridiagonal system whose
+blocks are uncoupled (zero entries at the seams); each block's solution is
+bit-for-bit the one its run would get alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .domain import (
     DiffusionProfile,
@@ -44,11 +52,15 @@ from .domain import (
 __all__ = [
     "SingularSystemError",
     "TridiagonalOperator",
+    "FactoredTridiagonal",
     "SolverConfig",
     "Trajectory",
     "build_operator",
+    "factor_tridiagonal",
+    "factor_step_matrix",
     "tridiagonal_solve",
     "imex_step",
+    "march",
     "simulate",
 ]
 
@@ -104,13 +116,77 @@ def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperat
     return TridiagonalOperator(grid=grid, sub=sub, main=main, sup=sup)
 
 
+@dataclass(frozen=True)
+class FactoredTridiagonal:
+    """LU factors of a tridiagonal matrix, as returned by LAPACK ``dgttrf``."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve against the stored factors.
+
+        With ``overwrite`` a contiguous float ``rhs`` receives the solution
+        in place and is returned; otherwise ``rhs`` is left untouched.
+        """
+        x, _ = lapack.dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs,
+                             overwrite_b=overwrite)
+        return x
+
+
+def factor_tridiagonal(
+    sub: np.ndarray, main: np.ndarray, sup: np.ndarray
+) -> FactoredTridiagonal:
+    """Factor a tridiagonal matrix by LU elimination with partial pivoting.
+
+    Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
+    have the same length, at least 3 (the smallest the LAPACK wrapper
+    accepts), and ``sub[0]``/``sup[-1]`` are ignored.
+
+    Raises
+    ------
+    SingularSystemError
+        If elimination encounters a zero pivot.
+    """
+    main = np.asarray(main, dtype=float)
+    if main.size < 3:
+        raise ValueError(f"a tridiagonal system needs at least 3 unknowns, got {main.size}")
+    dl = np.asarray(sub, dtype=float)[1:]
+    du = np.asarray(sup, dtype=float)[:-1]
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(dl, main, du)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info - 1}: singular system")
+    return FactoredTridiagonal(dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
+
+
+def factor_step_matrix(ops: Sequence[TridiagonalOperator], dt: float) -> FactoredTridiagonal:
+    """Factor ``I - dt D`` for one or more operators stacked block-diagonally.
+
+    The B operators must share a grid size ``n``; unknown ``b * n + i`` is
+    node ``i`` of block ``b``.  The couplings across block seams are zero, so
+    the blocks stay independent: each block's solution is bit-for-bit that
+    of its own system, unless some block's solution overflows (``0 * inf``
+    at a seam then spreads ``nan``).
+    """
+    sub = np.stack([-dt * op.sub for op in ops])
+    main = np.stack([1.0 - dt * op.main for op in ops])
+    sup = np.stack([-dt * op.sup for op in ops])
+    sub[:, 0] = 0.0
+    sup[:, -1] = 0.0
+    return factor_tridiagonal(sub.ravel(), main.ravel(), sup.ravel())
+
+
 def tridiagonal_solve(
     sub: np.ndarray, main: np.ndarray, sup: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve a tridiagonal system by banded LU elimination.
+    """Solve a tridiagonal system by LU elimination with partial pivoting.
 
     Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
-    have the same length and ``sub[0]``/``sup[-1]`` are ignored.  For the
+    have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
+    ignored.  For the
     diagonally dominant systems produced by :func:`imex_step` the residual
     stays below ``1e-10 * max|rhs|``.
 
@@ -119,18 +195,14 @@ def tridiagonal_solve(
     SingularSystemError
         If elimination encounters a zero pivot.
     """
-    main = np.asarray(main, dtype=float)
-    n = main.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = main
-    ab[2, :-1] = sub[1:]
-    try:
-        return scipy.linalg.solve_banded(
-            (1, 1), ab, rhs, overwrite_ab=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    return factor_tridiagonal(sub, main, sup).solve(np.asarray(rhs, dtype=float))
+
+
+def _advance(
+    system: FactoredTridiagonal, u: np.ndarray, reaction: ReactionTerm, dt: float
+) -> np.ndarray:
+    """``u_{k+1}`` from ``(I - dt D) u_{k+1} = u_k + dt f(u_k)``, in a new array."""
+    return system.solve(u + dt * np.asarray(reaction.f(u), dtype=float), overwrite=True)
 
 
 def imex_step(
@@ -139,13 +211,12 @@ def imex_step(
     """One step of implicit diffusion / explicit reaction.
 
     Solves ``(I - dt D) u_{k+1} = u_k + dt f(u_k)``.  ``dt`` must satisfy the
-    explicit-logistic positivity bound ``0 < dt <= 1``.
+    explicit-logistic positivity bound ``0 < dt <= 1``.  A run of many steps
+    should use :func:`march`, which factors the matrix only once.
     """
     if not 0.0 < dt <= 1.0:
         raise ValueError(f"dt must satisfy 0 < dt <= 1, got {dt}")
-    v = field.values
-    rhs = v + dt * np.asarray(reaction.f(v), dtype=float)
-    u_next = tridiagonal_solve(-dt * op.sub, 1.0 - dt * op.main, -dt * op.sup, rhs)
+    u_next = _advance(factor_step_matrix([op], dt), field.values, reaction, dt)
     return Field(grid=field.grid, values=u_next, time=field.time + dt)
 
 
@@ -203,6 +274,35 @@ class Trajectory:
         return np.array([f.time for f in self.fields])
 
 
+def march(
+    system: FactoredTridiagonal,
+    u0: np.ndarray,
+    reaction: ReactionTerm,
+    config: SolverConfig,
+    observe: Callable[[float, np.ndarray], None],
+) -> None:
+    """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
+
+    ``system`` holds the factors of ``I - dt D`` (see
+    :func:`factor_step_matrix`); ``u0`` has shape ``(n,)`` or, for B stacked
+    blocks, ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
+    ``snapshot_stride``-th step, and the final step, with ``u`` in the shape
+    of ``u0``.  Each step's state is a new array, so an observer may keep it.
+    """
+    dt = config.dt
+    stride = config.snapshot_stride
+    n_steps = int(round(config.t_end / dt))
+    shape = np.shape(u0)
+    u = np.array(u0, dtype=float).ravel()
+    t = 0.0
+    observe(t, u.reshape(shape))
+    for k in range(1, n_steps + 1):
+        u = _advance(system, u, reaction, dt)
+        t += dt
+        if k % stride == 0 or k == n_steps:
+            observe(t, u.reshape(shape))
+
+
 def simulate(
     grid: Grid,
     diffusion: DiffusionProfile,
@@ -210,19 +310,15 @@ def simulate(
     front: FrontSpec,
     config: SolverConfig,
 ) -> Trajectory:
-    """March the step initial condition to ``t_end``.
+    """March the step initial condition to ``t_end``, storing snapshots.
 
     Integration proceeds in ``round(t_end / dt)`` steps of exactly ``dt``.
     Snapshots are kept at ``t = 0``, every ``snapshot_stride``-th step, and at
     the final step.  The run is deterministic: identical inputs reproduce
     identical trajectories bit for bit.
     """
-    op = build_operator(grid, diffusion)
-    state = step_initial_condition(grid, front)
-    n_steps = int(round(config.t_end / config.dt))
-    fields = [state]
-    for k in range(1, n_steps + 1):
-        state = imex_step(state, op, reaction, config.dt)
-        if k % config.snapshot_stride == 0 or k == n_steps:
-            fields.append(state)
+    system = factor_step_matrix([build_operator(grid, diffusion)], config.dt)
+    fields: list[Field] = []
+    march(system, step_initial_condition(grid, front).values, reaction, config,
+          lambda t, u: fields.append(Field(grid=grid, values=u, time=t)))
     return Trajectory(fields=tuple(fields), config=config)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fkfront.cli import main, sfa_front_comparison
+from fkfront.cli import _front_paths, _run, main, sfa_front_comparison
 from fkfront.config import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +15,7 @@ from fkfront.config import (
     load_config,
 )
 from fkfront.domain import Field, Grid
+from fkfront.front import FrontNotTransitedError, track_front, trapping_time
 from fkfront.solver import SolverConfig, Trajectory
 
 
@@ -247,6 +248,28 @@ class TestTrapSweep:
         assert rows[0][1] == "nan"
         meta = json.loads((out / "trap_times.json").read_text())
         assert meta["statuses"]["0.1"].startswith("not-exited")
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_streamed_sweep_matches_stored_runs(self, stride):
+        # t_end = 4.2 on this grid: epsilon 0.1 transits, the smaller two stay trapped
+        cfg = ExperimentConfig(n=151, t_end=4.2, snapshot_stride=stride,
+                               sweep_epsilons=(0.1, 0.02, 0.001))
+        statuses = []
+        for eps, path in zip(cfg.sweep_epsilons, _front_paths(cfg, list(cfg.sweep_epsilons))):
+            stored = track_front(_run(cfg, eps))
+            assert np.array_equal(path.times, stored.times)
+            assert np.array_equal(path.positions, stored.positions, equal_nan=True)
+            try:
+                expected = trapping_time(stored, radius=cfg.trap_radius)
+            except FrontNotTransitedError as exc:
+                with pytest.raises(FrontNotTransitedError) as got:
+                    trapping_time(path, radius=cfg.trap_radius)
+                assert (got.value.entered, got.value.partial) == (exc.entered, exc.partial)
+                statuses.append("not-exited" if exc.entered else "not-entered")
+                continue
+            assert trapping_time(path, radius=cfg.trap_radius) == expected
+            statuses.append("transited")
+        assert statuses == ["transited", "not-exited", "not-exited"]
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_path = write_config(tmp_path, TRAP_BASE.format(epsilons="0.1 0.05"))

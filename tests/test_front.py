@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkfront.domain import Field, FrontSpec, Grid, step_initial_condition
 from fkfront.front import (
@@ -11,6 +13,7 @@ from fkfront.front import (
     FrontNotTransitedError,
     FrontPath,
     fit_power_law,
+    front_positions,
     locate_front,
     track_front,
     trapping_time,
@@ -50,6 +53,42 @@ class TestLocateFront:
         g = Grid(L=1.0, n=3)
         with pytest.raises(ValueError):
             locate_front(Field(g, np.array([1.0, np.nan, 0.0]), 0.0))
+
+
+def scalar_locate(u, x, level):
+    """Reference: rightmost bracketing cell of one row, found by a scan."""
+    s = u - level
+    for i in range(u.size - 2, -1, -1):
+        if s[i] * s[i + 1] <= 0.0 and not (s[i] == 0.0 and s[i + 1] == 0.0):
+            return x[i] + s[i] / (s[i] - s[i + 1]) * (x[i + 1] - x[i])
+    return math.nan
+
+
+class TestFrontPositions:
+    # Levels and exact ties are drawn often, so rows with plateaus at the
+    # level, touching cells and no crossing at all all occur.
+    values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_match_scalar_scan(self, data):
+        rows = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(3, 9))
+        u = np.array(data.draw(st.lists(st.lists(self.values, min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows)))
+        grid = Grid(L=2.0, n=n)
+        got = front_positions(u, grid.x)
+        expected = [scalar_locate(row, grid.x, 0.5) for row in u]
+        assert np.array_equal(got, expected, equal_nan=True)
+        for row, pos in zip(u, got):
+            found = locate_front(Field(grid, row, 0.0))
+            assert (found is None) == math.isnan(pos)
+            assert found is None or found == pos
+
+    def test_rejects_non_finite_row(self):
+        u = np.array([[1.0, 0.5, 0.0], [1.0, np.inf, 0.0]])
+        with pytest.raises(ValueError):
+            front_positions(u, Grid(L=1.0, n=3).x)
 
 
 class TestTrackFront:

@@ -18,11 +18,23 @@ from fkfront.solver import (
     SingularSystemError,
     SolverConfig,
     Trajectory,
+    TridiagonalOperator,
     build_operator,
+    factor_step_matrix,
     imex_step,
     simulate,
     tridiagonal_solve,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def diagonals(draw, n):
+    """Three random diagonals of length ``n`` in the TridiagonalOperator layout."""
+    return tuple(np.array(draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(3))
 
 
 def dense_matrix(op):
@@ -100,6 +112,65 @@ class TestTridiagonalSolve:
         z = np.zeros(3)
         with pytest.raises(SingularSystemError):
             tridiagonal_solve(z, z, z, np.ones(3))
+
+    def test_rejects_fewer_than_three_unknowns(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            tridiagonal_solve(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+
+    def test_rhs_left_untouched(self):
+        rhs = np.array([1.0, 0.0, 1.0])
+        tridiagonal_solve(np.full(3, -1.0), np.full(3, 2.0), np.full(3, -1.0), rhs)
+        assert np.array_equal(rhs, [1.0, 0.0, 1.0])
+
+
+class TestFactoredSolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_dense_solve_when_diagonally_dominant(self, data):
+        n = data.draw(st.integers(3, 30))
+        sub, sup, rhs = data.draw(diagonals(n))
+        sub[0] = sup[-1] = 0.0
+        margin = np.array(data.draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
+        sign = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        main = sign * (np.abs(sub) + np.abs(sup) + margin)
+        mat = np.diag(main) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
+        expected = np.linalg.solve(mat, rhs)
+        # |main| - |sub| - |sup| >= 0.5 bounds the inverse's norm by 2
+        assert np.allclose(tridiagonal_solve(sub, main, sup, rhs), expected,
+                           rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_stack_matches_separate_solves_bit_for_bit(self, data):
+        blocks = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(3, 12))
+        dt = data.draw(st.floats(1e-3, 1.0))
+        grid = Grid(L=1.0, n=n)
+        ops = [TridiagonalOperator(grid, *data.draw(diagonals(n))) for _ in range(blocks)]
+        rhs = np.array(data.draw(st.lists(unit, min_size=blocks * n, max_size=blocks * n)))
+        separate = []
+        for b, op in enumerate(ops):
+            try:
+                separate.append(tridiagonal_solve(-dt * op.sub, 1.0 - dt * op.main,
+                                                  -dt * op.sup, rhs[b * n:(b + 1) * n]))
+            except SingularSystemError:
+                with pytest.raises(SingularSystemError):
+                    factor_step_matrix(ops, dt)
+                return
+        separate = np.concatenate(separate)
+        # an overflowing block leaks 0 * inf = nan across the seams; see factor_step_matrix
+        assume(np.all(np.isfinite(separate)))
+        assert np.array_equal(factor_step_matrix(ops, dt).solve(rhs), separate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_zero_row_raises_singular(self, data):
+        n = data.draw(st.integers(3, 20))
+        sub, main, sup = data.draw(diagonals(n))
+        row = data.draw(st.integers(0, n - 1))
+        sub[row] = main[row] = sup[row] = 0.0
+        with pytest.raises(SingularSystemError):
+            tridiagonal_solve(sub, main, sup, np.ones(n))
 
 
 class TestImexStep:
