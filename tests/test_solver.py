@@ -276,6 +276,11 @@ class TestSimulate:
         expected = step_initial_condition(g, FrontSpec(x_c0=-5.0))
         assert np.array_equal(traj.fields[0].values, expected.values)
 
+    def test_time_stamps_are_step_multiples(self, default_run):
+        steps = np.arange(0, 6001, 25)
+        assert np.array_equal(default_run.times, steps * 0.01)
+        assert default_run.times[-1] == 60.0
+
     def test_grid_and_times_properties(self, default_run, default_grid):
         assert default_run.grid is default_grid
         assert default_run.times[0] == 0.0
