@@ -61,8 +61,20 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=cfg.snapshot_stride)
 
 
+def _warn_if_under_resolved(grid: Grid, epsilons) -> None:
+    """Warn when ``dx > sqrt(epsilon)``: the slow spot then spans less than a cell.
+
+    A warning, not a configuration error: the default grid trips it.
+    """
+    coarse = [eps for eps in epsilons if grid.dx > math.sqrt(eps)]
+    if coarse:
+        log.warning("grid under-resolved: dx=%g exceeds sqrt(epsilon) for epsilon %s",
+                    grid.dx, ", ".join(f"{eps:g}" for eps in coarse))
+
+
 def _run(cfg: ExperimentConfig, epsilon: float | None = None) -> Trajectory:
     eps = cfg.epsilon if epsilon is None else epsilon
+    _warn_if_under_resolved(_grid(cfg), [eps])
     return simulate(
         _grid(cfg),
         make_quadratic_diffusion(eps),
@@ -148,6 +160,7 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             log.warning("duplicate epsilon %g in sweep; keeping first occurrence", eps)
             continue
         epsilons.append(eps)
+    _warn_if_under_resolved(_grid(cfg), epsilons)
     if workers > 1 and len(epsilons) > 1:
         chunks = [c.tolist() for c in np.array_split(epsilons, min(workers, len(epsilons)))]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -199,6 +212,7 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         )
     else:
         diffusion = make_quadratic_diffusion(cfg.epsilon)
+        _warn_if_under_resolved(_grid(cfg), [cfg.epsilon])
     eig = solve_eigenproblem(diffusion, _grid(cfg), m=cfg.eigen_modes)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
     io.export_eigen_system(eig, cfg.eigen_dump, out, meta)

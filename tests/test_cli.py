@@ -282,6 +282,29 @@ class TestTrapSweep:
         ).read_bytes()
 
 
+class TestResolutionWarning:
+    @staticmethod
+    def resolution_warnings(caplog):
+        return [r.getMessage() for r in caplog.records if "under-resolved" in r.getMessage()]
+
+    def test_sweep_names_each_unresolved_epsilon(self, tmp_path, caplog):
+        # default n=501 gives dx=0.4: sqrt(0.2) > 0.4 > sqrt(0.1)
+        cfg_path = write_config(tmp_path, "[solver]\nt_end = 0.1\n[sweep]\nepsilons = 0.2 0.1 0.05\n")
+        with caplog.at_level("WARNING", logger="fkfront"):
+            assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert self.resolution_warnings(caplog) == [
+            "grid under-resolved: dx=0.4 exceeds sqrt(epsilon) for epsilon 0.1, 0.05"
+        ]
+
+    @pytest.mark.parametrize("command", ["simulate", "eigen"])
+    @pytest.mark.parametrize("n, warned", [(501, True), (1001, False)])
+    def test_single_run_commands(self, tmp_path, caplog, command, n, warned):
+        cfg_path = write_config(tmp_path, f"[domain]\nn = {n}\n[solver]\nt_end = 0.1\n")
+        with caplog.at_level("WARNING", logger="fkfront"):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert bool(self.resolution_warnings(caplog)) is warned
+
+
 class TestEigenCommand:
     def test_uniform_diffusion_oracle_via_cli(self, tmp_path):
         cfg_path = write_config(tmp_path, """
