@@ -34,17 +34,21 @@ from .front import (
     FrontNotTransitedError,
     FrontPath,
     fit_power_law,
+    front_positions,
     locate_front,
     track_front,
     trapping_time,
 )
 from .solver import (
+    FactoredTridiagonal,
     SingularSystemError,
     SolverConfig,
     Trajectory,
     TridiagonalOperator,
     build_operator,
+    factor_step_matrix,
     imex_step,
+    march,
     simulate,
     tridiagonal_solve,
 )

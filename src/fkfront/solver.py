@@ -56,7 +56,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "build_operator",
-    "factor_tridiagonal",
     "factor_step_matrix",
     "tridiagonal_solve",
     "imex_step",
@@ -137,7 +136,7 @@ class FactoredTridiagonal:
         return x
 
 
-def factor_tridiagonal(
+def _factor_tridiagonal(
     sub: np.ndarray, main: np.ndarray, sup: np.ndarray
 ) -> FactoredTridiagonal:
     """Factor a tridiagonal matrix by LU elimination with partial pivoting.
@@ -176,7 +175,7 @@ def factor_step_matrix(ops: Sequence[TridiagonalOperator], dt: float) -> Factore
     sup = np.stack([-dt * op.sup for op in ops])
     sub[:, 0] = 0.0
     sup[:, -1] = 0.0
-    return factor_tridiagonal(sub.ravel(), main.ravel(), sup.ravel())
+    return _factor_tridiagonal(sub.ravel(), main.ravel(), sup.ravel())
 
 
 def tridiagonal_solve(
@@ -186,16 +185,15 @@ def tridiagonal_solve(
 
     Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
     have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
-    ignored.  For the
-    diagonally dominant systems produced by :func:`imex_step` the residual
-    stays below ``1e-10 * max|rhs|``.
+    ignored.  For the diagonally dominant systems produced by
+    :func:`imex_step` the residual stays below ``1e-10 * max|rhs|``.
 
     Raises
     ------
     SingularSystemError
         If elimination encounters a zero pivot.
     """
-    return factor_tridiagonal(sub, main, sup).solve(np.asarray(rhs, dtype=float))
+    return _factor_tridiagonal(sub, main, sup).solve(np.asarray(rhs, dtype=float))
 
 
 def _advance(
@@ -283,14 +281,13 @@ def march(
 ) -> None:
     """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
 
-    Step ``k`` is stamped ``t = k * dt``; summing ``dt`` instead would drift
-    (6000 steps of 0.01 sum to 59.99999999999663).
-
     ``system`` holds the factors of ``I - dt D`` (see
     :func:`factor_step_matrix`); ``u0`` has shape ``(n,)`` or, for B stacked
     blocks, ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
     ``snapshot_stride``-th step, and the final step, with ``u`` in the shape
     of ``u0``.  Each step's state is a new array, so an observer may keep it.
+    Step ``k`` is stamped ``t = k * dt``, free of the rounding that a running
+    sum of ``dt`` accumulates.
     """
     dt = config.dt
     stride = config.snapshot_stride
