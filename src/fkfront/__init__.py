@@ -40,6 +40,7 @@ from .front import (
     trapping_time,
 )
 from .solver import (
+    FactoredSymmetricTridiagonal,
     FactoredTridiagonal,
     SingularSystemError,
     SolverConfig,

@@ -179,18 +179,24 @@ def sfa_residual(
     Derivatives are second-order central differences with probe spacings
     ``space_step`` (in x) and ``time_step`` (in t, defaulting to
     ``space_step``); the temporal stencil must not reach behind the snapshot,
-    so ``t >= snap.time + time_step`` is required.
+    so ``t >= snap.time + time_step`` is required.  A stencil that starts at
+    the snapshot up to rounding (``t - time_step`` within two ulps of ``t``
+    below it) is accepted, and its lower time is taken at the snapshot.
     """
     if space_step <= 0:
         raise ValueError(f"space_step must be positive, got {space_step}")
     ht = space_step if time_step is None else float(time_step)
     if ht <= 0:
         raise ValueError(f"time_step must be positive, got {time_step}")
-    if t - ht < snap.time:
-        raise ValueError(
-            f"central time stencil at t={t} reaches before the snapshot; "
-            f"need t >= {snap.time + ht}"
-        )
+    t_lo = t - ht
+    if t_lo < snap.time:
+        # t = snap.time + ht is rounded, so t - ht may fall an ulp behind
+        if snap.time - t_lo > 2.0 * math.ulp(t):
+            raise ValueError(
+                f"central time stencil at t={t} reaches before the snapshot; "
+                f"need t >= {snap.time + ht}"
+            )
+        t_lo = snap.time
     xs = np.asarray(xs, dtype=float)
     hx = float(space_step)
 
@@ -198,7 +204,7 @@ def sfa_residual(
     u_xp = sfa_evolve(snap, xs + hx, t)
     u_xm = sfa_evolve(snap, xs - hx, t)
     u_tp = sfa_evolve(snap, xs, t + ht)
-    u_tm = sfa_evolve(snap, xs, t - ht)
+    u_tm = sfa_evolve(snap, xs, t_lo)
 
     u_t = (u_tp - u_tm) / (2.0 * ht)
     u_x = (u_xp - u_xm) / (2.0 * hx)

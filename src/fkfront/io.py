@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .front import FitReport, FrontPath
+from .front import FitReport
 from .solver import Trajectory
 from .spectral import EigenSystem
 
@@ -20,7 +20,6 @@ __all__ = [
     "write_json",
     "sidecar_path",
     "export_trajectory",
-    "export_front_path",
     "export_eigen_system",
     "export_fit_reports",
 ]
@@ -67,11 +66,6 @@ def export_trajectory(traj: Trajectory, csv_path: Path, meta: dict) -> None:
                 yield (t, xi, ui)
 
     write_csv(csv_path, ("t", "x", "u"), rows())
-    write_json(sidecar_path(csv_path), meta)
-
-
-def export_front_path(path: FrontPath, csv_path: Path, meta: dict) -> None:
-    write_csv(csv_path, ("t", "x_c"), zip(path.times, path.positions))
     write_json(sidecar_path(csv_path), meta)
 
 

@@ -24,12 +24,21 @@ Time: backward Euler on the diffusion, forward Euler on the reaction
 map keeps ``[0, 1]`` invariant for ``dt <= 1``, so iterates respect the
 maximum principle ``0 <= u <= 1``.
 
-The matrix does not change between steps, so a run factors it once
-(LAPACK ``dgttrf``) and each step is a single ``dgttrs`` solve against the
-stored factors.  Several runs that share a grid and ``dt`` -- an epsilon
-sweep -- march together as one block-diagonal tridiagonal system whose
-blocks are uncoupled (zero entries at the seams); each block's solution is
-bit-for-bit the one its run would get alone.
+The matrix does not change between steps, so a run factors it once and
+each step is a single solve against the stored factors.  The mirror ghost
+doubles only the end couplings, so with the trapezoid weights
+``W = diag(1/2, 1, ..., 1, 1/2)`` the matrix ``W (I - dt D)`` is exactly
+symmetric (halving is exact in floating point unless an entry is
+subnormal) and positive definite.  A run factors it as ``L D L^T`` (LAPACK
+``dpttrf``); each step halves the two end entries of the right-hand side
+and calls ``dpttrs``, whose back substitution keeps the division off the
+sequential dependency chain.  A matrix that is
+not symmetric after weighting, or not positive definite, gets the general LU
+factors (``dgttrf``/``dgttrs``) instead; :func:`tridiagonal_solve` always
+uses those.  Several runs that share a grid and ``dt`` -- an epsilon sweep --
+march together as one block-diagonal tridiagonal system whose blocks are
+uncoupled (zero entries at the seams); each block's solution is bit-for-bit
+the one its run would get alone.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ __all__ = [
     "SingularSystemError",
     "TridiagonalOperator",
     "FactoredTridiagonal",
+    "FactoredSymmetricTridiagonal",
     "SolverConfig",
     "Trajectory",
     "build_operator",
@@ -161,7 +171,57 @@ def _factor_tridiagonal(
     return FactoredTridiagonal(dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
 
 
-def factor_step_matrix(ops: Sequence[TridiagonalOperator], dt: float) -> FactoredTridiagonal:
+@dataclass(frozen=True)
+class FactoredSymmetricTridiagonal:
+    """``L D L^T`` factors of a weighted step matrix, as returned by LAPACK ``dpttrf``.
+
+    The factored matrix is ``W M``, where ``W`` halves the rows ``ends`` (the
+    first and last row of each block) of ``M``; :meth:`solve` applies ``W``
+    to the right-hand side, so it solves ``M x = rhs``.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    ends: np.ndarray
+
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve against the stored factors.
+
+        With ``overwrite`` a contiguous float ``rhs`` receives the solution
+        in place and is returned; otherwise ``rhs`` is left untouched.
+        """
+        b = np.asarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float)
+        b[self.ends] *= 0.5
+        x, _ = lapack.dpttrs(self.d, self.e, b, overwrite_b=True)
+        return x
+
+
+def _factor_weighted_symmetric(
+    sub: np.ndarray, main: np.ndarray, sup: np.ndarray
+) -> FactoredSymmetricTridiagonal | None:
+    """``L D L^T`` factors of the trapezoid-weighted stacked matrix, if it has them.
+
+    The diagonals have shape ``(B, n)``.  Returns ``None`` unless halving the
+    end rows of every block makes the matrix exactly symmetric and ``dpttrf``
+    finds it positive definite.
+    """
+    weight = np.ones(main.shape[1])
+    weight[[0, -1]] = 0.5
+    d = (weight * main).ravel()
+    e = (weight * sup).ravel()[:-1]
+    if not np.array_equal(e, (weight * sub).ravel()[1:]):
+        return None
+    d, e, info = lapack.dpttrf(d, e)
+    if info != 0:
+        return None
+    blocks, n = main.shape
+    ends = (n * np.arange(blocks)[:, None] + [0, n - 1]).ravel()
+    return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
+
+
+def factor_step_matrix(
+    ops: Sequence[TridiagonalOperator], dt: float
+) -> FactoredSymmetricTridiagonal | FactoredTridiagonal:
     """Factor ``I - dt D`` for one or more operators stacked block-diagonally.
 
     The B operators must share a grid size ``n``; unknown ``b * n + i`` is
@@ -169,12 +229,25 @@ def factor_step_matrix(ops: Sequence[TridiagonalOperator], dt: float) -> Factore
     the blocks stay independent: each block's solution is bit-for-bit that
     of its own system, unless some block's solution overflows (``0 * inf``
     at a seam then spreads ``nan``).
+
+    Operators from :func:`build_operator` give a matrix whose trapezoid-
+    weighted form is symmetric positive definite; it is factored once as
+    ``L D L^T`` (``dpttrf``).  Any other matrix gets the LU factors of
+    ``dgttrf``.  Both results solve with ``solve(rhs, overwrite)``.
+
+    Raises
+    ------
+    SingularSystemError
+        If the matrix takes the LU path and elimination hits a zero pivot.
     """
     sub = np.stack([-dt * op.sub for op in ops])
     main = np.stack([1.0 - dt * op.main for op in ops])
     sup = np.stack([-dt * op.sup for op in ops])
     sub[:, 0] = 0.0
     sup[:, -1] = 0.0
+    symmetric = _factor_weighted_symmetric(sub, main, sup)
+    if symmetric is not None:
+        return symmetric
     return _factor_tridiagonal(sub.ravel(), main.ravel(), sup.ravel())
 
 
@@ -185,8 +258,9 @@ def tridiagonal_solve(
 
     Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
     have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
-    ignored.  For the diagonally dominant systems produced by
-    :func:`imex_step` the residual stays below ``1e-10 * max|rhs|``.
+    ignored.  This is the general solve for any nonsingular system; the
+    time steppers do not go through it, since :func:`factor_step_matrix`
+    gives their step matrices symmetric factors.
 
     Raises
     ------
@@ -197,7 +271,10 @@ def tridiagonal_solve(
 
 
 def _advance(
-    system: FactoredTridiagonal, u: np.ndarray, reaction: ReactionTerm, dt: float
+    system: FactoredSymmetricTridiagonal | FactoredTridiagonal,
+    u: np.ndarray,
+    reaction: ReactionTerm,
+    dt: float,
 ) -> np.ndarray:
     """``u_{k+1}`` from ``(I - dt D) u_{k+1} = u_k + dt f(u_k)``, in a new array."""
     return system.solve(u + dt * np.asarray(reaction.f(u), dtype=float), overwrite=True)
@@ -273,7 +350,7 @@ class Trajectory:
 
 
 def march(
-    system: FactoredTridiagonal,
+    system: FactoredSymmetricTridiagonal | FactoredTridiagonal,
     u0: np.ndarray,
     reaction: ReactionTerm,
     config: SolverConfig,
@@ -281,8 +358,10 @@ def march(
 ) -> None:
     """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
 
-    ``system`` holds the factors of ``I - dt D`` (see
-    :func:`factor_step_matrix`); ``u0`` has shape ``(n,)`` or, for B stacked
+    ``system`` holds the factors of ``I - dt D`` from
+    :func:`factor_step_matrix` (for operators from :func:`build_operator`,
+    the ``L D L^T`` factors of its trapezoid-weighted form), so each step is
+    one ``dpttrs`` solve; ``u0`` has shape ``(n,)`` or, for B stacked
     blocks, ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
     ``snapshot_stride``-th step, and the final step, with ``u`` in the shape
     of ``u0``.  Each step's state is a new array, so an observer may keep it.

@@ -220,6 +220,24 @@ class TestSfaResidual:
                 space_step=1e-2,
             )
 
+    def test_accepts_stencil_starting_at_snapshot_up_to_rounding(self):
+        g = Grid(L=10.0, n=2001)
+        u = 1.0 / (1.0 + np.exp(3.0 * (g.x + 2.0)))
+        snap = Snapshot(Field(g, u, 1.0))
+        t = 1.0 + 0.001
+        assert t - 0.001 < 1.0  # the stencil's lower end rounds behind the snapshot
+        rep = sfa_residual(
+            snap,
+            make_quadratic_diffusion(0.1),
+            logistic_reaction(),
+            t,
+            np.array([-2.0]),
+            space_step=1e-2,
+            time_step=0.001,
+        )
+        assert np.all(np.isfinite(rep.residual))
+        assert np.all(np.isfinite(rep.validity_ratio))
+
     def test_rejects_nonpositive_steps(self):
         snap = sigmoid_snapshot(3.0, -2.0)
         with pytest.raises(ValueError):

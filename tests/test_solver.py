@@ -15,6 +15,7 @@ from fkfront.domain import (
     step_initial_condition,
 )
 from fkfront.solver import (
+    FactoredSymmetricTridiagonal,
     SingularSystemError,
     SolverConfig,
     Trajectory,
@@ -22,6 +23,7 @@ from fkfront.solver import (
     build_operator,
     factor_step_matrix,
     imex_step,
+    march,
     simulate,
     tridiagonal_solve,
 )
@@ -171,6 +173,90 @@ class TestFactoredSolveProperties:
         sub[row] = main[row] = sup[row] = 0.0
         with pytest.raises(SingularSystemError):
             tridiagonal_solve(sub, main, sup, np.ones(n))
+
+
+@st.composite
+def step_operators(draw):
+    """Operators of random quadratic wells sharing one random grid, and a dt."""
+    n = draw(st.integers(3, 401))
+    grid = Grid(L=draw(st.floats(0.5, 100.0)), n=n)
+    blocks = draw(st.integers(1, 4))
+    ops = [build_operator(grid, make_quadratic_diffusion(draw(st.floats(0.0125, 0.1))))
+           for _ in range(blocks)]
+    # a dt small enough to make entries of dt * D subnormal, where halving
+    # rounds, sends the step matrix down the LU path instead
+    dt = draw(st.floats(1e-12, 1.0))
+    return ops, dt
+
+
+class TestSymmetricStepFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(step_operators(), st.integers(0, 2**32 - 1))
+    def test_step_matrix_takes_symmetric_path_and_agrees_with_lu(self, case, seed):
+        ops, dt = case
+        n = ops[0].grid.n
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
+        system = factor_step_matrix(ops, dt)
+        assert isinstance(system, FactoredSymmetricTridiagonal)
+        for b, op in enumerate(ops):
+            block = slice(b * n, (b + 1) * n)
+            expected = tridiagonal_solve(-dt * op.sub, 1.0 - dt * op.main, -dt * op.sup,
+                                         rhs[block])
+            got = system.solve(rhs)[block]
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_operators(), st.integers(0, 2**32 - 1))
+    def test_stack_matches_separate_symmetric_solves_bit_for_bit(self, case, seed):
+        ops, dt = case
+        n = ops[0].grid.n
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
+        separate = np.concatenate([factor_step_matrix([op], dt).solve(rhs[b * n:(b + 1) * n])
+                                   for b, op in enumerate(ops)])
+        assert np.array_equal(factor_step_matrix(ops, dt).solve(rhs), separate)
+
+    def test_solve_leaves_rhs_untouched_unless_overwritten(self):
+        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
+        system = factor_step_matrix([op], 0.1)
+        rhs = np.linspace(0.0, 1.0, 21)
+        kept = rhs.copy()
+        x = system.solve(rhs)
+        assert np.array_equal(rhs, kept)
+        assert system.solve(rhs, overwrite=True) is rhs
+        assert np.array_equal(rhs, x)
+
+    def test_non_symmetric_operator_takes_lu_path(self):
+        g = Grid(L=1.0, n=5)
+        op = TridiagonalOperator(g, np.full(5, 1.0), np.full(5, -3.0), np.full(5, 2.0))
+        assert not isinstance(factor_step_matrix([op], 0.1), FactoredSymmetricTridiagonal)
+
+
+class TestMaximumPrincipleProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eps=st.floats(0.0125, 0.1),
+        n=st.integers(3, 401),
+        L=st.floats(0.5, 100.0),
+        front_at=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+        steps=st.integers(1, 40),
+    )
+    def test_step_initial_condition_stays_in_unit_interval(self, eps, n, L, front_at, dt, steps):
+        grid = Grid(L=L, n=n)
+        x_c0 = -L + 2.0 * L * front_at
+        assume(-L < x_c0 < L)
+        u0 = step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values
+        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
+        lows, highs = [], []
+
+        def observe(t, u):
+            lows.append(float(u.min()))
+            highs.append(float(u.max()))
+
+        march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=steps * dt), observe)
+        assert len(lows) == steps + 1
+        assert min(lows) >= -1e-10
+        assert max(highs) <= 1.0 + 1e-10
 
 
 class TestImexStep:
