@@ -41,7 +41,6 @@ from .front import (
 )
 from .solver import (
     FactoredSymmetricTridiagonal,
-    FactoredTridiagonal,
     SingularSystemError,
     SolverConfig,
     Trajectory,

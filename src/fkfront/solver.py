@@ -27,18 +27,18 @@ maximum principle ``0 <= u <= 1``.
 The matrix does not change between steps, so a run factors it once and
 each step is a single solve against the stored factors.  The mirror ghost
 doubles only the end couplings, so with the trapezoid weights
-``W = diag(1/2, 1, ..., 1, 1/2)`` the matrix ``W (I - dt D)`` is exactly
-symmetric (halving is exact in floating point unless an entry is
-subnormal) and positive definite.  A run factors it as ``L D L^T`` (LAPACK
-``dpttrf``); each step halves the two end entries of the right-hand side
-and calls ``dpttrs``, whose back substitution keeps the division off the
-sequential dependency chain.  A matrix that is
-not symmetric after weighting, or not positive definite, gets the general LU
-factors (``dgttrf``/``dgttrs``) instead; :func:`tridiagonal_solve` always
-uses those.  Several runs that share a grid and ``dt`` -- an epsilon sweep --
-march together as one block-diagonal tridiagonal system whose blocks are
-uncoupled (zero entries at the seams); each block's solution is bit-for-bit
-the one its run would get alone.
+``W = diag(1/2, 1, ..., 1, 1/2)`` the matrix ``W (I - dt D)`` is symmetric
+and positive definite.  A run factors it as ``L D L^T`` (LAPACK
+``dpttrf``), taking the off-diagonal from one side so that the factored
+matrix is symmetric by construction; each step halves the two end entries
+of the right-hand side and calls ``dpttrs``, whose back substitution keeps
+the division off the sequential dependency chain.  An operator that is not
+symmetric under ``W`` is rejected.  :func:`tridiagonal_solve` is a separate
+general solve (LAPACK ``dgtsv``) that the steppers do not use.  Several
+runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
+one block-diagonal tridiagonal system whose blocks are uncoupled (zero
+entries at the seams); each block's solution is bit-for-bit the one its
+run would get alone.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .domain import (
 __all__ = [
     "SingularSystemError",
     "TridiagonalOperator",
-    "FactoredTridiagonal",
     "FactoredSymmetricTridiagonal",
     "SolverConfig",
     "Trajectory",
@@ -126,52 +125,6 @@ def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperat
 
 
 @dataclass(frozen=True)
-class FactoredTridiagonal:
-    """LU factors of a tridiagonal matrix, as returned by LAPACK ``dgttrf``."""
-
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
-
-    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Solve against the stored factors.
-
-        With ``overwrite`` a contiguous float ``rhs`` receives the solution
-        in place and is returned; otherwise ``rhs`` is left untouched.
-        """
-        x, _ = lapack.dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs,
-                             overwrite_b=overwrite)
-        return x
-
-
-def _factor_tridiagonal(
-    sub: np.ndarray, main: np.ndarray, sup: np.ndarray
-) -> FactoredTridiagonal:
-    """Factor a tridiagonal matrix by LU elimination with partial pivoting.
-
-    Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
-    have the same length, at least 3 (the smallest the LAPACK wrapper
-    accepts), and ``sub[0]``/``sup[-1]`` are ignored.
-
-    Raises
-    ------
-    SingularSystemError
-        If elimination encounters a zero pivot.
-    """
-    main = np.asarray(main, dtype=float)
-    if main.size < 3:
-        raise ValueError(f"a tridiagonal system needs at least 3 unknowns, got {main.size}")
-    dl = np.asarray(sub, dtype=float)[1:]
-    du = np.asarray(sup, dtype=float)[:-1]
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(dl, main, du)
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in row {info - 1}: singular system")
-    return FactoredTridiagonal(dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
-
-
-@dataclass(frozen=True)
 class FactoredSymmetricTridiagonal:
     """``L D L^T`` factors of a weighted step matrix, as returned by LAPACK ``dpttrf``.
 
@@ -196,32 +149,9 @@ class FactoredSymmetricTridiagonal:
         return x
 
 
-def _factor_weighted_symmetric(
-    sub: np.ndarray, main: np.ndarray, sup: np.ndarray
-) -> FactoredSymmetricTridiagonal | None:
-    """``L D L^T`` factors of the trapezoid-weighted stacked matrix, if it has them.
-
-    The diagonals have shape ``(B, n)``.  Returns ``None`` unless halving the
-    end rows of every block makes the matrix exactly symmetric and ``dpttrf``
-    finds it positive definite.
-    """
-    weight = np.ones(main.shape[1])
-    weight[[0, -1]] = 0.5
-    d = (weight * main).ravel()
-    e = (weight * sup).ravel()[:-1]
-    if not np.array_equal(e, (weight * sub).ravel()[1:]):
-        return None
-    d, e, info = lapack.dpttrf(d, e)
-    if info != 0:
-        return None
-    blocks, n = main.shape
-    ends = (n * np.arange(blocks)[:, None] + [0, n - 1]).ravel()
-    return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
-
-
 def factor_step_matrix(
     ops: Sequence[TridiagonalOperator], dt: float
-) -> FactoredSymmetricTridiagonal | FactoredTridiagonal:
+) -> FactoredSymmetricTridiagonal:
     """Factor ``I - dt D`` for one or more operators stacked block-diagonally.
 
     The B operators must share a grid size ``n``; unknown ``b * n + i`` is
@@ -230,48 +160,63 @@ def factor_step_matrix(
     of its own system, unless some block's solution overflows (``0 * inf``
     at a seam then spreads ``nan``).
 
-    Operators from :func:`build_operator` give a matrix whose trapezoid-
-    weighted form is symmetric positive definite; it is factored once as
-    ``L D L^T`` (``dpttrf``).  Any other matrix gets the LU factors of
-    ``dgttrf``.  Both results solve with ``solve(rhs, overwrite)``.
+    Each operator must be symmetric under the trapezoid weights ``W``, as
+    every operator from :func:`build_operator` is.  The weighted step matrix
+    ``W (I - dt D)`` is assembled with its off-diagonal taken from the
+    ``sup`` side, so it is symmetric by construction, and factored once as
+    ``L D L^T`` (``dpttrf``).
 
     Raises
     ------
-    SingularSystemError
-        If the matrix takes the LU path and elimination hits a zero pivot.
+    ValueError
+        If an operator is not symmetric under ``W``, or the weighted step
+        matrix is not positive definite.
     """
-    sub = np.stack([-dt * op.sub for op in ops])
-    main = np.stack([1.0 - dt * op.main for op in ops])
-    sup = np.stack([-dt * op.sup for op in ops])
-    sub[:, 0] = 0.0
-    sup[:, -1] = 0.0
-    symmetric = _factor_weighted_symmetric(sub, main, sup)
-    if symmetric is not None:
-        return symmetric
-    return _factor_tridiagonal(sub.ravel(), main.ravel(), sup.ravel())
+    weight = np.ones(ops[0].grid.n)
+    weight[[0, -1]] = 0.5
+    for b, op in enumerate(ops):
+        if not np.array_equal((weight * op.sup)[:-1], (weight * op.sub)[1:]):
+            raise ValueError(f"operator {b} is not symmetric under the trapezoid weights")
+    d = np.stack([weight * (1.0 - dt * op.main) for op in ops])
+    e = np.stack([weight * (-dt * op.sup) for op in ops])
+    e[:, -1] = 0.0
+    d, e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
+    if info != 0:
+        raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
+    blocks, n = len(ops), weight.size
+    ends = (n * np.arange(blocks)[:, None] + [0, n - 1]).ravel()
+    return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
 
 
 def tridiagonal_solve(
     sub: np.ndarray, main: np.ndarray, sup: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve a tridiagonal system by LU elimination with partial pivoting.
+    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
 
     Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
     have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
-    ignored.  This is the general solve for any nonsingular system; the
-    time steppers do not go through it, since :func:`factor_step_matrix`
-    gives their step matrices symmetric factors.
+    ignored.  ``rhs`` is left untouched.  This is the general solve for any
+    nonsingular system (LAPACK ``dgtsv``); it shares no code with the time
+    steppers, which solve against :func:`factor_step_matrix`.
 
     Raises
     ------
     SingularSystemError
         If elimination encounters a zero pivot.
     """
-    return _factor_tridiagonal(sub, main, sup).solve(np.asarray(rhs, dtype=float))
+    main = np.asarray(main, dtype=float)
+    if main.size < 3:
+        raise ValueError(f"a tridiagonal system needs at least 3 unknowns, got {main.size}")
+    _, _, _, x, info = lapack.dgtsv(np.asarray(sub, dtype=float)[1:], main,
+                                    np.asarray(sup, dtype=float)[:-1],
+                                    np.asarray(rhs, dtype=float))
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info - 1}: singular system")
+    return x
 
 
 def _advance(
-    system: FactoredSymmetricTridiagonal | FactoredTridiagonal,
+    system: FactoredSymmetricTridiagonal,
     u: np.ndarray,
     reaction: ReactionTerm,
     dt: float,
@@ -350,7 +295,7 @@ class Trajectory:
 
 
 def march(
-    system: FactoredSymmetricTridiagonal | FactoredTridiagonal,
+    system: FactoredSymmetricTridiagonal,
     u0: np.ndarray,
     reaction: ReactionTerm,
     config: SolverConfig,
@@ -358,11 +303,10 @@ def march(
 ) -> None:
     """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
 
-    ``system`` holds the factors of ``I - dt D`` from
-    :func:`factor_step_matrix` (for operators from :func:`build_operator`,
-    the ``L D L^T`` factors of its trapezoid-weighted form), so each step is
-    one ``dpttrs`` solve; ``u0`` has shape ``(n,)`` or, for B stacked
-    blocks, ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
+    ``system`` holds the ``L D L^T`` factors of the trapezoid-weighted
+    ``I - dt D`` from :func:`factor_step_matrix`, so each step is one
+    ``dpttrs`` solve; ``u0`` has shape ``(n,)`` or, for B stacked blocks,
+    ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
     ``snapshot_stride``-th step, and the final step, with ``u`` in the shape
     of ``u0``.  Each step's state is a new array, so an observer may keep it.
     Step ``k`` is stamped ``t = k * dt``, free of the rounding that a running
