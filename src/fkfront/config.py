@@ -46,8 +46,6 @@ class ExperimentConfig:
     wkb_branch: str = "plus"
     wkb_t_end: float = 1.0
     wkb_dt: float = 1e-3
-    # [twc]
-    twc_speed: float = 2.0
 
 
 def _parse_float(text: str) -> float:
@@ -98,7 +96,6 @@ _SCHEMA = {
     ("wkb", "branch"): ("wkb_branch", _parse_branch),
     ("wkb", "t_end"): ("wkb_t_end", _parse_float),
     ("wkb", "dt"): ("wkb_dt", _parse_float),
-    ("twc", "speed"): ("twc_speed", _parse_float),
 }
 
 

@@ -72,6 +72,8 @@ x0 = -1 1
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, "[domain]\nwidth = 5\n"))
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(write_config(tmp_path, "[twc]\nspeed = 2\n"))
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
