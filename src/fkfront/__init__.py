@@ -26,6 +26,7 @@ from .domain import (
     Grid,
     ReactionTerm,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
 )

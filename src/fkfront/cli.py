@@ -28,11 +28,11 @@ from . import io
 from .asymptotics import Snapshot, sfa_evolve
 from .config import ConfigError, ExperimentConfig, config_digest, load_config
 from .domain import (
-    DiffusionProfile,
     Field,
     FrontSpec,
     Grid,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
 )
@@ -205,11 +205,7 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 def cmd_eigen(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     if cfg.eigen_constant_a is not None:
-        level = cfg.eigen_constant_a
-        diffusion = DiffusionProfile(
-            epsilon=level, a=lambda x: np.full_like(np.asarray(x, dtype=float), level),
-            aprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
+        diffusion = make_constant_diffusion(cfg.eigen_constant_a)
     else:
         diffusion = make_quadratic_diffusion(cfg.epsilon)
         _warn_if_under_resolved(_grid(cfg), [cfg.epsilon])

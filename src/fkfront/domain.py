@@ -23,6 +23,7 @@ __all__ = [
     "Field",
     "FrontSpec",
     "make_quadratic_diffusion",
+    "make_constant_diffusion",
     "logistic_reaction",
     "step_initial_condition",
 ]
@@ -60,6 +61,19 @@ def make_quadratic_diffusion(epsilon: float) -> DiffusionProfile:
         epsilon=eps,
         a=lambda x: x * x + eps,
         aprime=lambda x: 2.0 * x,
+    )
+
+
+def make_constant_diffusion(level: float) -> DiffusionProfile:
+    """Spatially uniform ``a(x) = level`` with ``a'(x) = 0``.
+
+    The analytically solvable control case: no slow spot, so a front
+    settles at the pulled speed ``2 sqrt(level)``.
+    """
+    return DiffusionProfile(
+        epsilon=level,
+        a=lambda x: np.full_like(np.asarray(x, dtype=float), level),
+        aprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
 

@@ -12,19 +12,11 @@ from fkfront.domain import (
     Grid,
     ReactionTerm,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
 )
 from fkfront.solver import SolverConfig, build_operator, imex_step, simulate
 from fkfront.spectral import initial_amplitudes, solve_eigenproblem
-
-
-def constant_diffusion(level: float = 1.0) -> DiffusionProfile:
-    """Spatially uniform diffusion; an analytically solvable control case."""
-    return DiffusionProfile(
-        epsilon=level,
-        a=lambda x: np.full_like(np.asarray(x, dtype=float), level),
-        aprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
 
 
 def unit_floor_quadratic() -> DiffusionProfile:
@@ -99,7 +91,7 @@ def constant_a_run():
     """Uniform-diffusion control; the front must settle near the pulled speed 2."""
     return simulate(
         Grid(L=100.0, n=1001),
-        constant_diffusion(1.0),
+        make_constant_diffusion(1.0),
         logistic_reaction(),
         FrontSpec(x_c0=-50.0),
         SolverConfig(dt=0.01, t_end=40.0, snapshot_stride=100),

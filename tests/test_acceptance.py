@@ -25,6 +25,7 @@ from fkfront.domain import (
     Field,
     Grid,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
 )
 from fkfront.front import fit_power_law, track_front, trapping_time
@@ -41,7 +42,7 @@ from fkfront.wkb import (
     phase_along,
 )
 
-from conftest import constant_diffusion, diffuse_smooth, unit_floor_quadratic
+from conftest import diffuse_smooth, unit_floor_quadratic
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -237,7 +238,7 @@ def test_a3_turning_point_behavior(default_run):
 
 def test_a4_eigen_oracle():
     grid = Grid(L=10.0, n=401)
-    eig = solve_eigenproblem(constant_diffusion(1.0), grid, m=11)
+    eig = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
     lam0 = abs(float(eig.eigenvalues[0]))
     exact = -((np.arange(1, 11) * math.pi / 20.0) ** 2)
     rel = float(np.max(np.abs(eig.eigenvalues[1:] - exact) / np.abs(exact)))

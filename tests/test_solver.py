@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_diffusion, diffuse_smooth, unit_floor_quadratic, zero_reaction
+from conftest import diffuse_smooth, unit_floor_quadratic, zero_reaction
 
 from fkfront.domain import (
     Field,
     FrontSpec,
     Grid,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
 )
@@ -58,7 +59,7 @@ class TestBuildOperator:
 
     def test_interior_row_uniform_diffusion(self):
         g = Grid(L=100.0, n=501)
-        op = build_operator(g, constant_diffusion(1.0))
+        op = build_operator(g, make_constant_diffusion(1.0))
         inv_dx2 = 1.0 / g.dx**2
         assert op.sub[5] == pytest.approx(inv_dx2, rel=1e-13)
         assert op.main[5] == pytest.approx(-2 * inv_dx2, rel=1e-13)
@@ -247,7 +248,7 @@ class TestMaximumPrincipleProperty:
 class TestImexStep:
     def test_uniform_half_one_step(self):
         g = Grid(L=100.0, n=501)
-        op = build_operator(g, constant_diffusion(1.0))
+        op = build_operator(g, make_constant_diffusion(1.0))
         f = Field(g, np.full(501, 0.5), 0.0)
         out = imex_step(f, op, logistic_reaction(), 0.1)
         assert np.allclose(out.values, 0.525, atol=1e-13)

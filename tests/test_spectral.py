@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_diffusion
 
-from fkfront.domain import FrontSpec, Grid, make_quadratic_diffusion, step_initial_condition
+from fkfront.domain import (
+    FrontSpec,
+    Grid,
+    make_constant_diffusion,
+    make_quadratic_diffusion,
+    step_initial_condition,
+)
 from fkfront.solver import build_operator
 from fkfront.spectral import (
     EigenSystem,
@@ -24,7 +29,7 @@ class TestSolveEigenproblem:
     def test_uniform_diffusion_oracle(self):
         # Neumann walls on [-10, 10]: lambda_n = -(n pi / 20)^2
         grid = Grid(L=10.0, n=201)
-        eig = solve_eigenproblem(constant_diffusion(1.0), grid, m=11)
+        eig = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
         assert abs(eig.eigenvalues[0]) <= 1e-10
         n = np.arange(1, 11)
         exact = -((n * math.pi / 20.0) ** 2)

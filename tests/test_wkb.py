@@ -4,9 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_diffusion
 
-from fkfront.domain import make_quadratic_diffusion
+from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion
 from fkfront.wkb import (
     Branch,
     WkbParams,
@@ -164,14 +163,14 @@ class TestInnerCharacteristic:
 class TestIntegrateCharacteristic:
     def test_zero_rate_is_stationary(self):
         path = integrate_characteristic(
-            -3.0, 0.0, constant_diffusion(1.0), Branch.MINUS, 1.0, 1e-3
+            -3.0, 0.0, make_constant_diffusion(1.0), Branch.MINUS, 1.0, 1e-3
         )
         assert np.all(path.positions == -3.0)
 
     @pytest.mark.parametrize("branch, sign", [(Branch.PLUS, 1.0), (Branch.MINUS, -1.0)])
     def test_exact_on_uniform_diffusion(self, branch, sign):
         path = integrate_characteristic(
-            -3.0, 0.7, constant_diffusion(1.0), branch, 1.0, 1e-3
+            -3.0, 0.7, make_constant_diffusion(1.0), branch, 1.0, 1e-3
         )
         expected = -3.0 + sign * 2.0 * 0.7 * path.times
         assert np.max(np.abs(path.positions - expected)) <= 1e-12
