@@ -113,6 +113,11 @@ class TestTrackFront:
             FrontPath(times=np.array([0.0, 0.0]), positions=np.array([1.0, 2.0]))
 
 
+WINDOW = 0.4
+outside_window = st.builds(lambda r, s: s * r, st.floats(WINDOW, 10.0), st.sampled_from([-1.0, 1.0]))
+inside_window = st.floats(-WINDOW, WINDOW, exclude_min=True, exclude_max=True)
+
+
 class TestTrappingTime:
     def test_linear_path_hand_case(self):
         ts = np.arange(0.0, 20.0 + 1e-12, 0.5)
@@ -153,6 +158,26 @@ class TestTrappingTime:
         path = FrontPath(times=ts, positions=np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             trapping_time(path, radius=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        before=st.lists(outside_window, max_size=5),
+        during=st.lists(inside_window, min_size=1, max_size=5),
+        after=st.lists(outside_window, min_size=1, max_size=5),
+        tail=st.lists(st.floats(-10.0, 10.0), max_size=5),
+        t0=st.floats(-100.0, 100.0),
+        steps=st.lists(st.floats(1e-3, 10.0), min_size=20, max_size=20),
+        shift=st.floats(-1e3, 1e3),
+    )
+    def test_invariant_under_time_shift(self, before, during, after, tail, t0, steps, shift):
+        x = np.array(before + during + after + tail)
+        t = t0 + np.cumsum(steps[: x.size])
+        shifted = t + shift
+        duration = trapping_time(FrontPath(times=t, positions=x), WINDOW)
+        moved = trapping_time(FrontPath(times=shifted, positions=x), WINDOW)
+        # each crossing time rounds a few times at the scale of the largest |t|
+        scale = max(np.max(np.abs(t)), np.max(np.abs(shifted)))
+        assert abs(moved - duration) <= 1e-14 * scale
 
 
 class TestFitPowerLaw:
