@@ -179,12 +179,12 @@ def factor_step_matrix(
             raise ValueError(f"operator {b} is not symmetric under the trapezoid weights")
     d = np.stack([weight * (1.0 - dt * op.main) for op in ops])
     e = np.stack([weight * (-dt * op.sup) for op in ops])
-    e[:, -1] = 0.0
+    e[:, -1] = 0.0  # no coupling across the block seams
     d, e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
-    blocks, n = len(ops), weight.size
-    ends = (n * np.arange(blocks)[:, None] + [0, n - 1]).ravel()
+    n = weight.size
+    ends = (n * np.arange(len(ops))[:, None] + [0, n - 1]).ravel()
     return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import diffuse_smooth, unit_floor_quadratic, zero_reaction
+from conftest import diffuse_smooth, unit_floor_quadratic
 
 from fkfront.domain import (
     Field,
