@@ -19,7 +19,6 @@ import argparse
 import logging
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +161,8 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         epsilons.append(eps)
     _warn_if_under_resolved(_grid(cfg), epsilons)
     if workers > 1 and len(epsilons) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [c.tolist() for c in np.array_split(epsilons, min(workers, len(epsilons)))]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             paths = [p for chunk in pool.map(_front_paths, [cfg] * len(chunks), chunks)

@@ -1,10 +1,18 @@
 """Delimited output: CSV bodies with 15 significant digits, LF endings,
-and a JSON sidecar per file carrying the configuration echo and its hash."""
+and a JSON sidecar per file carrying the configuration echo and its hash.
+
+A cell is written by the ``%``-spec of its exact type (``_CELL_SPECS``):
+floats as ``%.15g`` (``nan``, ``inf``, ``-0``), integers as ``%d``, strings
+as they are.  :func:`write_csv` joins the specs of a row's types into one
+format string, built once per distinct type tuple, and formats the whole
+row in one ``%`` operation; a row holding any other type (``bool``, numpy
+scalars other than ``float64``/``int64``) is written cell by cell through
+:func:`format_cell`, which applies the same specs.
+"""
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,24 +33,45 @@ __all__ = [
 ]
 
 
+_FLOAT, _INT, _STR = "%.15g", "%d", "%s"
+_CELL_SPECS = {float: _FLOAT, np.float64: _FLOAT, int: _INT, np.int64: _INT, str: _STR}
+
+
 def format_cell(value) -> str:
+    spec = _CELL_SPECS.get(type(value))
+    if spec is not None:
+        return spec % value
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.15g}"
+        return _INT % int(value)
+    return _FLOAT % float(value)
+
+
+def _row_format(types: tuple[type, ...]) -> str | None:
+    """``%``-format of a whole row of cells of ``types``, or None off the table."""
+    try:
+        return ",".join(_CELL_SPECS[t] for t in types) + "\n"
+    except KeyError:
+        return None
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    formats: dict[tuple[type, ...], str | None] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            try:
+                fmt = formats[types]
+            except KeyError:
+                fmt = formats[types] = _row_format(types)
+            if fmt is None:
+                fh.write(",".join(format_cell(v) for v in row) + "\n")
+            else:
+                fh.write(fmt % tuple(row))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .domain import (
     DiffusionProfile,
@@ -143,6 +142,8 @@ class FactoredSymmetricTridiagonal:
         With ``overwrite`` a contiguous float ``rhs`` receives the solution
         in place and is returned; otherwise ``rhs`` is left untouched.
         """
+        from scipy.linalg import lapack
+
         b = np.asarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float)
         b[self.ends] *= 0.5
         x, _ = lapack.dpttrs(self.d, self.e, b, overwrite_b=True)
@@ -172,6 +173,8 @@ def factor_step_matrix(
         If an operator is not symmetric under ``W``, or the weighted step
         matrix is not positive definite.
     """
+    from scipy.linalg import lapack
+
     weight = np.ones(ops[0].grid.n)
     weight[[0, -1]] = 0.5
     for b, op in enumerate(ops):
@@ -204,6 +207,8 @@ def tridiagonal_solve(
     SingularSystemError
         If elimination encounters a zero pivot.
     """
+    from scipy.linalg import lapack
+
     main = np.asarray(main, dtype=float)
     if main.size < 3:
         raise ValueError(f"a tridiagonal system needs at least 3 unknowns, got {main.size}")

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .domain import DiffusionProfile, FrontSpec, Grid
 from .solver import build_operator
@@ -85,6 +84,8 @@ def solve_eigenproblem(
     symmetric tridiagonal matrix; its top ``m`` eigenpairs are computed and
     mapped back.  Requires ``1 <= m < grid.n``.
     """
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     if not 1 <= m < grid.n:
         raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
     op = build_operator(grid, diffusion)
@@ -92,10 +93,10 @@ def solve_eigenproblem(
     diag = op.main.copy()
     offdiag = op.sup[:-1] * sqrt_w[:-1] / sqrt_w[1:]
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
+        vals, vecs = eigh_tridiagonal(
             diag, offdiag, select="i", select_range=(grid.n - m, grid.n - 1)
         )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
+    except (np.linalg.LinAlgError, LinAlgError) as exc:  # pragma: no cover
         raise EigenSolveError(str(exc)) from exc
     # ascending from LAPACK; we want the slowest (largest) modes first
     vals = vals[::-1]
