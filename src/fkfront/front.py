@@ -55,7 +55,9 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
         raise ValueError("field values must be finite")
     s = u - level
     left, right = s[:, :-1], s[:, 1:]
-    bracket = (left * right <= 0.0) & ~((left == 0.0) & (right == 0.0))
+    # a cell brackets the level when the signs (-, 0, +) of its ends differ;
+    # comparisons, not a product, which can underflow to 0 for same signs
+    bracket = ((left <= 0.0) != (right <= 0.0)) | ((left >= 0.0) != (right >= 0.0))
     rows = np.arange(u.shape[0])
     last = bracket.shape[1] - 1 - np.argmax(bracket[:, ::-1], axis=1)
     found = bracket[rows, last]

@@ -85,6 +85,30 @@ class TestFrontPositions:
             assert (found is None) == math.isnan(pos)
             assert found is None or found == pos
 
+    @pytest.mark.parametrize("row", [[-1.0, 1e-200, 1e-200], [-1.0, 1e-200, 3e-200]])
+    def test_same_sign_cell_with_underflowing_product_is_no_crossing(self, row):
+        # 1e-200 * 1e-200 underflows to 0; the crossing is the first cell's
+        assert front_positions(np.array([row]), np.array([0.0, 1.0, 2.0]), level=0.0)[0] == 1.0
+
+    # Magnitudes from 1e-300 up, so that products of same-sign ends underflow.
+    tiny = st.floats(1e-300, 1.0).flatmap(lambda m: st.sampled_from([m, -m]))
+    signed = st.one_of(st.just(0.0), tiny, st.floats(-1.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_position_lies_in_its_cell(self, data):
+        n = data.draw(st.integers(3, 9))
+        u = np.array(data.draw(st.lists(st.lists(self.signed, min_size=n, max_size=n),
+                                        min_size=1, max_size=4)))
+        x = Grid(L=data.draw(st.floats(0.1, 1e3)), n=n).x
+        sign = np.sign(u)
+        for row_sign, pos in zip(sign, front_positions(u, x, level=0.0)):
+            cells = [i for i in range(n - 1) if row_sign[i] != row_sign[i + 1]]
+            if not cells:
+                assert math.isnan(pos)
+            else:
+                assert x[cells[-1]] <= pos <= x[cells[-1] + 1]
+
     def test_rejects_non_finite_row(self):
         u = np.array([[1.0, 0.5, 0.0], [1.0, np.inf, 0.0]])
         with pytest.raises(ValueError):
