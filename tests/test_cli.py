@@ -2,12 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fkfront
 
 from fkfront.cli import _front_paths, _run, main, sfa_front_comparison
 from fkfront.config import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     canonical_text,
@@ -109,6 +120,61 @@ x0 = -1 1
         assert len(base) == 64
         assert base == config_digest(ExperimentConfig())
         assert base != config_digest(ExperimentConfig(epsilon=0.05))
+
+
+def _finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_configs(draw) -> ExperimentConfig:
+    """Any configuration that load_config accepts, drawn field by field."""
+    positive = _finite(0.0, 1e6, exclude_min=True)
+    L = draw(positive)
+    n = draw(st.integers(3, 10**6))
+    dt = draw(_finite(0.0, 1.0, exclude_min=True))
+    modes = draw(st.integers(1, n - 1))
+    return ExperimentConfig(
+        L=L,
+        n=n,
+        epsilon=draw(positive),
+        x_c0=draw(_finite(-L, L, exclude_min=True, exclude_max=True)),
+        dt=dt,
+        t_end=draw(st.one_of(st.just(0.0), _finite(dt, 1e6))),
+        snapshot_stride=draw(st.integers(1, 10**6)),
+        sweep_epsilons=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
+        trap_radius=draw(positive),
+        eigen_modes=modes,
+        eigen_dump=tuple(draw(st.lists(st.integers(0, modes - 1), max_size=5))),
+        eigen_constant_a=draw(st.none() | positive),
+        wkb_htilde=draw(_finite(0.0, 1e6)),
+        wkb_x0=tuple(draw(st.lists(_finite(-1e6, 1e6), min_size=1, max_size=5))),
+        wkb_branch=draw(st.sampled_from(["plus", "minus", "both"])),
+        wkb_t_end=draw(_finite(0.0, 1e6)),
+        wkb_dt=draw(positive),
+    )
+
+
+def ini_of(cfg: ExperimentConfig) -> str:
+    """``[section]`` headers plus one ``key = value`` line per set schema entry."""
+    sections: dict[str, list[str]] = {}
+    for (section, key), (field_name, _) in _SCHEMA.items():
+        value = getattr(cfg, field_name)
+        if value is None:
+            continue
+        text = " ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_ini_loads_back_equal(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_config(write_config(Path(tmp), ini_of(cfg)))
+        assert loaded == cfg
+        assert canonical_text(loaded) == canonical_text(cfg)
 
 
 FAST_RUN = """
@@ -381,3 +447,55 @@ class TestAverageCommand:
         assert float(t0[1]) == pytest.approx(0.325, abs=1e-14)
         assert float(t0[2]) == pytest.approx(0.325, abs=1e-14)
         assert t0[1] == t0[2]
+
+
+TINY_RUN = """
+[domain]
+L = 4
+n = 51
+[physics]
+x_c0 = -1
+[solver]
+t_end = 10
+[eigen]
+modes = 8
+[wkb]
+dt = 0.01
+"""
+
+
+class TestImportFootprint:
+    def test_commands_without_lapack_leave_scipy_unloaded(self, tmp_path):
+        """Only the commands that factor or eigensolve load scipy."""
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        script = textwrap.dedent("""
+            import sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            cfg, out = sys.argv[1:]
+            import fkfront
+            assert not scipy_modules(), ("import fkfront", scipy_modules())
+            from fkfront.cli import main
+            assert not scipy_modules(), ("import fkfront.cli", scipy_modules())
+            try:
+                main(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            assert not scipy_modules(), ("--help", scipy_modules())
+            assert main(["wkb", "--config", cfg, "--out", out]) == 0
+            assert not scipy_modules(), ("wkb", scipy_modules())
+            assert main(["trap-sweep", "--config", cfg, "--out", out]) == 0
+            assert main(["eigen", "--config", cfg, "--out", out]) == 0
+            assert "scipy.linalg" in sys.modules
+        """)
+        src = Path(fkfront.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        )
+        assert result.returncode == 0, result.stderr
+        for name in ("characteristics.csv", "trap_times.csv", "eigenvalues.csv"):
+            assert (tmp_path / "out" / name).is_file()
