@@ -39,6 +39,9 @@ runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
 one block-diagonal tridiagonal system whose blocks are uncoupled (zero
 entries at the seams); each block's solution is bit-for-bit the one its
 run would get alone.
+
+LAPACK comes from ``scipy.linalg``, which is imported inside the functions
+that call it, so importing this module does not load scipy.
 """
 
 from __future__ import annotations

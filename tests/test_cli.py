@@ -168,7 +168,7 @@ def ini_of(cfg: ExperimentConfig) -> str:
 
 
 class TestConfigRoundTrip:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(valid_configs())
     def test_ini_loads_back_equal(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:

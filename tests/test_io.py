@@ -90,7 +90,7 @@ cells = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(width=st.integers(1, 5), data=st.data())
 def test_matches_per_cell_join(width, data):
     rows = data.draw(st.lists(st.tuples(*[cells] * width), max_size=12))
