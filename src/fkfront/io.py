@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-_FLOAT, _INT, _STR = "%.15g", "%d", "%s"
-_CELL_SPECS = {float: _FLOAT, np.float64: _FLOAT, int: _INT, np.int64: _INT, str: _STR}
+_CELL_SPECS = {float: "%.15g", np.float64: "%.15g", int: "%d", np.int64: "%d", str: "%s"}
 
 
 def format_cell(value) -> str:
@@ -46,8 +45,8 @@ def format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
-        return _INT % int(value)
-    return _FLOAT % float(value)
+        return _CELL_SPECS[int] % int(value)
+    return _CELL_SPECS[float] % float(value)
 
 
 def _row_format(types: tuple[type, ...]) -> str | None:
