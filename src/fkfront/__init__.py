@@ -44,11 +44,9 @@ from .solver import (
     FactoredSymmetricTridiagonal,
     SingularSystemError,
     SolverConfig,
-    Trajectory,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,
-    imex_step,
     march,
     simulate,
     tridiagonal_solve,

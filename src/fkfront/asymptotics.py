@@ -42,7 +42,10 @@ class Snapshot:
     """A field frozen at one instant, evaluated anywhere by interpolation.
 
     Evaluation is piecewise linear and clamps to the first/last nodal value
-    outside the grid; on the nodes it reproduces the samples exactly.
+    outside the grid; on the nodes it reproduces the samples exactly.  Each
+    value lies between the two nodal values around it, so samples in
+    ``[0, 1]`` give values in ``[0, 1]`` and monotone samples a monotone
+    function.
     """
 
     field: Field
@@ -52,7 +55,13 @@ class Snapshot:
         return self.field.time
 
     def __call__(self, x: "float | np.ndarray") -> "float | np.ndarray":
-        return np.interp(x, self.field.grid.x, self.field.values)
+        xp, fp = self.field.grid.x, self.field.values
+        # np.interp can round past the far end of a cell (slope * dx + fp[j]
+        # need not equal fp[j + 1]); clamping to the cell keeps both promises.
+        # j is the cell np.interp uses: xp[j] <= x < xp[j + 1], ends clamped.
+        j = np.searchsorted(xp[1:-1], x, side="right")
+        left, right = fp[j], fp[j + 1]
+        return np.clip(np.interp(x, xp, fp), np.minimum(left, right), np.maximum(left, right))
 
 
 def sfa_evolve(snap: Snapshot, x: "float | np.ndarray", t: float) -> "float | np.ndarray":
@@ -61,15 +70,21 @@ def sfa_evolve(snap: Snapshot, x: "float | np.ndarray", t: float) -> "float | np
     Trace the contracting characteristic through ``x`` back to the snapshot
     time (hitting it at ``x * exp(2 dt)``) and apply the logistic flow for
     the elapsed time.  Values in ``[0, 1]`` stay in ``[0, 1]``; 0 and 1 are
-    fixed points; monotone profiles stay monotone.
+    fixed points; monotone profiles stay monotone, up to a few units in the
+    last place of the logistic map's rounding.  Any elapsed time is
+    accepted: past ``t - snap.time = 354`` the stretch ``exp(2 dt)`` is held
+    at ``exp(708)``, which still carries every foot with
+    ``|x| >= 1e-307 * L`` off the grid, and the logistic decay stays
+    positive (at least ``exp(-745)``), so 0 stays fixed.
     """
     if t < snap.time:
         raise ValueError(f"cannot evolve backwards: t={t} < snapshot time {snap.time}")
     delta = t - snap.time
-    u0 = snap(np.asarray(x, dtype=float) * math.exp(2.0 * delta))
+    with np.errstate(over="ignore"):  # an infinite foot lies off the grid like a finite one
+        u0 = snap(np.asarray(x, dtype=float) * math.exp(2.0 * min(delta, 354.0)))
     if delta == 0.0:
         return u0
-    decay = math.exp(-delta)
+    decay = math.exp(-min(delta, 745.0))
     return u0 / (u0 + (1.0 - u0) * decay)
 
 

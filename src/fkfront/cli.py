@@ -20,6 +20,7 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,10 +41,10 @@ from .front import (
     FrontPath,
     fit_power_law,
     front_positions,
-    locate_front,
+    track_front,
     trapping_time,
 )
-from .solver import SolverConfig, Trajectory, build_operator, factor_step_matrix, march, simulate
+from .solver import SolverConfig, build_operator, factor_step_matrix, march
 from .spectral import average_prediction, solve_eigenproblem
 from .wkb import Branch, integrate_characteristic
 
@@ -71,16 +72,18 @@ def _warn_if_under_resolved(grid: Grid, epsilons) -> None:
                     grid.dx, ", ".join(f"{eps:g}" for eps in coarse))
 
 
-def _run(cfg: ExperimentConfig, epsilon: float | None = None) -> Trajectory:
-    eps = cfg.epsilon if epsilon is None else epsilon
-    _warn_if_under_resolved(_grid(cfg), [eps])
-    return simulate(
-        _grid(cfg),
-        make_quadratic_diffusion(eps),
-        logistic_reaction(),
-        FrontSpec(x_c0=cfg.x_c0),
-        _solver_config(cfg),
-    )
+def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float, np.ndarray]]:
+    """Stored steps ``(t, u)`` of one run per epsilon, marched as one stacked system.
+
+    ``u`` has shape ``(len(epsilons), n)``; row ``b`` is bit for bit the run
+    for ``epsilons[b]`` alone.  The matrix is factored here, before the
+    first step is drawn.
+    """
+    grid = _grid(cfg)
+    ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
+    u0 = step_initial_condition(grid, FrontSpec(x_c0=cfg.x_c0)).values
+    return march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)),
+                 logistic_reaction(), _solver_config(cfg))
 
 
 def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
@@ -101,31 +104,43 @@ def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    traj = _run(cfg)
-    io.export_trajectory(traj, out / "trajectory.csv", _meta(cfg, "simulate"))
+    grid = _grid(cfg)
+    _warn_if_under_resolved(grid, [cfg.epsilon])
+    steps = _march(cfg, [cfg.epsilon])
+    rows = ((t, xi, ui) for t, u in steps for xi, ui in zip(grid.x, u[0]))
+    csv_path = out / "trajectory.csv"
+    io.write_csv(csv_path, ("t", "x", "u"), rows)
+    io.write_json(io.sidecar_path(csv_path), _meta(cfg, "simulate"))
 
 
-def sfa_front_comparison(traj: Trajectory, level: float = 0.5) -> list[tuple]:
+def sfa_front_comparison(
+    steps: Iterable[tuple[float, np.ndarray]], grid: Grid, level: float = 0.5
+) -> list[tuple]:
     """Rows ``(t, xc_numeric, xc_sfa, abs_diff)`` where both fronts exist.
 
-    The prediction evolves the *initial* stored field under the reduced
-    drift model and locates the same level crossing on the result.
+    ``steps`` streams the ``(t, u)`` states of one run on ``grid``, with
+    ``u`` of shape ``(n,)`` or ``(1, n)``.  The prediction evolves the
+    *first* state under the reduced drift model and locates the same level
+    crossing on the result.
     """
-    snap = Snapshot(traj.fields[0])
-    grid = traj.grid
+    snap = None
     rows = []
-    for field in traj.fields:
-        xc_num = locate_front(field, level)
-        predicted = Field(grid, np.asarray(sfa_evolve(snap, grid.x, field.time)), field.time)
-        xc_sfa = locate_front(predicted, level)
-        if xc_num is None or xc_sfa is None:
+    for t, u in steps:
+        u = np.reshape(u, grid.n)
+        if snap is None:
+            snap = Snapshot(Field(grid, u, t))
+        predicted = np.asarray(sfa_evolve(snap, grid.x, t))
+        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
+        if math.isnan(xc_num) or math.isnan(xc_sfa):
             continue
-        rows.append((field.time, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
+        rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
     return rows
 
 
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    rows = sfa_front_comparison(_run(cfg))
+    grid = _grid(cfg)
+    _warn_if_under_resolved(grid, [cfg.epsilon])
+    rows = sfa_front_comparison(_march(cfg, [cfg.epsilon]), grid)
     csv_path = out / "front_comparison.csv"
     io.write_csv(csv_path, ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows)
     io.write_json(io.sidecar_path(csv_path), _meta(cfg, "compare-sfa"))
@@ -136,20 +151,7 @@ def _front_paths(cfg: ExperimentConfig, epsilons: list[float]) -> list[FrontPath
 
     Only the front position is kept from each stored step; no field is stored.
     """
-    grid = _grid(cfg)
-    ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
-    u0 = step_initial_condition(grid, FrontSpec(x_c0=cfg.x_c0)).values
-    times: list[float] = []
-    positions: list[np.ndarray] = []
-
-    def observe(t: float, u: np.ndarray) -> None:
-        times.append(t)
-        positions.append(front_positions(u, grid.x))
-
-    march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)), logistic_reaction(),
-          _solver_config(cfg), observe)
-    table = np.array(positions)
-    return [FrontPath(times=np.array(times), positions=table[:, b]) for b in range(len(ops))]
+    return track_front(_march(cfg, epsilons), _grid(cfg).x)
 
 
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -242,18 +244,14 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 
 def cmd_average(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    traj = _run(cfg)
-    grid = traj.grid
+    grid = _grid(cfg)
+    _warn_if_under_resolved(grid, [cfg.epsilon])
     w = grid.quadrature_weights
     length = 2.0 * grid.L
-    rows = [
-        (
-            field.time,
-            float(w @ field.values) / length,
-            float(average_prediction(field.time, cfg.x_c0, cfg.L)),
-        )
-        for field in traj.fields
-    ]
+    rows = (
+        (t, float(w @ u[0]) / length, float(average_prediction(t, cfg.x_c0, cfg.L)))
+        for t, u in _march(cfg, [cfg.epsilon])
+    )
     csv_path = out / "average.csv"
     io.write_csv(csv_path, ("t", "avg_numeric", "avg_predicted"), rows)
     io.write_json(io.sidecar_path(csv_path), _meta(cfg, "average"))

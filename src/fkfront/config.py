@@ -9,6 +9,7 @@ defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -49,11 +50,14 @@ class ExperimentConfig:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):  # nan would pass every range check in _validate
+        raise ValueError(f"expected a finite number, got {text}")
+    return value
 
 
 def _parse_int(text: str) -> int:
-    value = float(text)
+    value = _parse_float(text)
     if value != int(value):
         raise ValueError(f"expected an integer, got {text}")
     return int(value)
@@ -63,7 +67,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty list")
-    return tuple(float(tok) for tok in tokens)
+    return tuple(_parse_float(tok) for tok in tokens)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

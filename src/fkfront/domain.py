@@ -144,14 +144,9 @@ class Field:
 
 @dataclass(frozen=True)
 class FrontSpec:
-    """Initial front location and the level whose crossing defines the front."""
+    """Initial front location: the step of :func:`step_initial_condition` sits at ``x_c0``."""
 
     x_c0: float
-    level: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie strictly between 0 and 1, got {self.level}")
 
 
 def step_initial_condition(grid: Grid, front: FrontSpec) -> Field:

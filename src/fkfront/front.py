@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .domain import Field
-from .solver import Trajectory
 
 __all__ = [
     "FrontNotTransitedError",
@@ -33,7 +33,7 @@ class FrontNotTransitedError(Exception):
     """The front never entered the window, or entered but never left it.
 
     ``entered`` records whether the window was reached at all; when it was,
-    ``partial`` carries the residence time observed up to the end of the data
+    ``partial`` carries the residence time seen up to the end of the data
     (a lower bound on the true trapping time).
     """
 
@@ -84,7 +84,6 @@ class FrontPath:
 
     times: np.ndarray
     positions: np.ndarray
-    level: float = 0.5
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -97,14 +96,23 @@ class FrontPath:
         object.__setattr__(self, "positions", x)
 
 
-def track_front(traj: Trajectory, level: float = 0.5) -> FrontPath:
-    """Locate the front on every stored field of a trajectory."""
-    times = traj.times
-    positions = np.empty(times.size)
-    for k, field in enumerate(traj.fields):
-        found = locate_front(field, level)
-        positions[k] = math.nan if found is None else found
-    return FrontPath(times=times, positions=positions, level=level)
+def track_front(
+    steps: Iterable[tuple[float, np.ndarray]], x: np.ndarray, level: float = 0.5
+) -> list[FrontPath]:
+    """Front path of each row of a stream of ``(t, u)`` states.
+
+    The stream is typically :func:`fkfront.solver.march`.  ``u`` has shape
+    ``(n,)`` or, for B stacked runs, ``(B, n)`` on the nodes ``x``.  Returns
+    one :class:`FrontPath` per row; only the front positions of each state
+    are kept, not the state.
+    """
+    times: list[float] = []
+    positions: list[np.ndarray] = []
+    for t, u in steps:
+        times.append(t)
+        positions.append(front_positions(np.atleast_2d(u), x, level))
+    table = np.array(positions)
+    return [FrontPath(times=np.array(times), positions=column) for column in table.T]
 
 
 def _boundary_crossing(
@@ -132,7 +140,7 @@ def trapping_time(path: FrontPath, radius: float = 0.4) -> float:
     FrontNotTransitedError
         If no sample ever lies inside the window (``entered=False``), or the
         front enters but the data ends before it leaves (``entered=True``,
-        with ``partial`` holding the observed lower bound).
+        with ``partial`` holding the lower bound seen so far).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .front import FitReport
-from .solver import Trajectory
 from .spectral import EigenSystem
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "sidecar_path",
-    "export_trajectory",
     "export_eigen_system",
     "export_fit_reports",
 ]
@@ -81,20 +79,6 @@ def write_json(path: Path, payload: dict) -> None:
 
 def sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
-
-
-def export_trajectory(traj: Trajectory, csv_path: Path, meta: dict) -> None:
-    """Long-format dump ``t,x,u``, one row per node per stored time."""
-    x = traj.grid.x
-
-    def rows():
-        for field in traj.fields:
-            t = field.time
-            for xi, ui in zip(x, field.values):
-                yield (t, xi, ui)
-
-    write_csv(csv_path, ("t", "x", "u"), rows())
-    write_json(sidecar_path(csv_path), meta)
 
 
 def export_eigen_system(

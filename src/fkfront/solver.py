@@ -34,11 +34,16 @@ matrix is symmetric by construction; each step halves the two end entries
 of the right-hand side and calls ``dpttrs``, whose back substitution keeps
 the division off the sequential dependency chain.  An operator that is not
 symmetric under ``W`` is rejected.  :func:`tridiagonal_solve` is a separate
-general solve (LAPACK ``dgtsv``) that the steppers do not use.  Several
+general solve (LAPACK ``dgtsv``) that the stepper does not use.  Several
 runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
 one block-diagonal tridiagonal system whose blocks are uncoupled (zero
 entries at the seams); each block's solution is bit-for-bit the one its
 run would get alone.
+
+:func:`march` is the one stepper.  It is a generator of the stored steps,
+so a caller derives what it needs from each state as it comes (a front
+position, a mean, a CSV row) and no run has to keep its fields;
+:func:`simulate` is the small convenience that does keep them.
 
 LAPACK comes from ``scipy.linalg``, which is imported inside the functions
 that call it, so importing this module does not load scipy.
@@ -47,7 +52,7 @@ that call it, so importing this module does not load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,11 +70,9 @@ __all__ = [
     "TridiagonalOperator",
     "FactoredSymmetricTridiagonal",
     "SolverConfig",
-    "Trajectory",
     "build_operator",
     "factor_step_matrix",
     "tridiagonal_solve",
-    "imex_step",
     "march",
     "simulate",
 ]
@@ -202,8 +205,8 @@ def tridiagonal_solve(
     Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
     have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
     ignored.  ``rhs`` is left untouched.  This is the general solve for any
-    nonsingular system (LAPACK ``dgtsv``); it shares no code with the time
-    steppers, which solve against :func:`factor_step_matrix`.
+    nonsingular system (LAPACK ``dgtsv``); it shares no code with
+    :func:`march`, which solves against :func:`factor_step_matrix`.
 
     Raises
     ------
@@ -223,34 +226,9 @@ def tridiagonal_solve(
     return x
 
 
-def _advance(
-    system: FactoredSymmetricTridiagonal,
-    u: np.ndarray,
-    reaction: ReactionTerm,
-    dt: float,
-) -> np.ndarray:
-    """``u_{k+1}`` from ``(I - dt D) u_{k+1} = u_k + dt f(u_k)``, in a new array."""
-    return system.solve(u + dt * np.asarray(reaction.f(u), dtype=float), overwrite=True)
-
-
-def imex_step(
-    field: Field, op: TridiagonalOperator, reaction: ReactionTerm, dt: float
-) -> Field:
-    """One step of implicit diffusion / explicit reaction.
-
-    Solves ``(I - dt D) u_{k+1} = u_k + dt f(u_k)``.  ``dt`` must satisfy the
-    explicit-logistic positivity bound ``0 < dt <= 1``.  A run of many steps
-    should use :func:`march`, which factors the matrix only once.
-    """
-    if not 0.0 < dt <= 1.0:
-        raise ValueError(f"dt must satisfy 0 < dt <= 1, got {dt}")
-    u_next = _advance(factor_step_matrix([op], dt), field.values, reaction, dt)
-    return Field(grid=field.grid, values=u_next, time=field.time + dt)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon and snapshot cadence for :func:`simulate`.
+    """Step size, horizon and snapshot cadence for :func:`march`.
 
     ``t_end = 0`` is allowed and yields the initial field only; any positive
     horizon must cover at least one step.
@@ -275,61 +253,33 @@ class SolverConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Stored fields of one run, oldest first, plus the config that made them."""
-
-    fields: tuple[Field, ...]
-    config: SolverConfig
-
-    def __post_init__(self) -> None:
-        if not self.fields:
-            raise ValueError("a trajectory holds at least the initial field")
-        object.__setattr__(self, "fields", tuple(self.fields))
-        grid = self.fields[0].grid
-        if any(f.grid is not grid and f.grid != grid for f in self.fields):
-            raise ValueError("all fields of a trajectory share one grid")
-        times = [f.time for f in self.fields]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
-
-    @property
-    def grid(self) -> Grid:
-        return self.fields[0].grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.time for f in self.fields])
-
-
 def march(
     system: FactoredSymmetricTridiagonal,
     u0: np.ndarray,
     reaction: ReactionTerm,
     config: SolverConfig,
-    observe: Callable[[float, np.ndarray], None],
-) -> None:
+) -> Iterator[tuple[float, np.ndarray]]:
     """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
 
     ``system`` holds the ``L D L^T`` factors of the trapezoid-weighted
     ``I - dt D`` from :func:`factor_step_matrix`, so each step is one
     ``dpttrs`` solve; ``u0`` has shape ``(n,)`` or, for B stacked blocks,
-    ``(B, n)``.  ``observe(t, u)`` is called at ``t = 0``, every
-    ``snapshot_stride``-th step, and the final step, with ``u`` in the shape
-    of ``u0``.  Each step's state is a new array, so an observer may keep it.
-    Step ``k`` is stamped ``t = k * dt``, free of the rounding that a running
-    sum of ``dt`` accumulates.
+    ``(B, n)``.  Yields ``(t, u)`` at ``t = 0``, every ``snapshot_stride``-th
+    step, and the final step, with ``u`` in the shape of ``u0``; the state
+    between those steps is never kept.  Each yielded state is a new array,
+    so a consumer may keep it.  Step ``k`` is stamped ``t = k * dt``, free
+    of the rounding that a running sum of ``dt`` accumulates.
     """
     dt = config.dt
     stride = config.snapshot_stride
     n_steps = int(round(config.t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()
-    observe(0.0, u.reshape(shape))
+    yield 0.0, u.reshape(shape)
     for k in range(1, n_steps + 1):
-        u = _advance(system, u, reaction, dt)
+        u = system.solve(u + dt * np.asarray(reaction.f(u), dtype=float), overwrite=True)
         if k % stride == 0 or k == n_steps:
-            observe(k * dt, u.reshape(shape))
+            yield k * dt, u.reshape(shape)
 
 
 def simulate(
@@ -338,16 +288,12 @@ def simulate(
     reaction: ReactionTerm,
     front: FrontSpec,
     config: SolverConfig,
-) -> Trajectory:
-    """March the step initial condition to ``t_end``, storing snapshots.
+) -> tuple[Field, ...]:
+    """March the step initial condition to ``t_end`` and keep every stored step.
 
-    Integration proceeds in ``round(t_end / dt)`` steps of exactly ``dt``.
-    Snapshots are kept at ``t = 0``, every ``snapshot_stride``-th step, and at
-    the final step.  The run is deterministic: identical inputs reproduce
-    identical trajectories bit for bit.
+    The fields are those :func:`march` yields, oldest first.  The run is
+    deterministic: identical inputs reproduce identical fields bit for bit.
     """
     system = factor_step_matrix([build_operator(grid, diffusion)], config.dt)
-    fields: list[Field] = []
-    march(system, step_initial_condition(grid, front).values, reaction, config,
-          lambda t, u: fields.append(Field(grid=grid, values=u, time=t)))
-    return Trajectory(fields=tuple(fields), config=config)
+    steps = march(system, step_initial_condition(grid, front).values, reaction, config)
+    return tuple(Field(grid=grid, values=u, time=t) for t, u in steps)

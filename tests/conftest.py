@@ -15,7 +15,8 @@ from fkfront.domain import (
     make_constant_diffusion,
     make_quadratic_diffusion,
 )
-from fkfront.solver import SolverConfig, build_operator, imex_step, simulate
+from fkfront.front import FrontPath, track_front
+from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march, simulate
 from fkfront.spectral import initial_amplitudes, solve_eigenproblem
 
 
@@ -44,12 +45,29 @@ def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:
 def diffuse_smooth(n: int, dt: float, t_end: float, diffusion: DiffusionProfile) -> Field:
     """March the smooth profile under diffusion only (no source)."""
     grid = Grid(L=100.0, n=n)
-    field = Field(grid, smooth_profile(grid.x, grid.L), 0.0)
-    op = build_operator(grid, diffusion)
-    reaction = zero_reaction()
-    for _ in range(int(round(t_end / dt))):
-        field = imex_step(field, op, reaction, dt)
-    return field
+    system = factor_step_matrix([build_operator(grid, diffusion)], dt)
+    *_, (t, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction(),
+                       SolverConfig(dt=dt, t_end=t_end))
+    return Field(grid, u, t)
+
+
+def steps_of(fields):
+    """The ``(t, u)`` stream of stored fields, as ``march`` yields it."""
+    return ((f.time, f.values) for f in fields)
+
+
+def times_of(fields) -> np.ndarray:
+    return np.array([f.time for f in fields])
+
+
+def front_path(fields) -> FrontPath:
+    """Front path of the stored fields of one run."""
+    [path] = track_front(steps_of(fields), fields[0].grid.x)
+    return path
+
+
+# solver settings of the default_run fixture
+DEFAULT_SOLVER = SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25)
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +88,7 @@ def default_run(default_grid, default_diffusion):
         default_diffusion,
         logistic_reaction(),
         FrontSpec(x_c0=-35.0),
-        SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25),
+        DEFAULT_SOLVER,
     )
 
 

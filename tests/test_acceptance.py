@@ -28,8 +28,8 @@ from fkfront.domain import (
     make_constant_diffusion,
     make_quadratic_diffusion,
 )
-from fkfront.front import fit_power_law, track_front, trapping_time
-from fkfront.solver import build_operator, imex_step
+from fkfront.front import fit_power_law, trapping_time
+from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march
 from fkfront.spectral import sigma0_of_t, sigma_n_of_t, solve_eigenproblem
 from fkfront.wkb import (
     Branch,
@@ -42,7 +42,14 @@ from fkfront.wkb import (
     phase_along,
 )
 
-from conftest import diffuse_smooth, unit_floor_quadratic
+from conftest import (
+    DEFAULT_SOLVER,
+    diffuse_smooth,
+    front_path,
+    steps_of,
+    times_of,
+    unit_floor_quadratic,
+)
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -173,21 +180,21 @@ def test_a1_clauses_tell_logarithmic_from_power_law(times, logarithmic):
     assert trapping_law_clauses(eps, t, power_rms)["holds"] == logarithmic
 
 
-def test_a2_sfa_front_agreement(default_run, default_diffusion):
-    rows = sfa_front_comparison(default_run)
+def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
+    rows = sfa_front_comparison(steps_of(default_run), default_grid)
     threshold = -5.0 * math.sqrt(0.1)
     window = [(t, xc_num, gap) for t, xc_num, _, gap in rows if xc_num < threshold]
     assert window, "no stored times inside the comparison window"
     worst_t, worst_xc, worst_gap = max(window, key=lambda item: item[2])
-    tolerance = 5.0 * default_run.grid.dx
+    tolerance = 5.0 * default_grid.dx
     ok = worst_gap <= tolerance
     # the drift model neglects a u_xx against a' u_x; report that ratio for
     # the stored field at the worst time, at its numerical front
-    dt = default_run.config.dt
-    worst_field = next(f for f in default_run.fields if f.time == worst_t)
+    dt = DEFAULT_SOLVER.dt
+    worst_field = next(f for f in default_run if f.time == worst_t)
     ratio = sfa_residual(
         Snapshot(worst_field), default_diffusion, logistic_reaction(), worst_t + dt,
-        np.array([worst_xc]), space_step=default_run.grid.dx, time_step=0.5 * dt,
+        np.array([worst_xc]), space_step=default_grid.dx, time_step=0.5 * dt,
     ).validity_ratio[0]
     verdict(
         "A2 SFA front agreement",
@@ -199,7 +206,7 @@ def test_a2_sfa_front_agreement(default_run, default_diffusion):
 
 
 def test_a3_turning_point_behavior(default_run):
-    path = track_front(default_run)
+    path = front_path(default_run)
     finite = np.isfinite(path.positions)
     times = path.times[finite]
     xs = path.positions[finite]
@@ -211,15 +218,15 @@ def test_a3_turning_point_behavior(default_run):
     monotone_ok = bool(np.all(pre_diffs > 0))
 
     duration = trapping_time(path, radius=0.4)
-    duration_ok = duration >= 10 * default_run.config.dt
+    duration_ok = duration >= 10 * DEFAULT_SOLVER.dt
 
     exit_ok = xs[-1] > 0
 
     def max_gradient(k: int) -> float:
-        field = default_run.fields[k]
+        field = default_run[k]
         return float(np.max(np.abs(np.gradient(field.values, field.grid.x))))
 
-    stored = {float(t): i for i, t in enumerate(default_run.times)}
+    stored = {float(t): i for i, t in enumerate(times_of(default_run))}
     k_near_zero = int(np.argmin(np.abs(xs)))
     k_near_ref = int(np.argmin(np.abs(xs - (-5.0))))
     grad_mid = max_gradient(stored[float(times[k_near_zero])])
@@ -382,27 +389,24 @@ def test_a6_closed_form_residuals(default_amplitudes):
     )
 
 
-def test_a7_solver_properties(default_run, pure_diffusion_run, constant_a_run):
-    grid = default_run.grid
-    diffusion = make_quadratic_diffusion(0.1)
-    op = build_operator(grid, diffusion)
-    reaction = logistic_reaction()
-    zero = Field(grid, np.zeros(grid.n), 0.0)
-    one = Field(grid, np.ones(grid.n), 0.0)
-    for _ in range(10):
-        zero = imex_step(zero, op, reaction, 0.1)
-        one = imex_step(one, op, reaction, 0.1)
-    eq_dev0 = float(np.max(np.abs(zero.values)))
-    eq_dev1 = float(np.max(np.abs(one.values - 1.0)))
+def test_a7_solver_properties(default_grid, default_run, pure_diffusion_run, constant_a_run):
+    grid = default_grid
+    op = build_operator(grid, make_quadratic_diffusion(0.1))
+    # ten steps of 0.1 from the two equilibria, marched as one stacked system
+    *_, (_, (zero, one)) = march(factor_step_matrix([op, op], 0.1),
+                                 np.stack([np.zeros(grid.n), np.ones(grid.n)]),
+                                 logistic_reaction(), SolverConfig(dt=0.1, t_end=1.0))
+    eq_dev0 = float(np.max(np.abs(zero)))
+    eq_dev1 = float(np.max(np.abs(one - 1.0)))
     equilibria_ok = eq_dev0 == 0.0 and eq_dev1 <= 1e-12
 
-    w = pure_diffusion_run.grid.quadrature_weights
-    masses = np.array([w @ f.values for f in pure_diffusion_run.fields])
+    w = grid.quadrature_weights
+    masses = np.array([w @ f.values for f in pure_diffusion_run])
     drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     mass_ok = drift <= 1e-8
 
-    lo = min(float(f.values.min()) for f in default_run.fields)
-    hi = max(float(f.values.max()) for f in default_run.fields)
+    lo = min(float(f.values.min()) for f in default_run)
+    hi = max(float(f.values.max()) for f in default_run)
     bounds_ok = lo >= -1e-12 and hi <= 1.0 + 1e-12
 
     smooth = unit_floor_quadratic()
@@ -420,7 +424,7 @@ def test_a7_solver_properties(default_run, pure_diffusion_run, constant_a_run):
     )
     orders_ok = spatial_order >= 1.9 and 0.9 <= temporal_order <= 1.1
 
-    path = track_front(constant_a_run)
+    path = front_path(constant_a_run)
     keep = np.isfinite(path.positions) & (path.times >= 20.0)
     speed = float(np.polyfit(path.times[keep], path.positions[keep], 1)[0])
     speed_ok = abs(speed - 2.0) / 2.0 <= 0.05
@@ -469,16 +473,16 @@ def test_a8_stationary_root_algebra():
     )
 
 
-def test_a9_average_growth(default_run):
-    grid = default_run.grid
+def test_a9_average_growth(default_run, default_grid):
+    grid = default_grid
     w = grid.quadrature_weights
-    avgs = np.array([w @ f.values / (2.0 * grid.L) for f in default_run.fields])
+    avgs = np.array([w @ f.values / (2.0 * grid.L) for f in default_run])
     exact_start = (grid.L + (-35.0)) / (2.0 * grid.L)
     start_ok = avgs[0] == exact_start
     monotone_ok = bool(np.all(np.diff(avgs) >= -1e-12))
     reach = np.nonzero(avgs >= 0.9)[0]
     reach_ok = reach.size > 0
-    t_reach = float(default_run.times[reach[0]]) if reach_ok else math.inf
+    t_reach = float(default_run[reach[0]].time) if reach_ok else math.inf
     verdict(
         "A9 domain-average growth",
         start_ok and monotone_ok and reach_ok,

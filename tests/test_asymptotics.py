@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkfront.asymptotics import (
     Snapshot,
@@ -36,6 +38,17 @@ class TestSnapshot:
         snap = Snapshot(Field(g, np.array([1.0, 0.8, 0.5, 0.2, 0.0]), 0.0))
         assert snap(5.0) == 0.0
         assert snap(-5.0) == 1.0
+
+
+    def test_stays_between_the_values_of_its_cell(self):
+        # np.interp alone gives 0.09999999999999998 just left of the node at 0,
+        # below both ends of that cell, and then 0.1 at the node
+        g = Grid(L=0.1, n=3)
+        snap = Snapshot(Field(g, np.array([0.7, 0.1, 0.1]), 0.0))
+        assert np.array_equal(snap(np.array([-5e-324, 0.0])), [0.1, 0.1])
+        # and -5e-324 here, below the unit interval
+        snap = Snapshot(Field(Grid(L=1.8, n=3), np.array([1.0, 5e-324, 0.0]), 0.0))
+        assert snap(1.5) == 0.0
 
 
 class TestSfaEvolve:
@@ -75,6 +88,30 @@ class TestSfaEvolve:
         snap = sigmoid_snapshot(3.0, -2.0)
         with pytest.raises(ValueError):
             sfa_evolve(snap, 0.0, -0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        profile=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=40),
+        L=st.floats(1e-3, 1e3),
+        t0=st.floats(0.0, 100.0),
+        elapsed=st.floats(0.0, 1e6),
+        extra=st.lists(st.floats(-1.5, 1.5), max_size=20),
+    )
+    def test_monotone_profiles_stay_monotone_in_unit_interval(self, profile, L, t0, elapsed,
+                                                             extra):
+        grid = Grid(L=L, n=len(profile))
+        u = np.sort(profile)[::-1]
+        xs = np.sort(np.concatenate([grid.x, L * np.array(extra)]))
+        t = t0 + elapsed
+        out = np.asarray(sfa_evolve(Snapshot(Field(grid, u, t0)), xs, t))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        # non-increasing up to the rounding of the logistic map: a few units
+        # in the last place, relative, or one subnormal step near zero
+        tol = 4.0 * np.finfo(float).eps * out[1:] + np.nextafter(0.0, 1.0)
+        assert np.all(np.diff(out) <= tol)
+        for value in (0.0, 1.0):
+            flat = Snapshot(Field(grid, np.full(grid.n, value), t0))
+            assert np.all(np.asarray(sfa_evolve(flat, xs, t)) == value)
 
 
 class TestCharacteristics:

@@ -1,5 +1,6 @@
 """Configuration loading and the command-line pipelines."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import fkfront
 
-from fkfront.cli import _front_paths, _run, main, sfa_front_comparison
+from conftest import front_path
+from fkfront.cli import _front_paths, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
     ConfigError,
@@ -25,9 +27,9 @@ from fkfront.config import (
     config_digest,
     load_config,
 )
-from fkfront.domain import Field, Grid
-from fkfront.front import FrontNotTransitedError, track_front, trapping_time
-from fkfront.solver import SolverConfig, Trajectory
+from fkfront.domain import FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.front import FrontNotTransitedError, trapping_time
+from fkfront.solver import SolverConfig, simulate
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -120,6 +122,26 @@ x0 = -1 1
         assert len(base) == 64
         assert base == config_digest(ExperimentConfig())
         assert base != config_digest(ExperimentConfig(epsilon=0.05))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "section, key, template",
+        [
+            ("physics", "epsilon", "{}"),
+            ("solver", "t_end", "{}"),
+            ("domain", "n", "{}"),
+            ("sweep", "epsilons", "0.1 {}"),
+            ("eigen", "dump", "0 {}"),
+        ],
+        ids=["float", "float-t_end", "int", "float-list", "int-list"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, section, key, template, value):
+        cfg_path = write_config(tmp_path, f"[{section}]\n{key} = {template.format(value)}\n")
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["average", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def _finite(lo=None, hi=None, **kw):
@@ -256,9 +278,8 @@ class TestCompareSfa:
 
     def test_featureless_trajectory_yields_no_rows(self):
         grid = Grid(L=10.0, n=21)
-        cfg = SolverConfig(dt=0.1, t_end=0.2, snapshot_stride=1)
-        fields = tuple(Field(grid, np.full(21, 0.8), 0.1 * k) for k in range(3))
-        assert sfa_front_comparison(Trajectory(fields=fields, config=cfg)) == []
+        steps = ((0.1 * k, np.full(21, 0.8)) for k in range(3))
+        assert sfa_front_comparison(steps, grid) == []
 
 
 TRAP_BASE = """
@@ -322,9 +343,11 @@ class TestTrapSweep:
         # t_end = 4.2 on this grid: epsilon 0.1 transits, the smaller two stay trapped
         cfg = ExperimentConfig(n=151, t_end=4.2, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.02, 0.001))
+        solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
         statuses = []
         for eps, path in zip(cfg.sweep_epsilons, _front_paths(cfg, list(cfg.sweep_epsilons))):
-            stored = track_front(_run(cfg, eps))
+            stored = front_path(simulate(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
+                                         logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
             assert np.array_equal(path.times, stored.times)
             assert np.array_equal(path.positions, stored.positions, equal_nan=True)
             try:
@@ -462,6 +485,31 @@ modes = 8
 [wkb]
 dt = 0.01
 """
+
+
+# SHA-256 of each command's CSV on TINY_RUN, recorded before the commands
+# streamed their rows from the stepper; a refactor keeps these bytes, and a
+# change of the numbers says which bytes move and why.
+TINY_CSV_SHA256 = {
+    "simulate": ("trajectory.csv",
+                 "2f553248d5efda26f354537b30b594eeb37d270b655b09e495f302644907ed9f"),
+    "compare-sfa": ("front_comparison.csv",
+                    "468561004c202749b43a908de94abf740232fccc9ab6c044190335c15da03364"),
+    "average": ("average.csv",
+                "e51d42eb1486cd51ae24b07daf19e83f5683b656149747748e912fb0e9c6211c"),
+    "trap-sweep": ("trap_times.csv",
+                   "eedb9cb5832b1833362d4c6f016ccf54003262c8e2b33d8d59cdab143d264038"),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command", sorted(TINY_CSV_SHA256))
+    def test_csv_bytes(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        name, digest = TINY_CSV_SHA256[command]
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestImportFootprint:

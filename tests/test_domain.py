@@ -108,16 +108,6 @@ class TestField:
             Field(g, np.zeros(4), 0.0)
 
 
-class TestFrontSpec:
-    def test_default_level(self):
-        assert FrontSpec(x_c0=-35.0).level == 0.5
-
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.2, 1.3])
-    def test_rejects_degenerate_levels(self, level):
-        with pytest.raises(ValueError):
-            FrontSpec(x_c0=-35.0, level=level)
-
-
 class TestStepInitialCondition:
     def test_indicator_values(self):
         g = Grid(L=100.0, n=501)

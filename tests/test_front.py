@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import front_path, steps_of, times_of
 from fkfront.domain import Field, FrontSpec, Grid, step_initial_condition
 from fkfront.front import (
     FitReport,
@@ -119,18 +120,26 @@ class TestFrontPositions:
 
 class TestTrackFront:
     def test_matches_per_snapshot_location(self, default_run):
-        path = track_front(default_run)
-        assert np.array_equal(path.times, default_run.times)
+        path = front_path(default_run)
+        assert np.array_equal(path.times, times_of(default_run))
         for k in (0, 5, 12):
-            assert path.positions[k] == pytest.approx(
-                locate_front(default_run.fields[k]), abs=1e-14
-            )
+            assert path.positions[k] == pytest.approx(locate_front(default_run[k]), abs=1e-14)
 
     def test_missing_front_marked_nan(self, default_run):
-        path = track_front(default_run)
+        path = front_path(default_run)
         # the profile saturates to 1 everywhere late in the run: no crossing
         assert np.isnan(path.positions[-1])
         assert np.isfinite(path.positions[0])
+
+    def test_stacked_rows_tracked_alone(self, default_run):
+        x = default_run[0].grid.x
+        stacked = ((t, np.stack([u, u[::-1]])) for t, u in steps_of(default_run))
+        mirrored = ((t, u[::-1]) for t, u in steps_of(default_run))
+        paths = track_front(stacked, x)
+        assert len(paths) == 2
+        for path, alone in zip(paths, (front_path(default_run), *track_front(mirrored, x))):
+            assert np.array_equal(path.times, alone.times)
+            assert np.array_equal(path.positions, alone.positions, equal_nan=True)
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +171,7 @@ class TestTrappingTime:
         assert abs(duration(0.25) - duration(0.01)) <= 3e-3
 
     def test_default_run_duration(self, default_run):
-        duration = trapping_time(track_front(default_run), radius=0.4)
+        duration = trapping_time(front_path(default_run), radius=0.4)
         assert 3.2 <= duration <= 3.5
 
     def test_never_enters(self):

@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import diffuse_smooth, unit_floor_quadratic
+from conftest import diffuse_smooth, front_path, times_of, unit_floor_quadratic
 
 from fkfront.domain import (
-    Field,
     FrontSpec,
     Grid,
     logistic_reaction,
@@ -19,11 +18,9 @@ from fkfront.solver import (
     FactoredSymmetricTridiagonal,
     SingularSystemError,
     SolverConfig,
-    Trajectory,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,
-    imex_step,
     march,
     simulate,
     tridiagonal_solve,
@@ -234,62 +231,63 @@ class TestMaximumPrincipleProperty:
         u0 = step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
         lows, highs = [], []
-
-        def observe(t, u):
+        for _, u in march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=steps * dt)):
             lows.append(float(u.min()))
             highs.append(float(u.max()))
-
-        march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=steps * dt), observe)
         assert len(lows) == steps + 1
         assert min(lows) >= -1e-10
         assert max(highs) <= 1.0 + 1e-10
 
 
+def one_step(g, diffusion, u0, dt):
+    """``(t, u)`` after one step of ``dt`` from ``u0``."""
+    system = factor_step_matrix([build_operator(g, diffusion)], dt)
+    _, last = march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=dt))
+    return last
+
+
 class TestImexStep:
     def test_uniform_half_one_step(self):
         g = Grid(L=100.0, n=501)
-        op = build_operator(g, make_constant_diffusion(1.0))
-        f = Field(g, np.full(501, 0.5), 0.0)
-        out = imex_step(f, op, logistic_reaction(), 0.1)
-        assert np.allclose(out.values, 0.525, atol=1e-13)
-        assert out.time == pytest.approx(0.1)
+        t, u = one_step(g, make_constant_diffusion(1.0), np.full(501, 0.5), 0.1)
+        assert np.allclose(u, 0.525, atol=1e-13)
+        assert t == pytest.approx(0.1)
 
     @pytest.mark.parametrize("value, tol", [(0.0, 0.0), (1.0, 1e-12)])
     def test_equilibria_preserved(self, value, tol):
         g = Grid(L=100.0, n=501)
-        op = build_operator(g, make_quadratic_diffusion(0.1))
-        f = Field(g, np.full(501, value), 0.0)
-        out = imex_step(f, op, logistic_reaction(), 0.01)
-        assert np.max(np.abs(out.values - value)) <= tol
+        _, u = one_step(g, make_quadratic_diffusion(0.1), np.full(501, value), 0.01)
+        assert np.max(np.abs(u - value)) <= tol
 
     def test_monotone_profile_stays_monotone(self):
         g = Grid(L=100.0, n=501)
-        op = build_operator(g, make_quadratic_diffusion(0.1))
-        field = step_initial_condition(g, FrontSpec(x_c0=-35.0))
-        reaction = logistic_reaction()
-        for _ in range(50):
-            field = imex_step(field, op, reaction, 0.01)
-        assert np.all(np.diff(field.values) <= 1e-13)
+        system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.01)
+        u0 = step_initial_condition(g, FrontSpec(x_c0=-35.0)).values
+        for _, u in march(system, u0, logistic_reaction(), SolverConfig(dt=0.01, t_end=0.5)):
+            assert np.all(np.diff(u) <= 1e-13)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, 1.5])
-    def test_rejects_bad_dt(self, dt):
-        g = Grid(L=1.0, n=5)
-        op = build_operator(g, make_quadratic_diffusion(0.1))
-        f = Field(g, np.zeros(5), 0.0)
-        with pytest.raises(ValueError):
-            imex_step(f, op, logistic_reaction(), dt)
+    def test_yielded_states_are_fresh_arrays(self):
+        g = Grid(L=10.0, n=11)
+        system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.1)
+        u0 = step_initial_condition(g, FrontSpec(x_c0=-5.0)).values
+        states = [u for _, u in march(system, u0, logistic_reaction(),
+                                      SolverConfig(dt=0.1, t_end=0.3))]
+        assert len(states) == 4
+        assert np.array_equal(states[0], u0) and states[0] is not u0
+        for k, u in enumerate(states):
+            assert not any(np.shares_memory(u, v) for v in [u0, *states[k + 1:]])
 
 
 class TestConservationAndBounds:
     def test_mass_conserved_without_source(self, pure_diffusion_run):
-        w = pure_diffusion_run.grid.quadrature_weights
-        masses = np.array([float(w @ f.values) for f in pure_diffusion_run.fields])
+        w = pure_diffusion_run[0].grid.quadrature_weights
+        masses = np.array([float(w @ f.values) for f in pure_diffusion_run])
         drift = np.max(np.abs(masses - masses[0])) / masses[0]
         assert drift <= 1e-8
 
     def test_maximum_principle(self, default_run):
-        lo = min(float(f.values.min()) for f in default_run.fields)
-        hi = max(float(f.values.max()) for f in default_run.fields)
+        lo = min(float(f.values.min()) for f in default_run)
+        hi = max(float(f.values.max()) for f in default_run)
         assert lo >= -1e-12
         assert hi <= 1 + 1e-12
 
@@ -316,48 +314,49 @@ class TestConvergenceOrders:
 
 class TestSimulate:
     def test_snapshot_storage_contract(self):
-        traj = simulate(
+        fields = simulate(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
             logistic_reaction(),
             FrontSpec(x_c0=-5.0),
             SolverConfig(dt=0.01, t_end=0.05, snapshot_stride=2),
         )
-        assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.05], atol=1e-12)
+        assert np.allclose(times_of(fields), [0.0, 0.02, 0.04, 0.05], atol=1e-12)
 
     def test_final_time_stored_once(self):
-        traj = simulate(
+        fields = simulate(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
             logistic_reaction(),
             FrontSpec(x_c0=-5.0),
             SolverConfig(dt=0.01, t_end=0.04, snapshot_stride=2),
         )
-        assert np.allclose(traj.times, [0.0, 0.02, 0.04], atol=1e-12)
+        assert np.allclose(times_of(fields), [0.0, 0.02, 0.04], atol=1e-12)
 
     def test_zero_horizon_returns_initial_field_only(self):
         g = Grid(L=10.0, n=11)
-        traj = simulate(
+        fields = simulate(
             g,
             make_quadratic_diffusion(0.1),
             logistic_reaction(),
             FrontSpec(x_c0=-5.0),
             SolverConfig(dt=0.01, t_end=0.0, snapshot_stride=5),
         )
-        assert len(traj.fields) == 1
+        assert len(fields) == 1
         expected = step_initial_condition(g, FrontSpec(x_c0=-5.0))
-        assert np.array_equal(traj.fields[0].values, expected.values)
+        assert np.array_equal(fields[0].values, expected.values)
 
     def test_time_stamps_are_step_multiples(self, default_run):
         steps = np.arange(0, 6001, 25)
-        assert np.array_equal(default_run.times, steps * 0.01)
-        assert default_run.times[-1] == 60.0
+        assert np.array_equal(times_of(default_run), steps * 0.01)
+        assert default_run[-1].time == 60.0
 
     def test_grid_and_times_properties(self, default_run, default_grid):
-        assert default_run.grid is default_grid
-        assert default_run.times[0] == 0.0
-        assert default_run.times[-1] == pytest.approx(60.0, abs=1e-9)
-        assert np.all(np.diff(default_run.times) > 0)
+        assert all(f.grid is default_grid for f in default_run)
+        times = times_of(default_run)
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(60.0, abs=1e-9)
+        assert np.all(np.diff(times) > 0)
 
 
 class TestSolverConfigValidation:
@@ -376,23 +375,10 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
-    def test_trajectory_validation(self):
-        g = Grid(L=1.0, n=5)
-        cfg = SolverConfig(dt=0.1, t_end=1.0)
-        f0 = Field(g, np.zeros(5), 0.0)
-        with pytest.raises(ValueError):
-            Trajectory(fields=(), config=cfg)
-        with pytest.raises(ValueError):
-            Trajectory(fields=(f0, Field(Grid(L=2.0, n=5), np.zeros(5), 0.5)), config=cfg)
-        with pytest.raises(ValueError):
-            Trajectory(fields=(f0, Field(g, np.zeros(5), 0.0)), config=cfg)
-
 
 class TestUniformDiffusionControl:
     def test_front_speed_near_two(self, constant_a_run):
-        from fkfront.front import track_front
-
-        path = track_front(constant_a_run)
+        path = front_path(constant_a_run)
         sel = (path.times >= 20.0) & np.isfinite(path.positions)
         speed = float(np.polyfit(path.times[sel], path.positions[sel], 1)[0])
         assert abs(speed - 2.0) / 2.0 <= 0.05
