@@ -241,8 +241,9 @@ class TestMaximumPrincipleProperty:
 
 def one_step(g, diffusion, u0, dt):
     """``(t, u)`` after one step of ``dt`` from ``u0``."""
+    config = SolverConfig(dt=dt, t_end=dt)
     system = factor_step_matrix([build_operator(g, diffusion)], dt)
-    _, last = march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=dt))
+    _, last = march(system, u0, logistic_reaction(), config)
     return last
 
 
@@ -276,6 +277,11 @@ class TestImexStep:
         assert np.array_equal(states[0], u0) and states[0] is not u0
         for k, u in enumerate(states):
             assert not any(np.shares_memory(u, v) for v in [u0, *states[k + 1:]])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, 1.5])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must satisfy"):
+            one_step(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1), np.zeros(5), dt)
 
 
 class TestConservationAndBounds:
