@@ -150,8 +150,10 @@ def _front_paths(cfg: ExperimentConfig, epsilons: list[float]) -> list[FrontPath
     """Front paths of the sweep members, marched together as one stacked system.
 
     Only the front position is kept from each stored step; no field is stored.
+    The march stops once every member's front has left the trapping window,
+    which changes no trapping time (:func:`track_front`).
     """
-    return track_front(_march(cfg, epsilons), _grid(cfg).x)
+    return track_front(_march(cfg, epsilons), _grid(cfg).x, radius=cfg.trap_radius)
 
 
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:

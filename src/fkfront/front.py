@@ -97,7 +97,10 @@ class FrontPath:
 
 
 def track_front(
-    steps: Iterable[tuple[float, np.ndarray]], x: np.ndarray, level: float = 0.5
+    steps: Iterable[tuple[float, np.ndarray]],
+    x: np.ndarray,
+    level: float = 0.5,
+    radius: float | None = None,
 ) -> list[FrontPath]:
     """Front path of each row of a stream of ``(t, u)`` states.
 
@@ -105,12 +108,36 @@ def track_front(
     ``(n,)`` or, for B stacked runs, ``(B, n)`` on the nodes ``x``.  Returns
     one :class:`FrontPath` per row; only the front positions of each state
     are kept, not the state.
+
+    With ``radius=None`` the whole stream is drawn.  With a ``radius``, no
+    further state is drawn once every row's front has left the window
+    ``|x| < radius``: a finite position outside it after the first finite
+    position inside it.  The paths then end at that state.  This loses
+    nothing :func:`trapping_time` reads with the same ``radius``: it uses
+    the first finite sample inside the window, the first finite sample
+    outside after it and the finite sample just before each, all of which are
+    drawn by then, so it returns the same value bit for bit.  A row that
+    never enters or never leaves keeps the stream going to its end, so its
+    :class:`FrontNotTransitedError` and ``partial`` are unchanged too.
     """
+    if radius is not None and radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     times: list[float] = []
     positions: list[np.ndarray] = []
+    entered = left = None
     for t, u in steps:
         times.append(t)
-        positions.append(front_positions(np.atleast_2d(u), x, level))
+        found = front_positions(np.atleast_2d(u), x, level)
+        positions.append(found)
+        if radius is None:
+            continue
+        inside = np.abs(found) < radius  # NaN compares False
+        if entered is None:
+            entered, left = np.zeros_like(inside), np.zeros_like(inside)
+        left |= entered & np.isfinite(found) & ~inside
+        entered |= inside
+        if left.all():
+            break
     table = np.array(positions)
     return [FrontPath(times=np.array(times), positions=column) for column in table.T]
 

@@ -7,7 +7,9 @@ as they are.  :func:`write_csv` joins the specs of a row's types into one
 format string, built once per distinct type tuple, and formats the whole
 row in one ``%`` operation; a row holding any other type (``bool``, numpy
 scalars other than ``float64``/``int64``) is written cell by cell through
-:func:`format_cell`, which applies the same specs.
+:func:`format_cell`, which applies the same specs.  Files are UTF-8: text
+that UTF-8 cannot encode (a lone surrogate) raises ``UnicodeEncodeError``
+instead of being replaced.
 """
 
 from __future__ import annotations

@@ -66,6 +66,18 @@ def front_path(fields) -> FrontPath:
     return path
 
 
+def first_exit(positions: np.ndarray, radius: float) -> int | None:
+    """Index of the first finite position outside ``|x| < radius`` after the
+    first finite one inside it; None when the front never enters or never leaves."""
+    finite = np.isfinite(positions)
+    inside = finite & (np.abs(positions) < radius)
+    if not inside.any():
+        return None
+    k_in = int(np.argmax(inside))
+    leaves = np.nonzero(finite[k_in:] & ~inside[k_in:])[0]
+    return None if leaves.size == 0 else k_in + int(leaves[0])
+
+
 # solver settings of the default_run fixture
 DEFAULT_SOLVER = SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fkfront
 
-from conftest import front_path
+from conftest import first_exit, front_path
 from fkfront.cli import _front_paths, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
@@ -361,6 +361,26 @@ class TestTrapSweep:
             assert trapping_time(path, radius=cfg.trap_radius) == expected
             statuses.append("transited")
         assert statuses == ["transited", "not-exited", "not-exited"]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_sweep_stops_once_every_front_has_left(self, stride):
+        # t_end = 8 on this grid: every epsilon leaves the window, each at its own step
+        cfg = ExperimentConfig(n=151, t_end=8.0, snapshot_stride=stride,
+                               sweep_epsilons=(0.1, 0.05, 0.02))
+        solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
+        stored = [front_path(simulate(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
+                                      logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
+                  for eps in cfg.sweep_epsilons]
+        exits = [first_exit(path.positions, cfg.trap_radius) for path in stored]
+        assert None not in exits and len(set(exits)) == len(exits)
+        stop = max(exits)
+        assert stop + 1 < len(stored[0].times)
+        paths = _front_paths(cfg, list(cfg.sweep_epsilons))
+        for path, full in zip(paths, stored):
+            assert np.array_equal(path.times, full.times[: stop + 1])
+            assert np.array_equal(path.positions, full.positions[: stop + 1], equal_nan=True)
+            assert (trapping_time(path, radius=cfg.trap_radius)
+                    == trapping_time(full, radius=cfg.trap_radius))
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_path = write_config(tmp_path, TRAP_BASE.format(epsilons="0.1 0.05"))

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import front_path, steps_of, times_of
+from conftest import first_exit, front_path, steps_of, times_of
 from fkfront.domain import Field, FrontSpec, Grid, step_initial_condition
 from fkfront.front import (
     FitReport,
@@ -213,6 +213,67 @@ class TestTrappingTime:
         # each crossing time rounds a few times at the scale of the largest |t|
         scale = max(np.max(np.abs(t)), np.max(np.abs(shifted)))
         assert abs(moved - duration) <= 1e-14 * scale
+
+
+# The row below crosses 1/2 once, at about p and exactly at p when p is a
+# node, so positions on the window's edges occur; a constant row has no
+# crossing (NaN).
+NODES = np.array([-20.0, -WINDOW, WINDOW, 20.0])
+
+
+def row_crossing_at(p: float) -> np.ndarray:
+    if math.isnan(p):
+        return np.ones(NODES.size)
+    return 0.5 - (NODES - p) / 64.0
+
+
+sample = st.one_of(st.just(math.nan), inside_window, outside_window)
+streams = st.integers(1, 25).flatmap(
+    lambda length: st.lists(st.lists(sample, min_size=length, max_size=length),
+                            min_size=1, max_size=3))
+nan = math.nan
+
+
+class TestTrackFrontStop:
+    @staticmethod
+    def stream(rows, drawn):
+        for k, column in enumerate(zip(*rows)):
+            drawn.append(k)
+            yield 0.1 * k, np.array([row_crossing_at(p) for p in column])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=streams)
+    @example(rows=[[-1.0, 0.1, nan, nan, 0.2, 1.0, 2.0]])  # NaN positions between entry and exit
+    @example(rows=[[0.0, 0.3, 0.5, 1.0]])  # first sample already inside
+    @example(rows=[[-1.0, 0.0, 1.0, 0.0, -1.0, 0.1]])  # re-entry after the first exit
+    @example(rows=[[-5.0, -4.0, -3.0, -2.0], [-1.0, 0.0, 1.0, 2.0]])  # one never enters
+    @example(rows=[[-1.0, 0.0, 0.1, 0.2]])  # enters, never leaves
+    @example(rows=[[-1.0, 0.0, WINDOW, 1.0], [-WINDOW, 0.0, -WINDOW, 1.0]])  # on the edge
+    @example(rows=[[-1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+                   [-1.0, 0.0, 0.1, 0.2, 1.0, 2.0]])  # rows leave at different steps
+    def test_stopped_paths_keep_trapping_time(self, rows):
+        drawn_full, drawn_stopped = [], []
+        full = track_front(self.stream(rows, drawn_full), NODES)
+        stopped = track_front(self.stream(rows, drawn_stopped), NODES, radius=WINDOW)
+        exits = [first_exit(path.positions, WINDOW) for path in full]
+        length = len(rows[0]) if None in exits else max(exits) + 1
+        assert len(drawn_stopped) == length
+        assert len(drawn_full) == len(rows[0])
+        for path, whole in zip(stopped, full):
+            assert np.array_equal(path.times, whole.times[:length])
+            assert np.array_equal(path.positions, whole.positions[:length], equal_nan=True)
+            try:
+                expected = trapping_time(whole, WINDOW)
+            except FrontNotTransitedError as exc:
+                with pytest.raises(FrontNotTransitedError) as got:
+                    trapping_time(path, WINDOW)
+                assert (got.value.entered, got.value.partial) == (exc.entered, exc.partial)
+            else:
+                assert trapping_time(path, WINDOW) == expected
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(ValueError):
+            track_front(iter([]), NODES, radius=0.0)
 
 
 class TestFitPowerLaw:

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,9 +86,26 @@ cells = st.one_of(
     _int64.map(np.int64),
     st.integers(-(2**31), 2**31 - 1).map(np.int32),
     st.text(st.characters(blacklist_characters=",\n\r"), max_size=8),
+    # lone surrogates: text that UTF-8 cannot encode
+    st.integers(0xD800, 0xDFFF).map(chr),
     st.booleans(),
     st.booleans().map(np.bool_),
 )
+
+
+def utf8_encodable(value) -> bool:
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("text", ["\ud800", "a\udfffb"])
+def test_unencodable_text_raises(text):
+    # the file is UTF-8; a lone surrogate is an error, not silently replaced
+    with pytest.raises(UnicodeEncodeError):
+        written(("a", "b"), [(1.0, "ok"), (2.0, text)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,6 +115,10 @@ def test_matches_per_cell_join(width, data):
     # repeat rows so that cached row formats are reused
     rows = rows + rows[::-1]
     header = tuple(f"c{k}" for k in range(width))
-    assert written(header, rows) == reference_csv(header, rows)
+    if all(utf8_encodable(v) for row in rows for v in row if isinstance(v, str)):
+        assert written(header, rows) == reference_csv(header, rows)
+    else:
+        with pytest.raises(UnicodeEncodeError):
+            written(header, rows)
     for row in rows:
         assert [format_cell(v) for v in row] == [reference_cell(v) for v in row]
