@@ -131,12 +131,15 @@ def track_front(
         positions.append(found)
         if radius is None:
             continue
-        inside = np.abs(found) < radius  # NaN compares False
         if entered is None:
-            entered, left = np.zeros_like(inside), np.zeros_like(inside)
-        left |= entered & np.isfinite(found) & ~inside
-        entered |= inside
-        if left.all():
+            entered, left = [False] * found.size, [False] * found.size
+        # plain floats: a few rows cost well under a microsecond, array ops ~8 us
+        for row, position in enumerate(found.tolist()):
+            if abs(position) < radius:
+                entered[row] = True
+            elif abs(position) >= radius and entered[row]:  # NaN fails both tests
+                left[row] = True
+        if all(left):
             break
     table = np.array(positions)
     return [FrontPath(times=np.array(times), positions=column) for column in table.T]
