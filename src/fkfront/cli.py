@@ -86,6 +86,13 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
                  logistic_reaction(), _solver_config(cfg))
 
 
+def _log_early_stop(command: str, t: float, cfg: ExperimentConfig, reason: str) -> None:
+    """Log, at INFO, that ``command`` stopped marching at ``t`` before ``t_end``."""
+    if t + 0.5 * cfg.dt < cfg.t_end:
+        log.info("%s: stopped marching at t=%g, before t_end=%g: %s",
+                 command, t, cfg.t_end, reason)
+
+
 def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
     grid = _grid(cfg)
     meta = {
@@ -122,6 +129,26 @@ def sfa_front_comparison(
     ``u`` of shape ``(n,)`` or ``(1, n)``.  The prediction evolves the
     *first* state under the reduced drift model and locates the same level
     crossing on the result.
+
+    No further state is drawn after the first one with ``u > level`` at
+    every node.  That state has no numerical front, and for ``0 < level < 1``
+    and a stream from :func:`~fkfront.solver.march` with the logistic
+    reaction no later state has one either, so no row is lost:
+
+    - each step solves ``(I - dt D) u' = g(u)`` with
+      ``g(v) = v + dt v (1 - v)``; ``I - dt D`` is an M-matrix with unit row
+      sums, so ``u'`` is a convex combination of the entries of ``g(u)`` and
+      ``min u' >= min g(u)``;
+    - for ``dt <= 1``, which :class:`~fkfront.solver.SolverConfig` enforces,
+      ``g`` is increasing on ``[0, 1]`` with ``g(v) >= v``, so
+      ``min g(u) = g(min u) >= min u``;
+    - so once ``min u > level``, ``min u`` stays above ``level`` and no
+      crossing can return.  This holds in exact arithmetic; in floating
+      point each solve moves ``min u`` by a few ulps, against the
+      ``dt v (1 - v)`` that ``g`` adds near the level.
+
+    The states a stream holds after that one are not read, so a stream
+    whose field can fall back to the level must not be passed.
     """
     snap = None
     rows = []
@@ -132,6 +159,8 @@ def sfa_front_comparison(
         predicted = np.asarray(sfa_evolve(snap, grid.x, t))
         xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
         if math.isnan(xc_num) or math.isnan(xc_sfa):
+            if u.min() > level:
+                break
             continue
         rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
     return rows
@@ -140,7 +169,15 @@ def sfa_front_comparison(
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, [cfg.epsilon])
-    rows = sfa_front_comparison(_march(cfg, [cfg.epsilon]), grid)
+    t_stop = 0.0
+
+    def steps():
+        nonlocal t_stop
+        for t_stop, u in _march(cfg, [cfg.epsilon]):
+            yield t_stop, u
+
+    rows = sfa_front_comparison(steps(), grid)
+    _log_early_stop("compare-sfa", t_stop, cfg, "u > 0.5 at every node, no front can return")
     csv_path = out / "front_comparison.csv"
     io.write_csv(csv_path, ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows)
     io.write_json(io.sidecar_path(csv_path), _meta(cfg, "compare-sfa"))
@@ -173,6 +210,8 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
                      for p in chunk]
     else:
         paths = _front_paths(cfg, epsilons)
+    _log_early_stop("trap-sweep", max((p.times[-1] for p in paths), default=cfg.t_end), cfg,
+                    f"every front has left |x| < {cfg.trap_radius:g}")
 
     statuses = {}
     rows = []

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import fkfront
 
 from conftest import first_exit, front_path
-from fkfront.cli import _front_paths, main, sfa_front_comparison
+from fkfront.asymptotics import Snapshot, sfa_evolve
+from fkfront.cli import _front_paths, _march, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
     ConfigError,
@@ -27,8 +28,8 @@ from fkfront.config import (
     config_digest,
     load_config,
 )
-from fkfront.domain import FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
-from fkfront.front import FrontNotTransitedError, trapping_time
+from fkfront.domain import Field, FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.front import FrontNotTransitedError, front_positions, trapping_time
 from fkfront.solver import SolverConfig, simulate
 
 
@@ -282,6 +283,94 @@ class TestCompareSfa:
         assert sfa_front_comparison(steps, grid) == []
 
 
+def recorded(steps, minima):
+    """Pass ``steps`` through, appending ``min u`` of each state drawn to ``minima``."""
+    for t, u in steps:
+        minima.append(float(u.min()))
+        yield t, u
+
+
+def compare_every_state(steps, grid, level=0.5):
+    """Comparison rows over the whole stream, with no stop: the reference."""
+    snap = None
+    rows = []
+    for t, u in steps:
+        u = np.reshape(u, grid.n)
+        if snap is None:
+            snap = Snapshot(Field(grid, u, t))
+        predicted = np.asarray(sfa_evolve(snap, grid.x, t))
+        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
+        if not (math.isnan(xc_num) or math.isnan(xc_sfa)):
+            rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
+    return rows
+
+
+class TestCompareSfaStop:
+    """The march stops at the first state above the level at every node."""
+
+    @staticmethod
+    def check_stop(cfg):
+        """Stopped and full comparisons agree; returns (drawn, stored) state counts."""
+        grid = Grid(L=cfg.L, n=cfg.n)
+        drawn, every = [], []
+        rows = sfa_front_comparison(recorded(_march(cfg, [cfg.epsilon]), drawn), grid)
+        assert rows == compare_every_state(recorded(_march(cfg, [cfg.epsilon]), every), grid)
+        above = [m > 0.5 for m in every]
+        stop = above.index(True) + 1 if True in above else len(every)
+        assert drawn == every[:stop]
+        return len(drawn), len(every)
+
+    def test_only_a_state_above_the_level_everywhere_stops(self):
+        grid = Grid(L=10.0, n=21)
+        step = np.where(grid.x < 0.0, 1.0, 0.0)
+        states = [step, np.full(21, 0.3), step, np.full(21, 0.8), step]
+        drawn = []
+        rows = sfa_front_comparison(
+            recorded(((0.1 * k, u) for k, u in enumerate(states)), drawn), grid)
+        # the all-below state yields no row but does not stop; the all-above one does
+        assert [row[0] for row in rows] == [0.0, 0.2]
+        assert drawn == [0.0, 0.3, 0.0, 0.8]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.floats(2.0, 10.0),
+        n=st.integers(11, 81),
+        epsilon=st.floats(0.0125, 0.1),
+        front_at=st.floats(0.1, 0.9),
+        dt=st.floats(0.01, 1.0),
+        steps=st.integers(1, 200),
+        stride=st.integers(1, 5),
+    )
+    def test_matches_comparison_over_every_state(self, L, n, epsilon, front_at, dt, steps,
+                                                 stride):
+        cfg = ExperimentConfig(L=L, n=n, epsilon=epsilon, x_c0=-L + 2.0 * L * front_at,
+                               dt=dt, t_end=steps * dt, snapshot_stride=stride)
+        self.check_stop(cfg)
+
+    def test_full_size_run_stops_early_without_losing_rows(self):
+        # the seed-0 `models` benchmark run: u > 1/2 everywhere from t = 9.6 (state 193)
+        assert self.check_stop(ExperimentConfig(n=2001, snapshot_stride=5)) == (193, 1201)
+
+    def test_front_that_never_leaves_draws_every_state(self):
+        drawn, stored = self.check_stop(ExperimentConfig(n=151, t_end=4.0, snapshot_stride=5))
+        assert drawn == stored == 81
+
+    @pytest.mark.parametrize("t_end, stops", [(10, True), (1, False)])
+    def test_logs_early_stop(self, tmp_path, caplog, t_end, stops):
+        cfg_path = write_config(tmp_path, TINY_RUN.replace("t_end = 10", f"t_end = {t_end}"))
+        with caplog.at_level("INFO", logger="fkfront"):
+            assert main(["compare-sfa", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 0
+        lines = [r for r in caplog.records if "stopped marching" in r.getMessage()]
+        if not stops:
+            assert lines == []
+            return
+        [line] = lines
+        assert line.levelname == "INFO"
+        assert line.getMessage().startswith("compare-sfa: stopped marching at t=")
+        assert "before t_end=10:" in line.getMessage()
+
+
 TRAP_BASE = """
 [solver]
 t_end = 10
@@ -381,6 +470,31 @@ class TestTrapSweep:
             assert np.array_equal(path.positions, full.positions[: stop + 1], equal_nan=True)
             assert (trapping_time(path, radius=cfg.trap_radius)
                     == trapping_time(full, radius=cfg.trap_radius))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t_end, stops", [(8, True), (4, False)])
+    def test_logs_early_stop(self, tmp_path, caplog, workers, t_end, stops):
+        # on this grid every front has left by t = 8; at t = 4 some front has not
+        cfg_path = write_config(tmp_path, f"""
+[domain]
+n = 151
+[solver]
+t_end = {t_end}
+snapshot_stride = 5
+[sweep]
+epsilons = 0.1 0.05 0.02
+""")
+        with caplog.at_level("INFO", logger="fkfront"):
+            assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--workers", str(workers)]) == 0
+        lines = [r for r in caplog.records if "stopped marching" in r.getMessage()]
+        if not stops:
+            assert lines == []
+            return
+        [line] = lines
+        assert line.levelname == "INFO"
+        assert line.getMessage().startswith("trap-sweep: stopped marching at t=")
+        assert line.getMessage().endswith("before t_end=8: every front has left |x| < 0.4")
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_path = write_config(tmp_path, TRAP_BASE.format(epsilons="0.1 0.05"))

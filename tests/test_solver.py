@@ -239,6 +239,48 @@ class TestMaximumPrincipleProperty:
         assert max(highs) <= 1.0 + 1e-10
 
 
+class TestMinimumPrincipleProperty:
+    """Once a stored state is above 1/2 at every node, every later one is too.
+
+    ``I - dt D`` returns a convex combination of the right-hand side, and the
+    logistic map is increasing with ``g(v) >= v`` on [0, 1] for ``dt <= 1``,
+    so ``min u`` cannot fall back to a level it has passed.  The
+    ``compare-sfa`` march stops on this (``cli.sfa_front_comparison``).
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        eps=st.floats(0.0125, 0.1),
+        n=st.integers(3, 81),
+        L=st.floats(0.5, 10.0),
+        front_at=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+        steps=st.integers(1, 300),
+        stride=st.integers(1, 7),
+    )
+    def test_above_half_everywhere_stays_above(self, eps, n, L, front_at, dt, steps, stride):
+        grid = Grid(L=L, n=n)
+        x_c0 = -L + 2.0 * L * front_at
+        assume(-L < x_c0 < L)
+        u0 = step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values
+        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
+        config = SolverConfig(dt=dt, t_end=steps * dt, snapshot_stride=stride)
+        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction(), config)]
+        if True in above:
+            assert all(above[above.index(True):])
+
+    def test_reaches_above_half_and_stays(self):
+        # the whole field passes 1/2 well before t_end on this grid
+        grid = Grid(L=4.0, n=51)
+        u0 = step_initial_condition(grid, FrontSpec(x_c0=-1.0)).values
+        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
+        config = SolverConfig(dt=0.01, t_end=10.0)
+        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction(), config)]
+        first = above.index(True)
+        assert 0 < first < len(above) // 2
+        assert all(above[first:])
+
+
 def one_step(g, diffusion, u0, dt):
     """``(t, u)`` after one step of ``dt`` from ``u0``."""
     config = SolverConfig(dt=dt, t_end=dt)
