@@ -38,7 +38,6 @@ from .domain import (
 )
 from .front import (
     FrontNotTransitedError,
-    FrontPath,
     fit_power_law,
     front_positions,
     track_front,
@@ -110,7 +109,7 @@ def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
     return meta
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, [cfg.epsilon])
     steps = _march(cfg, [cfg.epsilon])
@@ -166,7 +165,7 @@ def sfa_front_comparison(
     return rows
 
 
-def cmd_compare_sfa(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, [cfg.epsilon])
     t_stop = 0.0
@@ -183,17 +182,7 @@ def cmd_compare_sfa(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     io.write_json(io.sidecar_path(csv_path), _meta(cfg, "compare-sfa"))
 
 
-def _front_paths(cfg: ExperimentConfig, epsilons: list[float]) -> list[FrontPath]:
-    """Front paths of the sweep members, marched together as one stacked system.
-
-    Only the front position is kept from each stored step; no field is stored.
-    The march stops once every member's front has left the trapping window,
-    which changes no trapping time (:func:`track_front`).
-    """
-    return track_front(_march(cfg, epsilons), _grid(cfg).x, radius=cfg.trap_radius)
-
-
-def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
     epsilons = []
     for eps in cfg.sweep_epsilons:
         if eps in epsilons:
@@ -201,16 +190,10 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             continue
         epsilons.append(eps)
     _warn_if_under_resolved(_grid(cfg), epsilons)
-    if workers > 1 and len(epsilons) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [c.tolist() for c in np.array_split(epsilons, min(workers, len(epsilons)))]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            paths = [p for chunk in pool.map(_front_paths, [cfg] * len(chunks), chunks)
-                     for p in chunk]
-    else:
-        paths = _front_paths(cfg, epsilons)
-    _log_early_stop("trap-sweep", max((p.times[-1] for p in paths), default=cfg.t_end), cfg,
+    # The march stops once every front has left the trapping window, which
+    # changes no trapping time; all rows share one time axis.
+    paths = track_front(_march(cfg, epsilons), _grid(cfg).x, radius=cfg.trap_radius)
+    _log_early_stop("trap-sweep", paths[0].times[-1], cfg,
                     f"every front has left |x| < {cfg.trap_radius:g}")
 
     statuses = {}
@@ -247,7 +230,7 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     io.export_fit_reports(fits, out / "fit_report.json", meta, error=error)
 
 
-def cmd_eigen(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
     if cfg.eigen_constant_a is not None:
         diffusion = make_constant_diffusion(cfg.eigen_constant_a)
     else:
@@ -258,7 +241,7 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     io.export_eigen_system(eig, cfg.eigen_dump, out, meta)
 
 
-def cmd_wkb(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
     branches = {
         "plus": (Branch.PLUS,),
         "minus": (Branch.MINUS,),
@@ -284,7 +267,7 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     )
 
 
-def cmd_average(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def cmd_average(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, [cfg.epsilon])
     w = grid.quadrature_weights
@@ -319,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the experiment config")
         sp.add_argument("--out", default="./out", help="output directory (default ./out)")
         sp.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for sweeps (default 1)")
+                        help="accepted for compatibility, must be >= 1; has no effect")
     return parser
 
 
@@ -338,7 +321,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        command(cfg, out, args.workers)
+        command(cfg, out)
     except Exception as exc:  # noqa: BLE001 -- boundary of the process
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,18 +79,14 @@ def make_constant_diffusion(level: float) -> DiffusionProfile:
 
 @dataclass(frozen=True)
 class ReactionTerm:
-    """Pointwise reaction ``f(u)`` with its derivative ``f'(u)``."""
+    """Pointwise reaction ``f(u)``."""
 
     f: Callable[[np.ndarray], np.ndarray]
-    fprime: Callable[[np.ndarray], np.ndarray]
 
 
 def logistic_reaction() -> ReactionTerm:
     """Logistic growth ``f(u) = u (1 - u)``: unstable at 0, saturating at 1."""
-    return ReactionTerm(
-        f=lambda u: u * (1.0 - u),
-        fprime=lambda u: 1.0 - 2.0 * u,
-    )
+    return ReactionTerm(f=lambda u: u * (1.0 - u))
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,7 @@ def unit_floor_quadratic() -> DiffusionProfile:
 
 def zero_reaction() -> ReactionTerm:
     """No source term; isolates the diffusion part of the scheme."""
-    return ReactionTerm(
-        f=lambda u: np.zeros_like(u),
-        fprime=lambda u: np.zeros_like(u),
-    )
+    return ReactionTerm(f=lambda u: np.zeros_like(u))
 
 
 def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:

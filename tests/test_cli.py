@@ -19,7 +19,7 @@ import fkfront
 
 from conftest import first_exit, front_path
 from fkfront.asymptotics import Snapshot, sfa_evolve
-from fkfront.cli import _front_paths, _march, main, sfa_front_comparison
+from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
     ConfigError,
@@ -29,7 +29,7 @@ from fkfront.config import (
     load_config,
 )
 from fkfront.domain import Field, FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
-from fkfront.front import FrontNotTransitedError, front_positions, trapping_time
+from fkfront.front import FrontNotTransitedError, front_positions, track_front, trapping_time
 from fkfront.solver import SolverConfig, simulate
 
 
@@ -433,8 +433,10 @@ class TestTrapSweep:
         cfg = ExperimentConfig(n=151, t_end=4.2, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.02, 0.001))
         solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
+        paths = track_front(_march(cfg, list(cfg.sweep_epsilons)), Grid(L=cfg.L, n=cfg.n).x,
+                            radius=cfg.trap_radius)
         statuses = []
-        for eps, path in zip(cfg.sweep_epsilons, _front_paths(cfg, list(cfg.sweep_epsilons))):
+        for eps, path in zip(cfg.sweep_epsilons, paths):
             stored = front_path(simulate(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
                                          logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
             assert np.array_equal(path.times, stored.times)
@@ -464,7 +466,8 @@ class TestTrapSweep:
         assert None not in exits and len(set(exits)) == len(exits)
         stop = max(exits)
         assert stop + 1 < len(stored[0].times)
-        paths = _front_paths(cfg, list(cfg.sweep_epsilons))
+        paths = track_front(_march(cfg, list(cfg.sweep_epsilons)), Grid(L=cfg.L, n=cfg.n).x,
+                            radius=cfg.trap_radius)
         for path, full in zip(paths, stored):
             assert np.array_equal(path.times, full.times[: stop + 1])
             assert np.array_equal(path.positions, full.positions[: stop + 1], equal_nan=True)
@@ -648,7 +651,7 @@ class TestGoldenBytes:
 
 class TestImportFootprint:
     def test_commands_without_lapack_leave_scipy_unloaded(self, tmp_path):
-        """Only the commands that factor or eigensolve load scipy."""
+        """Only the commands that factor or eigensolve load scipy; none loads a process pool."""
         cfg_path = write_config(tmp_path, TINY_RUN)
         script = textwrap.dedent("""
             import sys
@@ -668,7 +671,10 @@ class TestImportFootprint:
             assert not scipy_modules(), ("--help", scipy_modules())
             assert main(["wkb", "--config", cfg, "--out", out]) == 0
             assert not scipy_modules(), ("wkb", scipy_modules())
-            assert main(["trap-sweep", "--config", cfg, "--out", out]) == 0
+            assert main(["trap-sweep", "--config", cfg, "--out", out, "--workers", "2"]) == 0
+            pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+                           if m in sys.modules)
+            assert not pools, ("trap-sweep --workers 2", pools)
             assert main(["eigen", "--config", cfg, "--out", out]) == 0
             assert "scipy.linalg" in sys.modules
         """)

