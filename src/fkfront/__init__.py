@@ -11,7 +11,6 @@ from .asymptotics import (
     SfaResidualReport,
     Snapshot,
     TwcBranch,
-    sfa_characteristic,
     sfa_evolve,
     sfa_residual,
     stationary_roots,
@@ -36,20 +35,16 @@ from .front import (
     FrontPath,
     fit_power_law,
     front_positions,
-    locate_front,
     track_front,
     trapping_time,
 )
 from .solver import (
     FactoredSymmetricTridiagonal,
-    SingularSystemError,
     SolverConfig,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,
     march,
-    simulate,
-    tridiagonal_solve,
 )
 from .spectral import (
     EigenSolveError,

@@ -29,7 +29,6 @@ __all__ = [
     "RootPair",
     "SfaResidualReport",
     "sfa_evolve",
-    "sfa_characteristic",
     "twc_front_path",
     "stationary_roots",
     "tail_exponents",
@@ -88,17 +87,13 @@ def sfa_evolve(snap: Snapshot, x: "float | np.ndarray", t: float) -> "float | np
     return u0 / (u0 + (1.0 - u0) * decay)
 
 
-def sfa_characteristic(x0: float, t0: float, t: float) -> float:
-    """Characteristic of the reduced model: ``x(t) = x0 exp(-2 (t - t0))``."""
-    return x0 * math.exp(-2.0 * (t - t0))
-
-
 def twc_front_path(x_c_t0: float, t0: float, t: float, speed: float = 2.0) -> float:
     """Front path of constant speed ``c`` in the coordinate ``ln|x| + c t``.
 
     The level set ``ln|x(t)| + c (t - t0) = ln|x_c(t0)|`` gives
     ``x(t) = x_c(t0) * exp(-c (t - t0))`` on either side of the origin; the
-    origin itself carries no logarithmic coordinate and is rejected.
+    origin itself carries no logarithmic coordinate and is rejected.  At the
+    default ``c = 2`` this is the characteristic of the reduced drift model.
     """
     if x_c_t0 == 0.0:
         raise ValueError("front position 0 has no logarithmic coordinate")

@@ -15,14 +15,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .domain import Field
-
 __all__ = [
     "FrontNotTransitedError",
     "FrontPath",
     "FitReport",
     "front_positions",
-    "locate_front",
     "track_front",
     "trapping_time",
     "fit_power_law",
@@ -44,11 +41,19 @@ class FrontNotTransitedError(Exception):
 
 
 def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np.ndarray:
-    """Row-wise :func:`locate_front` over ``values`` of shape ``(B, n)``.
+    """Front position of each row of ``values`` (shape ``(B, n)``) on the nodes ``x``.
 
-    Returns the B front positions on the nodes ``x``, NaN for a row without
-    a crossing.  The crossing, tie and finiteness rules are those of
-    :func:`locate_front`.
+    A row's front is the rightmost ``x`` where its linearly interpolated
+    profile crosses ``level``.  A cell is a crossing when the signs (-, 0, +)
+    of ``u - level`` at its two ends differ: a cell with both ends identically
+    at the level is not one, and a cell with one end at the level crosses at
+    that end.  Returns the B positions, NaN for a row without a crossing
+    (e.g. a constant row).
+
+    Raises
+    ------
+    ValueError
+        If any value is not finite.
     """
     u = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -66,16 +71,6 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
     theta = left[rows, i] / (left[rows, i] - right[rows, i])
     positions[rows] = x[i] + theta * (x[i + 1] - x[i])
     return positions
-
-
-def locate_front(field: Field, level: float = 0.5) -> float | None:
-    """Rightmost ``x`` where the interpolated profile crosses ``level``.
-
-    Returns ``None`` when no crossing exists (e.g. a constant field).  Cells
-    sitting identically at the level are not crossings.
-    """
-    found = front_positions(field.values[np.newaxis], field.grid.x, level)[0]
-    return None if math.isnan(found) else float(found)
 
 
 @dataclass(frozen=True)

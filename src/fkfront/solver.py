@@ -33,17 +33,15 @@ and positive definite.  A run factors it as ``L D L^T`` (LAPACK
 matrix is symmetric by construction; each step halves the two end entries
 of the right-hand side and calls ``dpttrs``, whose back substitution keeps
 the division off the sequential dependency chain.  An operator that is not
-symmetric under ``W`` is rejected.  :func:`tridiagonal_solve` is a separate
-general solve (LAPACK ``dgtsv``) that the stepper does not use.  Several
-runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
-one block-diagonal tridiagonal system whose blocks are uncoupled (zero
-entries at the seams); each block's solution is bit-for-bit the one its
-run would get alone.
+symmetric under ``W`` is rejected.  Several runs that share a grid and
+``dt`` -- an epsilon sweep -- march together as one block-diagonal
+tridiagonal system whose blocks are uncoupled (zero entries at the seams);
+each block's solution is bit-for-bit the one its run would get alone.
 
 :func:`march` is the one stepper.  It is a generator of the stored steps,
 so a caller derives what it needs from each state as it comes (a front
-position, a mean, a CSV row) and no run has to keep its fields;
-:func:`simulate` is the small convenience that does keep them.
+position, a mean, a CSV row) and no run has to keep its fields; a caller
+that wants every field keeps the states it yields.
 
 LAPACK comes from ``scipy.linalg``, which is imported inside the functions
 that call it, so importing this module does not load scipy.
@@ -56,30 +54,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domain import (
-    DiffusionProfile,
-    Field,
-    FrontSpec,
-    Grid,
-    ReactionTerm,
-    step_initial_condition,
-)
+from .domain import DiffusionProfile, Grid, ReactionTerm
 
 __all__ = [
-    "SingularSystemError",
     "TridiagonalOperator",
     "FactoredSymmetricTridiagonal",
     "SolverConfig",
     "build_operator",
     "factor_step_matrix",
-    "tridiagonal_solve",
     "march",
-    "simulate",
 ]
-
-
-class SingularSystemError(RuntimeError):
-    """Tridiagonal elimination hit a zero pivot (singular system)."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +86,6 @@ class TridiagonalOperator:
             if arr.shape != (n,):
                 raise ValueError(f"{name} diagonal must have length {n}")
             object.__setattr__(self, name, arr)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``D u``."""
-        out = self.main * u
-        out[1:] += self.sub[1:] * u[:-1]
-        out[:-1] += self.sup[:-1] * u[1:]
-        return out
 
 
 def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperator:
@@ -197,35 +174,6 @@ def factor_step_matrix(
     return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
 
 
-def tridiagonal_solve(
-    sub: np.ndarray, main: np.ndarray, sup: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
-
-    Diagonal layout matches :class:`TridiagonalOperator`: all three arrays
-    have the same length, at least 3, and ``sub[0]``/``sup[-1]`` are
-    ignored.  ``rhs`` is left untouched.  This is the general solve for any
-    nonsingular system (LAPACK ``dgtsv``); it shares no code with
-    :func:`march`, which solves against :func:`factor_step_matrix`.
-
-    Raises
-    ------
-    SingularSystemError
-        If elimination encounters a zero pivot.
-    """
-    from scipy.linalg import lapack
-
-    main = np.asarray(main, dtype=float)
-    if main.size < 3:
-        raise ValueError(f"a tridiagonal system needs at least 3 unknowns, got {main.size}")
-    _, _, _, x, info = lapack.dgtsv(np.asarray(sub, dtype=float)[1:], main,
-                                    np.asarray(sup, dtype=float)[:-1],
-                                    np.asarray(rhs, dtype=float))
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in row {info - 1}: singular system")
-    return x
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, horizon and snapshot cadence for :func:`march`.
@@ -281,19 +229,3 @@ def march(
         if k % stride == 0 or k == n_steps:
             yield k * dt, u.reshape(shape)
 
-
-def simulate(
-    grid: Grid,
-    diffusion: DiffusionProfile,
-    reaction: ReactionTerm,
-    front: FrontSpec,
-    config: SolverConfig,
-) -> tuple[Field, ...]:
-    """March the step initial condition to ``t_end`` and keep every stored step.
-
-    The fields are those :func:`march` yields, oldest first.  The run is
-    deterministic: identical inputs reproduce identical fields bit for bit.
-    """
-    system = factor_step_matrix([build_operator(grid, diffusion)], config.dt)
-    steps = march(system, step_initial_condition(grid, front).values, reaction, config)
-    return tuple(Field(grid=grid, values=u, time=t) for t, u in steps)

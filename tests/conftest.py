@@ -14,9 +14,10 @@ from fkfront.domain import (
     logistic_reaction,
     make_constant_diffusion,
     make_quadratic_diffusion,
+    step_initial_condition,
 )
 from fkfront.front import FrontPath, track_front
-from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march, simulate
+from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march
 from fkfront.spectral import initial_amplitudes, solve_eigenproblem
 
 
@@ -46,6 +47,18 @@ def diffuse_smooth(n: int, dt: float, t_end: float, diffusion: DiffusionProfile)
     *_, (t, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction(),
                        SolverConfig(dt=dt, t_end=t_end))
     return Field(grid, u, t)
+
+
+def stored_fields(grid, diffusion, reaction, front, config) -> tuple[Field, ...]:
+    """Every state ``march`` yields from the step initial condition, as fields."""
+    system = factor_step_matrix([build_operator(grid, diffusion)], config.dt)
+    steps = march(system, step_initial_condition(grid, front).values, reaction, config)
+    return tuple(Field(grid, u, t) for t, u in steps)
+
+
+def dense_matrix(op) -> np.ndarray:
+    """The operator's three diagonals as a dense matrix."""
+    return np.diag(op.main) + np.diag(op.sup[:-1], k=1) + np.diag(op.sub[1:], k=-1)
 
 
 def steps_of(fields):
@@ -92,7 +105,7 @@ def default_diffusion() -> DiffusionProfile:
 @pytest.fixture(scope="session")
 def default_run(default_grid, default_diffusion):
     """Full default-configuration run: a step released at -35 crossing the well."""
-    return simulate(
+    return stored_fields(
         default_grid,
         default_diffusion,
         logistic_reaction(),
@@ -104,7 +117,7 @@ def default_run(default_grid, default_diffusion):
 @pytest.fixture(scope="session")
 def pure_diffusion_run(default_grid, default_diffusion):
     """Sourceless run on the default grid; total mass must be conserved."""
-    return simulate(
+    return stored_fields(
         default_grid,
         default_diffusion,
         zero_reaction(),
@@ -116,7 +129,7 @@ def pure_diffusion_run(default_grid, default_diffusion):
 @pytest.fixture(scope="session")
 def constant_a_run():
     """Uniform-diffusion control; the front must settle near the pulled speed 2."""
-    return simulate(
+    return stored_fields(
         Grid(L=100.0, n=1001),
         make_constant_diffusion(1.0),
         logistic_reaction(),

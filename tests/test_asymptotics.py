@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fkfront.asymptotics import (
     Snapshot,
     TwcBranch,
-    sfa_characteristic,
     sfa_evolve,
     sfa_residual,
     stationary_roots,
@@ -116,7 +115,7 @@ class TestSfaEvolve:
 
 class TestCharacteristics:
     def test_contracting_characteristic(self):
-        assert sfa_characteristic(-35.0, 0.0, math.log(2.0) / 2.0) == pytest.approx(
+        assert twc_front_path(-35.0, 0.0, math.log(2.0) / 2.0) == pytest.approx(
             -17.5, abs=1e-12
         )
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fkfront
 
-from conftest import first_exit, front_path
+from conftest import first_exit, front_path, stored_fields
 from fkfront.asymptotics import Snapshot, sfa_evolve
 from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
@@ -30,7 +30,7 @@ from fkfront.config import (
 )
 from fkfront.domain import Field, FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
 from fkfront.front import FrontNotTransitedError, front_positions, track_front, trapping_time
-from fkfront.solver import SolverConfig, simulate
+from fkfront.solver import SolverConfig
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -437,8 +437,9 @@ class TestTrapSweep:
                             radius=cfg.trap_radius)
         statuses = []
         for eps, path in zip(cfg.sweep_epsilons, paths):
-            stored = front_path(simulate(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                         logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
+            run = stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
+                                logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver)
+            stored = front_path(run)
             assert np.array_equal(path.times, stored.times)
             assert np.array_equal(path.positions, stored.positions, equal_nan=True)
             try:
@@ -459,8 +460,8 @@ class TestTrapSweep:
         cfg = ExperimentConfig(n=151, t_end=8.0, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.05, 0.02))
         solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
-        stored = [front_path(simulate(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                      logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
+        stored = [front_path(stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
+                                           logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
                   for eps in cfg.sweep_epsilons]
         exits = [first_exit(path.positions, cfg.trap_radius) for path in stored]
         assert None not in exits and len(set(exits)) == len(exits)

@@ -8,52 +8,53 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import first_exit, front_path, steps_of, times_of
-from fkfront.domain import Field, FrontSpec, Grid, step_initial_condition
+from fkfront.domain import FrontSpec, Grid, step_initial_condition
 from fkfront.front import (
     FitReport,
     FrontNotTransitedError,
     FrontPath,
     fit_power_law,
     front_positions,
-    locate_front,
     track_front,
     trapping_time,
 )
 
 
 class TestLocateFront:
+    """Hand cases of :func:`front_positions` on a single row."""
+
     def test_linear_interpolation_hand_case(self):
         g = Grid(L=0.4, n=3)  # nodes -0.4, 0, 0.4
-        f = Field(g, np.array([0.8, 0.8, 0.2]), 0.0)
-        assert locate_front(f, level=0.5) == pytest.approx(0.2, abs=1e-14)
+        found = front_positions(np.array([[0.8, 0.8, 0.2]]), g.x, level=0.5)[0]
+        assert found == pytest.approx(0.2, abs=1e-14)
 
     def test_default_step_crossing(self):
         g = Grid(L=100.0, n=501)
         f = step_initial_condition(g, FrontSpec(x_c0=-35.0))
-        assert locate_front(f) == pytest.approx(-35.0, abs=1e-12)
+        assert front_positions(f.values[np.newaxis], g.x)[0] == pytest.approx(-35.0, abs=1e-12)
 
     @pytest.mark.parametrize("value", [0.2, 0.8])
     def test_constant_field_has_no_crossing(self, value):
         g = Grid(L=1.0, n=9)
-        assert locate_front(Field(g, np.full(9, value), 0.0)) is None
+        assert math.isnan(front_positions(np.full((1, 9), value), g.x)[0])
 
     def test_rightmost_crossing_wins(self):
         g = Grid(L=2.0, n=5)  # nodes -2, -1, 0, 1, 2
-        f = Field(g, np.array([0.9, 0.2, 0.8, 0.3, 0.1]), 0.0)
+        u = np.array([[0.9, 0.2, 0.8, 0.3, 0.1]])
         # downward crossings in (-2,-1) and (0,1); the rightmost one is reported
         expected = 0.0 + 1.0 * (0.8 - 0.5) / (0.8 - 0.3)
-        assert locate_front(f) == pytest.approx(expected, abs=1e-14)
+        assert front_positions(u, g.x)[0] == pytest.approx(expected, abs=1e-14)
 
     def test_custom_level(self):
         g = Grid(L=0.4, n=3)
-        f = Field(g, np.array([0.8, 0.8, 0.2]), 0.0)
         # level 0.65: quarter of the way down the last cell
-        assert locate_front(f, level=0.65) == pytest.approx(0.1, abs=1e-14)
+        found = front_positions(np.array([[0.8, 0.8, 0.2]]), g.x, level=0.65)[0]
+        assert found == pytest.approx(0.1, abs=1e-14)
 
     def test_rejects_non_finite_values(self):
         g = Grid(L=1.0, n=3)
         with pytest.raises(ValueError):
-            locate_front(Field(g, np.array([1.0, np.nan, 0.0]), 0.0))
+            front_positions(np.array([[1.0, np.nan, 0.0]]), g.x)
 
 
 def scalar_locate(u, x, level):
@@ -81,10 +82,6 @@ class TestFrontPositions:
         got = front_positions(u, grid.x)
         expected = [scalar_locate(row, grid.x, 0.5) for row in u]
         assert np.array_equal(got, expected, equal_nan=True)
-        for row, pos in zip(u, got):
-            found = locate_front(Field(grid, row, 0.0))
-            assert (found is None) == math.isnan(pos)
-            assert found is None or found == pos
 
     @pytest.mark.parametrize("row", [[-1.0, 1e-200, 1e-200], [-1.0, 1e-200, 3e-200]])
     def test_same_sign_cell_with_underflowing_product_is_no_crossing(self, row):
@@ -122,8 +119,10 @@ class TestTrackFront:
     def test_matches_per_snapshot_location(self, default_run):
         path = front_path(default_run)
         assert np.array_equal(path.times, times_of(default_run))
+        x = default_run[0].grid.x
         for k in (0, 5, 12):
-            assert path.positions[k] == pytest.approx(locate_front(default_run[k]), abs=1e-14)
+            expected = scalar_locate(default_run[k].values, x, 0.5)
+            assert path.positions[k] == pytest.approx(expected, abs=1e-14)
 
     def test_missing_front_marked_nan(self, default_run):
         path = front_path(default_run)

@@ -1,10 +1,17 @@
-"""Conservative operator assembly, tridiagonal solves, IMEX stepping."""
+"""Conservative operator assembly, factored step solves, IMEX stepping."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import diffuse_smooth, front_path, times_of, unit_floor_quadratic
+from conftest import (
+    dense_matrix,
+    diffuse_smooth,
+    front_path,
+    stored_fields,
+    times_of,
+    unit_floor_quadratic,
+)
 
 from fkfront.domain import (
     FrontSpec,
@@ -16,33 +23,14 @@ from fkfront.domain import (
 )
 from fkfront.solver import (
     FactoredSymmetricTridiagonal,
-    SingularSystemError,
     SolverConfig,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,
     march,
-    simulate,
-    tridiagonal_solve,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-unit = st.floats(-1.0, 1.0, allow_nan=False)
-
-
-@st.composite
-def diagonals(draw, n):
-    """Three random diagonals of length ``n`` in the TridiagonalOperator layout."""
-    return tuple(np.array(draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(3))
-
-
-def dense_matrix(op):
-    n = op.main.size
-    mat = np.diag(op.main)
-    mat += np.diag(op.sup[:-1], k=1)
-    mat += np.diag(op.sub[1:], k=-1)
-    return mat
 
 
 class TestBuildOperator:
@@ -81,74 +69,6 @@ class TestBuildOperator:
         wd = np.diag(g.quadrature_weights) @ dense_matrix(op)
         assert np.max(np.abs(wd - wd.T)) <= 1e-12
 
-    def test_apply_matches_dense(self):
-        g = Grid(L=5.0, n=31)
-        op = build_operator(g, make_quadratic_diffusion(0.7))
-        rng = np.random.default_rng(11)
-        u = rng.uniform(-1, 1, 31)
-        assert np.allclose(op.apply(u), dense_matrix(op) @ u, atol=1e-12)
-
-
-class TestTridiagonalSolve:
-    def test_hand_three_by_three(self):
-        sub = np.array([0.0, -1.0, -1.0])
-        main = np.array([2.0, 2.0, 2.0])
-        sup = np.array([-1.0, -1.0, 0.0])
-        rhs = np.array([1.0, 0.0, 1.0])
-        assert np.allclose(tridiagonal_solve(sub, main, sup, rhs), [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_random_diagonally_dominant(self):
-        rng = np.random.default_rng(3)
-        n = 40
-        sub = rng.uniform(-1, 1, n)
-        sup = rng.uniform(-1, 1, n)
-        main = 4.0 + rng.uniform(0, 1, n)
-        rhs = rng.uniform(-2, 2, n)
-        mat = np.diag(main) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
-        expected = np.linalg.solve(mat, rhs)
-        assert np.allclose(tridiagonal_solve(sub, main, sup, rhs), expected, atol=1e-10)
-
-    def test_singular_system_raises(self):
-        z = np.zeros(3)
-        with pytest.raises(SingularSystemError):
-            tridiagonal_solve(z, z, z, np.ones(3))
-
-    def test_rejects_fewer_than_three_unknowns(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            tridiagonal_solve(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
-
-    def test_rhs_left_untouched(self):
-        rhs = np.array([1.0, 0.0, 1.0])
-        tridiagonal_solve(np.full(3, -1.0), np.full(3, 2.0), np.full(3, -1.0), rhs)
-        assert np.array_equal(rhs, [1.0, 0.0, 1.0])
-
-
-class TestFactoredSolveProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_agrees_with_dense_solve_when_diagonally_dominant(self, data):
-        n = data.draw(st.integers(3, 30))
-        sub, sup, rhs = data.draw(diagonals(n))
-        sub[0] = sup[-1] = 0.0
-        margin = np.array(data.draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
-        sign = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
-        main = sign * (np.abs(sub) + np.abs(sup) + margin)
-        mat = np.diag(main) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
-        expected = np.linalg.solve(mat, rhs)
-        # |main| - |sub| - |sup| >= 0.5 bounds the inverse's norm by 2
-        assert np.allclose(tridiagonal_solve(sub, main, sup, rhs), expected,
-                           rtol=1e-12, atol=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_zero_row_raises_singular(self, data):
-        n = data.draw(st.integers(3, 20))
-        sub, main, sup = data.draw(diagonals(n))
-        row = data.draw(st.integers(0, n - 1))
-        sub[row] = main[row] = sup[row] = 0.0
-        with pytest.raises(SingularSystemError):
-            tridiagonal_solve(sub, main, sup, np.ones(n))
-
 
 @st.composite
 def step_operators(draw):
@@ -174,8 +94,7 @@ class TestSymmetricStepFactors:
         assert isinstance(system, FactoredSymmetricTridiagonal)
         for b, op in enumerate(ops):
             block = slice(b * n, (b + 1) * n)
-            expected = tridiagonal_solve(-dt * op.sub, 1.0 - dt * op.main, -dt * op.sup,
-                                         rhs[block])
+            expected = np.linalg.solve(np.eye(n) - dt * dense_matrix(op), rhs[block])
             got = system.solve(rhs)[block]
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -361,8 +280,10 @@ class TestConvergenceOrders:
 
 
 class TestSimulate:
+    """Which states ``march`` yields, and their time stamps."""
+
     def test_snapshot_storage_contract(self):
-        fields = simulate(
+        fields = stored_fields(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
             logistic_reaction(),
@@ -372,7 +293,7 @@ class TestSimulate:
         assert np.allclose(times_of(fields), [0.0, 0.02, 0.04, 0.05], atol=1e-12)
 
     def test_final_time_stored_once(self):
-        fields = simulate(
+        fields = stored_fields(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
             logistic_reaction(),
@@ -383,7 +304,7 @@ class TestSimulate:
 
     def test_zero_horizon_returns_initial_field_only(self):
         g = Grid(L=10.0, n=11)
-        fields = simulate(
+        fields = stored_fields(
             g,
             make_quadratic_diffusion(0.1),
             logistic_reaction(),

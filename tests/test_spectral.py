@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_matrix
 
 from fkfront.domain import (
     FrontSpec,
@@ -70,7 +71,7 @@ class TestSolveEigenproblem:
         op = build_operator(default_grid, default_diffusion)
         for k in (0, 2, 7):
             phi = default_eigen.eigenfunctions[k]
-            resid = op.apply(phi) - default_eigen.eigenvalues[k] * phi
+            resid = dense_matrix(op) @ phi - default_eigen.eigenvalues[k] * phi
             assert np.max(np.abs(resid)) <= 1e-9
 
     @pytest.mark.parametrize("m", [0, -3, 501, 600])
