@@ -236,7 +236,7 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
     else:
         diffusion = make_quadratic_diffusion(cfg.epsilon)
         _warn_if_under_resolved(_grid(cfg), [cfg.epsilon])
-    eig = solve_eigenproblem(diffusion, _grid(cfg), m=cfg.eigen_modes)
+    eig = solve_eigenproblem(diffusion, _grid(cfg), m=cfg.eigen_modes, vectors=cfg.eigen_dump)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
     io.export_eigen_system(eig, cfg.eigen_dump, out, meta)
 

@@ -86,15 +86,17 @@ def sidecar_path(csv_path: Path) -> Path:
 def export_eigen_system(
     eig: EigenSystem, dump_modes: Sequence[int], out_dir: Path, meta: dict
 ) -> None:
-    """``eigenvalues.csv`` (n,lambda) plus one ``phi_<n>.csv`` per dumped mode."""
+    """``eigenvalues.csv`` (n,lambda) plus one ``phi_<n>.csv`` per dumped mode.
+
+    Each dumped mode's eigenfunction must be in ``eig`` (see
+    :meth:`~fkfront.spectral.EigenSystem.eigenfunction`).
+    """
     spectrum = out_dir / "eigenvalues.csv"
     write_csv(spectrum, ("n", "lambda"), enumerate(eig.eigenvalues))
     write_json(sidecar_path(spectrum), meta)
     for k in dump_modes:
-        if not 0 <= k < eig.count:
-            raise ValueError(f"cannot dump mode {k}; computed {eig.count} modes")
         mode_csv = out_dir / f"phi_{k}.csv"
-        write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunctions[k]))
+        write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunction(k)))
         write_json(sidecar_path(mode_csv), {**meta, "mode": k})
 
 

@@ -41,7 +41,14 @@ each block's solution is bit-for-bit the one its run would get alone.
 :func:`march` is the one stepper.  It is a generator of the stored steps,
 so a caller derives what it needs from each state as it comes (a front
 position, a mean, a CSV row) and no run has to keep its fields; a caller
-that wants every field keeps the states it yields.
+that wants every field keeps the states it yields.  Once a step returns its
+input bit for bit -- a logistic run that has saturated, where the solve's
+rounding absorbs the increment -- the march makes no further solve and
+yields that state again at the remaining stored steps.
+
+The operator's couplings ``a(x_{i+1/2}) / dx**2`` must be finite and
+positive; :func:`build_operator` rejects a ``nan`` or ``inf`` coefficient
+and a grid so wide that ``dx**2`` overflows.
 
 LAPACK comes from ``scipy.linalg``, which is imported inside the functions
 that call it, so importing this module does not load scipy.
@@ -49,6 +56,7 @@ that call it, so importing this module does not load scipy.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -64,6 +72,8 @@ __all__ = [
     "factor_step_matrix",
     "march",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,20 +99,30 @@ class TridiagonalOperator:
 
 
 def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperator:
-    """Assemble the conservative stencil for ``(a(x) u_x)_x`` on ``grid``."""
+    """Assemble the conservative stencil for ``(a(x) u_x)_x`` on ``grid``.
+
+    Raises
+    ------
+    ValueError
+        If some coupling ``a(x_{i+1/2}) / dx**2`` is not positive, or it or
+        a diagonal entry is not finite (``nan``, or overflow on a huge grid).
+    """
     dx = grid.dx
-    # a at the n-1 half points x_i + dx/2
-    a_half = np.asarray(diffusion.a(grid.x[:-1] + 0.5 * dx), dtype=float) / dx**2
-    if np.any(a_half <= 0):
-        raise ValueError("diffusion coefficient must be positive at all half-points")
-    sub = np.zeros(grid.n)
-    sup = np.zeros(grid.n)
-    sub[1:] = a_half
-    sup[:-1] = a_half
-    # mirror-image ghost closes the zero-flux ends without breaking symmetry
-    sup[0] = 2.0 * a_half[0]
-    sub[-1] = 2.0 * a_half[-1]
-    main = -(sub + sup)
+    # overflow and nan are rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a at the n-1 half points x_i + dx/2
+        a_half = np.asarray(diffusion.a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
+        sub = np.zeros(grid.n)
+        sup = np.zeros(grid.n)
+        sub[1:] = a_half
+        sup[:-1] = a_half
+        # mirror-image ghost closes the zero-flux ends without breaking symmetry
+        sup[0] = 2.0 * a_half[0]
+        sub[-1] = 2.0 * a_half[-1]
+        main = -(sub + sup)
+    if not (np.all(a_half > 0) and np.all(np.isfinite(main))):
+        raise ValueError("diffusion coefficient a(x)/dx**2 must be finite and positive "
+                         "at all half-points")
     return TridiagonalOperator(grid=grid, sub=sub, main=main, sup=sup)
 
 
@@ -217,15 +237,34 @@ def march(
     between those steps is never kept.  Each yielded state is a new array,
     so a consumer may keep it.  Step ``k`` is stamped ``t = k * dt``, free
     of the rounding that a running sum of ``dt`` accumulates.
+
+    ``reaction.f`` must be a pure function of the state.  The step map is
+    then deterministic, so once a solve returns its input bit for bit every
+    later step would too: no further solve is made, the remaining stored
+    steps yield fresh copies of that state, and one INFO line on the
+    ``fkfront.solver`` logger names the time.  The yielded bits are those of
+    the full march.  The check compares the last entry first (a scalar)
+    and only on a match the whole state, as ``int64`` bits.
     """
     dt = config.dt
     stride = config.snapshot_stride
     n_steps = int(round(config.t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()
+    fixed = False
     yield 0.0, u.reshape(shape)
     for k in range(1, n_steps + 1):
-        u = system.solve(u + dt * np.asarray(reaction.f(u), dtype=float), overwrite=True)
+        if not fixed:
+            prev = u
+            u = system.solve(prev + dt * np.asarray(reaction.f(prev), dtype=float),
+                             overwrite=True)
+            # the last entry gates the full compare (a nan there never
+            # passes); the int64 views keep -0.0 apart from 0.0
+            fixed = u[-1] == prev[-1] and np.array_equal(u.view(np.int64),
+                                                         prev.view(np.int64))
+            if fixed and k < n_steps:
+                log.info("march: fixed point reached: the step to t=%g returned its input "
+                         "bit for bit, no further solve before t_end=%g", k * dt, config.t_end)
         if k % stride == 0 or k == n_steps:
-            yield k * dt, u.reshape(shape)
+            yield k * dt, (u.copy() if fixed else u).reshape(shape)
 

@@ -9,6 +9,9 @@ discretized with the solver's conservative stencil.  That stencil is
 self-adjoint under trapezoid weights, so the discrete eigenvalues are real
 and non-positive (``lambda_0 = 0`` with constant ``phi_0``) and the discrete
 modes come out orthonormal in the trapezoid inner product.
+:func:`solve_eigenproblem` finds the eigenvalues by bisection and the
+eigenfunctions by inverse iteration, for every mode or only for the modes a
+caller names (the ``eigen`` command names the ones it writes).
 
 Writing the slow amplitude of mode ``n`` as ``sigma_n(t)``, the logistic
 reaction couples everything to the mean: removing secular growth gives
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -53,58 +57,119 @@ class EigenSystem:
     """Leading eigenpairs of the diffusion operator, slowest first.
 
     ``eigenvalues`` are sorted descending (``eigenvalues[0]`` is the zero
-    mode); row ``k`` of ``eigenfunctions`` samples mode ``k`` on the grid,
-    normalized to unit trapezoid norm with a positive left-end value.
+    mode).  ``modes`` lists, ascending, the modes whose eigenfunctions were
+    computed (every mode unless a subset was asked for); row ``j`` of
+    ``eigenfunctions`` samples mode ``modes[j]`` on the grid, normalized to
+    unit trapezoid norm with a positive left-end value.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
+    modes: "np.ndarray | None" = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
         funcs = np.asarray(self.eigenfunctions, dtype=float)
-        if vals.ndim != 1 or funcs.shape != (vals.size, self.grid.n):
-            raise ValueError("eigenfunctions must be (count, n) matching eigenvalues")
+        modes = np.arange(vals.size) if self.modes is None else np.asarray(self.modes, dtype=int)
+        if vals.ndim != 1 or modes.ndim != 1 or funcs.shape != (modes.size, self.grid.n):
+            raise ValueError("eigenfunctions must be (len(modes), n), modes and eigenvalues 1-D")
+        if modes.size and not (modes[0] >= 0 and modes[-1] < vals.size
+                               and np.all(np.diff(modes) > 0)):
+            raise ValueError("modes must be ascending, distinct indices of the eigenvalues")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenfunctions", funcs)
+        object.__setattr__(self, "modes", modes)
 
     @property
     def count(self) -> int:
+        """Number of eigenvalues (the eigenfunctions may cover fewer modes)."""
         return self.eigenvalues.size
+
+    def eigenfunction(self, k: int) -> np.ndarray:
+        """Mode ``k`` sampled on the grid; its eigenfunction must have been computed."""
+        j = int(np.searchsorted(self.modes, k))
+        if j == self.modes.size or self.modes[j] != k:
+            raise ValueError(f"the eigenfunction of mode {k} was not computed")
+        return self.eigenfunctions[j]
+
+    def all_eigenfunctions(self) -> np.ndarray:
+        """Rows for every mode ``0 .. count-1``, which must all have been computed."""
+        if self.modes.size != self.count:
+            raise ValueError(f"needs all {self.count} eigenfunctions; "
+                             f"{self.modes.size} were computed")
+        return self.eigenfunctions
 
 
 def solve_eigenproblem(
-    diffusion: DiffusionProfile, grid: Grid, m: int = 64
+    diffusion: DiffusionProfile,
+    grid: Grid,
+    m: int = 64,
+    vectors: "Iterable[int] | None" = None,
 ) -> EigenSystem:
     """Leading ``m`` Neumann eigenpairs of ``(a(x) phi')'`` on ``grid``.
 
     The conservative operator ``D`` is symmetrized by the trapezoid weights
     (``W D`` is symmetric), so the similarity ``W^{1/2} D W^{-1/2}`` is a
-    symmetric tridiagonal matrix; its top ``m`` eigenpairs are computed and
-    mapped back.  Requires ``1 <= m < grid.n``.
+    symmetric tridiagonal matrix.  LAPACK bisection (``dstebz``) finds its
+    top ``m`` eigenvalues, and inverse iteration (``dstein``) the
+    eigenvectors, which are mapped back.  Requires ``1 <= m < grid.n``.
+
+    ``vectors`` names the modes, ``0 <= k < m`` in any order and with
+    repeats, whose eigenfunctions are computed; the default is every mode.
+    Eigenvalues do not depend on it.  ``dstein`` works on the requested
+    eigenvalues only, so the eigenvector work and memory are
+    ``O(n |vectors|)`` instead of ``O(n m)``, and the default gives bit for
+    bit what
+    ``scipy.linalg.eigh_tridiagonal(..., select="i")`` gives (those are
+    the two routines it runs).  ``dstein`` orthogonalizes a vector only
+    against the requested vectors of nearby eigenvalues.  So a mode whose
+    eigenvalue is isolated matches its all-modes row to rounding, but a
+    mode in a cluster that is degenerate to rounding (the even/odd pairs of
+    a symmetric profile) may come out as another unit vector of the
+    cluster's eigenspace.
     """
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
+    from scipy.linalg import lapack
 
     if not 1 <= m < grid.n:
         raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
+    if vectors is None:
+        modes = np.arange(m)
+    else:
+        modes = np.unique(np.fromiter(vectors, dtype=int))
+        if modes.size and not (modes[0] >= 0 and modes[-1] < m):
+            raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
+    n = grid.n
     op = build_operator(grid, diffusion)
     sqrt_w = np.sqrt(grid.quadrature_weights)
     diag = op.main.copy()
     offdiag = op.sup[:-1] * sqrt_w[:-1] / sqrt_w[1:]
-    try:
-        vals, vecs = eigh_tridiagonal(
-            diag, offdiag, select="i", select_range=(grid.n - m, grid.n - 1)
-        )
-    except (np.linalg.LinAlgError, LinAlgError) as exc:  # pragma: no cover
-        raise EigenSolveError(str(exc)) from exc
-    # ascending from LAPACK; we want the slowest (largest) modes first
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    found, w, iblock, isplit, info = lapack.dstebz(
+        diag, offdiag, 2, 0.0, 1.0, n - m + 1, n, 0.0, "B"
+    )
+    if info != 0:  # pragma: no cover
+        raise EigenSolveError(f"dstebz failed (info {info})")
+    w = w[:found]
+    # w is grouped by split-off block; mode k (slowest first) sits at order[m - 1 - k]
+    order = np.argsort(w)
+    positions = order[m - 1 - modes]
+    picked = np.sort(positions)
+    if picked.size:
+        # dstein takes the picked values in block order, their block indices
+        # first in a length-n array
+        sub_iblock = iblock.copy()
+        sub_iblock[: picked.size] = iblock[picked]
+        vecs, info = lapack.dstein(diag, offdiag, w[picked], sub_iblock, isplit)
+        if info != 0:  # pragma: no cover
+            raise EigenSolveError(f"dstein failed (info {info})")
+    else:
+        vecs = np.empty((n, 0))
+    vecs = vecs[:, np.searchsorted(picked, positions)]
     funcs = (vecs / sqrt_w[:, None]).T
     flip = funcs[:, 0] < 0.0
     funcs[flip] *= -1.0
-    return EigenSystem(grid=grid, eigenvalues=vals, eigenfunctions=funcs)
+    return EigenSystem(grid=grid, eigenvalues=w[order][::-1], eigenfunctions=funcs,
+                       modes=modes)
 
 
 @dataclass(frozen=True)
@@ -149,7 +214,7 @@ def initial_amplitudes(
         lam = eig.eigenvalues[1:]
         if np.any(np.abs(lam) < 1e-12):
             raise EigenSolveError("repeated zero eigenvalue in the decaying modes")
-        dphi = np.gradient(eig.eigenfunctions[1:], grid.dx, axis=1, edge_order=2)
+        dphi = np.gradient(eig.all_eigenfunctions()[1:], grid.dx, axis=1, edge_order=2)
         for k in range(1, eig.count):
             slope = float(np.interp(x_c, grid.x, dphi[k - 1]))
             sigma_n[k - 1] = a_xc * slope / eig.eigenvalues[k]
@@ -206,13 +271,14 @@ def leading_order_field(
         raise ValueError(f"fast time T must be non-negative, got {T}")
     if amp.sigma_n_init.size < eig.count - 1:
         raise ValueError("amplitudes cover fewer modes than the eigen system")
+    funcs = eig.all_eigenfunctions()
     xq = np.asarray(x, dtype=float)
     u = np.full(xq.shape, sigma0_of_t(t, amp) * amp.phi0_const)
     for k in range(1, eig.count):
         weight = float(sigma_n_of_t(t, k, amp)) * math.exp(eig.eigenvalues[k] * T)
         if weight == 0.0:
             continue
-        u = u + weight * np.interp(xq, eig.grid.x, eig.eigenfunctions[k])
+        u = u + weight * np.interp(xq, eig.grid.x, funcs[k])
     return float(u) if np.ndim(x) == 0 else u
 
 

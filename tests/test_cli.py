@@ -263,6 +263,15 @@ class TestCliErrorPaths:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(blocked)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["simulate", "compare-sfa", "trap-sweep", "eigen", "average"])
+    def test_overflowing_grid_exits_two_naming_the_coefficient(self, tmp_path, capsys, command):
+        # dx = 1e200 / 250: dx**2 overflows, and so does a(x) = x**2 + epsilon
+        cfg_path = write_config(tmp_path, "[domain]\nL = 1e200\n[solver]\nt_end = 0.1\n")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: diffusion coefficient a(x)/dx**2 must be finite and positive" in err
+
 
 class TestCompareSfa:
     def test_comparison_csv(self, tmp_path):
@@ -608,6 +617,18 @@ class TestAverageCommand:
         assert float(t0[1]) == pytest.approx(0.325, abs=1e-14)
         assert float(t0[2]) == pytest.approx(0.325, abs=1e-14)
         assert t0[1] == t0[2]
+
+    def test_logs_fixed_point(self, tmp_path, caplog):
+        cfg_path = write_config(tmp_path, TINY_RUN.replace("t_end = 10", "t_end = 60"))
+        out = tmp_path / "out"
+        with caplog.at_level("INFO", logger="fkfront"):
+            assert main(["average", "--config", str(cfg_path), "--out", str(out)]) == 0
+        [line] = [r.getMessage() for r in caplog.records if "fixed point" in r.getMessage()]
+        assert line.startswith("march: fixed point reached: the step to t=")
+        assert line.endswith("no further solve before t_end=60")
+        _, rows = read_rows(out / "average.csv")
+        assert len(rows) == 241
+        assert len({tuple(r[1:]) for r in rows[-40:]}) == 1
 
 
 TINY_RUN = """

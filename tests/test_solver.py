@@ -11,11 +11,14 @@ from conftest import (
     stored_fields,
     times_of,
     unit_floor_quadratic,
+    zero_reaction,
 )
 
 from fkfront.domain import (
+    DiffusionProfile,
     FrontSpec,
     Grid,
+    ReactionTerm,
     logistic_reaction,
     make_constant_diffusion,
     make_quadratic_diffusion,
@@ -29,7 +32,7 @@ from fkfront.solver import (
     factor_step_matrix,
     march,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 
@@ -56,6 +59,21 @@ class TestBuildOperator:
         # first/last rows: [-2 a_half, +2 a_half] / dx^2
         assert op.main[0] == pytest.approx(-op.sup[0], rel=1e-14)
         assert op.main[-1] == pytest.approx(-op.sub[-1], rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_coefficient(self, bad):
+        profile = DiffusionProfile(
+            epsilon=0.1,
+            a=lambda x: np.where(np.asarray(x) > 0.5, bad, np.asarray(x) ** 2 + 0.1),
+            aprime=lambda x: 2.0 * np.asarray(x),
+        )
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_operator(Grid(L=2.0, n=9), profile)
+
+    def test_rejects_grid_whose_spacing_overflows(self):
+        # dx = 1e197: dx**2 and a(x) both overflow, and no RuntimeWarning leaks
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_operator(Grid(L=1e200, n=2001), make_quadratic_diffusion(0.1))
 
     def test_row_sums_vanish(self):
         g = Grid(L=3.0, n=17)
@@ -198,6 +216,129 @@ class TestMinimumPrincipleProperty:
         first = above.index(True)
         assert 0 < first < len(above) // 2
         assert all(above[first:])
+
+
+class CountingSystem:
+    """A factored system that counts its solves."""
+
+    def __init__(self, system):
+        self.system = system
+        self.calls = 0
+
+    def solve(self, rhs, overwrite=False):
+        self.calls += 1
+        return self.system.solve(rhs, overwrite=overwrite)
+
+
+class Negating:
+    """A stand-in system whose solve returns ``-rhs``.  Under
+    :func:`signed_zero_reaction` a zero state flips between ``0.0`` and
+    ``-0.0``, which compare equal but differ in bits."""
+
+    def solve(self, rhs, overwrite=False):
+        return -np.asarray(rhs, dtype=float)
+
+
+def signed_zero_reaction() -> ReactionTerm:
+    """``f(u) = 0 * u``, which keeps the sign of a zero (unlike a plain 0.0)."""
+    return ReactionTerm(f=lambda u: 0.0 * u)
+
+
+def plain_march(system, u0, reaction, config):
+    """The stored ``(t, u)`` of a march that solves on every step, with no
+    fixed-point skip, and the first step whose solve returned its input bit
+    for bit (None if none did)."""
+    dt, stride = config.dt, config.snapshot_stride
+    n_steps = int(round(config.t_end / dt))
+    u = np.array(u0, dtype=float).ravel()
+    stored, first_fixed = [(0.0, u.copy())], None
+    for k in range(1, n_steps + 1):
+        prev = u
+        u = system.solve(prev + dt * np.asarray(reaction.f(prev), dtype=float), overwrite=True)
+        if first_fixed is None and np.array_equal(u.view(np.int64), prev.view(np.int64)):
+            first_fixed = k
+        if k % stride == 0 or k == n_steps:
+            stored.append((k * dt, u.copy()))
+    return stored, first_fixed
+
+
+def assert_same_bits(steps, expected):
+    steps = list(steps)
+    assert [t for t, _ in steps] == [t for t, _ in expected]
+    for (_, u), (_, v) in zip(steps, expected):
+        assert np.array_equal(np.ravel(u).view(np.int64), v.view(np.int64))
+
+
+class TestFixedPointSkip:
+    """Once a solve returns its input bit for bit, ``march`` solves no more
+    and yields what a march that kept solving would have yielded."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        epsilons=st.lists(st.floats(0.0125, 0.1), min_size=1, max_size=3),
+        n=st.integers(3, 61),
+        L=st.floats(0.5, 10.0),
+        front_at=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        dt=st.floats(0.05, 1.0),
+        horizon=st.floats(40.0, 150.0),
+        stride=st.integers(1, 7),
+    )
+    def test_yields_the_bits_of_a_march_without_the_skip(self, epsilons, n, L, front_at, dt,
+                                                          horizon, stride):
+        grid = Grid(L=L, n=n)
+        x_c0 = -L + 2.0 * L * front_at
+        assume(-L < x_c0 < L)
+        ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
+        system = factor_step_matrix(ops, dt)
+        u0 = np.tile(step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values, (len(ops), 1))
+        config = SolverConfig(dt=dt, t_end=max(1, round(horizon / dt)) * dt,
+                              snapshot_stride=stride)
+        expected, first_fixed = plain_march(system, u0, logistic_reaction(), config)
+        event("fixed point reached" if first_fixed else "no fixed point")
+        counting = CountingSystem(system)
+        steps = list(march(counting, u0, logistic_reaction(), config))
+        assert all(np.shape(u) == u0.shape for _, u in steps)
+        assert_same_bits(steps, expected)
+        n_steps = int(round(config.t_end / dt))
+        assert counting.calls == (first_fixed or n_steps)
+
+    def test_saturated_run_stops_solving(self, caplog):
+        grid = Grid(L=4.0, n=51)
+        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
+        u0 = step_initial_condition(grid, FrontSpec(x_c0=-1.0)).values
+        config = SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25)
+        expected, first_fixed = plain_march(system, u0, logistic_reaction(), config)
+        counting = CountingSystem(system)
+        with caplog.at_level("INFO", logger="fkfront"):
+            steps = list(march(counting, u0, logistic_reaction(), config))
+        assert_same_bits(steps, expected)
+        assert first_fixed is not None and counting.calls == first_fixed < 6000
+        # every state after the fixed point is a fresh array
+        late = [u for t, u in steps if t >= first_fixed * 0.01]
+        assert len(late) > 2
+        assert not any(np.shares_memory(a, b) for a, b in zip(late, late[1:]))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"march: fixed point reached: the step to t={first_fixed * 0.01:g} returned its "
+            "input bit for bit, no further solve before t_end=60"
+        ]
+
+    def test_signed_zeros_do_not_match(self):
+        config = SolverConfig(dt=0.5, t_end=3.0)
+        reaction = signed_zero_reaction()
+        expected, first_fixed = plain_march(Negating(), np.zeros(4), reaction, config)
+        assert first_fixed is None
+        assert [np.signbit(u[0]) for _, u in expected] == [False, True] * 3 + [False]
+        assert_same_bits(march(Negating(), np.zeros(4), reaction, config), expected)
+
+    def test_nan_in_the_last_entry_keeps_solving(self):
+        grid = Grid(L=2.0, n=5)
+        counting = CountingSystem(factor_step_matrix(
+            [build_operator(grid, make_constant_diffusion(1.0))], 0.5))
+        u0 = np.array([1.0, 1.0, 1.0, 1.0, math.nan])
+        config = SolverConfig(dt=0.5, t_end=3.0)
+        states = [u for _, u in march(counting, u0, zero_reaction(), config)]
+        assert counting.calls == 6
+        assert all(np.isnan(u).all() for u in states[1:])
 
 
 def one_step(g, diffusion, u0, dt):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import dense_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkfront.domain import (
     FrontSpec,
@@ -83,6 +85,139 @@ class TestSolveEigenproblem:
         g = Grid(L=1.0, n=5)
         with pytest.raises(ValueError):
             EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((2, 5)),
+                        modes=[2, 0])
+        with pytest.raises(ValueError):
+            EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((1, 5)),
+                        modes=[3])
+
+
+def eigh_tridiagonal_reference(diffusion, grid, m):
+    """The leading ``m`` eigenpairs through ``scipy.linalg.eigh_tridiagonal``,
+    mapped back and signed as ``solve_eigenproblem`` documents."""
+    from scipy.linalg import eigh_tridiagonal
+
+    op = build_operator(grid, diffusion)
+    sqrt_w = np.sqrt(grid.quadrature_weights)
+    vals, vecs = eigh_tridiagonal(op.main.copy(), op.sup[:-1] * sqrt_w[:-1] / sqrt_w[1:],
+                                  select="i", select_range=(grid.n - m, grid.n - 1))
+    funcs = (vecs[:, ::-1] / sqrt_w[:, None]).T
+    funcs[funcs[:, 0] < 0.0] *= -1.0
+    return vals[::-1], funcs
+
+
+@st.composite
+def eigen_cases(draw):
+    """A grid of up to 301 nodes, a quadratic or constant profile, a mode count
+    and a dump list with repeats in any order."""
+    n = draw(st.integers(3, 301))
+    grid = Grid(L=draw(st.floats(0.1, 300.0)), n=n)
+    if draw(st.booleans()):
+        diffusion = make_quadratic_diffusion(draw(st.floats(1e-8, 1.0)))
+    else:
+        diffusion = make_constant_diffusion(draw(st.floats(0.01, 100.0)))
+    m = draw(st.integers(1, n - 1))
+    dump = draw(st.lists(st.integers(0, m - 1), max_size=8))
+    return grid, diffusion, m, dump
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# Gap to the neighbouring eigenvalues, relative to the spectral radius, above
+# which a mode computed alone must match its all-modes row.  Inverse
+# iteration puts about eps/gap of the neighbours into a vector: a scan of
+# 600 random cases measured error * gap <= 1.3e-17, so this gap keeps the
+# error under 1.3e-10, inside the 1e-9 the check allows.
+ISOLATED_GAP = 1e-7
+# The span a clustered mode must lie in: every eigenvector within this
+# relative distance of its eigenvalue.
+CLUSTER_WINDOW = 1e-6
+
+
+class TestEigenvectorSubset:
+    @settings(max_examples=60, deadline=None)
+    @given(eigen_cases())
+    def test_subset_matches_all_modes(self, case):
+        grid, diffusion, m, dump = case
+        full = solve_eigenproblem(diffusion, grid, m=m)
+        sub = solve_eigenproblem(diffusion, grid, m=m, vectors=dump)
+        assert np.array_equal(bits(sub.eigenvalues), bits(full.eigenvalues))
+        assert sub.count == m
+        assert sub.modes.tolist() == sorted(set(dump))
+
+        # every eigenpair of the weighted operator, for neighbours and spans
+        op = build_operator(grid, diffusion)
+        w = grid.quadrature_weights
+        sqrt_w = np.sqrt(w)
+        sym = dense_matrix(op) * sqrt_w[:, None] / sqrt_w[None, :]
+        all_vals, all_vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+        all_vals, all_funcs = all_vals[::-1], (all_vecs[:, ::-1] / sqrt_w[:, None]).T
+        radius = max(np.abs(all_vals).max(), np.finfo(float).tiny)
+        scale = np.abs(op.main).max()
+
+        for j, k in enumerate(sub.modes):
+            phi = sub.eigenfunctions[j]
+            assert np.array_equal(sub.eigenfunction(k), phi)
+            amp = np.abs(phi).max()
+            lam = full.eigenvalues[k]
+            gap = np.abs(np.delete(all_vals, k) - all_vals[k]).min() / radius
+            if gap > ISOLATED_GAP:
+                assert np.abs(phi - full.eigenfunctions[k]).max() <= 1e-9 * amp
+                continue
+            resid = dense_matrix(op) @ phi - lam * phi
+            assert np.abs(resid).max() <= 1e-9 * (2.0 * scale + abs(lam)) * amp
+            assert abs(float(w @ (phi * phi)) - 1.0) <= 1e-9
+            others = np.delete(sub.eigenfunctions, j, axis=0)
+            assert np.all(np.abs(others @ (w * phi)) <= 1e-9)
+            near = np.abs(all_vals - lam) <= CLUSTER_WINDOW * radius
+            span = all_funcs[near]
+            left = phi - (span @ (w * phi)) @ span
+            assert np.abs(left).max() <= 1e-9 * amp
+
+    @settings(max_examples=30, deadline=None)
+    @given(eigen_cases())
+    def test_default_is_eigh_tridiagonal_bit_for_bit(self, case):
+        grid, diffusion, m, _ = case
+        eig = solve_eigenproblem(diffusion, grid, m=m)
+        vals, funcs = eigh_tridiagonal_reference(diffusion, grid, m)
+        assert np.array_equal(bits(eig.eigenvalues), bits(vals))
+        assert np.array_equal(bits(eig.eigenfunctions), bits(funcs))
+        assert eig.modes.tolist() == list(range(m))
+
+    def test_symmetric_pair_is_degenerate_below_rounding(self):
+        """Modes 199 and 200 of the symmetric well at n = 2001 have equal
+        eigenvalues; mode 200 computed alone is another unit vector of their
+        eigenspace."""
+        grid = Grid(L=100.0, n=2001)
+        diffusion = make_quadratic_diffusion(0.1)
+        full = solve_eigenproblem(diffusion, grid, m=256)
+        [phi] = solve_eigenproblem(diffusion, grid, m=256, vectors=[200]).eigenfunctions
+        assert np.abs(phi - full.eigenfunctions[200]).max() > 0.1
+        w = grid.quadrature_weights
+        assert full.eigenvalues[199] == full.eigenvalues[200]
+        pair = full.eigenfunctions[199:201]
+        left = phi - (pair @ (w * phi)) @ pair
+        assert np.abs(left).max() <= 1e-9 * np.abs(phi).max()
+
+    def test_no_vectors(self, default_grid, default_diffusion, default_eigen):
+        eig = solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=[])
+        assert np.array_equal(eig.eigenvalues, default_eigen.eigenvalues)
+        assert eig.eigenfunctions.shape == (0, default_grid.n)
+
+    @pytest.mark.parametrize("vectors", [[-1], [64], [0, 64]])
+    def test_rejects_modes_outside_the_count(self, default_grid, default_diffusion, vectors):
+        with pytest.raises(ValueError):
+            solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=vectors)
+
+    def test_missing_mode_is_refused(self, default_grid, default_diffusion):
+        eig = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[1, 3])
+        with pytest.raises(ValueError, match="mode 2 was not computed"):
+            eig.eigenfunction(2)
+        with pytest.raises(ValueError):
+            initial_amplitudes(FrontSpec(x_c0=-35.0), default_grid, eig, default_diffusion)
 
 
 class TestInitialAmplitudes:
