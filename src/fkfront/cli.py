@@ -75,10 +75,11 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     """Stored steps ``(t, u)`` of one run per epsilon, marched as one stacked system.
 
     ``u`` has shape ``(len(epsilons), n)``; row ``b`` is bit for bit the run
-    for ``epsilons[b]`` alone.  The matrix is factored here, before the
-    first step is drawn.
+    for ``epsilons[b]`` alone.  The grid is checked for resolution and the
+    matrix factored here, before the first step is drawn.
     """
     grid = _grid(cfg)
+    _warn_if_under_resolved(grid, epsilons)
     ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
     u0 = step_initial_condition(grid, FrontSpec(x_c0=cfg.x_c0)).values
     return march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)),
@@ -111,7 +112,6 @@ def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
-    _warn_if_under_resolved(grid, [cfg.epsilon])
     steps = _march(cfg, [cfg.epsilon])
     rows = ((t, xi, ui) for t, u in steps for xi, ui in zip(grid.x, u[0]))
     csv_path = out / "trajectory.csv"
@@ -167,7 +167,6 @@ def sfa_front_comparison(
 
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
-    _warn_if_under_resolved(grid, [cfg.epsilon])
     t_stop = 0.0
 
     def steps():
@@ -189,7 +188,6 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
             log.warning("duplicate epsilon %g in sweep; keeping first occurrence", eps)
             continue
         epsilons.append(eps)
-    _warn_if_under_resolved(_grid(cfg), epsilons)
     # The march stops once every front has left the trapping window, which
     # changes no trapping time; all rows share one time axis.
     paths = track_front(_march(cfg, epsilons), _grid(cfg).x, radius=cfg.trap_radius)
@@ -269,7 +267,6 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
 
 def cmd_average(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
-    _warn_if_under_resolved(grid, [cfg.epsilon])
     w = grid.quadrature_weights
     length = 2.0 * grid.L
     rows = (

@@ -1,19 +1,21 @@
 """Implicit/explicit time stepping for ``u_t = (a(x) u_x)_x + f(u)``.
 
-Space: conservative three-point stencil.  Row ``i`` applies
+Space: conservative finite volumes.  The operator is stored as its ``n - 1``
+face couplings ``c_i = a(x_{i+1/2}) / dx**2`` (the coefficient at the cell
+half-points ``x_i + dx/2``) and is ``D = -W^{-1} K``:
 
-    [ a_{i-1/2},  -(a_{i-1/2} + a_{i+1/2}),  a_{i+1/2} ] / dx**2
+- ``W = diag(1/2, 1, ..., 1, 1/2)``, the trapezoid rule in units of ``dx``;
+- ``K`` symmetric, ``K[i, i+1] = -c_i`` and ``K[i, i] = c_{i-1} + c_i``
+  (a missing coupling counts as 0 at the ends).
 
-with the coefficient evaluated at the cell half-points ``x_i +/- dx/2``.
-The zero-flux ends use a mirror-image ghost node (``u_{-1} = u_1`` with the
-medium reflected through the wall), which doubles the boundary coupling:
-
-    row 0:      [ -2 a_{1/2},    2 a_{1/2}   ] / dx**2
-    row n-1:    [  2 a_{n-3/2}, -2 a_{n-3/2} ] / dx**2
-
-Every row sums to zero, so constants are annihilated exactly, and the
-operator is self-adjoint under the trapezoid inner product -- discrete mass
-is conserved to rounding when the reaction is off.
+So row ``i`` of ``D`` is ``[c_{i-1}, -(c_{i-1} + c_i), c_i]``, and the halved
+end weights are the zero-flux walls' mirror-image ghost node
+(``u_{-1} = u_1``), which doubles the end coupling: row 0 is
+``[-2 c_0, 2 c_0]``.  ``K`` annihilates constants and ``W D = -K`` is
+symmetric, so every row of ``D`` sums to zero and, without reaction, the
+discrete mass ``sum W u`` is conserved to rounding.
+:class:`TridiagonalOperator` holds only positive couplings that keep every
+entry of ``D`` finite.
 
 Time: backward Euler on the diffusion, forward Euler on the reaction
 (first order).  Each step solves one tridiagonal system
@@ -25,18 +27,15 @@ map keeps ``[0, 1]`` invariant for ``dt <= 1``, so iterates respect the
 maximum principle ``0 <= u <= 1``.
 
 The matrix does not change between steps, so a run factors it once and
-each step is a single solve against the stored factors.  The mirror ghost
-doubles only the end couplings, so with the trapezoid weights
-``W = diag(1/2, 1, ..., 1, 1/2)`` the matrix ``W (I - dt D)`` is symmetric
-and positive definite.  A run factors it as ``L D L^T`` (LAPACK
-``dpttrf``), taking the off-diagonal from one side so that the factored
-matrix is symmetric by construction; each step halves the two end entries
-of the right-hand side and calls ``dpttrs``, whose back substitution keeps
-the division off the sequential dependency chain.  An operator that is not
-symmetric under ``W`` is rejected.  Several runs that share a grid and
-``dt`` -- an epsilon sweep -- march together as one block-diagonal
-tridiagonal system whose blocks are uncoupled (zero entries at the seams);
-each block's solution is bit-for-bit the one its run would get alone.
+each step is a single solve against the stored factors.  The weighted
+matrix ``W (I - dt D) = W + dt K`` is symmetric and positive definite; it
+is factored as ``L D L^T`` (LAPACK ``dpttrf``), and each step multiplies
+the right-hand side by ``W`` and calls ``dpttrs``, whose back substitution
+keeps the division off the sequential dependency chain.  Several runs that
+share a grid and ``dt`` -- an epsilon sweep -- march together as one
+block-diagonal tridiagonal system whose blocks are uncoupled (zero entries
+at the seams); each block's solution is bit-for-bit the one its run would
+get alone.
 
 :func:`march` is the one stepper.  It is a generator of the stored steps,
 so a caller derives what it needs from each state as it comes (a front
@@ -45,10 +44,6 @@ that wants every field keeps the states it yields.  Once a step returns its
 input bit for bit -- a logistic run that has saturated, where the solve's
 rounding absorbs the increment -- the march makes no further solve and
 yields that state again at the remaining stored steps.
-
-The operator's couplings ``a(x_{i+1/2}) / dx**2`` must be finite and
-positive; :func:`build_operator` rejects a ``nan`` or ``inf`` coefficient
-and a grid so wide that ``dx**2`` overflows.
 
 LAPACK comes from ``scipy.linalg``, which is imported inside the functions
 that call it, so importing this module does not load scipy.
@@ -76,68 +71,75 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+def _check_dt(dt: float) -> None:
+    # also rejects nan, which fails every comparison
+    if not 0.0 < dt <= 1.0:
+        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
+
+
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Three diagonals of the discrete diffusion operator, each length ``n``.
+    """``D = -W^{-1} K`` on ``grid``, stored as its couplings (module docstring).
 
-    ``sub[i]`` couples row ``i`` to node ``i-1`` (``sub[0]`` is identically 0)
-    and ``sup[i]`` couples row ``i`` to node ``i+1`` (``sup[-1]`` is 0).
+    ``coupling[i] = a(x_{i+1/2}) / dx**2`` joins nodes ``i`` and ``i+1``.
+    A ``coupling`` whose length is not ``n - 1``, or with an entry that is
+    not positive or that makes an entry of ``D`` overflow (``nan``, ``inf``,
+    neighbour sums past the float range), raises ``ValueError``.
     """
 
     grid: Grid
-    sub: np.ndarray
-    main: np.ndarray
-    sup: np.ndarray
+    coupling: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.grid.n
-        for name in ("sub", "main", "sup"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} diagonal must have length {n}")
-            object.__setattr__(self, name, arr)
+        c = np.asarray(self.coupling, dtype=float)
+        if c.shape != (self.grid.n - 1,):
+            raise ValueError(f"coupling must have length {self.grid.n - 1}")
+        object.__setattr__(self, "coupling", c)
+        # |D[i, i]| = (c_{i-1} + c_i) / W_i bounds every entry of D and holds
+        # every coupling; its overflow is rejected here, not warned about
+        with np.errstate(over="ignore"):
+            diagonal = self.neighbour_sums / self.weights
+        if not (np.all(c > 0) and np.all(np.isfinite(diagonal))):
+            raise ValueError("diffusion coefficient a(x)/dx**2 must be finite and positive "
+                             "at all half-points")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """``W``: the grid's trapezoid weights in units of ``dx``."""
+        return self.grid.quadrature_weights / self.grid.dx
+
+    @property
+    def neighbour_sums(self) -> np.ndarray:
+        """The diagonal of ``K``, ``c_{i-1} + c_i``."""
+        return np.pad(self.coupling, (1, 0)) + np.pad(self.coupling, (0, 1))
 
 
 def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperator:
-    """Assemble the conservative stencil for ``(a(x) u_x)_x`` on ``grid``.
+    """The couplings ``a(x_{i+1/2}) / dx**2`` of ``(a(x) u_x)_x`` on ``grid``.
 
-    Raises
-    ------
-    ValueError
-        If some coupling ``a(x_{i+1/2}) / dx**2`` is not positive, or it or
-        a diagonal entry is not finite (``nan``, or overflow on a huge grid).
+    A coefficient that is not finite and positive, or a grid so wide that
+    ``dx**2`` overflows, raises ``ValueError`` (from the operator).
     """
     dx = grid.dx
-    # overflow and nan are rejected below, not warned about
+    # overflow and nan are rejected by the operator, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        # a at the n-1 half points x_i + dx/2
-        a_half = np.asarray(diffusion.a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
-        sub = np.zeros(grid.n)
-        sup = np.zeros(grid.n)
-        sub[1:] = a_half
-        sup[:-1] = a_half
-        # mirror-image ghost closes the zero-flux ends without breaking symmetry
-        sup[0] = 2.0 * a_half[0]
-        sub[-1] = 2.0 * a_half[-1]
-        main = -(sub + sup)
-    if not (np.all(a_half > 0) and np.all(np.isfinite(main))):
-        raise ValueError("diffusion coefficient a(x)/dx**2 must be finite and positive "
-                         "at all half-points")
-    return TridiagonalOperator(grid=grid, sub=sub, main=main, sup=sup)
+        coupling = np.asarray(diffusion.a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
+    return TridiagonalOperator(grid=grid, coupling=coupling)
 
 
 @dataclass(frozen=True)
 class FactoredSymmetricTridiagonal:
     """``L D L^T`` factors of a weighted step matrix, as returned by LAPACK ``dpttrf``.
 
-    The factored matrix is ``W M``, where ``W`` halves the rows ``ends`` (the
-    first and last row of each block) of ``M``; :meth:`solve` applies ``W``
-    to the right-hand side, so it solves ``M x = rhs``.
+    The factored matrix is ``W M``, for the step matrix ``M = I - dt D`` and
+    the stacked trapezoid ``weights`` ``W``; :meth:`solve` applies ``W`` to
+    the right-hand side, so it solves ``M x = rhs``.
     """
 
     d: np.ndarray
     e: np.ndarray
-    ends: np.ndarray
+    weights: np.ndarray
+    dt: float
 
     def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Solve against the stored factors.
@@ -148,7 +150,7 @@ class FactoredSymmetricTridiagonal:
         from scipy.linalg import lapack
 
         b = np.asarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float)
-        b[self.ends] *= 0.5
+        b *= self.weights
         x, _ = lapack.dpttrs(self.d, self.e, b, overwrite_b=True)
         return x
 
@@ -164,34 +166,23 @@ def factor_step_matrix(
     of its own system, unless some block's solution overflows (``0 * inf``
     at a seam then spreads ``nan``).
 
-    Each operator must be symmetric under the trapezoid weights ``W``, as
-    every operator from :func:`build_operator` is.  The weighted step matrix
-    ``W (I - dt D)`` is assembled with its off-diagonal taken from the
-    ``sup`` side, so it is symmetric by construction, and factored once as
-    ``L D L^T`` (``dpttrf``).
-
-    Raises
-    ------
-    ValueError
-        If an operator is not symmetric under ``W``, or the weighted step
-        matrix is not positive definite.
+    Each block of ``W + dt K`` has the diagonal ``W + dt (c_{i-1} + c_i)``
+    and the off-diagonal ``-dt c``; it is factored once (``dpttrf``), and
+    the factors record ``dt``.  A ``dt`` outside ``0 < dt <= 1`` raises
+    ``ValueError``, and so does a weighted step matrix that ``dpttrf`` finds
+    not positive definite (couplings so large that rounding loses it).
     """
     from scipy.linalg import lapack
 
-    weight = np.ones(ops[0].grid.n)
-    weight[[0, -1]] = 0.5
-    for b, op in enumerate(ops):
-        if not np.array_equal((weight * op.sup)[:-1], (weight * op.sub)[1:]):
-            raise ValueError(f"operator {b} is not symmetric under the trapezoid weights")
-    d = np.stack([weight * (1.0 - dt * op.main) for op in ops])
-    e = np.stack([weight * (-dt * op.sup) for op in ops])
-    e[:, -1] = 0.0  # no coupling across the block seams
+    _check_dt(dt)
+    weights = np.stack([op.weights for op in ops])
+    d = weights + dt * np.stack([op.neighbour_sums for op in ops])
+    e = np.zeros_like(d)  # the last entry of each row is a block seam
+    e[:, :-1] = [-dt * op.coupling for op in ops]
     d, e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
-    n = weight.size
-    ends = (n * np.arange(len(ops))[:, None] + [0, n - 1]).ravel()
-    return FactoredSymmetricTridiagonal(d=d, e=e, ends=ends)
+    return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights.ravel(), dt=dt)
 
 
 @dataclass(frozen=True)
@@ -207,10 +198,7 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt <= 1.0:
-            raise ValueError(
-                f"dt must satisfy the positivity bound 0 < dt <= 1, got {self.dt}"
-            )
+        _check_dt(self.dt)
         if self.t_end < 0.0:
             raise ValueError(f"t_end must be non-negative, got {self.t_end}")
         if 0.0 < self.t_end < self.dt:
@@ -231,7 +219,8 @@ def march(
 
     ``system`` holds the ``L D L^T`` factors of the trapezoid-weighted
     ``I - dt D`` from :func:`factor_step_matrix`, so each step is one
-    ``dpttrs`` solve; ``u0`` has shape ``(n,)`` or, for B stacked blocks,
+    ``dpttrs`` solve; its ``dt`` must equal ``config.dt``, or the first draw
+    raises ``ValueError``.  ``u0`` has shape ``(n,)`` or, for B stacked blocks,
     ``(B, n)``.  Yields ``(t, u)`` at ``t = 0``, every ``snapshot_stride``-th
     step, and the final step, with ``u`` in the shape of ``u0``; the state
     between those steps is never kept.  Each yielded state is a new array,
@@ -247,6 +236,9 @@ def march(
     and only on a match the whole state, as ``int64`` bits.
     """
     dt = config.dt
+    if system.dt != dt:
+        raise ValueError(f"the step matrix was factored for dt={system.dt}, "
+                         f"but the march steps dt={dt}")
     stride = config.snapshot_stride
     n_steps = int(round(config.t_end / dt))
     shape = np.shape(u0)

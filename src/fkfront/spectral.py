@@ -109,11 +109,13 @@ def solve_eigenproblem(
 ) -> EigenSystem:
     """Leading ``m`` Neumann eigenpairs of ``(a(x) phi')'`` on ``grid``.
 
-    The conservative operator ``D`` is symmetrized by the trapezoid weights
-    (``W D`` is symmetric), so the similarity ``W^{1/2} D W^{-1/2}`` is a
-    symmetric tridiagonal matrix.  LAPACK bisection (``dstebz``) finds its
-    top ``m`` eigenvalues, and inverse iteration (``dstein``) the
-    eigenvectors, which are mapped back.  Requires ``1 <= m < grid.n``.
+    The operator ``D = -W^{-1} K`` of :func:`~fkfront.solver.build_operator`
+    is similar to the symmetric tridiagonal ``W^{1/2} D W^{-1/2}``, assembled
+    from the same couplings ``c`` and weights ``W``: diagonal
+    ``-(c_{i-1} + c_i) / W_i``, off-diagonal ``c_i / sqrt(W_i W_{i+1})``.
+    LAPACK bisection (``dstebz``) finds its top ``m`` eigenvalues, and
+    inverse iteration (``dstein``) the eigenvectors, which are mapped back.
+    Requires ``1 <= m < grid.n``.
 
     ``vectors`` names the modes, ``0 <= k < m`` in any order and with
     repeats, whose eigenfunctions are computed; the default is every mode.
@@ -141,9 +143,10 @@ def solve_eigenproblem(
             raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
     n = grid.n
     op = build_operator(grid, diffusion)
-    sqrt_w = np.sqrt(grid.quadrature_weights)
-    diag = op.main.copy()
-    offdiag = op.sup[:-1] * sqrt_w[:-1] / sqrt_w[1:]
+    weights = op.weights
+    sqrt_qw = np.sqrt(grid.dx * weights)
+    diag = -op.neighbour_sums / weights
+    offdiag = (op.coupling / weights[:-1]) * sqrt_qw[:-1] / sqrt_qw[1:]
     found, w, iblock, isplit, info = lapack.dstebz(
         diag, offdiag, 2, 0.0, 1.0, n - m + 1, n, 0.0, "B"
     )
@@ -165,7 +168,7 @@ def solve_eigenproblem(
     else:
         vecs = np.empty((n, 0))
     vecs = vecs[:, np.searchsorted(picked, positions)]
-    funcs = (vecs / sqrt_w[:, None]).T
+    funcs = (vecs / sqrt_qw[:, None]).T
     flip = funcs[:, 0] < 0.0
     funcs[flip] *= -1.0
     return EigenSystem(grid=grid, eigenvalues=w[order][::-1], eigenfunctions=funcs,

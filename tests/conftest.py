@@ -57,8 +57,17 @@ def stored_fields(grid, diffusion, reaction, front, config) -> tuple[Field, ...]
 
 
 def dense_matrix(op) -> np.ndarray:
-    """The operator's three diagonals as a dense matrix."""
-    return np.diag(op.main) + np.diag(op.sup[:-1], k=1) + np.diag(op.sub[1:], k=-1)
+    """``D`` as a dense matrix, row by row from the documented stencil: row ``i``
+    is ``[c_{i-1}, -(c_{i-1} + c_i), c_i]``, and the mirror ghost makes the end
+    rows ``[-2 c_0, 2 c_0]`` and ``[2 c_{n-2}, -2 c_{n-2}]``."""
+    c = op.coupling
+    n = c.size + 1
+    dense = np.zeros((n, n))
+    dense[0, :2] = [-2.0 * c[0], 2.0 * c[0]]
+    dense[-1, -2:] = [2.0 * c[-1], -2.0 * c[-1]]
+    for i in range(1, n - 1):
+        dense[i, i - 1:i + 2] = [c[i - 1], -(c[i - 1] + c[i]), c[i]]
+    return dense
 
 
 def steps_of(fields):

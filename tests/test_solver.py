@@ -36,32 +36,71 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 
+def unit_trapezoid(n: int) -> np.ndarray:
+    """``W = diag(1/2, 1, ..., 1, 1/2)`` as the solver documents it."""
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    return w
+
+
+def stiffness_matrix(coupling: np.ndarray) -> np.ndarray:
+    """``K`` as documented: ``K[i, i+1] = K[i+1, i] = -c_i`` and
+    ``K[i, i] = c_{i-1} + c_i``, a missing coupling counting as 0."""
+    n = coupling.size + 1
+    k = np.diag(-coupling, 1) + np.diag(-coupling, -1)
+    for i in range(n):
+        k[i, i] = (coupling[i - 1] if i > 0 else 0.0) + (coupling[i] if i < n - 1 else 0.0)
+    return k
+
+
+@st.composite
+def operators(draw):
+    """A quadratic well or a constant profile on a random grid, or random
+    couplings spread over twelve decades."""
+    n = draw(st.integers(3, 120))
+    grid = Grid(L=draw(st.floats(0.5, 100.0)), n=n)
+    kind = draw(st.sampled_from(["quadratic", "constant", "couplings"]))
+    if kind == "quadratic":
+        return build_operator(grid, make_quadratic_diffusion(draw(st.floats(1e-8, 1.0))))
+    if kind == "constant":
+        return build_operator(grid, make_constant_diffusion(draw(st.floats(0.01, 100.0))))
+    exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=n - 1, max_size=n - 1))
+    return TridiagonalOperator(grid, 10.0 ** np.array(exponents))
+
+
 class TestBuildOperator:
     def test_row_at_origin_hand_values(self):
         g = Grid(L=100.0, n=501)
         op = build_operator(g, make_quadratic_diffusion(0.1))
         i = 250  # node x = 0; half-point coefficients a(+-0.2) = 0.14
-        assert op.sub[i] == pytest.approx(0.875, abs=1e-12)
-        assert op.main[i] == pytest.approx(-1.75, abs=1e-12)
-        assert op.sup[i] == pytest.approx(0.875, abs=1e-12)
+        assert op.coupling[i - 1] == pytest.approx(0.875, abs=1e-12)
+        assert op.coupling[i] == pytest.approx(0.875, abs=1e-12)
+        assert op.neighbour_sums[i] == pytest.approx(1.75, abs=1e-12)
 
     def test_interior_row_uniform_diffusion(self):
         g = Grid(L=100.0, n=501)
         op = build_operator(g, make_constant_diffusion(1.0))
         inv_dx2 = 1.0 / g.dx**2
-        assert op.sub[5] == pytest.approx(inv_dx2, rel=1e-13)
-        assert op.main[5] == pytest.approx(-2 * inv_dx2, rel=1e-13)
-        assert op.sup[5] == pytest.approx(inv_dx2, rel=1e-13)
+        assert op.coupling.shape == (500,)
+        assert np.allclose(op.coupling, inv_dx2, rtol=1e-13, atol=0.0)
+        assert op.neighbour_sums[5] == pytest.approx(2 * inv_dx2, rel=1e-13)
 
     def test_boundary_rows_mirror_ghost(self):
         g = Grid(L=2.0, n=9)
         op = build_operator(g, make_quadratic_diffusion(0.3))
-        # first/last rows: [-2 a_half, +2 a_half] / dx^2
-        assert op.main[0] == pytest.approx(-op.sup[0], rel=1e-14)
-        assert op.main[-1] == pytest.approx(-op.sub[-1], rel=1e-14)
+        # the ghost rows [-2 c_0, 2 c_0] and [2 c_{n-2}, -2 c_{n-2}] are the
+        # end rows of -W^{-1} K: a single coupling over a halved weight
+        assert np.array_equal(op.weights, unit_trapezoid(9))
+        assert op.neighbour_sums[0] == op.coupling[0]
+        assert op.neighbour_sums[-1] == op.coupling[-1]
+        dense = dense_matrix(op)
+        assert dense[0, 0] == -op.neighbour_sums[0] / op.weights[0]
+        assert dense[-1, -1] == -op.neighbour_sums[-1] / op.weights[-1]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-    def test_rejects_non_finite_or_non_positive_coefficient(self, bad):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @settings(max_examples=20, deadline=None)
+    @given(exponents=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=40), data=st.data())
+    def test_rejects_non_finite_or_non_positive_coefficient(self, bad, exponents, data):
         profile = DiffusionProfile(
             epsilon=0.1,
             a=lambda x: np.where(np.asarray(x) > 0.5, bad, np.asarray(x) ** 2 + 0.1),
@@ -69,23 +108,48 @@ class TestBuildOperator:
         )
         with pytest.raises(ValueError, match="finite and positive"):
             build_operator(Grid(L=2.0, n=9), profile)
+        # the operator type itself holds no such coupling, wherever it sits
+        coupling = 10.0 ** np.array(exponents)
+        coupling[data.draw(st.integers(0, coupling.size - 1))] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            TridiagonalOperator(Grid(L=1.0, n=coupling.size + 1), coupling)
 
     def test_rejects_grid_whose_spacing_overflows(self):
         # dx = 1e197: dx**2 and a(x) both overflow, and no RuntimeWarning leaks
         with pytest.raises(ValueError, match="finite and positive"):
             build_operator(Grid(L=1e200, n=2001), make_quadratic_diffusion(0.1))
 
-    def test_row_sums_vanish(self):
-        g = Grid(L=3.0, n=17)
-        op = build_operator(g, make_quadratic_diffusion(0.2))
-        sums = dense_matrix(op) @ np.ones(17)
-        assert np.max(np.abs(sums)) <= 1e-12
+    @pytest.mark.parametrize("coupling", [[1e308, 1e308], [1.0, 1e308], [1e308, 1.0]])
+    def test_rejects_overflowing_neighbour_sums(self, coupling):
+        # c_0 + c_1 overflows, or 2 c at an end, where the weight is halved;
+        # no RuntimeWarning leaks
+        with pytest.raises(ValueError, match="finite and positive"):
+            TridiagonalOperator(Grid(L=1.0, n=3), np.array(coupling))
 
-    def test_weighted_operator_symmetric(self):
-        g = Grid(L=2.0, n=11)
-        op = build_operator(g, make_quadratic_diffusion(0.3))
-        wd = np.diag(g.quadrature_weights) @ dense_matrix(op)
-        assert np.max(np.abs(wd - wd.T)) <= 1e-12
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_rejects_coupling_of_wrong_length(self, length):
+        with pytest.raises(ValueError, match="coupling must have length 4"):
+            TridiagonalOperator(Grid(L=1.0, n=5), np.ones(length))
+
+    @settings(max_examples=60, deadline=None)
+    @given(operators())
+    def test_row_sums_vanish(self, op):
+        # K 1 = 0 and D 1 = 0 up to the rounding of one neighbour sum
+        k = stiffness_matrix(op.coupling)
+        ulp = np.spacing(np.diag(k))
+        assert np.all(np.abs(k @ np.ones(op.grid.n)) <= 2 * ulp)
+        assert np.all(np.abs(dense_matrix(op) @ np.ones(op.grid.n)) <= 4 * ulp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(operators())
+    def test_weighted_operator_symmetric(self, op):
+        # W D = -K bit for bit, with D from the stencil rows and K symmetric
+        w = unit_trapezoid(op.grid.n)
+        k = stiffness_matrix(op.coupling)
+        assert np.array_equal(w[:, None] * dense_matrix(op), -k)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(op.weights, w)
+        assert np.array_equal(op.neighbour_sums, np.diag(k))
 
 
 @st.composite
@@ -110,6 +174,7 @@ class TestSymmetricStepFactors:
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
         system = factor_step_matrix(ops, dt)
         assert isinstance(system, FactoredSymmetricTridiagonal)
+        assert system.dt == dt
         for b, op in enumerate(ops):
             block = slice(b * n, (b + 1) * n)
             expected = np.linalg.solve(np.eye(n) - dt * dense_matrix(op), rhs[block])
@@ -136,19 +201,25 @@ class TestSymmetricStepFactors:
         assert system.solve(rhs, overwrite=True) is rhs
         assert np.array_equal(rhs, x)
 
-    def test_rejects_operator_not_symmetric_under_weights(self):
-        g = Grid(L=1.0, n=5)
-        op = TridiagonalOperator(g, np.full(5, 1.0), np.full(5, -3.0), np.full(5, 2.0))
-        with pytest.raises(ValueError, match="not symmetric"):
-            factor_step_matrix([op], 0.1)
-
     def test_rejects_step_matrix_not_positive_definite(self):
-        # symmetric under the weights (doubled end couplings), but 1 - dt * main < 0
-        g = Grid(L=1.0, n=5)
-        sub = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
-        op = TridiagonalOperator(g, sub, np.full(5, 50.0), sub[::-1].copy())
-        with pytest.raises(ValueError, match="not positive definite"):
-            factor_step_matrix([op], 0.1)
+        # couplings of 4e16 swamp the weights, and dpttrf loses positivity
+        # to rounding in the last pivot
+        op = build_operator(Grid(L=1.0, n=5), make_constant_diffusion(1e16))
+        with pytest.raises(ValueError, match=r"not positive definite \(dpttrf info 5\)"):
+            factor_step_matrix([op], 1.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1, 1.5])
+    def test_rejects_bad_dt(self, dt):
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        with pytest.raises(ValueError, match="dt must satisfy"):
+            factor_step_matrix([op], dt)
+
+    def test_march_rejects_factors_of_another_dt(self):
+        grid = Grid(L=1.0, n=5)
+        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
+        steps = march(system, np.zeros(5), logistic_reaction(), SolverConfig(dt=0.5, t_end=1.0))
+        with pytest.raises(ValueError, match="factored for dt=0.01, but the march steps dt=0.5"):
+            next(steps)
 
 
 class TestMaximumPrincipleProperty:
@@ -223,6 +294,7 @@ class CountingSystem:
 
     def __init__(self, system):
         self.system = system
+        self.dt = system.dt
         self.calls = 0
 
     def solve(self, rhs, overwrite=False):
@@ -234,6 +306,8 @@ class Negating:
     """A stand-in system whose solve returns ``-rhs``.  Under
     :func:`signed_zero_reaction` a zero state flips between ``0.0`` and
     ``-0.0``, which compare equal but differ in bits."""
+
+    dt = 0.5
 
     def solve(self, rhs, overwrite=False):
         return -np.asarray(rhs, dtype=float)
@@ -387,10 +461,17 @@ class TestImexStep:
 
 
 class TestConservationAndBounds:
-    def test_mass_conserved_without_source(self, pure_diffusion_run):
-        w = pure_diffusion_run[0].grid.quadrature_weights
-        masses = np.array([float(w @ f.values) for f in pure_diffusion_run])
-        drift = np.max(np.abs(masses - masses[0])) / masses[0]
+    @settings(max_examples=60, deadline=None)
+    @given(step_operators(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_mass_conserved_without_source(self, case, seed, steps):
+        # 1^T W D = -1^T K = 0, so each block keeps sum W u
+        ops, dt = case
+        w = unit_trapezoid(ops[0].grid.n)
+        u0 = np.random.default_rng(seed).uniform(0.0, 1.0, (len(ops), ops[0].grid.n))
+        config = SolverConfig(dt=dt, t_end=steps * dt)
+        masses = np.array([u @ w for _, u in march(factor_step_matrix(ops, dt), u0,
+                                                   zero_reaction(), config)])
+        drift = np.max(np.abs(masses - masses[0]) / masses[0])
         assert drift <= 1e-8
 
     def test_maximum_principle(self, default_run):
