@@ -9,21 +9,17 @@ exponential tail, and the mode decomposition of the early softening stage.
 from .asymptotics import (
     RootPair,
     SfaResidualReport,
-    Snapshot,
     TwcBranch,
     sfa_evolve,
     sfa_residual,
     stationary_roots,
     tail_exponents,
-    twc_front_path,
 )
 from .config import ConfigError, ExperimentConfig, config_digest, load_config
 from .domain import (
     DiffusionProfile,
     Field,
-    FrontSpec,
     Grid,
-    ReactionTerm,
     logistic_reaction,
     make_constant_diffusion,
     make_quadratic_diffusion,
@@ -40,7 +36,6 @@ from .front import (
 )
 from .solver import (
     FactoredSymmetricTridiagonal,
-    SolverConfig,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,

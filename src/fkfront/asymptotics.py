@@ -18,86 +18,60 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .domain import DiffusionProfile, Field, ReactionTerm
+from .domain import DiffusionProfile, Field
 
 __all__ = [
-    "Snapshot",
     "TwcBranch",
     "RootPair",
     "SfaResidualReport",
     "sfa_evolve",
-    "twc_front_path",
     "stationary_roots",
     "tail_exponents",
     "sfa_residual",
 ]
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """A field frozen at one instant, evaluated anywhere by interpolation.
-
-    Evaluation is piecewise linear and clamps to the first/last nodal value
-    outside the grid; on the nodes it reproduces the samples exactly.  Each
-    value lies between the two nodal values around it, so samples in
-    ``[0, 1]`` give values in ``[0, 1]`` and monotone samples a monotone
-    function.
-    """
-
-    field: Field
-
-    @property
-    def time(self) -> float:
-        return self.field.time
-
-    def __call__(self, x: "float | np.ndarray") -> "float | np.ndarray":
-        xp, fp = self.field.grid.x, self.field.values
-        # np.interp can round past the far end of a cell (slope * dx + fp[j]
-        # need not equal fp[j + 1]); clamping to the cell keeps both promises.
-        # j is the cell np.interp uses: xp[j] <= x < xp[j + 1], ends clamped.
-        j = np.searchsorted(xp[1:-1], x, side="right")
-        left, right = fp[j], fp[j + 1]
-        return np.clip(np.interp(x, xp, fp), np.minimum(left, right), np.maximum(left, right))
+def _interpolate(field: Field, x: "float | np.ndarray") -> "float | np.ndarray":
+    """``field`` at ``x``, piecewise linear, clamped to its cell (see :func:`sfa_evolve`)."""
+    xp, fp = field.grid.x, field.values
+    # np.interp can round past the far end of a cell (slope * dx + fp[j]
+    # need not equal fp[j + 1]); clamping to the cell keeps the promises.
+    # j is the cell np.interp uses: xp[j] <= x < xp[j + 1], ends clamped.
+    j = np.searchsorted(xp[1:-1], x, side="right")
+    left, right = fp[j], fp[j + 1]
+    return np.clip(np.interp(x, xp, fp), np.minimum(left, right), np.maximum(left, right))
 
 
-def sfa_evolve(snap: Snapshot, x: "float | np.ndarray", t: float) -> "float | np.ndarray":
-    """Evolve a snapshot under the drift-plus-logistic reduced model.
+def sfa_evolve(field: Field, x: "float | np.ndarray", t: float) -> "float | np.ndarray":
+    """Evolve a field frozen at ``field.time`` under the drift-plus-logistic reduced model.
 
     Trace the contracting characteristic through ``x`` back to the snapshot
-    time (hitting it at ``x * exp(2 dt)``) and apply the logistic flow for
-    the elapsed time.  Values in ``[0, 1]`` stay in ``[0, 1]``; 0 and 1 are
-    fixed points; monotone profiles stay monotone, up to a few units in the
-    last place of the logistic map's rounding.  Any elapsed time is
-    accepted: past ``t - snap.time = 354`` the stretch ``exp(2 dt)`` is held
-    at ``exp(708)``, which still carries every foot with
-    ``|x| >= 1e-307 * L`` off the grid, and the logistic decay stays
-    positive (at least ``exp(-745)``), so 0 stays fixed.
+    time (hitting it at ``x * exp(2 dt)``), interpolate the field there and
+    apply the logistic flow for the elapsed time.  At ``t = field.time`` this
+    is the interpolant, bit for bit: piecewise linear, exact on the nodes,
+    clamped to the end values outside the grid, and between the two nodal
+    values around it, so samples in ``[0, 1]`` give values in ``[0, 1]`` and
+    monotone samples a monotone function.  Later, values in ``[0, 1]`` stay
+    there; 0 and 1 are fixed points; monotone profiles stay monotone, up to a
+    few units in the last place of the logistic map's rounding.  Any elapsed
+    time is accepted: past ``t - field.time = 354`` the stretch ``exp(2 dt)``
+    is held at ``exp(708)``, which still carries every foot with
+    ``|x| >= 1e-307 * L`` off the grid, and the logistic decay stays positive
+    (at least ``exp(-745)``), so 0 stays fixed.
     """
-    if t < snap.time:
-        raise ValueError(f"cannot evolve backwards: t={t} < snapshot time {snap.time}")
-    delta = t - snap.time
+    if t < field.time:
+        raise ValueError(f"cannot evolve backwards: t={t} < snapshot time {field.time}")
+    delta = t - field.time
     with np.errstate(over="ignore"):  # an infinite foot lies off the grid like a finite one
-        u0 = snap(np.asarray(x, dtype=float) * math.exp(2.0 * min(delta, 354.0)))
+        u0 = _interpolate(field, np.asarray(x, dtype=float) * math.exp(2.0 * min(delta, 354.0)))
     if delta == 0.0:
         return u0
     decay = math.exp(-min(delta, 745.0))
     return u0 / (u0 + (1.0 - u0) * decay)
-
-
-def twc_front_path(x_c_t0: float, t0: float, t: float, speed: float = 2.0) -> float:
-    """Front path of constant speed ``c`` in the coordinate ``ln|x| + c t``.
-
-    The level set ``ln|x(t)| + c (t - t0) = ln|x_c(t0)|`` gives
-    ``x(t) = x_c(t0) * exp(-c (t - t0))`` on either side of the origin; the
-    origin itself carries no logarithmic coordinate and is rejected.  At the
-    default ``c = 2`` this is the characteristic of the reduced drift model.
-    """
-    if x_c_t0 == 0.0:
-        raise ValueError("front position 0 has no logarithmic coordinate")
-    return x_c_t0 * math.exp(-speed * (t - t0))
 
 
 class TwcBranch(Enum):
@@ -164,7 +138,7 @@ def tail_exponents(c_bar: float) -> tuple[float, float]:
 class SfaResidualReport:
     """Pointwise diagnostics of the reduced model at probe locations.
 
-    ``residual`` is ``u_t - a'(x) u_x - f(u)`` of the evolved snapshot by
+    ``residual`` is ``u_t - a'(x) u_x - f(u)`` of the evolved field by
     central differences; ``validity_ratio`` is ``|a u_xx| / |a' u_x|``, the
     size of the neglected curvature term against the drift term (NaN where
     both vanish, +inf where only the drift does).
@@ -176,22 +150,23 @@ class SfaResidualReport:
 
 
 def sfa_residual(
-    snap: Snapshot,
+    field: Field,
     diffusion: DiffusionProfile,
-    reaction: ReactionTerm,
+    f: Callable[[np.ndarray], np.ndarray],
     t: float,
     xs: np.ndarray,
     space_step: float,
     time_step: float | None = None,
 ) -> SfaResidualReport:
-    """Check how well :func:`sfa_evolve` satisfies the reduced model at ``t``.
+    """Check how well :func:`sfa_evolve` of ``field`` satisfies the reduced model at ``t``.
 
-    Derivatives are second-order central differences with probe spacings
-    ``space_step`` (in x) and ``time_step`` (in t, defaulting to
-    ``space_step``); the temporal stencil must not reach behind the snapshot,
-    so ``t >= snap.time + time_step`` is required.  A stencil that starts at
-    the snapshot up to rounding (``t - time_step`` within two ulps of ``t``
-    below it) is accepted, and its lower time is taken at the snapshot.
+    ``f`` is the reaction.  Derivatives are second-order central differences
+    with probe spacings ``space_step`` (in x) and ``time_step`` (in t,
+    defaulting to ``space_step``); the temporal stencil must not reach behind
+    the snapshot, so ``t >= field.time + time_step`` is required.  A stencil
+    that starts at the snapshot up to rounding (``t - time_step`` within two
+    ulps of ``t`` below it) is accepted, and its lower time is taken at the
+    snapshot.
     """
     if space_step <= 0:
         raise ValueError(f"space_step must be positive, got {space_step}")
@@ -199,28 +174,28 @@ def sfa_residual(
     if ht <= 0:
         raise ValueError(f"time_step must be positive, got {time_step}")
     t_lo = t - ht
-    if t_lo < snap.time:
-        # t = snap.time + ht is rounded, so t - ht may fall an ulp behind
-        if snap.time - t_lo > 2.0 * math.ulp(t):
+    if t_lo < field.time:
+        # t = field.time + ht is rounded, so t - ht may fall an ulp behind
+        if field.time - t_lo > 2.0 * math.ulp(t):
             raise ValueError(
                 f"central time stencil at t={t} reaches before the snapshot; "
-                f"need t >= {snap.time + ht}"
+                f"need t >= {field.time + ht}"
             )
-        t_lo = snap.time
+        t_lo = field.time
     xs = np.asarray(xs, dtype=float)
     hx = float(space_step)
 
-    u_mid = np.asarray(sfa_evolve(snap, xs, t), dtype=float)
-    u_xp = sfa_evolve(snap, xs + hx, t)
-    u_xm = sfa_evolve(snap, xs - hx, t)
-    u_tp = sfa_evolve(snap, xs, t + ht)
-    u_tm = sfa_evolve(snap, xs, t_lo)
+    u_mid = np.asarray(sfa_evolve(field, xs, t), dtype=float)
+    u_xp = sfa_evolve(field, xs + hx, t)
+    u_xm = sfa_evolve(field, xs - hx, t)
+    u_tp = sfa_evolve(field, xs, t + ht)
+    u_tm = sfa_evolve(field, xs, t_lo)
 
     u_t = (u_tp - u_tm) / (2.0 * ht)
     u_x = (u_xp - u_xm) / (2.0 * hx)
     u_xx = (u_xp - 2.0 * u_mid + u_xm) / hx**2
 
-    residual = u_t - np.asarray(diffusion.aprime(xs), dtype=float) * u_x - reaction.f(u_mid)
+    residual = u_t - np.asarray(diffusion.aprime(xs), dtype=float) * u_x - f(u_mid)
     curvature = np.abs(np.asarray(diffusion.a(xs), dtype=float) * u_xx)
     drift = np.abs(np.asarray(diffusion.aprime(xs), dtype=float) * u_x)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,11 +25,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import io
-from .asymptotics import Snapshot, sfa_evolve
+from .asymptotics import sfa_evolve
 from .config import ConfigError, ExperimentConfig, config_digest, load_config
 from .domain import (
     Field,
-    FrontSpec,
     Grid,
     logistic_reaction,
     make_constant_diffusion,
@@ -43,7 +42,7 @@ from .front import (
     track_front,
     trapping_time,
 )
-from .solver import SolverConfig, build_operator, factor_step_matrix, march
+from .solver import build_operator, factor_step_matrix, march
 from .spectral import average_prediction, solve_eigenproblem
 from .wkb import Branch, integrate_characteristic
 
@@ -54,10 +53,6 @@ log = logging.getLogger("fkfront")
 
 def _grid(cfg: ExperimentConfig) -> Grid:
     return Grid(L=cfg.L, n=cfg.n)
-
-
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=cfg.snapshot_stride)
 
 
 def _warn_if_under_resolved(grid: Grid, epsilons) -> None:
@@ -81,9 +76,9 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, epsilons)
     ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
-    u0 = step_initial_condition(grid, FrontSpec(x_c0=cfg.x_c0)).values
+    u0 = step_initial_condition(grid, cfg.x_c0).values
     return march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)),
-                 logistic_reaction(), _solver_config(cfg))
+                 logistic_reaction, cfg.t_end, cfg.snapshot_stride)
 
 
 def _log_early_stop(command: str, t: float, cfg: ExperimentConfig, reason: str) -> None:
@@ -138,8 +133,8 @@ def sfa_front_comparison(
       ``g(v) = v + dt v (1 - v)``; ``I - dt D`` is an M-matrix with unit row
       sums, so ``u'`` is a convex combination of the entries of ``g(u)`` and
       ``min u' >= min g(u)``;
-    - for ``dt <= 1``, which :class:`~fkfront.solver.SolverConfig` enforces,
-      ``g`` is increasing on ``[0, 1]`` with ``g(v) >= v``, so
+    - for ``dt <= 1``, which :func:`~fkfront.solver.factor_step_matrix`
+      enforces, ``g`` is increasing on ``[0, 1]`` with ``g(v) >= v``, so
       ``min g(u) = g(min u) >= min u``;
     - so once ``min u > level``, ``min u`` stays above ``level`` and no
       crossing can return.  This holds in exact arithmetic; in floating
@@ -149,13 +144,13 @@ def sfa_front_comparison(
     The states a stream holds after that one are not read, so a stream
     whose field can fall back to the level must not be passed.
     """
-    snap = None
+    first = None
     rows = []
     for t, u in steps:
         u = np.reshape(u, grid.n)
-        if snap is None:
-            snap = Snapshot(Field(grid, u, t))
-        predicted = np.asarray(sfa_evolve(snap, grid.x, t))
+        if first is None:
+            first = Field(grid, u, t)
+        predicted = np.asarray(sfa_evolve(first, grid.x, t))
         xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
         if math.isnan(xc_num) or math.isnan(xc_sfa):
             if u.min() > level:

@@ -10,6 +10,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -18,10 +19,8 @@ import numpy as np
 
 __all__ = [
     "DiffusionProfile",
-    "ReactionTerm",
     "Grid",
     "Field",
-    "FrontSpec",
     "make_quadratic_diffusion",
     "make_constant_diffusion",
     "logistic_reaction",
@@ -34,8 +33,9 @@ class DiffusionProfile:
     """Spatially varying diffusion coefficient ``a(x)`` and its derivative.
 
     ``epsilon`` is the floor value of the coefficient (the uniform
-    parabolicity bound ``a(x) >= epsilon > 0``).  Both evaluators must accept
-    scalars and numpy arrays and evaluate pointwise.
+    parabolicity bound ``a(x) >= epsilon > 0``); one that is not finite and
+    positive raises ``ValueError``.  Both evaluators must accept scalars and
+    numpy arrays and evaluate pointwise.
     """
 
     epsilon: float
@@ -43,8 +43,9 @@ class DiffusionProfile:
     aprime: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"diffusion floor must be positive, got {self.epsilon}")
+        # also rejects nan, which fails every comparison
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"diffusion floor must be finite and positive, got {self.epsilon}")
 
 
 def make_quadratic_diffusion(epsilon: float) -> DiffusionProfile:
@@ -55,8 +56,6 @@ def make_quadratic_diffusion(epsilon: float) -> DiffusionProfile:
     ``epsilon > 0`` keeps the problem uniformly parabolic.
     """
     eps = float(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     return DiffusionProfile(
         epsilon=eps,
         a=lambda x: x * x + eps,
@@ -77,16 +76,9 @@ def make_constant_diffusion(level: float) -> DiffusionProfile:
     )
 
 
-@dataclass(frozen=True)
-class ReactionTerm:
-    """Pointwise reaction ``f(u)``."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-
-
-def logistic_reaction() -> ReactionTerm:
+def logistic_reaction(u: np.ndarray) -> np.ndarray:
     """Logistic growth ``f(u) = u (1 - u)``: unstable at 0, saturating at 1."""
-    return ReactionTerm(f=lambda u: u * (1.0 - u))
+    return u * (1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -97,8 +89,9 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+        # also rejects nan, which fails every comparison
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n}")
 
@@ -138,18 +131,9 @@ class Field:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class FrontSpec:
-    """Initial front location: the step of :func:`step_initial_condition` sits at ``x_c0``."""
-
-    x_c0: float
-
-
-def step_initial_condition(grid: Grid, front: FrontSpec) -> Field:
+def step_initial_condition(grid: Grid, x_c0: float) -> Field:
     """Sharp step: ``u = 1`` for ``x <= x_c0``, ``u = 0`` beyond (ties go to 1)."""
-    if not -grid.L < front.x_c0 < grid.L:
-        raise ValueError(
-            f"initial front {front.x_c0} must lie strictly inside (-{grid.L}, {grid.L})"
-        )
-    values = np.where(grid.x <= front.x_c0, 1.0, 0.0)
+    if not -grid.L < x_c0 < grid.L:
+        raise ValueError(f"initial front {x_c0} must lie strictly inside (-{grid.L}, {grid.L})")
+    values = np.where(grid.x <= x_c0, 1.0, 0.0)
     return Field(grid=grid, values=values, time=0.0)

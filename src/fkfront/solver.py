@@ -26,16 +26,16 @@ Time: backward Euler on the diffusion, forward Euler on the reaction
 map keeps ``[0, 1]`` invariant for ``dt <= 1``, so iterates respect the
 maximum principle ``0 <= u <= 1``.
 
-The matrix does not change between steps, so a run factors it once and
-each step is a single solve against the stored factors.  The weighted
-matrix ``W (I - dt D) = W + dt K`` is symmetric and positive definite; it
-is factored as ``L D L^T`` (LAPACK ``dpttrf``), and each step multiplies
-the right-hand side by ``W`` and calls ``dpttrs``, whose back substitution
-keeps the division off the sequential dependency chain.  Several runs that
-share a grid and ``dt`` -- an epsilon sweep -- march together as one
-block-diagonal tridiagonal system whose blocks are uncoupled (zero entries
-at the seams); each block's solution is bit-for-bit the one its run would
-get alone.
+The matrix does not change between steps, so a run factors it once and each
+step is a single solve against the stored factors, which hold ``dt``.  The
+weighted matrix ``W (I - dt D) = W + dt K`` is symmetric and positive
+definite; it is factored as ``L D L^T`` (LAPACK ``dpttrf``), and each step
+multiplies the right-hand side by ``W`` and calls ``dpttrs``, whose back
+substitution keeps the division off the sequential dependency chain.  Several
+runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
+one block-diagonal tridiagonal system whose blocks are uncoupled (zero
+entries at the seams); each block's solution is bit-for-bit the one its run
+would get alone.
 
 :func:`march` is the one stepper.  It is a generator of the stored steps,
 so a caller derives what it needs from each state as it comes (a front
@@ -53,28 +53,21 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .domain import DiffusionProfile, Grid, ReactionTerm
+from .domain import DiffusionProfile, Grid
 
 __all__ = [
     "TridiagonalOperator",
     "FactoredSymmetricTridiagonal",
-    "SolverConfig",
     "build_operator",
     "factor_step_matrix",
     "march",
 ]
 
 log = logging.getLogger(__name__)
-
-
-def _check_dt(dt: float) -> None:
-    # also rejects nan, which fails every comparison
-    if not 0.0 < dt <= 1.0:
-        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,8 @@ class FactoredSymmetricTridiagonal:
 
     The factored matrix is ``W M``, for the step matrix ``M = I - dt D`` and
     the stacked trapezoid ``weights`` ``W``; :meth:`solve` applies ``W`` to
-    the right-hand side, so it solves ``M x = rhs``.
+    the right-hand side, so it solves ``M x = rhs``.  ``dt`` is the step the
+    factors were made for, and the one :func:`march` takes.
     """
 
     d: np.ndarray
@@ -141,15 +135,15 @@ class FactoredSymmetricTridiagonal:
     weights: np.ndarray
     dt: float
 
-    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Solve against the stored factors.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve against the stored factors, in place.
 
-        With ``overwrite`` a contiguous float ``rhs`` receives the solution
-        in place and is returned; otherwise ``rhs`` is left untouched.
+        ``rhs`` is the workspace: a contiguous float array receives the
+        solution and is returned.  A caller that keeps ``rhs`` passes a copy.
         """
         from scipy.linalg import lapack
 
-        b = np.asarray(rhs, dtype=float) if overwrite else np.array(rhs, dtype=float)
+        b = np.asarray(rhs, dtype=float)
         b *= self.weights
         x, _ = lapack.dpttrs(self.d, self.e, b, overwrite_b=True)
         return x
@@ -174,7 +168,9 @@ def factor_step_matrix(
     """
     from scipy.linalg import lapack
 
-    _check_dt(dt)
+    # also rejects nan, which fails every comparison
+    if not 0.0 < dt <= 1.0:
+        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
     weights = np.stack([op.weights for op in ops])
     d = weights + dt * np.stack([op.neighbour_sums for op in ops])
     e = np.zeros_like(d)  # the last entry of each row is a block seam
@@ -185,49 +181,28 @@ def factor_step_matrix(
     return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights.ravel(), dt=dt)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Step size, horizon and snapshot cadence for :func:`march`.
-
-    ``t_end = 0`` is allowed and yields the initial field only; any positive
-    horizon must cover at least one step.
-    """
-
-    dt: float
-    t_end: float
-    snapshot_stride: int = 1
-
-    def __post_init__(self) -> None:
-        _check_dt(self.dt)
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if 0.0 < self.t_end < self.dt:
-            raise ValueError(
-                f"positive t_end must be at least one step dt={self.dt}, got {self.t_end}"
-            )
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-
-
 def march(
     system: FactoredSymmetricTridiagonal,
     u0: np.ndarray,
-    reaction: ReactionTerm,
-    config: SolverConfig,
+    f: Callable[[np.ndarray], np.ndarray],
+    t_end: float,
+    stride: int = 1,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Advance ``u0`` to ``config.t_end`` in ``round(t_end / dt)`` steps of ``dt``.
+    """Advance ``u0`` to ``t_end`` in ``round(t_end / dt)`` steps of ``dt = system.dt``.
 
     ``system`` holds the ``L D L^T`` factors of the trapezoid-weighted
     ``I - dt D`` from :func:`factor_step_matrix`, so each step is one
-    ``dpttrs`` solve; its ``dt`` must equal ``config.dt``, or the first draw
-    raises ``ValueError``.  ``u0`` has shape ``(n,)`` or, for B stacked blocks,
-    ``(B, n)``.  Yields ``(t, u)`` at ``t = 0``, every ``snapshot_stride``-th
-    step, and the final step, with ``u`` in the shape of ``u0``; the state
-    between those steps is never kept.  Each yielded state is a new array,
-    so a consumer may keep it.  Step ``k`` is stamped ``t = k * dt``, free
-    of the rounding that a running sum of ``dt`` accumulates.
+    ``dpttrs`` solve.  ``u0`` has shape ``(n,)`` or, for B stacked blocks,
+    ``(B, n)``.  Yields ``(t, u)`` at ``t = 0``, every ``stride``-th step, and
+    the final step, with ``u`` in the shape of ``u0``; the state between
+    those steps is never kept.  Each yielded state is a new array, so a
+    consumer may keep it.  Step ``k`` is stamped ``t = k * dt``, free of the
+    rounding that a running sum of ``dt`` accumulates.  ``t_end = 0`` yields
+    the initial state only; the first draw raises ``ValueError`` for a
+    negative ``t_end``, a positive one shorter than one step, or
+    ``stride < 1``.
 
-    ``reaction.f`` must be a pure function of the state.  The step map is
+    The reaction ``f`` must be a pure function of the state.  The step map is
     then deterministic, so once a solve returns its input bit for bit every
     later step would too: no further solve is made, the remaining stored
     steps yield fresh copies of that state, and one INFO line on the
@@ -235,12 +210,14 @@ def march(
     the full march.  The check compares the last entry first (a scalar)
     and only on a match the whole state, as ``int64`` bits.
     """
-    dt = config.dt
-    if system.dt != dt:
-        raise ValueError(f"the step matrix was factored for dt={system.dt}, "
-                         f"but the march steps dt={dt}")
-    stride = config.snapshot_stride
-    n_steps = int(round(config.t_end / dt))
+    dt = system.dt
+    if t_end < 0.0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if 0.0 < t_end < dt:
+        raise ValueError(f"positive t_end must be at least one step dt={dt}, got {t_end}")
+    if stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
+    n_steps = int(round(t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()
     fixed = False
@@ -248,15 +225,14 @@ def march(
     for k in range(1, n_steps + 1):
         if not fixed:
             prev = u
-            u = system.solve(prev + dt * np.asarray(reaction.f(prev), dtype=float),
-                             overwrite=True)
+            u = system.solve(prev + dt * np.asarray(f(prev), dtype=float))
             # the last entry gates the full compare (a nan there never
             # passes); the int64 views keep -0.0 apart from 0.0
             fixed = u[-1] == prev[-1] and np.array_equal(u.view(np.int64),
                                                          prev.view(np.int64))
             if fixed and k < n_steps:
                 log.info("march: fixed point reached: the step to t=%g returned its input "
-                         "bit for bit, no further solve before t_end=%g", k * dt, config.t_end)
+                         "bit for bit, no further solve before t_end=%g", k * dt, t_end)
         if k % stride == 0 or k == n_steps:
             yield k * dt, (u.copy() if fixed else u).reshape(shape)
 

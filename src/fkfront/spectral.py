@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .domain import DiffusionProfile, FrontSpec, Grid
+from .domain import DiffusionProfile, Grid
 from .solver import build_operator
 
 __all__ = [
@@ -195,23 +195,22 @@ class ModeAmplitudes:
 
 
 def initial_amplitudes(
-    front: FrontSpec, grid: Grid, eig: EigenSystem, diffusion: DiffusionProfile
+    x_c0: float, grid: Grid, eig: EigenSystem, diffusion: DiffusionProfile
 ) -> ModeAmplitudes:
-    """Project the step at ``x_c`` onto the computed modes, in closed form.
+    """Project the step at ``x_c0`` onto the computed modes, in closed form.
 
-    Integrating the eigen-equation across ``[-L, x_c]`` turns the projection
-    into a boundary term: ``sigma_n(0) = a(x_c) phi_n'(x_c) / lambda_n``.
+    Integrating the eigen-equation across ``[-L, x_c0]`` turns the projection
+    into a boundary term: ``sigma_n(0) = a(x_c0) phi_n'(x_c0) / lambda_n``.
     The derivative is taken by second-order differences on the eigenvector
-    and interpolated at ``x_c``.
+    and interpolated at ``x_c0``.
     """
     if eig.grid != grid:
         raise ValueError("eigen system was computed on a different grid")
-    x_c = front.x_c0
-    if not -grid.L < x_c < grid.L:
-        raise ValueError(f"front {x_c} must lie strictly inside the domain")
+    if not -grid.L < x_c0 < grid.L:
+        raise ValueError(f"front {x_c0} must lie strictly inside the domain")
     L = grid.L
-    sigma0 = (x_c + L) / math.sqrt(2.0 * L)
-    a_xc = float(diffusion.a(x_c))
+    sigma0 = (x_c0 + L) / math.sqrt(2.0 * L)
+    a_xc = float(diffusion.a(x_c0))
     sigma_n = np.empty(max(eig.count - 1, 0))
     if eig.count > 1:
         lam = eig.eigenvalues[1:]
@@ -219,7 +218,7 @@ def initial_amplitudes(
             raise EigenSolveError("repeated zero eigenvalue in the decaying modes")
         dphi = np.gradient(eig.all_eigenfunctions()[1:], grid.dx, axis=1, edge_order=2)
         for k in range(1, eig.count):
-            slope = float(np.interp(x_c, grid.x, dphi[k - 1]))
+            slope = float(np.interp(x_c0, grid.x, dphi[k - 1]))
             sigma_n[k - 1] = a_xc * slope / eig.eigenvalues[k]
     return ModeAmplitudes(
         sigma0_init=sigma0,

@@ -8,16 +8,14 @@ import pytest
 from fkfront.domain import (
     DiffusionProfile,
     Field,
-    FrontSpec,
     Grid,
-    ReactionTerm,
     logistic_reaction,
     make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
 )
 from fkfront.front import FrontPath, track_front
-from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march
+from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import initial_amplitudes, solve_eigenproblem
 
 
@@ -30,9 +28,9 @@ def unit_floor_quadratic() -> DiffusionProfile:
     )
 
 
-def zero_reaction() -> ReactionTerm:
+def zero_reaction(u: np.ndarray) -> np.ndarray:
     """No source term; isolates the diffusion part of the scheme."""
-    return ReactionTerm(f=lambda u: np.zeros_like(u))
+    return np.zeros_like(u)
 
 
 def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:
@@ -44,15 +42,14 @@ def diffuse_smooth(n: int, dt: float, t_end: float, diffusion: DiffusionProfile)
     """March the smooth profile under diffusion only (no source)."""
     grid = Grid(L=100.0, n=n)
     system = factor_step_matrix([build_operator(grid, diffusion)], dt)
-    *_, (t, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction(),
-                       SolverConfig(dt=dt, t_end=t_end))
+    *_, (t, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction, t_end)
     return Field(grid, u, t)
 
 
-def stored_fields(grid, diffusion, reaction, front, config) -> tuple[Field, ...]:
+def stored_fields(grid, diffusion, f, x_c0, dt, t_end, stride=1) -> tuple[Field, ...]:
     """Every state ``march`` yields from the step initial condition, as fields."""
-    system = factor_step_matrix([build_operator(grid, diffusion)], config.dt)
-    steps = march(system, step_initial_condition(grid, front).values, reaction, config)
+    system = factor_step_matrix([build_operator(grid, diffusion)], dt)
+    steps = march(system, step_initial_condition(grid, x_c0).values, f, t_end, stride)
     return tuple(Field(grid, u, t) for t, u in steps)
 
 
@@ -97,8 +94,8 @@ def first_exit(positions: np.ndarray, radius: float) -> int | None:
     return None if leaves.size == 0 else k_in + int(leaves[0])
 
 
-# solver settings of the default_run fixture
-DEFAULT_SOLVER = SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25)
+# step size of the default_run fixture
+DEFAULT_DT = 0.01
 
 
 @pytest.fixture(scope="session")
@@ -117,9 +114,11 @@ def default_run(default_grid, default_diffusion):
     return stored_fields(
         default_grid,
         default_diffusion,
-        logistic_reaction(),
-        FrontSpec(x_c0=-35.0),
-        DEFAULT_SOLVER,
+        logistic_reaction,
+        -35.0,
+        DEFAULT_DT,
+        t_end=60.0,
+        stride=25,
     )
 
 
@@ -129,9 +128,11 @@ def pure_diffusion_run(default_grid, default_diffusion):
     return stored_fields(
         default_grid,
         default_diffusion,
-        zero_reaction(),
-        FrontSpec(x_c0=-35.0),
-        SolverConfig(dt=0.01, t_end=10.0, snapshot_stride=100),
+        zero_reaction,
+        -35.0,
+        0.01,
+        t_end=10.0,
+        stride=100,
     )
 
 
@@ -141,9 +142,11 @@ def constant_a_run():
     return stored_fields(
         Grid(L=100.0, n=1001),
         make_constant_diffusion(1.0),
-        logistic_reaction(),
-        FrontSpec(x_c0=-50.0),
-        SolverConfig(dt=0.01, t_end=40.0, snapshot_stride=100),
+        logistic_reaction,
+        -50.0,
+        0.01,
+        t_end=40.0,
+        stride=100,
     )
 
 
@@ -154,4 +157,4 @@ def default_eigen(default_grid, default_diffusion):
 
 @pytest.fixture(scope="session")
 def default_amplitudes(default_grid, default_diffusion, default_eigen):
-    return initial_amplitudes(FrontSpec(x_c0=-35.0), default_grid, default_eigen, default_diffusion)
+    return initial_amplitudes(-35.0, default_grid, default_eigen, default_diffusion)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from fkfront.asymptotics import (
-    Snapshot,
     TwcBranch,
     sfa_residual,
     stationary_roots,
@@ -29,7 +28,7 @@ from fkfront.domain import (
     make_quadratic_diffusion,
 )
 from fkfront.front import fit_power_law, trapping_time
-from fkfront.solver import SolverConfig, build_operator, factor_step_matrix, march
+from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import sigma0_of_t, sigma_n_of_t, solve_eigenproblem
 from fkfront.wkb import (
     Branch,
@@ -43,7 +42,7 @@ from fkfront.wkb import (
 )
 
 from conftest import (
-    DEFAULT_SOLVER,
+    DEFAULT_DT,
     diffuse_smooth,
     front_path,
     steps_of,
@@ -190,10 +189,10 @@ def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
     ok = worst_gap <= tolerance
     # the drift model neglects a u_xx against a' u_x; report that ratio for
     # the stored field at the worst time, at its numerical front
-    dt = DEFAULT_SOLVER.dt
+    dt = DEFAULT_DT
     worst_field = next(f for f in default_run if f.time == worst_t)
     ratio = sfa_residual(
-        Snapshot(worst_field), default_diffusion, logistic_reaction(), worst_t + dt,
+        worst_field, default_diffusion, logistic_reaction, worst_t + dt,
         np.array([worst_xc]), space_step=default_grid.dx, time_step=0.5 * dt,
     ).validity_ratio[0]
     verdict(
@@ -218,7 +217,7 @@ def test_a3_turning_point_behavior(default_run):
     monotone_ok = bool(np.all(pre_diffs > 0))
 
     duration = trapping_time(path, radius=0.4)
-    duration_ok = duration >= 10 * DEFAULT_SOLVER.dt
+    duration_ok = duration >= 10 * DEFAULT_DT
 
     exit_ok = xs[-1] > 0
 
@@ -347,11 +346,11 @@ def test_a6_closed_form_residuals(default_amplitudes):
 
     grid = Grid(L=10.0, n=20001)
     u = 1.0 / (1.0 + np.exp(np.clip(4.0 * (grid.x + 3.0), -500, 500)))
-    snap = Snapshot(Field(grid, u, 0.0))
+    field = Field(grid, u, 0.0)
     xs = np.linspace(-2.0, -0.5, 7)
     res_sfa = [
         float(np.max(np.abs(sfa_residual(
-            snap, make_quadratic_diffusion(0.1), logistic_reaction(), 0.3, xs,
+            field, make_quadratic_diffusion(0.1), logistic_reaction, 0.3, xs,
             space_step=h, time_step=h,
         ).residual)))
         for h in steps
@@ -395,7 +394,7 @@ def test_a7_solver_properties(default_grid, default_run, pure_diffusion_run, con
     # ten steps of 0.1 from the two equilibria, marched as one stacked system
     *_, (_, (zero, one)) = march(factor_step_matrix([op, op], 0.1),
                                  np.stack([np.zeros(grid.n), np.ones(grid.n)]),
-                                 logistic_reaction(), SolverConfig(dt=0.1, t_end=1.0))
+                                 logistic_reaction, 1.0)
     eq_dev0 = float(np.max(np.abs(zero)))
     eq_dev1 = float(np.max(np.abs(one - 1.0)))
     equilibria_ok = eq_dev0 == 0.0 and eq_dev1 <= 1e-12

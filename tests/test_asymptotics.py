@@ -8,64 +8,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkfront.asymptotics import (
-    Snapshot,
     TwcBranch,
     sfa_evolve,
     sfa_residual,
     stationary_roots,
     tail_exponents,
-    twc_front_path,
 )
 from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.wkb import Branch, outer_characteristic
 
 
 def sigmoid_snapshot(steepness: float, center: float, n: int = 20001, L: float = 10.0):
     g = Grid(L=L, n=n)
     u = 1.0 / (1.0 + np.exp(np.clip(steepness * (g.x - center), -500, 500)))
-    return Snapshot(Field(g, u, 0.0))
+    return Field(g, u, 0.0)
+
+
+def interpolant(snap: Field, x):
+    """The frozen field at ``x``: :func:`sfa_evolve` with no elapsed time."""
+    return sfa_evolve(snap, x, snap.time)
 
 
 class TestSnapshot:
+    """The interpolant that :func:`sfa_evolve` transports."""
+
     def test_interpolates_nodes(self):
         g = Grid(L=1.0, n=5)
-        snap = Snapshot(Field(g, np.array([1.0, 0.8, 0.5, 0.2, 0.0]), 0.0))
-        assert snap(0.0) == pytest.approx(0.5, abs=1e-14)
-        assert snap(0.25) == pytest.approx(0.35, abs=1e-14)
+        snap = Field(g, np.array([1.0, 0.8, 0.5, 0.2, 0.0]), 0.0)
+        assert interpolant(snap, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert interpolant(snap, 0.25) == pytest.approx(0.35, abs=1e-14)
 
     def test_clamps_outside_domain(self):
         g = Grid(L=1.0, n=5)
-        snap = Snapshot(Field(g, np.array([1.0, 0.8, 0.5, 0.2, 0.0]), 0.0))
-        assert snap(5.0) == 0.0
-        assert snap(-5.0) == 1.0
+        snap = Field(g, np.array([1.0, 0.8, 0.5, 0.2, 0.0]), 0.0)
+        assert interpolant(snap, 5.0) == 0.0
+        assert interpolant(snap, -5.0) == 1.0
 
 
     def test_stays_between_the_values_of_its_cell(self):
         # np.interp alone gives 0.09999999999999998 just left of the node at 0,
         # below both ends of that cell, and then 0.1 at the node
         g = Grid(L=0.1, n=3)
-        snap = Snapshot(Field(g, np.array([0.7, 0.1, 0.1]), 0.0))
-        assert np.array_equal(snap(np.array([-5e-324, 0.0])), [0.1, 0.1])
+        snap = Field(g, np.array([0.7, 0.1, 0.1]), 0.0)
+        assert np.array_equal(interpolant(snap, np.array([-5e-324, 0.0])), [0.1, 0.1])
         # and -5e-324 here, below the unit interval
-        snap = Snapshot(Field(Grid(L=1.8, n=3), np.array([1.0, 5e-324, 0.0]), 0.0))
-        assert snap(1.5) == 0.0
+        snap = Field(Grid(L=1.8, n=3), np.array([1.0, 5e-324, 0.0]), 0.0)
+        assert interpolant(snap, 1.5) == 0.0
 
 
 class TestSfaEvolve:
     def test_uniform_half_after_log_two(self):
         g = Grid(L=10.0, n=101)
-        snap = Snapshot(Field(g, np.full(101, 0.5), 0.0))
+        snap = Field(g, np.full(101, 0.5), 0.0)
         assert sfa_evolve(snap, 0.0, math.log(2.0)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_fixed_points_preserved(self):
         g = Grid(L=10.0, n=101)
         for value in (0.0, 1.0):
-            snap = Snapshot(Field(g, np.full(101, value), 0.0))
+            snap = Field(g, np.full(101, value), 0.0)
             assert sfa_evolve(snap, 1.3, 0.7) == value
 
     def test_zero_elapsed_time_is_identity(self):
         snap = sigmoid_snapshot(3.0, -2.0)
+        g = snap.grid
+        assert np.array_equal(np.asarray(sfa_evolve(snap, g.x, 0.0)), snap.values)
         xs = np.linspace(-3.0, 3.0, 11)
-        assert np.array_equal(np.asarray(sfa_evolve(snap, xs, 0.0)), np.asarray(snap(xs)))
+        assert np.allclose(sfa_evolve(snap, xs, 0.0), np.interp(xs, g.x, snap.values),
+                           rtol=0.0, atol=1e-15)
 
     def test_range_and_monotonicity_preserved(self):
         snap = sigmoid_snapshot(2.5, -1.0)
@@ -76,8 +85,8 @@ class TestSfaEvolve:
 
     def test_semigroup_within_interpolation_error(self):
         snap = sigmoid_snapshot(3.0, -2.0)
-        g = snap.field.grid
-        mid = Snapshot(Field(g, np.asarray(sfa_evolve(snap, g.x, 0.25)), 0.25))
+        g = snap.grid
+        mid = Field(g, np.asarray(sfa_evolve(snap, g.x, 0.25)), 0.25)
         xs = np.linspace(-2.0, 2.0, 101)
         direct = np.asarray(sfa_evolve(snap, xs, 0.6))
         stepped = np.asarray(sfa_evolve(mid, xs, 0.6))
@@ -102,36 +111,37 @@ class TestSfaEvolve:
         u = np.sort(profile)[::-1]
         xs = np.sort(np.concatenate([grid.x, L * np.array(extra)]))
         t = t0 + elapsed
-        out = np.asarray(sfa_evolve(Snapshot(Field(grid, u, t0)), xs, t))
+        out = np.asarray(sfa_evolve(Field(grid, u, t0), xs, t))
         assert np.all((out >= 0.0) & (out <= 1.0))
         # non-increasing up to the rounding of the logistic map: a few units
         # in the last place, relative, or one subnormal step near zero
         tol = 4.0 * np.finfo(float).eps * out[1:] + np.nextafter(0.0, 1.0)
         assert np.all(np.diff(out) <= tol)
         for value in (0.0, 1.0):
-            flat = Snapshot(Field(grid, np.full(grid.n, value), t0))
+            flat = Field(grid, np.full(grid.n, value), t0)
             assert np.all(np.asarray(sfa_evolve(flat, xs, t)) == value)
 
 
 class TestCharacteristics:
+    """``wkb.outer_characteristic`` on the plus branch: a path of constant speed
+    ``c = 2 Htilde`` in the coordinate ``ln|x| + c t``, at ``Htilde = 1`` the
+    drift model's characteristic."""
+
     def test_contracting_characteristic(self):
-        assert twc_front_path(-35.0, 0.0, math.log(2.0) / 2.0) == pytest.approx(
-            -17.5, abs=1e-12
+        assert outer_characteristic(-35.0, math.log(2.0) / 2.0, 1.0, Branch.PLUS) == (
+            pytest.approx(-17.5, abs=1e-12)
         )
 
     def test_front_path_in_log_coordinate(self):
-        assert twc_front_path(-35.0, 0.0, 1.0, speed=2.0) == pytest.approx(
+        assert outer_characteristic(-35.0, 1.0, 1.0, Branch.PLUS) == pytest.approx(
             -35.0 * math.exp(-2.0), abs=1e-12
         )
 
     def test_front_path_shift_invariance(self):
-        a = twc_front_path(-7.0, 2.0, 3.5, speed=1.2)
-        b = twc_front_path(-7.0, 0.0, 1.5, speed=1.2)
+        # the path depends on the elapsed time only: 3.5 - 2.0 = 1.5 - 0.0
+        a = outer_characteristic(-7.0, 3.5 - 2.0, 0.6, Branch.PLUS)
+        b = outer_characteristic(-7.0, 1.5 - 0.0, 0.6, Branch.PLUS)
         assert a == pytest.approx(b, rel=1e-14)
-
-    def test_origin_has_no_log_coordinate(self):
-        with pytest.raises(ValueError):
-            twc_front_path(0.0, 0.0, 1.0)
 
 
 class TestStationaryRoots:
@@ -207,7 +217,7 @@ class TestSfaResidual:
         rep = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
+            logistic_reaction,
             0.3,
             np.linspace(-2.0, -0.5, 7),
             space_step=1e-2,
@@ -218,11 +228,11 @@ class TestSfaResidual:
         g = Grid(L=50.0, n=100001)
         lam = 0.05
         u = np.power(np.maximum(np.abs(g.x), 1e-9), -lam)
-        snap = Snapshot(Field(g, u, 0.0))
+        snap = Field(g, u, 0.0)
         rep = sfa_residual(
             snap,
             make_quadratic_diffusion(1e-8),
-            logistic_reaction(),
+            logistic_reaction,
             0.001,
             np.array([-10.0]),
             space_step=1e-3,
@@ -236,7 +246,7 @@ class TestSfaResidual:
         rep = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
+            logistic_reaction,
             0.001,
             np.array([-3.0]),
             space_step=1e-4,
@@ -250,7 +260,7 @@ class TestSfaResidual:
             sfa_residual(
                 snap,
                 make_quadratic_diffusion(0.1),
-                logistic_reaction(),
+                logistic_reaction,
                 0.005,
                 np.array([-2.0]),
                 space_step=1e-2,
@@ -259,13 +269,13 @@ class TestSfaResidual:
     def test_accepts_stencil_starting_at_snapshot_up_to_rounding(self):
         g = Grid(L=10.0, n=2001)
         u = 1.0 / (1.0 + np.exp(3.0 * (g.x + 2.0)))
-        snap = Snapshot(Field(g, u, 1.0))
+        snap = Field(g, u, 1.0)
         t = 1.0 + 0.001
         assert t - 0.001 < 1.0  # the stencil's lower end rounds behind the snapshot
         rep = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
+            logistic_reaction,
             t,
             np.array([-2.0]),
             space_step=1e-2,
@@ -278,11 +288,11 @@ class TestSfaResidual:
         snap = sigmoid_snapshot(3.0, -2.0)
         with pytest.raises(ValueError):
             sfa_residual(
-                snap, make_quadratic_diffusion(0.1), logistic_reaction(), 0.5,
+                snap, make_quadratic_diffusion(0.1), logistic_reaction, 0.5,
                 np.array([-2.0]), space_step=0.0,
             )
         with pytest.raises(ValueError):
             sfa_residual(
-                snap, make_quadratic_diffusion(0.1), logistic_reaction(), 0.5,
+                snap, make_quadratic_diffusion(0.1), logistic_reaction, 0.5,
                 np.array([-2.0]), space_step=1e-2, time_step=-1e-3,
             )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fkfront
 
 from conftest import first_exit, front_path, stored_fields
-from fkfront.asymptotics import Snapshot, sfa_evolve
+from fkfront.asymptotics import sfa_evolve
 from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
@@ -28,9 +28,8 @@ from fkfront.config import (
     config_digest,
     load_config,
 )
-from fkfront.domain import Field, FrontSpec, Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
 from fkfront.front import FrontNotTransitedError, front_positions, track_front, trapping_time
-from fkfront.solver import SolverConfig
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -301,13 +300,13 @@ def recorded(steps, minima):
 
 def compare_every_state(steps, grid, level=0.5):
     """Comparison rows over the whole stream, with no stop: the reference."""
-    snap = None
+    first = None
     rows = []
     for t, u in steps:
         u = np.reshape(u, grid.n)
-        if snap is None:
-            snap = Snapshot(Field(grid, u, t))
-        predicted = np.asarray(sfa_evolve(snap, grid.x, t))
+        if first is None:
+            first = Field(grid, u, t)
+        predicted = np.asarray(sfa_evolve(first, grid.x, t))
         xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
         if not (math.isnan(xc_num) or math.isnan(xc_sfa)):
             rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
@@ -441,13 +440,12 @@ class TestTrapSweep:
         # t_end = 4.2 on this grid: epsilon 0.1 transits, the smaller two stay trapped
         cfg = ExperimentConfig(n=151, t_end=4.2, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.02, 0.001))
-        solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
         paths = track_front(_march(cfg, list(cfg.sweep_epsilons)), Grid(L=cfg.L, n=cfg.n).x,
                             radius=cfg.trap_radius)
         statuses = []
         for eps, path in zip(cfg.sweep_epsilons, paths):
             run = stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver)
+                                logistic_reaction, cfg.x_c0, cfg.dt, cfg.t_end, stride)
             stored = front_path(run)
             assert np.array_equal(path.times, stored.times)
             assert np.array_equal(path.positions, stored.positions, equal_nan=True)
@@ -468,9 +466,9 @@ class TestTrapSweep:
         # t_end = 8 on this grid: every epsilon leaves the window, each at its own step
         cfg = ExperimentConfig(n=151, t_end=8.0, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.05, 0.02))
-        solver = SolverConfig(dt=cfg.dt, t_end=cfg.t_end, snapshot_stride=stride)
         stored = [front_path(stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                           logistic_reaction(), FrontSpec(x_c0=cfg.x_c0), solver))
+                                           logistic_reaction, cfg.x_c0, cfg.dt, cfg.t_end,
+                                           stride))
                   for eps in cfg.sweep_epsilons]
         exits = [first_exit(path.positions, cfg.trap_radius) for path in stored]
         assert None not in exits and len(set(exits)) == len(exits)

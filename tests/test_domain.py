@@ -1,14 +1,16 @@
 """Domain primitives: diffusion profiles, grids, fields, initial data."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fkfront.domain import (
     DiffusionProfile,
     Field,
-    FrontSpec,
     Grid,
     logistic_reaction,
+    make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
 )
@@ -42,21 +44,26 @@ class TestQuadraticDiffusion:
         with pytest.raises(ValueError):
             DiffusionProfile(epsilon=eps, a=lambda x: x, aprime=lambda x: x)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_floor(self, eps):
+        # nan fails every comparison, so "eps <= 0" alone does not reject it
+        with pytest.raises(ValueError, match="diffusion floor must be finite and positive"):
+            make_quadratic_diffusion(eps)
+        with pytest.raises(ValueError, match="diffusion floor must be finite and positive"):
+            make_constant_diffusion(eps)
+
 
 class TestLogisticReaction:
     def test_fixed_points(self):
-        r = logistic_reaction()
-        assert r.f(0.0) == 0.0
-        assert r.f(1.0) == 0.0
+        assert logistic_reaction(0.0) == 0.0
+        assert logistic_reaction(1.0) == 0.0
 
     def test_midpoint_and_slope(self):
-        r = logistic_reaction()
-        assert r.f(0.5) == pytest.approx(0.25, abs=1e-15)
+        assert logistic_reaction(0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_vectorized(self):
-        r = logistic_reaction()
         u = np.array([0.0, 0.25, 0.5, 1.0])
-        assert np.allclose(r.f(u), u * (1 - u), atol=1e-15)
+        assert np.allclose(logistic_reaction(u), u * (1 - u), atol=1e-15)
 
 
 class TestGrid:
@@ -92,6 +99,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(L=10.0, n=2)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_rejects_non_finite_half_width(self, L):
+        # an infinite L would give the nodes [nan ... inf]
+        with pytest.raises(ValueError, match="half-width L must be finite and positive"):
+            Grid(L=L, n=5)
+
 
 class TestField:
     def test_holds_grid_values_time(self):
@@ -109,7 +122,7 @@ class TestField:
 class TestStepInitialCondition:
     def test_indicator_values(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, FrontSpec(x_c0=-35.0))
+        f = step_initial_condition(g, -35.0)
         assert set(np.unique(f.values)) == {0.0, 1.0}
         assert np.all(f.values[g.x <= -35.0] == 1.0)
         assert np.all(f.values[g.x > -35.0] == 0.0)
@@ -117,7 +130,7 @@ class TestStepInitialCondition:
 
     def test_default_jump_sits_between_nodes(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, FrontSpec(x_c0=-35.0))
+        f = step_initial_condition(g, -35.0)
         i = int(np.searchsorted(g.x, -35.0))
         assert g.x[i - 1] == pytest.approx(-35.2, abs=1e-12)
         assert g.x[i] == pytest.approx(-34.8, abs=1e-12)
@@ -126,13 +139,13 @@ class TestStepInitialCondition:
 
     def test_jump_on_a_node_included_left(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, FrontSpec(x_c0=float(g.x[162])))
+        f = step_initial_condition(g, float(g.x[162]))
         assert f.values[162] == 1.0
         assert f.values[163] == 0.0
 
     def test_front_outside_domain_rejected(self):
         g = Grid(L=10.0, n=21)
         with pytest.raises(ValueError):
-            step_initial_condition(g, FrontSpec(x_c0=-10.0))
+            step_initial_condition(g, -10.0)
         with pytest.raises(ValueError):
-            step_initial_condition(g, FrontSpec(x_c0=15.0))
+            step_initial_condition(g, 15.0)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import first_exit, front_path, steps_of, times_of
-from fkfront.domain import FrontSpec, Grid, step_initial_condition
+from fkfront.domain import Grid, step_initial_condition
 from fkfront.front import (
     FitReport,
     FrontNotTransitedError,
@@ -30,7 +30,7 @@ class TestLocateFront:
 
     def test_default_step_crossing(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, FrontSpec(x_c0=-35.0))
+        f = step_initial_condition(g, -35.0)
         assert front_positions(f.values[np.newaxis], g.x)[0] == pytest.approx(-35.0, abs=1e-12)
 
     @pytest.mark.parametrize("value", [0.2, 0.8])

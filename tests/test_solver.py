@@ -1,6 +1,7 @@
 """Conservative operator assembly, factored step solves, IMEX stepping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,7 @@ from conftest import (
 
 from fkfront.domain import (
     DiffusionProfile,
-    FrontSpec,
     Grid,
-    ReactionTerm,
     logistic_reaction,
     make_constant_diffusion,
     make_quadratic_diffusion,
@@ -26,7 +25,6 @@ from fkfront.domain import (
 )
 from fkfront.solver import (
     FactoredSymmetricTridiagonal,
-    SolverConfig,
     TridiagonalOperator,
     build_operator,
     factor_step_matrix,
@@ -175,10 +173,11 @@ class TestSymmetricStepFactors:
         system = factor_step_matrix(ops, dt)
         assert isinstance(system, FactoredSymmetricTridiagonal)
         assert system.dt == dt
+        solution = system.solve(rhs.copy())
         for b, op in enumerate(ops):
             block = slice(b * n, (b + 1) * n)
             expected = np.linalg.solve(np.eye(n) - dt * dense_matrix(op), rhs[block])
-            got = system.solve(rhs)[block]
+            got = solution[block]
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @settings(max_examples=60, deadline=None)
@@ -187,19 +186,17 @@ class TestSymmetricStepFactors:
         ops, dt = case
         n = ops[0].grid.n
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
-        separate = np.concatenate([factor_step_matrix([op], dt).solve(rhs[b * n:(b + 1) * n])
-                                   for b, op in enumerate(ops)])
+        separate = np.concatenate([factor_step_matrix([op], dt).solve(block.copy())
+                                   for op, block in zip(ops, rhs.reshape(len(ops), n))])
         assert np.array_equal(factor_step_matrix(ops, dt).solve(rhs), separate)
 
-    def test_solve_leaves_rhs_untouched_unless_overwritten(self):
+    def test_solve_writes_the_solution_into_rhs(self):
         op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
         system = factor_step_matrix([op], 0.1)
         rhs = np.linspace(0.0, 1.0, 21)
-        kept = rhs.copy()
-        x = system.solve(rhs)
-        assert np.array_equal(rhs, kept)
-        assert system.solve(rhs, overwrite=True) is rhs
-        assert np.array_equal(rhs, x)
+        expected = np.linalg.solve(np.eye(21) - 0.1 * dense_matrix(op), rhs)
+        assert system.solve(rhs) is rhs
+        assert np.max(np.abs(rhs - expected)) <= 1e-12
 
     def test_rejects_step_matrix_not_positive_definite(self):
         # couplings of 4e16 swamp the weights, and dpttrf loses positivity
@@ -213,13 +210,6 @@ class TestSymmetricStepFactors:
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match="dt must satisfy"):
             factor_step_matrix([op], dt)
-
-    def test_march_rejects_factors_of_another_dt(self):
-        grid = Grid(L=1.0, n=5)
-        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
-        steps = march(system, np.zeros(5), logistic_reaction(), SolverConfig(dt=0.5, t_end=1.0))
-        with pytest.raises(ValueError, match="factored for dt=0.01, but the march steps dt=0.5"):
-            next(steps)
 
 
 class TestMaximumPrincipleProperty:
@@ -236,10 +226,10 @@ class TestMaximumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values
+        u0 = step_initial_condition(grid, x_c0).values
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
         lows, highs = [], []
-        for _, u in march(system, u0, logistic_reaction(), SolverConfig(dt=dt, t_end=steps * dt)):
+        for _, u in march(system, u0, logistic_reaction, steps * dt):
             lows.append(float(u.min()))
             highs.append(float(u.max()))
         assert len(lows) == steps + 1
@@ -270,20 +260,19 @@ class TestMinimumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values
+        u0 = step_initial_condition(grid, x_c0).values
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
-        config = SolverConfig(dt=dt, t_end=steps * dt, snapshot_stride=stride)
-        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction(), config)]
+        above = [bool(u.min() > 0.5)
+                 for _, u in march(system, u0, logistic_reaction, steps * dt, stride)]
         if True in above:
             assert all(above[above.index(True):])
 
     def test_reaches_above_half_and_stays(self):
         # the whole field passes 1/2 well before t_end on this grid
         grid = Grid(L=4.0, n=51)
-        u0 = step_initial_condition(grid, FrontSpec(x_c0=-1.0)).values
+        u0 = step_initial_condition(grid, -1.0).values
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
-        config = SolverConfig(dt=0.01, t_end=10.0)
-        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction(), config)]
+        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction, 10.0)]
         first = above.index(True)
         assert 0 < first < len(above) // 2
         assert all(above[first:])
@@ -297,9 +286,9 @@ class CountingSystem:
         self.dt = system.dt
         self.calls = 0
 
-    def solve(self, rhs, overwrite=False):
+    def solve(self, rhs):
         self.calls += 1
-        return self.system.solve(rhs, overwrite=overwrite)
+        return self.system.solve(rhs)
 
 
 class Negating:
@@ -309,26 +298,26 @@ class Negating:
 
     dt = 0.5
 
-    def solve(self, rhs, overwrite=False):
+    def solve(self, rhs):
         return -np.asarray(rhs, dtype=float)
 
 
-def signed_zero_reaction() -> ReactionTerm:
+def signed_zero_reaction(u: np.ndarray) -> np.ndarray:
     """``f(u) = 0 * u``, which keeps the sign of a zero (unlike a plain 0.0)."""
-    return ReactionTerm(f=lambda u: 0.0 * u)
+    return 0.0 * u
 
 
-def plain_march(system, u0, reaction, config):
+def plain_march(system, u0, f, t_end, stride=1):
     """The stored ``(t, u)`` of a march that solves on every step, with no
     fixed-point skip, and the first step whose solve returned its input bit
     for bit (None if none did)."""
-    dt, stride = config.dt, config.snapshot_stride
-    n_steps = int(round(config.t_end / dt))
+    dt = system.dt
+    n_steps = int(round(t_end / dt))
     u = np.array(u0, dtype=float).ravel()
     stored, first_fixed = [(0.0, u.copy())], None
     for k in range(1, n_steps + 1):
         prev = u
-        u = system.solve(prev + dt * np.asarray(reaction.f(prev), dtype=float), overwrite=True)
+        u = system.solve(prev + dt * np.asarray(f(prev), dtype=float))
         if first_fixed is None and np.array_equal(u.view(np.int64), prev.view(np.int64)):
             first_fixed = k
         if k % stride == 0 or k == n_steps:
@@ -364,27 +353,25 @@ class TestFixedPointSkip:
         assume(-L < x_c0 < L)
         ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
         system = factor_step_matrix(ops, dt)
-        u0 = np.tile(step_initial_condition(grid, FrontSpec(x_c0=x_c0)).values, (len(ops), 1))
-        config = SolverConfig(dt=dt, t_end=max(1, round(horizon / dt)) * dt,
-                              snapshot_stride=stride)
-        expected, first_fixed = plain_march(system, u0, logistic_reaction(), config)
+        u0 = np.tile(step_initial_condition(grid, x_c0).values, (len(ops), 1))
+        t_end = max(1, round(horizon / dt)) * dt
+        expected, first_fixed = plain_march(system, u0, logistic_reaction, t_end, stride)
         event("fixed point reached" if first_fixed else "no fixed point")
         counting = CountingSystem(system)
-        steps = list(march(counting, u0, logistic_reaction(), config))
+        steps = list(march(counting, u0, logistic_reaction, t_end, stride))
         assert all(np.shape(u) == u0.shape for _, u in steps)
         assert_same_bits(steps, expected)
-        n_steps = int(round(config.t_end / dt))
+        n_steps = int(round(t_end / dt))
         assert counting.calls == (first_fixed or n_steps)
 
     def test_saturated_run_stops_solving(self, caplog):
         grid = Grid(L=4.0, n=51)
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
-        u0 = step_initial_condition(grid, FrontSpec(x_c0=-1.0)).values
-        config = SolverConfig(dt=0.01, t_end=60.0, snapshot_stride=25)
-        expected, first_fixed = plain_march(system, u0, logistic_reaction(), config)
+        u0 = step_initial_condition(grid, -1.0).values
+        expected, first_fixed = plain_march(system, u0, logistic_reaction, 60.0, 25)
         counting = CountingSystem(system)
         with caplog.at_level("INFO", logger="fkfront"):
-            steps = list(march(counting, u0, logistic_reaction(), config))
+            steps = list(march(counting, u0, logistic_reaction, 60.0, 25))
         assert_same_bits(steps, expected)
         assert first_fixed is not None and counting.calls == first_fixed < 6000
         # every state after the fixed point is a fresh array
@@ -397,29 +384,25 @@ class TestFixedPointSkip:
         ]
 
     def test_signed_zeros_do_not_match(self):
-        config = SolverConfig(dt=0.5, t_end=3.0)
-        reaction = signed_zero_reaction()
-        expected, first_fixed = plain_march(Negating(), np.zeros(4), reaction, config)
+        expected, first_fixed = plain_march(Negating(), np.zeros(4), signed_zero_reaction, 3.0)
         assert first_fixed is None
         assert [np.signbit(u[0]) for _, u in expected] == [False, True] * 3 + [False]
-        assert_same_bits(march(Negating(), np.zeros(4), reaction, config), expected)
+        assert_same_bits(march(Negating(), np.zeros(4), signed_zero_reaction, 3.0), expected)
 
     def test_nan_in_the_last_entry_keeps_solving(self):
         grid = Grid(L=2.0, n=5)
         counting = CountingSystem(factor_step_matrix(
             [build_operator(grid, make_constant_diffusion(1.0))], 0.5))
         u0 = np.array([1.0, 1.0, 1.0, 1.0, math.nan])
-        config = SolverConfig(dt=0.5, t_end=3.0)
-        states = [u for _, u in march(counting, u0, zero_reaction(), config)]
+        states = [u for _, u in march(counting, u0, zero_reaction, 3.0)]
         assert counting.calls == 6
         assert all(np.isnan(u).all() for u in states[1:])
 
 
 def one_step(g, diffusion, u0, dt):
     """``(t, u)`` after one step of ``dt`` from ``u0``."""
-    config = SolverConfig(dt=dt, t_end=dt)
     system = factor_step_matrix([build_operator(g, diffusion)], dt)
-    _, last = march(system, u0, logistic_reaction(), config)
+    _, last = march(system, u0, logistic_reaction, dt)
     return last
 
 
@@ -439,16 +422,15 @@ class TestImexStep:
     def test_monotone_profile_stays_monotone(self):
         g = Grid(L=100.0, n=501)
         system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.01)
-        u0 = step_initial_condition(g, FrontSpec(x_c0=-35.0)).values
-        for _, u in march(system, u0, logistic_reaction(), SolverConfig(dt=0.01, t_end=0.5)):
+        u0 = step_initial_condition(g, -35.0).values
+        for _, u in march(system, u0, logistic_reaction, 0.5):
             assert np.all(np.diff(u) <= 1e-13)
 
     def test_yielded_states_are_fresh_arrays(self):
         g = Grid(L=10.0, n=11)
         system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.1)
-        u0 = step_initial_condition(g, FrontSpec(x_c0=-5.0)).values
-        states = [u for _, u in march(system, u0, logistic_reaction(),
-                                      SolverConfig(dt=0.1, t_end=0.3))]
+        u0 = step_initial_condition(g, -5.0).values
+        states = [u for _, u in march(system, u0, logistic_reaction, 0.3)]
         assert len(states) == 4
         assert np.array_equal(states[0], u0) and states[0] is not u0
         for k, u in enumerate(states):
@@ -468,9 +450,8 @@ class TestConservationAndBounds:
         ops, dt = case
         w = unit_trapezoid(ops[0].grid.n)
         u0 = np.random.default_rng(seed).uniform(0.0, 1.0, (len(ops), ops[0].grid.n))
-        config = SolverConfig(dt=dt, t_end=steps * dt)
         masses = np.array([u @ w for _, u in march(factor_step_matrix(ops, dt), u0,
-                                                   zero_reaction(), config)])
+                                                   zero_reaction, steps * dt)])
         drift = np.max(np.abs(masses - masses[0]) / masses[0])
         assert drift <= 1e-8
 
@@ -508,9 +489,11 @@ class TestSimulate:
         fields = stored_fields(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
-            FrontSpec(x_c0=-5.0),
-            SolverConfig(dt=0.01, t_end=0.05, snapshot_stride=2),
+            logistic_reaction,
+            -5.0,
+            0.01,
+            t_end=0.05,
+            stride=2,
         )
         assert np.allclose(times_of(fields), [0.0, 0.02, 0.04, 0.05], atol=1e-12)
 
@@ -518,9 +501,11 @@ class TestSimulate:
         fields = stored_fields(
             Grid(L=10.0, n=11),
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
-            FrontSpec(x_c0=-5.0),
-            SolverConfig(dt=0.01, t_end=0.04, snapshot_stride=2),
+            logistic_reaction,
+            -5.0,
+            0.01,
+            t_end=0.04,
+            stride=2,
         )
         assert np.allclose(times_of(fields), [0.0, 0.02, 0.04], atol=1e-12)
 
@@ -529,12 +514,14 @@ class TestSimulate:
         fields = stored_fields(
             g,
             make_quadratic_diffusion(0.1),
-            logistic_reaction(),
-            FrontSpec(x_c0=-5.0),
-            SolverConfig(dt=0.01, t_end=0.0, snapshot_stride=5),
+            logistic_reaction,
+            -5.0,
+            0.01,
+            t_end=0.0,
+            stride=5,
         )
         assert len(fields) == 1
-        expected = step_initial_condition(g, FrontSpec(x_c0=-5.0))
+        expected = step_initial_condition(g, -5.0)
         assert np.array_equal(fields[0].values, expected.values)
 
     def test_time_stamps_are_step_multiples(self, default_run):
@@ -551,6 +538,9 @@ class TestSimulate:
 
 
 class TestSolverConfigValidation:
+    """The step size is checked when the step matrix is factored; the horizon
+    and the stride when the march is first drawn."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -563,8 +553,26 @@ class TestSolverConfigValidation:
         ],
     )
     def test_rejects_inconsistent_settings(self, kwargs):
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+            system = factor_step_matrix([op], kwargs["dt"])
+            next(march(system, np.zeros(5), logistic_reaction, kwargs["t_end"],
+                       kwargs.get("snapshot_stride", 1)))
+
+    @pytest.mark.parametrize(
+        "t_end, stride, message",
+        [
+            (-1.0, 1, "t_end must be non-negative, got -1.0"),
+            (0.05, 1, "positive t_end must be at least one step dt=0.1, got 0.05"),
+            (1.0, 0, "snapshot_stride must be >= 1, got 0"),
+        ],
+    )
+    def test_march_checks_at_its_first_draw(self, t_end, stride, message):
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        steps = march(factor_step_matrix([op], 0.1), np.zeros(5), logistic_reaction, t_end,
+                      stride)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(steps)
 
 
 class TestUniformDiffusionControl:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkfront.domain import (
-    FrontSpec,
     Grid,
     make_constant_diffusion,
     make_quadratic_diffusion,
@@ -218,7 +217,7 @@ class TestEigenvectorSubset:
         with pytest.raises(ValueError, match="mode 2 was not computed"):
             eig.eigenfunction(2)
         with pytest.raises(ValueError):
-            initial_amplitudes(FrontSpec(x_c0=-35.0), default_grid, eig, default_diffusion)
+            initial_amplitudes(-35.0, default_grid, eig, default_diffusion)
 
 
 class TestInitialAmplitudes:
@@ -226,13 +225,13 @@ class TestInitialAmplitudes:
         assert abs(default_amplitudes.sigma0_init - 65.0 / math.sqrt(200.0)) <= 1e-13
 
     def test_mean_amplitude_centered_front(self, default_grid, default_diffusion, default_eigen):
-        amp = initial_amplitudes(FrontSpec(x_c0=0.0), default_grid, default_eigen,
+        amp = initial_amplitudes(0.0, default_grid, default_eigen,
                                  default_diffusion)
         assert amp.sigma0_init == pytest.approx(math.sqrt(50.0), abs=1e-12)
 
     def test_matches_direct_projection(self, default_grid, default_eigen, default_amplitudes):
         w = default_grid.quadrature_weights
-        u0 = step_initial_condition(default_grid, FrontSpec(x_c0=-35.0)).values
+        u0 = step_initial_condition(default_grid, -35.0).values
         for n in range(1, 8):
             direct = float(w @ (u0 * default_eigen.eigenfunctions[n]))
             closed = default_amplitudes.sigma_n_init[n - 1]
@@ -241,12 +240,12 @@ class TestInitialAmplitudes:
     def test_grid_mismatch_rejected(self, default_eigen, default_diffusion):
         other = Grid(L=100.0, n=251)
         with pytest.raises(ValueError):
-            initial_amplitudes(FrontSpec(x_c0=-35.0), other, default_eigen, default_diffusion)
+            initial_amplitudes(-35.0, other, default_eigen, default_diffusion)
 
     def test_front_outside_domain_rejected(self, default_grid, default_eigen,
                                            default_diffusion):
         with pytest.raises(ValueError):
-            initial_amplitudes(FrontSpec(x_c0=100.0), default_grid, default_eigen,
+            initial_amplitudes(100.0, default_grid, default_eigen,
                                default_diffusion)
 
 
@@ -309,11 +308,11 @@ class TestLeadingOrderField:
 
     def test_step_reconstruction_improves_with_modes(self, default_grid, default_diffusion):
         w = default_grid.quadrature_weights
-        u0 = step_initial_condition(default_grid, FrontSpec(x_c0=-35.0)).values
+        u0 = step_initial_condition(default_grid, -35.0).values
         errors = []
         for m in (8, 16, 32, 64):
             eig = solve_eigenproblem(default_diffusion, default_grid, m=m)
-            amp = initial_amplitudes(FrontSpec(x_c0=-35.0), default_grid, eig,
+            amp = initial_amplitudes(-35.0, default_grid, eig,
                                      default_diffusion)
             rec = leading_order_field(default_grid.x, 0.0, 0.0, eig, amp)
             errors.append(math.sqrt(float(w @ (rec - u0) ** 2)))
