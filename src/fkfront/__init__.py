@@ -3,7 +3,8 @@ coefficient ``a(x) = x**2 + epsilon`` nearly vanishes at the origin.
 
 The package pairs a conservative finite-difference solver with the matching
 closed-form machinery: drift-model front evolution, ray transport of the
-exponential tail, and the mode decomposition of the early softening stage.
+exponential tail, and the spectrum of the diffusion operator with the
+logistic prediction of the domain mean.
 """
 
 from .asymptotics import (
@@ -13,7 +14,6 @@ from .asymptotics import (
     sfa_evolve,
     sfa_residual,
     stationary_roots,
-    tail_exponents,
 )
 from .config import ConfigError, ExperimentConfig, config_digest, load_config
 from .domain import (
@@ -44,12 +44,7 @@ from .solver import (
 from .spectral import (
     EigenSolveError,
     EigenSystem,
-    ModeAmplitudes,
     average_prediction,
-    initial_amplitudes,
-    leading_order_field,
-    sigma0_of_t,
-    sigma_n_of_t,
     solve_eigenproblem,
 )
 from .wkb import (

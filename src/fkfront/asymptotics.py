@@ -10,7 +10,7 @@ Its characteristics contract exponentially toward the origin,
 exactly along them, which gives the evolution rule implemented by
 :func:`sfa_evolve`.  In the coordinate ``eta = +/- ln|x| + c t`` the same
 model becomes a constant-coefficient wave problem whose exponential tails
-are classified by :func:`stationary_roots` and :func:`tail_exponents`.
+are classified by :func:`stationary_roots`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "SfaResidualReport",
     "sfa_evolve",
     "stationary_roots",
-    "tail_exponents",
     "sfa_residual",
 ]
 
@@ -120,18 +119,6 @@ def stationary_roots(c: float, branch: TwcBranch) -> RootPair:
         kind = "complex"
     non_osc = c < -1.0 if branch is TwcBranch.PLUS else c > 1.0
     return RootPair(branch=branch, c=c, roots=roots, kind=kind, non_oscillatory=non_osc)
-
-
-def tail_exponents(c_bar: float) -> tuple[float, float]:
-    """Exponents ``-1/2 +/- sqrt(4 c_bar - 3)/2`` of the far-tail power laws.
-
-    Requires ``c_bar >= 3/4`` (real exponents); they always sum to -1.
-    """
-    c_bar = float(c_bar)
-    if c_bar < 0.75:
-        raise ValueError(f"tail exponents are real only for c_bar >= 3/4, got {c_bar}")
-    r = math.sqrt(4.0 * c_bar - 3.0) / 2.0
-    return (-0.5 + r, -0.5 - r)
 
 
 @dataclass(frozen=True)

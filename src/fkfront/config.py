@@ -107,6 +107,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     problems = []
     if cfg.L <= 0:
         problems.append(f"domain.L must be positive, got {cfg.L}")
+    elif not math.isfinite(2.0 * cfg.L):
+        problems.append(f"domain.L must keep the width 2L finite, got {cfg.L}")
     if cfg.n < 3:
         problems.append(f"domain.n must be at least 3, got {cfg.n}")
     if cfg.epsilon <= 0:

@@ -52,6 +52,7 @@ that call it, so importing this module does not load scipy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -199,8 +200,8 @@ def march(
     consumer may keep it.  Step ``k`` is stamped ``t = k * dt``, free of the
     rounding that a running sum of ``dt`` accumulates.  ``t_end = 0`` yields
     the initial state only; the first draw raises ``ValueError`` for a
-    negative ``t_end``, a positive one shorter than one step, or
-    ``stride < 1``.
+    ``t_end`` that is not finite, a negative one, a positive one shorter than
+    one step, or ``stride < 1``.
 
     The reaction ``f`` must be a pure function of the state.  The step map is
     then deterministic, so once a solve returns its input bit for bit every
@@ -211,6 +212,8 @@ def march(
     and only on a match the whole state, as ``int64`` bits.
     """
     dt = system.dt
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if 0.0 < t_end < dt:

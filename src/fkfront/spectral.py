@@ -13,20 +13,19 @@ modes come out orthonormal in the trapezoid inner product.
 eigenfunctions by inverse iteration, for every mode or only for the modes a
 caller names (the ``eigen`` command names the ones it writes).
 
-Writing the slow amplitude of mode ``n`` as ``sigma_n(t)``, the logistic
-reaction couples everything to the mean: removing secular growth gives
+Removing secular growth from the mean mode predicts the domain mean: from
+the step mean ``(L + x_c)/(2L)`` it follows the logistic ODE
+``d<u>/dt = <u>(1 - <u>)``,
 
-    sigma_0(t) = 1 / (phi_0 + (1/sigma_0(0) - phi_0) e^{-t}),
-    sigma_n(t) = sigma_n(0) e^t / (1 + sigma_0(0) phi_0 (e^t - 1))**2,
+    <u>(t) = 1 / (1 + ((L - x_c)/(L + x_c)) e^{-t}),
 
-with ``phi_0 = sqrt(1/(2L))``.  The mean of the reconstruction is then the
-logistic pull-up ``<u> ~ 1 / (1 + ((L - x_c)/(L + x_c)) e^{-t})`` implemented
-by :func:`average_prediction`.
+which is :func:`average_prediction`.  The ``average`` command writes it
+beside the solver's mean; while the front is held at the slow spot the
+solver's mean lags it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -38,12 +37,7 @@ from .solver import build_operator
 __all__ = [
     "EigenSolveError",
     "EigenSystem",
-    "ModeAmplitudes",
     "solve_eigenproblem",
-    "initial_amplitudes",
-    "sigma0_of_t",
-    "sigma_n_of_t",
-    "leading_order_field",
     "average_prediction",
 ]
 
@@ -92,13 +86,6 @@ class EigenSystem:
         if j == self.modes.size or self.modes[j] != k:
             raise ValueError(f"the eigenfunction of mode {k} was not computed")
         return self.eigenfunctions[j]
-
-    def all_eigenfunctions(self) -> np.ndarray:
-        """Rows for every mode ``0 .. count-1``, which must all have been computed."""
-        if self.modes.size != self.count:
-            raise ValueError(f"needs all {self.count} eigenfunctions; "
-                             f"{self.modes.size} were computed")
-        return self.eigenfunctions
 
 
 def solve_eigenproblem(
@@ -173,115 +160,6 @@ def solve_eigenproblem(
     funcs[flip] *= -1.0
     return EigenSystem(grid=grid, eigenvalues=w[order][::-1], eigenfunctions=funcs,
                        modes=modes)
-
-
-@dataclass(frozen=True)
-class ModeAmplitudes:
-    """Initial modal content of the step profile.
-
-    ``sigma0_init = (x_c + L) / sqrt(2 L)`` is the projection onto the
-    constant mode; ``sigma_n_init[k]`` holds mode ``k+1``.  ``phi0_const``
-    caches ``sqrt(1/(2L))``.
-    """
-
-    sigma0_init: float
-    sigma_n_init: np.ndarray
-    phi0_const: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sigma_n_init", np.asarray(self.sigma_n_init, dtype=float)
-        )
-
-
-def initial_amplitudes(
-    x_c0: float, grid: Grid, eig: EigenSystem, diffusion: DiffusionProfile
-) -> ModeAmplitudes:
-    """Project the step at ``x_c0`` onto the computed modes, in closed form.
-
-    Integrating the eigen-equation across ``[-L, x_c0]`` turns the projection
-    into a boundary term: ``sigma_n(0) = a(x_c0) phi_n'(x_c0) / lambda_n``.
-    The derivative is taken by second-order differences on the eigenvector
-    and interpolated at ``x_c0``.
-    """
-    if eig.grid != grid:
-        raise ValueError("eigen system was computed on a different grid")
-    if not -grid.L < x_c0 < grid.L:
-        raise ValueError(f"front {x_c0} must lie strictly inside the domain")
-    L = grid.L
-    sigma0 = (x_c0 + L) / math.sqrt(2.0 * L)
-    a_xc = float(diffusion.a(x_c0))
-    sigma_n = np.empty(max(eig.count - 1, 0))
-    if eig.count > 1:
-        lam = eig.eigenvalues[1:]
-        if np.any(np.abs(lam) < 1e-12):
-            raise EigenSolveError("repeated zero eigenvalue in the decaying modes")
-        dphi = np.gradient(eig.all_eigenfunctions()[1:], grid.dx, axis=1, edge_order=2)
-        for k in range(1, eig.count):
-            slope = float(np.interp(x_c0, grid.x, dphi[k - 1]))
-            sigma_n[k - 1] = a_xc * slope / eig.eigenvalues[k]
-    return ModeAmplitudes(
-        sigma0_init=sigma0,
-        sigma_n_init=sigma_n,
-        phi0_const=math.sqrt(1.0 / (2.0 * L)),
-    )
-
-
-def sigma0_of_t(t: "float | np.ndarray", amp: ModeAmplitudes) -> "float | np.ndarray":
-    """Mean-mode amplitude ``1 / (phi_0 + (1/sigma_0(0) - phi_0) e^{-t})``.
-
-    Monotone logistic saturation toward ``1/phi_0``; requires a strictly
-    positive initial amplitude.
-    """
-    if amp.sigma0_init <= 0:
-        raise ValueError(f"sigma_0(0) must be positive, got {amp.sigma0_init}")
-    sig = 1.0 / amp.sigma0_init - amp.phi0_const
-    return 1.0 / (amp.phi0_const + sig * np.exp(-np.asarray(t, dtype=float)))
-
-
-def sigma_n_of_t(
-    t: "float | np.ndarray", n: int, amp: ModeAmplitudes
-) -> "float | np.ndarray":
-    """Decaying-mode amplitude ``sigma_n(0) e^t / (1 + sigma_0(0) phi_0 (e^t - 1))**2``.
-
-    Only the decaying modes ``n >= 1`` follow this law; ``n = 0`` is rejected.
-    Evaluated in a form that stays bounded for large ``t``.
-    """
-    if n < 1:
-        raise ValueError("the mean mode n=0 follows sigma0_of_t, not this law")
-    if n > amp.sigma_n_init.size:
-        raise ValueError(f"mode {n} not available; have {amp.sigma_n_init.size} decaying modes")
-    s0p = amp.sigma0_init * amp.phi0_const
-    em = np.exp(-np.asarray(t, dtype=float))
-    return amp.sigma_n_init[n - 1] * em / (em + s0p * (1.0 - em)) ** 2
-
-
-def leading_order_field(
-    x: "float | np.ndarray",
-    T: float,
-    t: float,
-    eig: EigenSystem,
-    amp: ModeAmplitudes,
-) -> "float | np.ndarray":
-    """Two-time reconstruction ``sum_n sigma_n(t) phi_n(x) e^{lambda_n T}``.
-
-    ``T`` is the fast diffusive time (``T >= 0``), ``t`` the slow reaction
-    time.  As ``T`` grows every decaying mode switches off and the field
-    flattens to ``sigma_0(t) phi_0``.
-    """
-    if T < 0:
-        raise ValueError(f"fast time T must be non-negative, got {T}")
-    if amp.sigma_n_init.size < eig.count - 1:
-        raise ValueError("amplitudes cover fewer modes than the eigen system")
-    funcs = eig.all_eigenfunctions()
-    xq = np.asarray(x, dtype=float)
-    u = np.full(xq.shape, sigma0_of_t(t, amp) * amp.phi0_const)
-    for k in range(1, eig.count):
-        weight = float(sigma_n_of_t(t, k, amp)) * math.exp(eig.eigenvalues[k] * T)
-        if weight == 0.0:
-            continue
-        u = u + weight * np.interp(xq, eig.grid.x, funcs[k])
-    return float(u) if np.ndim(x) == 0 else u
 
 
 def average_prediction(

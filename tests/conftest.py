@@ -16,7 +16,7 @@ from fkfront.domain import (
 )
 from fkfront.front import FrontPath, track_front
 from fkfront.solver import build_operator, factor_step_matrix, march
-from fkfront.spectral import initial_amplitudes, solve_eigenproblem
+from fkfront.spectral import solve_eigenproblem
 
 
 def unit_floor_quadratic() -> DiffusionProfile:
@@ -154,7 +154,3 @@ def constant_a_run():
 def default_eigen(default_grid, default_diffusion):
     return solve_eigenproblem(default_diffusion, default_grid, m=64)
 
-
-@pytest.fixture(scope="session")
-def default_amplitudes(default_grid, default_diffusion, default_eigen):
-    return initial_amplitudes(-35.0, default_grid, default_eigen, default_diffusion)

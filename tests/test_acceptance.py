@@ -17,7 +17,6 @@ from fkfront.asymptotics import (
     TwcBranch,
     sfa_residual,
     stationary_roots,
-    tail_exponents,
 )
 from fkfront.cli import main, sfa_front_comparison
 from fkfront.domain import (
@@ -29,7 +28,7 @@ from fkfront.domain import (
 )
 from fkfront.front import fit_power_law, trapping_time
 from fkfront.solver import build_operator, factor_step_matrix, march
-from fkfront.spectral import sigma0_of_t, sigma_n_of_t, solve_eigenproblem
+from fkfront.spectral import average_prediction, solve_eigenproblem
 from fkfront.wkb import (
     Branch,
     WkbParams,
@@ -326,23 +325,19 @@ def test_a5_characteristic_labels_and_layers():
     )
 
 
-def test_a6_closed_form_residuals(default_amplitudes):
+def test_a6_closed_form_residuals():
     steps = (1e-2, 5e-3, 2.5e-3)
-    amp = default_amplitudes
 
     def orders(residuals):
         return [math.log2(residuals[i] / residuals[i + 1]) for i in range(len(residuals) - 1)]
 
     t0 = 0.7
-    res_sigma0 = []
-    res_sigma1 = []
+    res_mean = []
     for h in steps:
-        ds0 = (sigma0_of_t(t0 + h, amp) - sigma0_of_t(t0 - h, amp)) / (2 * h)
-        s0 = sigma0_of_t(t0, amp)
-        res_sigma0.append(abs(ds0 - s0 * (1.0 - amp.phi0_const * s0)))
-        ds1 = (sigma_n_of_t(t0 + h, 1, amp) - sigma_n_of_t(t0 - h, 1, amp)) / (2 * h)
-        s1 = sigma_n_of_t(t0, 1, amp)
-        res_sigma1.append(abs(ds1 - (1.0 - 2.0 * s0 * amp.phi0_const) * s1))
+        du = (average_prediction(t0 + h, -35.0, 100.0)
+              - average_prediction(t0 - h, -35.0, 100.0)) / (2 * h)
+        u = average_prediction(t0, -35.0, 100.0)
+        res_mean.append(abs(du - u * (1.0 - u)))
 
     grid = Grid(L=10.0, n=20001)
     u = 1.0 / (1.0 + np.exp(np.clip(4.0 * (grid.x + 3.0), -500, 500)))
@@ -373,8 +368,7 @@ def test_a6_closed_form_residuals(default_amplitudes):
     res_phase = [phase_residual(h) for h in steps]
 
     measured = {
-        "sigma0": min(orders(res_sigma0)),
-        "sigma1": min(orders(res_sigma1)),
+        "mean": min(orders(res_mean)),
         "sfa": min(orders(res_sfa)),
         "phase": min(orders(res_phase)),
     }
@@ -461,14 +455,11 @@ def test_a8_stationary_root_algebra():
         "real_distinct",
     )
 
-    tail_ok = tail_exponents(0.75) == (-0.5, -0.5)
-
     verdict(
         "A8 stationary-root algebra",
-        vieta_ok and flips_ok and tail_ok,
+        vieta_ok and flips_ok,
         f"Vieta dev (prod {worst_prod:.1e}, sum {worst_sum:.1e}) <= 1e-12; "
-        f"classification flips at c = -1 (plus) and c = +1 (minus): {flips_ok}; "
-        f"double tail root at c_bar = 3/4: {tail_ok}",
+        f"classification flips at c = -1 (plus) and c = +1 (minus): {flips_ok}",
     )
 
 

@@ -12,7 +12,6 @@ from fkfront.asymptotics import (
     sfa_evolve,
     sfa_residual,
     stationary_roots,
-    tail_exponents,
 )
 from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
 from fkfront.wkb import Branch, outer_characteristic
@@ -190,25 +189,6 @@ class TestStationaryRoots:
         assert stationary_roots(1.5, "minus").kind == "real_distinct"
         with pytest.raises(ValueError):
             stationary_roots(1.5, "sideways")
-
-
-class TestTailExponents:
-    def test_double_root_at_threshold(self):
-        assert tail_exponents(0.75) == (-0.5, -0.5)
-
-    def test_known_values(self):
-        assert tail_exponents(1.0) == pytest.approx((0.0, -1.0), abs=1e-14)
-        assert tail_exponents(3.0) == pytest.approx((1.0, -2.0), abs=1e-14)
-
-    def test_exponents_sum_to_minus_one(self):
-        rng = np.random.default_rng(5)
-        for c_bar in rng.uniform(0.75, 10.0, 200):
-            mu1, mu2 = tail_exponents(float(c_bar))
-            assert mu1 + mu2 == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_subthreshold(self):
-        with pytest.raises(ValueError):
-            tail_exponents(0.7)
 
 
 class TestSfaResidual:

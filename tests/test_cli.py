@@ -243,6 +243,15 @@ class TestCliErrorPaths:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_width_exits_one_without_output(self, tmp_path, capsys):
+        # L itself is finite, but dx = 2L / (n - 1) would be inf
+        cfg_path = write_config(tmp_path, "[domain]\nL = 1e308\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["wkb", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "domain.L" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "[solver]\nspeed = 9\n")
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1

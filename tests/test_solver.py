@@ -565,6 +565,8 @@ class TestSolverConfigValidation:
             (-1.0, 1, "t_end must be non-negative, got -1.0"),
             (0.05, 1, "positive t_end must be at least one step dt=0.1, got 0.05"),
             (1.0, 0, "snapshot_stride must be >= 1, got 0"),
+            (math.nan, 1, "t_end must be finite, got nan"),
+            (math.inf, 1, "t_end must be finite, got inf"),
         ],
     )
     def test_march_checks_at_its_first_draw(self, t_end, stride, message):

@@ -1,28 +1,23 @@
-"""Diffusion-operator spectrum, mode amplitudes, averaged dynamics."""
+"""Diffusion-operator spectrum and the logistic prediction of the domain mean."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import dense_matrix
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fkfront.domain import (
     Grid,
     make_constant_diffusion,
     make_quadratic_diffusion,
-    step_initial_condition,
 )
 from fkfront.solver import build_operator
 from fkfront.spectral import (
     EigenSystem,
-    ModeAmplitudes,
     average_prediction,
-    initial_amplitudes,
-    leading_order_field,
-    sigma0_of_t,
-    sigma_n_of_t,
     solve_eigenproblem,
 )
 
@@ -216,125 +211,6 @@ class TestEigenvectorSubset:
         eig = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[1, 3])
         with pytest.raises(ValueError, match="mode 2 was not computed"):
             eig.eigenfunction(2)
-        with pytest.raises(ValueError):
-            initial_amplitudes(-35.0, default_grid, eig, default_diffusion)
-
-
-class TestInitialAmplitudes:
-    def test_mean_amplitude_closed_form(self, default_amplitudes):
-        assert abs(default_amplitudes.sigma0_init - 65.0 / math.sqrt(200.0)) <= 1e-13
-
-    def test_mean_amplitude_centered_front(self, default_grid, default_diffusion, default_eigen):
-        amp = initial_amplitudes(0.0, default_grid, default_eigen,
-                                 default_diffusion)
-        assert amp.sigma0_init == pytest.approx(math.sqrt(50.0), abs=1e-12)
-
-    def test_matches_direct_projection(self, default_grid, default_eigen, default_amplitudes):
-        w = default_grid.quadrature_weights
-        u0 = step_initial_condition(default_grid, -35.0).values
-        for n in range(1, 8):
-            direct = float(w @ (u0 * default_eigen.eigenfunctions[n]))
-            closed = default_amplitudes.sigma_n_init[n - 1]
-            assert closed == pytest.approx(direct, rel=1e-3, abs=1e-12)
-
-    def test_grid_mismatch_rejected(self, default_eigen, default_diffusion):
-        other = Grid(L=100.0, n=251)
-        with pytest.raises(ValueError):
-            initial_amplitudes(-35.0, other, default_eigen, default_diffusion)
-
-    def test_front_outside_domain_rejected(self, default_grid, default_eigen,
-                                           default_diffusion):
-        with pytest.raises(ValueError):
-            initial_amplitudes(100.0, default_grid, default_eigen,
-                               default_diffusion)
-
-
-class TestModeEvolution:
-    def test_sigma0_initial_value(self, default_amplitudes):
-        assert sigma0_of_t(0.0, default_amplitudes) == pytest.approx(
-            default_amplitudes.sigma0_init, rel=1e-14
-        )
-
-    def test_sigma0_monotone_saturation(self, default_amplitudes):
-        ts = np.linspace(0.0, 30.0, 301)
-        vals = np.array([sigma0_of_t(float(t), default_amplitudes) for t in ts])
-        assert np.all(np.diff(vals) > 0)
-        limit = 1.0 / default_amplitudes.phi0_const
-        assert sigma0_of_t(60.0, default_amplitudes) == pytest.approx(limit, rel=1e-8)
-
-    def test_sigma0_logistic_ode_residual(self, default_amplitudes):
-        amp = default_amplitudes
-        h = 1e-3
-        d = (sigma0_of_t(0.7 + h, amp) - sigma0_of_t(0.7 - h, amp)) / (2 * h)
-        s = sigma0_of_t(0.7, amp)
-        assert abs(d - s * (1.0 - amp.phi0_const * s)) <= 1e-6
-
-    def test_sigma0_rejects_nonpositive_start(self, default_amplitudes):
-        bad = ModeAmplitudes(
-            sigma0_init=-1.0,
-            sigma_n_init=default_amplitudes.sigma_n_init,
-            phi0_const=default_amplitudes.phi0_const,
-        )
-        with pytest.raises(ValueError):
-            sigma0_of_t(1.0, bad)
-
-    def test_sigma_n_initial_value(self, default_amplitudes):
-        for n in (1, 5):
-            assert sigma_n_of_t(0.0, n, default_amplitudes) == pytest.approx(
-                default_amplitudes.sigma_n_init[n - 1], rel=1e-13, abs=1e-15
-            )
-
-    def test_sigma_n_decays_and_stays_finite(self, default_amplitudes):
-        late = sigma_n_of_t(200.0, 1, default_amplitudes)
-        assert math.isfinite(late)
-        assert abs(late) <= 1e-60
-
-    def test_sigma_n_mode_bounds(self, default_amplitudes):
-        with pytest.raises(ValueError):
-            sigma_n_of_t(1.0, 0, default_amplitudes)
-        with pytest.raises(ValueError):
-            sigma_n_of_t(1.0, 64, default_amplitudes)
-
-
-class TestLeadingOrderField:
-    def test_mean_equals_mean_mode(self, default_grid, default_eigen, default_amplitudes):
-        w = default_grid.quadrature_weights
-        for T, t in ((0.0, 0.0), (2.0, 1.3), (10.0, 4.0)):
-            field = leading_order_field(default_grid.x, T, t, default_eigen,
-                                        default_amplitudes)
-            mean = float(w @ field) / (2.0 * default_grid.L)
-            expected = sigma0_of_t(t, default_amplitudes) * default_amplitudes.phi0_const
-            assert mean == pytest.approx(expected, abs=1e-9)
-
-    def test_step_reconstruction_improves_with_modes(self, default_grid, default_diffusion):
-        w = default_grid.quadrature_weights
-        u0 = step_initial_condition(default_grid, -35.0).values
-        errors = []
-        for m in (8, 16, 32, 64):
-            eig = solve_eigenproblem(default_diffusion, default_grid, m=m)
-            amp = initial_amplitudes(-35.0, default_grid, eig,
-                                     default_diffusion)
-            rec = leading_order_field(default_grid.x, 0.0, 0.0, eig, amp)
-            errors.append(math.sqrt(float(w @ (rec - u0) ** 2)))
-        assert all(b < a for a, b in zip(errors, errors[1:]))
-
-    def test_decaying_modes_vanish_at_large_fast_time(self, default_grid, default_eigen,
-                                                      default_amplitudes):
-        field = leading_order_field(default_grid.x, 2e4, 2.0, default_eigen,
-                                    default_amplitudes)
-        expected = sigma0_of_t(2.0, default_amplitudes) * default_amplitudes.phi0_const
-        assert np.max(np.abs(field - expected)) <= 1e-12
-
-    def test_validation(self, default_grid, default_eigen, default_amplitudes):
-        with pytest.raises(ValueError):
-            leading_order_field(default_grid.x, -1.0, 0.0, default_eigen, default_amplitudes)
-        short = ModeAmplitudes(
-            sigma0_init=default_amplitudes.sigma0_init,
-            sigma_n_init=default_amplitudes.sigma_n_init[:5],
-            phi0_const=default_amplitudes.phi0_const,
-        )
-        with pytest.raises(ValueError):
-            leading_order_field(default_grid.x, 0.0, 0.0, default_eigen, short)
 
 
 class TestAveragePrediction:
@@ -354,6 +230,27 @@ class TestAveragePrediction:
         vals = np.array([average_prediction(float(t), -35.0, 100.0) for t in ts])
         assert np.all(np.diff(vals) > 0)
         assert average_prediction(40.0, -35.0, 100.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_logistic_ode_residual(self):
+        h = 1e-3
+        d = (average_prediction(0.7 + h, -35.0, 100.0)
+             - average_prediction(0.7 - h, -35.0, 100.0)) / (2 * h)
+        u = average_prediction(0.7, -35.0, 100.0)
+        assert abs(d - u * (1.0 - u)) <= 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e6), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+    def test_bounded_monotone_from_the_step_mean(self, L, side, t1, t2):
+        x_c = side * L
+        assume(-L < x_c < L)
+        early, late = (average_prediction(t, x_c, L) for t in sorted((t1, t2)))
+        assert 0.0 < early <= late <= 1.0
+        start = Fraction(average_prediction(0.0, x_c, L))
+        exact = (Fraction(L) + Fraction(x_c)) / (2 * Fraction(L))
+        # five roundings (L - x_c, L + x_c, the ratio, 1 + ratio, 1 / ...),
+        # each within eps/2; that is up to about 5 ulp, not 1
+        assert abs(start - exact) <= 3 * Fraction(np.finfo(float).eps) * exact
 
     def test_validation(self):
         with pytest.raises(ValueError):
