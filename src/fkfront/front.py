@@ -58,17 +58,19 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
     u = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("field values must be finite")
-    s = u - level
-    left, right = s[:, :-1], s[:, 1:]
-    # a cell brackets the level when the signs (-, 0, +) of its ends differ;
-    # comparisons, not a product, which can underflow to 0 for same signs
-    bracket = ((left <= 0.0) != (right <= 0.0)) | ((left >= 0.0) != (right >= 0.0))
+    # The rightmost crossing cell starts at the last node whose sign class
+    # (-, 0, +) of u - level differs from the last node's: every node to its
+    # right shares the last node's class.  Comparisons, not a product, which
+    # can underflow to 0 for same signs.
+    end = u[:, -1:]
+    differs = ((u < level) != (end < level)) | ((u > level) != (end > level))
     rows = np.arange(u.shape[0])
-    last = bracket.shape[1] - 1 - np.argmax(bracket[:, ::-1], axis=1)
-    found = bracket[rows, last]
+    last = differs.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
+    found = differs[rows, last]
     rows, i = rows[found], last[found]
     positions = np.full(u.shape[0], math.nan)
-    theta = left[rows, i] / (left[rows, i] - right[rows, i])
+    left, right = u[rows, i] - level, u[rows, i + 1] - level
+    theta = left / (left - right)
     positions[rows] = x[i] + theta * (x[i + 1] - x[i])
     return positions
 

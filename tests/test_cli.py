@@ -1,9 +1,11 @@
 """Configuration loading and the command-line pipelines."""
 
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -707,12 +709,125 @@ class TestImportFootprint:
             assert main(["eigen", "--config", cfg, "--out", out]) == 0
             assert "scipy.linalg" in sys.modules
         """)
-        src = Path(fkfront.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
-            capture_output=True, text=True, cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-        )
+        result = run_python(["-c", script, str(cfg_path), str(tmp_path / "out")], tmp_path)
         assert result.returncode == 0, result.stderr
         for name in ("characteristics.csv", "trap_times.csv", "eigenvalues.csv"):
             assert (tmp_path / "out" / name).is_file()
+
+
+def run_python(args, cwd):
+    """Run this interpreter on ``args`` with the package under test importable."""
+    src = Path(fkfront.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+    )
+
+
+def entry_program(runner):
+    """The ``-c`` program that runs the CLI as ``runner`` does.
+
+    ``module`` runs ``fkfront.cli`` as ``__main__``, as ``python -m`` does.
+    ``console-script`` calls the target of ``fkfront`` in pyproject.toml's
+    ``[project.scripts]`` as an installed wrapper does, so the test follows
+    the declaration whether or not the package is installed.
+    """
+    if runner == "module":
+        return "import runpy; runpy.run_module('fkfront.cli', run_name='__main__', alter_sys=True)"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, func = re.search(r'^fkfront = "([\w.]+):(\w+)"$',
+                             pyproject.read_text(encoding="utf-8"), re.MULTILINE).groups()
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+def error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith(("config error:", "error:"))]
+
+
+class TestProcessEntry:
+    """``python -m fkfront.cli`` and the console script behave as :func:`main` does."""
+
+    @pytest.mark.parametrize("runner", ["module", "console-script"])
+    def test_codes_logs_and_bytes_match_in_process_main(self, tmp_path, capsys, monkeypatch,
+                                                        runner):
+        prefix = ["-m", "fkfront.cli"] if runner == "module" else ["-c", entry_program(runner)]
+        good = str(write_config(tmp_path, TINY_RUN))
+        bad = str(write_config(tmp_path, "[solver\nt_end = 1\n", name="bad.ini"))
+        blocked = tmp_path / "occupied"
+        blocked.write_text("a file, not a directory")
+        # the same arguments, relative --out paths resolved in two directories
+        here, there = tmp_path / "in-process", tmp_path / "process"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        for code, cfg, out in [(0, good, "out"), (1, bad, "unwritten"), (2, good, str(blocked))]:
+            args = ["compare-sfa", "--config", cfg, "--out", out]
+            result = run_python([*prefix, *args], there)
+            capsys.readouterr()
+            assert main(args) == code
+            assert result.returncode == code, result.stderr
+            assert error_lines(result.stderr) == error_lines(capsys.readouterr().err)
+            if code:
+                assert error_lines(result.stderr), result.stderr
+            else:
+                assert re.search(r"^INFO compare-sfa: stopped marching at t=.*before t_end=10: ",
+                                 result.stderr, re.MULTILINE), result.stderr
+        assert not (there / "unwritten").exists()
+        names = sorted(path.name for path in (here / "out").iterdir())
+        assert "front_comparison.csv" in names
+        assert sorted(path.name for path in (there / "out").iterdir()) == names
+        for name in names:
+            assert (there / "out" / name).read_bytes() == (here / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("runner", ["module", "console-script"])
+    def test_exits_with_every_object_frozen(self, tmp_path, runner):
+        # the hook is registered before logging's, so it runs after it
+        hook = ("import atexit, gc, sys; "
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))")
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        result = run_python(["-c", f"{hook}\n{entry_program(runner)}", "wkb",
+                             "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 0, result.stderr
+        [frozen] = [int(line.split()[1]) for line in result.stderr.splitlines()
+                    if line.startswith("frozen ")]
+        assert frozen > 10_000
+
+
+ALL_COMMANDS = ["simulate", "compare-sfa", "trap-sweep", "eigen", "wkb", "average"]
+
+
+def open_descriptors():
+    """``{fd: target}`` of this process, from ``/proc/self/fd``."""
+    targets = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            targets[name] = os.readlink(f"/proc/self/fd/{name}")
+        except FileNotFoundError:  # the listing's own descriptor, closed by now
+            pass
+    return targets
+
+
+class TestInProcessMain:
+    """:func:`main` leaves the process as it found it; only the process entry skips teardown."""
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_leaves_the_collector_alone(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    # The process entry skips the last collection, so no output may wait for
+    # one to be closed.  The collector is off during the run, so a file that
+    # only a collection would close stays open and shows.
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_leaves_no_file_open(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        before = open_descriptors()
+        gc.disable()
+        try:
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+            assert open_descriptors() == before
+        finally:
+            gc.enable()
