@@ -24,6 +24,8 @@ from .domain import (
     make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
+    x_of_xi,
+    xi_of_x,
 )
 from .front import (
     FitReport,
@@ -50,14 +52,9 @@ from .spectral import (
 from .wkb import (
     Branch,
     CharacteristicPath,
-    InnerCharacteristic,
-    PhaseValue,
     WkbParams,
     characteristic_label,
-    consistent_initial_phase,
-    inner_characteristic,
     integrate_characteristic,
-    outer_characteristic,
     phase_along,
 )
 

@@ -6,6 +6,11 @@ pieces every other module consumes: the diffusion coefficient with its
 derivative, the reaction term, the uniform node grid, sampled fields, and the
 step initial condition.  Instances are immutable after construction and safe
 to share across threads.
+
+For the quadratic coefficient :func:`xi_of_x` and :func:`x_of_xi` map
+between ``x`` and ``xi = asinh(x / sqrt(epsilon))``.  There
+``dx/dxi = sqrt(a)``, and the model reads, exactly,
+``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ __all__ = [
     "make_constant_diffusion",
     "logistic_reaction",
     "step_initial_condition",
+    "xi_of_x",
+    "x_of_xi",
 ]
 
 
@@ -63,6 +70,25 @@ def make_quadratic_diffusion(epsilon: float) -> DiffusionProfile:
     )
 
 
+def xi_of_x(x: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
+    """Stretched coordinate ``xi = asinh(x / sqrt(epsilon))``; inverse of :func:`x_of_xi`.
+
+    Odd in ``x`` and exact at 0.  Takes scalars or arrays and works for
+    every ``x`` with ``|x| / sqrt(epsilon)`` finite.
+    """
+    return np.arcsinh(x / math.sqrt(epsilon))
+
+
+def x_of_xi(xi: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
+    """Physical coordinate ``x = sqrt(epsilon) sinh(xi)``; inverse of :func:`xi_of_x`.
+
+    Odd in ``xi`` and exact at 0.  The round trip ``x_of_xi(xi_of_x(x))``
+    returns ``x`` to a few units in the last place of ``xi``: ``sinh``
+    turns the rounding of ``xi`` into the relative error of ``x``.
+    """
+    return math.sqrt(epsilon) * np.sinh(xi)
+
+
 def make_constant_diffusion(level: float) -> DiffusionProfile:
     """Spatially uniform ``a(x) = level`` with ``a'(x) = 0``.
 
@@ -89,9 +115,10 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        # also rejects nan, which fails every comparison
-        if not 0.0 < self.L < math.inf:
-            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
+        # also rejects nan, which fails every comparison, and a finite L
+        # whose width 2L overflows (dx would be inf)
+        if not 0.0 < 2.0 * self.L < math.inf:
+            raise ValueError(f"half-width L must be finite and positive (2L too), got {self.L}")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n}")
 

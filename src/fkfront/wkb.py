@@ -1,30 +1,28 @@
 """Exponential-tail transport: rays of the phase equation.
 
-Ahead of the front the profile is exponentially small; writing it as
-``A * exp(phi)`` and keeping leading order turns the model into the
-Hamilton-Jacobi equation
+Ahead of the front the profile is exponentially small.  With
+``u = exp(-psi)`` the linearized model is, exactly,
 
-    phi_t + a(x) phi_x**2 + 1 = 0,        a(x) = x**2 + epsilon.
+    psi_t + a(x) psi_x**2 + 1 = (a(x) psi_x)_x,        a(x) = x**2 + epsilon.
 
-The Hamiltonian ``H = 1 + a p**2`` is conserved along rays, and
-``Htilde = sqrt(H - 1)`` labels the ray family.  Rays obey
+The ray fan drops the right side and keeps the Hamilton-Jacobi equation of
+the phase in ``u ~ A exp(-phi)``, ``phi_t + a phi_x**2 + 1 = 0``.  Its
+Hamiltonian ``H = 1 + a p**2`` is conserved along rays, ``Htilde =
+sqrt(H - 1)`` labels the ray family, and rays obey ``dx/dt = s 2 Htilde
+sqrt(a(x))`` with momentum ``p = s Htilde / sqrt(a)``, where ``s = +1`` for
+``Branch.PLUS`` (moving right) and ``-1`` for ``Branch.MINUS``.  In the
+``xi`` of :func:`fkfront.domain.xi_of_x`, where ``dx/dxi = sqrt(a)``, the
+flow is uniform motion ``xi = xi0 + s 2 Htilde t`` and the phase a plane
+wave ``phi = s Htilde xi - (Htilde**2 + 1) t``.  :func:`characteristic_label`
+and :func:`phase_along` are these exact forms; :func:`integrate_characteristic`
+integrates the ray equation independently (Runge-Kutta) for cross-checks.
 
-    dx/dt = +/- 2 Htilde sqrt(a(x)),
-
-where :class:`Branch` picks the sign: ``Branch.PLUS`` moves right
-everywhere, ``Branch.MINUS`` moves left.  For the quadratic coefficient the
-flow integrates exactly: with ``z(x) = x + sqrt(x**2 + epsilon)`` one has
-``z(x(t)) = z(x0) * exp(+/- 2 Htilde t)``, inverted by
-``x = (z - epsilon/z)/2``.  :func:`characteristic_label` is that exact
-inverse; :func:`outer_characteristic` and :func:`inner_characteristic` are
-its leading-order forms far from / near the slow spot at the origin, and
-:func:`integrate_characteristic` is an independent Runge-Kutta integration
-of the ray equation for cross-checks.
-
-Sign conventions, spelled out once: for ``Branch.PLUS`` the label factor is
-``exp(-2 Htilde t)`` (so ``x0 ~ x exp(-2 Htilde t)`` far to the right of the
-origin) and the ray momentum is ``p = +Htilde / sqrt(a)``; ``Branch.MINUS``
-flips all three signs together.
+In ``xi`` the dropped right side is ``psi_xixi + tanh(xi) psi_xi``.  On a
+plane wave ``psi_xixi = 0``, so the fan drops the drift ``tanh(xi) psi_xi``,
+which tends to ``-/+ psi_xi`` far left / right of the origin.  So rays move
+at ``2 Htilde`` in ``xi`` on both sides, while with the drift kept the
+pulled speed is ``2 - tanh(xi)``: 3 on the way in and 1 on the way out,
+which is what the solver's front does.
 """
 
 from __future__ import annotations
@@ -32,24 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .domain import DiffusionProfile
+from .domain import DiffusionProfile, x_of_xi, xi_of_x
 
 __all__ = [
     "Branch",
     "WkbParams",
-    "PhaseValue",
-    "InnerCharacteristic",
     "CharacteristicPath",
     "characteristic_label",
-    "outer_characteristic",
-    "inner_characteristic",
     "integrate_characteristic",
     "phase_along",
-    "consistent_initial_phase",
 ]
 
 
@@ -73,20 +65,11 @@ class WkbParams:
     sign: Branch
 
     def __post_init__(self) -> None:
-        if self.Htilde <= 0:
-            raise ValueError(f"Htilde must be positive, got {self.Htilde}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def _z_coordinate(x: np.ndarray, eps: float) -> np.ndarray:
-    """Monotone map ``z = x + sqrt(x**2 + eps) > 0``, cancellation-safe for x < 0."""
-    x = np.asarray(x, dtype=float)
-    root = np.sqrt(x * x + eps)
-    # for negative x the direct sum cancels; use z = eps / (root - x) there
-    # (guard the unused quotient: root - x underflows to 0 for huge positive x)
-    denom = np.where(x >= 0.0, 1.0, root - x)
-    return np.where(x >= 0.0, x + root, eps / denom)
+        # also rejects nan, which fails every comparison
+        if not 0.0 < self.Htilde < math.inf:
+            raise ValueError(f"Htilde must be finite and positive, got {self.Htilde}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 def characteristic_label(
@@ -94,70 +77,15 @@ def characteristic_label(
 ) -> "float | np.ndarray":
     """Starting point ``x0`` of the ray that reaches ``x`` at time ``t``.
 
-    Exact inverse of the ray flow:
+    Exact inverse of the ray flow, uniform motion in ``xi``:
 
-        x0 = ( z e^{-s 2 Htilde t} - epsilon / (z e^{-s 2 Htilde t}) ) / 2,
-        z  = x + sqrt(x**2 + epsilon),   s = +/- 1 per branch.
+        x0 = x_of_xi(xi_of_x(x) - s 2 Htilde t),   s = +/- 1 per branch.
 
-    At ``t = 0`` this is the identity; at fixed ``t`` it is strictly
-    increasing in ``x``, so rays never cross.
+    At ``t = 0`` this returns ``x`` up to the rounding of the round trip;
+    at fixed ``t`` it is strictly increasing in ``x``, so rays never cross.
     """
-    s = params.sign.direction
-    z0 = _z_coordinate(x, params.epsilon) * math.exp(-s * 2.0 * params.Htilde * t)
-    out = 0.5 * (z0 - params.epsilon / z0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def outer_characteristic(x0: float, t: float, Htilde: float, sign: Branch) -> float:
-    """Leading-order ray far from the origin: ``x = x0 exp(-/+ 2 Htilde t)``.
-
-    ``Branch.PLUS`` selects the contracting factor ``exp(-2 Htilde t)``
-    (distance to the origin shrinking), ``Branch.MINUS`` the growing one.
-    Valid only while both ``x0`` and ``x`` stay well outside the inner layer
-    ``|x| ~ sqrt(epsilon)``; the caller checks that.
-    """
-    return x0 * math.exp(-sign.direction * 2.0 * Htilde * t)
-
-
-@dataclass(frozen=True)
-class InnerCharacteristic:
-    """Inner-layer ray position with its validity certificate.
-
-    ``position`` is NaN when ``radicand`` is negative, i.e. when the
-    inner-layer formula has left its window of validity.
-    """
-
-    position: float
-    radicand: float
-    valid: bool
-
-
-def inner_characteristic(x0: float, t: float, params: WkbParams) -> InnerCharacteristic:
-    """Ray through the slow spot, valid for ``|x0| << sqrt(epsilon)`` and t = O(1).
-
-    The formula depends on the side the ray starts on:
-
-        x(t) = sqrt(eps) ( -1 + sqrt(1 -/+ 2 tanh(2 Ht t) + 2 (x0/sqrt(eps)) sech(2 Ht t)) )
-
-    with ``-`` for ``x0 < 0`` (the ray drifting left toward ``-sqrt(eps)``)
-    and ``+`` for ``x0 > 0``; at ``x0 = 0`` the branch in ``params`` picks the
-    side.  Both reduce to ``x0`` at ``t = 0``.  The result is flagged invalid
-    once the radicand turns negative.
-    """
-    se = math.sqrt(params.epsilon)
-    if x0 > 0.0:
-        tanh_sign = 1.0
-    elif x0 < 0.0:
-        tanh_sign = -1.0
-    else:
-        tanh_sign = float(params.sign.direction)
-    arg = 2.0 * params.Htilde * t
-    radicand = 1.0 + tanh_sign * 2.0 * math.tanh(arg) + 2.0 * (x0 / se) / math.cosh(arg)
-    if radicand < 0.0:
-        return InnerCharacteristic(position=math.nan, radicand=radicand, valid=False)
-    return InnerCharacteristic(
-        position=se * (-1.0 + math.sqrt(radicand)), radicand=radicand, valid=True
-    )
+    shift = params.sign.direction * 2.0 * params.Htilde * t
+    return x_of_xi(xi_of_x(x, params.epsilon) - shift, params.epsilon)
 
 
 @dataclass(frozen=True)
@@ -192,12 +120,15 @@ def integrate_characteristic(
     oracle the closed forms are checked against, so it deliberately shares
     no code with them.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if Htilde < 0:
-        raise ValueError(f"Htilde must be non-negative, got {Htilde}")
+    # also rejects nan, which fails every comparison
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    if not 0.0 <= Htilde < math.inf:
+        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if t_end == 0.0:
         return CharacteristicPath(times=np.zeros(1), positions=np.full(1, float(x0)))
     rate = sign.direction * 2.0 * Htilde
@@ -222,40 +153,14 @@ def integrate_characteristic(
     return CharacteristicPath(times=times, positions=positions)
 
 
-@dataclass(frozen=True)
-class PhaseValue:
-    """Phase of the exponential tail at one point, with its ray label."""
+def phase_along(x: float, t: float, params: WkbParams) -> float:
+    """Phase of the ray family at ``(x, t)``: ``s Htilde xi - (Htilde**2 + 1) t``.
 
-    phi: float
-    x0: float
-
-
-def phase_along(
-    x: float, t: float, params: WkbParams, phi0: Callable[[float], float]
-) -> PhaseValue:
-    """Phase transported along rays: ``phi = (Htilde**2 - 1) t + phi0(x0)``.
-
-    ``phi0`` is the initial phase profile.  The transported phase solves the
-    phase equation only when ``phi0`` is consistent with the ray family, i.e.
-    ``phi0'(x0) = s Htilde / sqrt(a(x0))`` with ``s`` the branch direction
-    (the ray momentum evaluated at ``t = 0``); see
-    :func:`consistent_initial_phase`.
-    """
-    x0 = characteristic_label(x, t, params)
-    phi = (params.Htilde**2 - 1.0) * t + phi0(x0)
-    return PhaseValue(phi=float(phi), x0=float(x0))
-
-
-def consistent_initial_phase(params: WkbParams) -> Callable[[float], float]:
-    """Initial phase whose gradient rides the ray family of ``params``.
-
-    Integrating ``phi0'(x0) = s Htilde / sqrt(x0**2 + epsilon)`` gives
-    ``phi0(x0) = s Htilde asinh(x0 / sqrt(epsilon))`` (up to a constant).
+    This is ``phi = (Htilde**2 - 1) t + phi0(x0)`` transported along the rays
+    from the initial phase consistent with them, ``phi0'(x0) = s Htilde /
+    sqrt(a(x0))`` (the ray momentum at ``t = 0``), i.e.
+    ``phi0 = s Htilde xi_of_x(x0)``.  With ``xi0 = xi - s 2 Htilde t`` the
+    transport is a plane wave in ``xi`` and solves the phase equation exactly.
     """
     scale = params.sign.direction * params.Htilde
-    se = math.sqrt(params.epsilon)
-
-    def phi0(x0: "float | np.ndarray") -> "float | np.ndarray":
-        return scale * np.arcsinh(np.asarray(x0, dtype=float) / se)
-
-    return phi0
+    return float(scale * xi_of_x(x, params.epsilon) - (params.Htilde**2 + 1.0) * t)

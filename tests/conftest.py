@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fkfront.domain import (
     DiffusionProfile,
@@ -17,6 +18,11 @@ from fkfront.domain import (
 from fkfront.front import FrontPath, track_front
 from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import solve_eigenproblem
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats whose base-10 logarithm is uniform in ``[lo, hi]``."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 def unit_floor_quadratic() -> DiffusionProfile:

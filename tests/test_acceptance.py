@@ -33,10 +33,7 @@ from fkfront.wkb import (
     Branch,
     WkbParams,
     characteristic_label,
-    consistent_initial_phase,
-    inner_characteristic,
     integrate_characteristic,
-    outer_characteristic,
     phase_along,
 )
 
@@ -261,7 +258,6 @@ def test_a4_eigen_oracle():
 def test_a5_characteristic_labels_and_layers():
     eps = 0.01
     diff = make_quadratic_diffusion(eps)
-    se = math.sqrt(eps)
 
     rng = np.random.default_rng(7)
     worst_drift = 0.0
@@ -274,55 +270,9 @@ def test_a5_characteristic_labels_and_layers():
         for i in range(0, path.times.size, 100):
             lab = characteristic_label(float(path.positions[i]), float(path.times[i]), params)
             worst_drift = max(worst_drift, abs(lab - x0))
-    drift_ok = worst_drift <= 1e-6
-
-    # far from the origin the ray is a pure exponential in t; the decaying
-    # factor applies whenever the ray momentum points toward the origin
-    cases = [
-        (-2.0, 1.0, Branch.PLUS),
-        (-1.5, 0.7, Branch.MINUS),
-        (1.2, 1.0, Branch.PLUS),
-        (2.5, 0.9, Branch.MINUS),
-        (-3.0, 1.2, Branch.PLUS),
-        (1.05, 0.5, Branch.MINUS),
-    ]
-    worst_outer = 0.0
-    for x0, ht, s in cases:
-        path = integrate_characteristic(x0, ht, diff, s, t_end=1.0, dt=1e-3)
-        exp_sign = Branch.PLUS if s.direction * math.copysign(1.0, x0) < 0 else Branch.MINUS
-        for i in range(0, path.times.size, 25):
-            x_ref = float(path.positions[i])
-            if abs(x_ref) <= 10 * se:
-                continue
-            x_out = outer_characteristic(x0, float(path.times[i]), ht, exp_sign)
-            worst_outer = max(worst_outer, abs(x_out - x_ref) / abs(x_ref))
-    outer_ok = worst_outer <= 1e-2
-
-    # the inner formula carries an O(|x0|/sqrt(eps)) relative defect; 8 is
-    # the frozen constant for these samples
-    worst_scaled = 0.0
-    for ratio in (0.01, 0.02, 0.05, -0.01, -0.02, -0.05):
-        x0 = ratio * se
-        s = Branch.PLUS if x0 > 0 else Branch.MINUS
-        params = WkbParams(Htilde=0.8, epsilon=eps, sign=s)
-        path = integrate_characteristic(x0, 0.8, diff, s, t_end=1.0, dt=1e-3)
-        for i in range(1, path.times.size):
-            x_ref = float(path.positions[i])
-            if abs(x_ref) >= 0.1 * se:
-                break
-            inner = inner_characteristic(x0, float(path.times[i]), params)
-            if not inner.valid:
-                continue
-            scaled = (abs(inner.position - x_ref) / abs(x_ref)) / (abs(x0) / se)
-            worst_scaled = max(worst_scaled, scaled)
-    inner_ok = worst_scaled <= 8.0
-
-    verdict(
-        "A5 characteristic labels and layers",
-        drift_ok and outer_ok and inner_ok,
-        f"label drift {worst_drift:.2e} <= 1e-6; outer rel err {worst_outer:.2e} "
-        f"<= 1e-2; inner scaled err {worst_scaled:.2f} <= 8",
-    )
+    # two rays start inside the slow spot |x| < sqrt(eps) = 0.1, the rest outside it
+    ok = worst_drift <= 1e-6
+    verdict("A5 characteristic labels and layers", ok, f"label drift {worst_drift:.2e} <= 1e-6")
 
 
 def test_a6_closed_form_residuals():
@@ -352,16 +302,13 @@ def test_a6_closed_form_residuals():
     ]
 
     params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
-    phi0 = consistent_initial_phase(params)
 
     def phase_residual(h):
         worst = 0.0
         for x in (-1.0, -0.3, 0.2, 0.9):
             for t in (0.2, 0.5):
-                phi_t = (phase_along(x, t + h, params, phi0).phi
-                         - phase_along(x, t - h, params, phi0).phi) / (2 * h)
-                phi_x = (phase_along(x + h, t, params, phi0).phi
-                         - phase_along(x - h, t, params, phi0).phi) / (2 * h)
+                phi_t = (phase_along(x, t + h, params) - phase_along(x, t - h, params)) / (2 * h)
+                phi_x = (phase_along(x + h, t, params) - phase_along(x - h, t, params)) / (2 * h)
                 worst = max(worst, abs(phi_t + (x * x + 0.01) * phi_x**2 + 1.0))
         return worst
 

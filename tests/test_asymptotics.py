@@ -14,7 +14,6 @@ from fkfront.asymptotics import (
     stationary_roots,
 )
 from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
-from fkfront.wkb import Branch, outer_characteristic
 
 
 def sigmoid_snapshot(steepness: float, center: float, n: int = 20001, L: float = 10.0):
@@ -119,28 +118,6 @@ class TestSfaEvolve:
         for value in (0.0, 1.0):
             flat = Field(grid, np.full(grid.n, value), t0)
             assert np.all(np.asarray(sfa_evolve(flat, xs, t)) == value)
-
-
-class TestCharacteristics:
-    """``wkb.outer_characteristic`` on the plus branch: a path of constant speed
-    ``c = 2 Htilde`` in the coordinate ``ln|x| + c t``, at ``Htilde = 1`` the
-    drift model's characteristic."""
-
-    def test_contracting_characteristic(self):
-        assert outer_characteristic(-35.0, math.log(2.0) / 2.0, 1.0, Branch.PLUS) == (
-            pytest.approx(-17.5, abs=1e-12)
-        )
-
-    def test_front_path_in_log_coordinate(self):
-        assert outer_characteristic(-35.0, 1.0, 1.0, Branch.PLUS) == pytest.approx(
-            -35.0 * math.exp(-2.0), abs=1e-12
-        )
-
-    def test_front_path_shift_invariance(self):
-        # the path depends on the elapsed time only: 3.5 - 2.0 = 1.5 - 0.0
-        a = outer_characteristic(-7.0, 3.5 - 2.0, 0.6, Branch.PLUS)
-        b = outer_characteristic(-7.0, 1.5 - 0.0, 0.6, Branch.PLUS)
-        assert a == pytest.approx(b, rel=1e-14)
 
 
 class TestStationaryRoots:

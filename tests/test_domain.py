@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fkfront.domain import (
     DiffusionProfile,
@@ -13,7 +15,13 @@ from fkfront.domain import (
     make_constant_diffusion,
     make_quadratic_diffusion,
     step_initial_condition,
+    x_of_xi,
+    xi_of_x,
 )
+
+from conftest import log_uniform
+
+EPS = np.finfo(float).eps
 
 
 class TestQuadraticDiffusion:
@@ -51,6 +59,44 @@ class TestQuadraticDiffusion:
             make_quadratic_diffusion(eps)
         with pytest.raises(ValueError, match="diffusion floor must be finite and positive"):
             make_constant_diffusion(eps)
+
+
+class TestStretchedCoordinate:
+    """``xi = asinh(x / sqrt(epsilon))`` and its inverse ``x = sqrt(epsilon) sinh(xi)``."""
+
+    # |x| and epsilon log-uniform over the normal floats, with |x|/sqrt(eps) finite
+    magnitudes = log_uniform(-300.0, 300.0)
+    floors = log_uniform(-300.0, 0.0)
+
+    def test_hand_values(self):
+        assert xi_of_x(0.0, 0.01) == 0.0
+        assert x_of_xi(0.0, 0.01) == 0.0
+        assert xi_of_x(0.1, 0.01) == pytest.approx(math.asinh(1.0), rel=1e-15)
+        assert x_of_xi(math.log(2.0), 4.0) == pytest.approx(1.5, rel=1e-15)
+
+    def test_arrays_match_scalars(self):
+        x = np.array([-1e8, -3.0, 0.0, 1e-9, 2.5])
+        xi = xi_of_x(x, 1e-6)
+        assert xi.shape == x.shape
+        assert list(xi) == [xi_of_x(float(v), 1e-6) for v in x]
+        assert list(x_of_xi(xi, 1e-6)) == [x_of_xi(float(v), 1e-6) for v in xi]
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=magnitudes, negative=st.booleans(), epsilon=floors)
+    def test_round_trip(self, x, negative, epsilon):
+        # sinh carries the rounding of xi into the relative error of x
+        x = -x if negative else x
+        assume(abs(x) / math.sqrt(epsilon) < 1e300)
+        xi = xi_of_x(x, epsilon)
+        assert abs(x_of_xi(xi, epsilon) - x) <= 4.0 * EPS * (1.0 + abs(xi)) * abs(x)
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=magnitudes, epsilon=floors)
+    def test_both_maps_are_odd(self, x, epsilon):
+        assume(x / math.sqrt(epsilon) < 1e300)
+        xi = xi_of_x(x, epsilon)
+        assert xi_of_x(-x, epsilon) == -xi
+        assert x_of_xi(-xi, epsilon) == -x_of_xi(xi, epsilon)
 
 
 class TestLogisticReaction:
@@ -104,6 +150,12 @@ class TestGrid:
         # an infinite L would give the nodes [nan ... inf]
         with pytest.raises(ValueError, match="half-width L must be finite and positive"):
             Grid(L=L, n=5)
+
+    def test_rejects_half_width_whose_width_overflows(self):
+        # L = 1e308 is finite, but dx = 2L/(n-1) would be inf
+        with pytest.raises(ValueError, match=r"half-width L must be finite and positive \(2L"):
+            Grid(L=1e308, n=3)
+        assert Grid(L=8e307, n=3).dx == 8e307
 
 
 class TestField:

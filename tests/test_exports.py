@@ -70,3 +70,16 @@ def test_docstring_cross_references_resolve():
             if not resolves(module, target, cls):
                 unresolved.append(f"{name}: {target}")
     assert checked and unresolved == []
+
+
+README_REFERENCE = re.compile(r"`(?:fkfront\.)?(\w+)\.(\w+)`")
+
+
+def test_readme_references_resolve():
+    # `[fkfront.]<module>.<name>` in README.md must name a defined object
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    found = [(module, name) for module, name in
+             README_REFERENCE.findall(readme.read_text(encoding="utf-8")) if module in MODULES]
+    unresolved = [f"{module}.{name}" for module, name in found
+                  if not hasattr(importlib.import_module(f"fkfront.{module}"), name)]
+    assert found and unresolved == []

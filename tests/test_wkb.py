@@ -1,21 +1,24 @@
-"""Exponential-tail transport: labels, ray formulas, phase construction."""
+"""Exponential-tail transport: labels, the ray oracle, the plane-wave phase."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion
+from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion, xi_of_x
 from fkfront.wkb import (
     Branch,
     WkbParams,
     characteristic_label,
-    consistent_initial_phase,
-    inner_characteristic,
     integrate_characteristic,
-    outer_characteristic,
     phase_along,
 )
+
+from conftest import log_uniform
+
+EPS = np.finfo(float).eps
 
 
 class TestWkbParams:
@@ -27,6 +30,14 @@ class TestWkbParams:
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(ValueError):
+            WkbParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["Htilde", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # nan fails every comparison, so "<= 0" alone does not reject it
+        kwargs = {"Htilde": 1.0, "epsilon": 0.1, "sign": Branch.PLUS, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             WkbParams(**kwargs)
 
     def test_branch_directions(self):
@@ -71,93 +82,47 @@ class TestCharacteristicLabel:
             )
             assert drift <= 1e-6
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=log_uniform(-300.0, 300.0),
+        negative=st.booleans(),
+        epsilon=log_uniform(-300.0, 0.0),
+        Htilde=log_uniform(-6.0, 6.0),
+        t=log_uniform(-6.0, 6.0),
+        branch=st.sampled_from(Branch),
+    )
+    def test_uniform_motion_in_xi(self, x, negative, epsilon, Htilde, t, branch):
+        x = -x if negative else x
+        assume(abs(x) / math.sqrt(epsilon) < 1e300)
+        shift = branch.direction * 2.0 * Htilde * t
+        xi0 = xi_of_x(x, epsilon) - shift
+        assume(abs(xi0) < 690.0)  # the label stays a finite float
+        params = WkbParams(Htilde=Htilde, epsilon=epsilon, sign=branch)
+        got = xi_of_x(characteristic_label(x, t, params), epsilon)
+        assert abs(got - xi0) <= 4.0 * EPS * (1.0 + abs(xi0))
 
-class TestOuterCharacteristic:
-    def test_identity_at_zero_time(self):
-        assert outer_characteristic(-10.0, 0.0, 1.0, Branch.PLUS) == -10.0
-        assert outer_characteristic(3.0, 0.0, 0.5, Branch.MINUS) == 3.0
-
-    def test_contracting_map_hand_case(self):
-        got = outer_characteristic(-10.0, math.log(2.0) / 2.0, 1.0, Branch.PLUS)
-        assert got == pytest.approx(-5.0, abs=1e-12)
-
-    def test_sign_flip_is_time_reversal(self):
-        for x0, t in ((-10.0, 0.3), (4.0, 1.2)):
-            assert outer_characteristic(x0, t, 1.1, Branch.MINUS) == outer_characteristic(
-                x0, -t, 1.1, Branch.PLUS
-            )
-
-    def test_zero_rate_is_stationary(self):
-        assert outer_characteristic(-7.0, 5.0, 0.0, Branch.PLUS) == -7.0
-
-    def test_inverts_label_far_from_origin(self):
-        # left of the well the contracting map inverts the label formula
-        eps = 0.01
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.PLUS)
-        x = outer_characteristic(-10.0, 0.5, 1.0, Branch.PLUS)
-        assert characteristic_label(x, 0.5, params) == pytest.approx(-10.0, rel=1e-3)
-
-
-class TestInnerCharacteristic:
-    def test_identity_at_zero_time(self):
-        eps = 0.01
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.PLUS)
-        for x0 in (-0.003, 0.001, 0.0):
-            res = inner_characteristic(x0, 0.0, params)
-            assert res.valid
-            assert abs(res.position - x0) <= x0**2 / math.sqrt(eps) + 1e-15
-
-    def test_negative_side_monotone_to_well_edge(self):
-        eps = 0.01
-        se = math.sqrt(eps)
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.PLUS)
-        ts = np.linspace(0.0, 0.26, 14)
-        positions = [inner_characteristic(-0.001, float(t), params) for t in ts]
-        assert all(r.valid for r in positions)
-        xs = [r.position for r in positions]
-        assert all(b < a for a, b in zip(xs, xs[1:]))
-        assert all(x >= -se - 1e-12 for x in xs)
-
-    def test_well_edge_reached_at_vanishing_radicand(self):
-        eps = 0.01
-        se = math.sqrt(eps)
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.PLUS)
-        lo, hi = 0.26, 0.32  # radicand changes sign in here for x0 = -0.001
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if inner_characteristic(-0.001, mid, params).radicand >= 0:
-                lo = mid
-            else:
-                hi = mid
-        res = inner_characteristic(-0.001, lo, params)
-        assert res.valid
-        assert res.position == pytest.approx(-se, abs=1e-6)
-
-    def test_invalid_beyond_validity_window(self):
-        params = WkbParams(Htilde=1.0, epsilon=0.01, sign=Branch.PLUS)
-        res = inner_characteristic(-0.001, 0.6, params)
-        assert not res.valid
-        assert res.radicand < 0
-        assert math.isnan(res.position)
-
-    def test_origin_start_follows_params_sign(self):
-        params_r = WkbParams(Htilde=1.0, epsilon=0.01, sign=Branch.PLUS)
-        params_l = WkbParams(Htilde=1.0, epsilon=0.01, sign=Branch.MINUS)
-        assert inner_characteristic(0.0, 0.05, params_r).position > 0
-        assert inner_characteristic(0.0, 0.05, params_l).position < 0
-
-    def test_against_ray_integration(self):
-        # the formula tracks the ray leaving the well on the side of x0
-        eps = 0.01
-        se = math.sqrt(eps)
-        x0 = 0.01 * se
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.PLUS)
-        path = integrate_characteristic(
-            x0, 1.0, make_quadratic_diffusion(eps), Branch.PLUS, 0.3, 1e-4
-        )
-        x_ref = float(path.positions[-1])
-        res = inner_characteristic(x0, 0.3, params)
-        assert abs(res.position - x_ref) <= x_ref**2 / se
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=log_uniform(-300.0, 300.0),
+        negative=st.booleans(),
+        epsilon=log_uniform(-300.0, 0.0),
+        Htilde=log_uniform(-3.0, 3.0),
+        t1=log_uniform(-6.0, 2.0),
+        t2=log_uniform(-6.0, 2.0),
+        branch=st.sampled_from(Branch),
+    )
+    def test_composes_over_time(self, x, negative, epsilon, Htilde, t1, t2, branch):
+        # label(label(x, t1), t2) = label(x, t1 + t2), to the rounding of xi
+        # carried into x by dx/dxi = sqrt(a(x))
+        x = -x if negative else x
+        assume(abs(x) / math.sqrt(epsilon) < 1e300)
+        xi = xi_of_x(x, epsilon)
+        assume(max(abs(xi - 2.0 * Htilde * s * (t1 + t2)) for s in (-1, 1)) < 690.0)
+        params = WkbParams(Htilde=Htilde, epsilon=epsilon, sign=branch)
+        twice = characteristic_label(characteristic_label(x, t1, params), t2, params)
+        once = characteristic_label(x, t1 + t2, params)
+        rounding = 8.0 * EPS * (1.0 + abs(xi) + 2.0 * Htilde * (t1 + t2))
+        assert abs(twice - once) <= rounding * math.hypot(once, math.sqrt(epsilon))
 
 
 class TestIntegrateCharacteristic:
@@ -199,58 +164,63 @@ class TestIntegrateCharacteristic:
         with pytest.raises(ValueError):
             integrate_characteristic(1.0, -0.5, d, Branch.PLUS, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name, message", [
+        ("x0", "x0 must be finite"),
+        ("Htilde", "Htilde must be finite and non-negative"),
+        ("t_end", "t_end must be finite and non-negative"),
+        ("dt", "dt must be finite and positive"),
+    ])
+    def test_rejects_non_finite_inputs(self, name, message, value):
+        # before: an all-nan path for x0 or Htilde = nan, and OverflowError /
+        # "cannot convert float NaN to integer" for t_end = inf / dt = nan
+        kwargs = {"x0": 1.0, "Htilde": 1.0, "diffusion": make_quadratic_diffusion(0.1),
+                  "sign": Branch.PLUS, "t_end": 1.0, "dt": 1e-2, name: value}
+        with pytest.raises(ValueError, match=message):
+            integrate_characteristic(**kwargs)
+
 
 class TestPhase:
     def test_zero_time_returns_initial_phase(self):
+        # the consistent initial phase is s Htilde xi
         params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
-        phi0 = consistent_initial_phase(params)
         for x in (-1.0, 0.2):
-            res = phase_along(x, 0.0, params, phi0)
-            assert res.phi == pytest.approx(phi0(x), abs=1e-14)
-            assert res.x0 == pytest.approx(x, abs=1e-12)
+            phi0 = -0.8 * math.asinh(x / 0.1)
+            assert phase_along(x, 0.0, params) == pytest.approx(phi0, abs=1e-14)
 
     def test_affine_time_dependence(self):
         params = WkbParams(Htilde=1.4, epsilon=0.01, sign=Branch.PLUS)
-        phi0 = consistent_initial_phase(params)
         x, t = -0.7, 0.6
-        res = phase_along(x, t, params, phi0)
         label = characteristic_label(x, t, params)
-        assert res.phi - phi0(label) == pytest.approx((1.4**2 - 1.0) * t, abs=1e-12)
-        assert res.x0 == pytest.approx(label, abs=1e-14)
+        transported = phase_along(x, t, params) - phase_along(label, 0.0, params)
+        assert transported == pytest.approx((1.4**2 - 1.0) * t, abs=1e-12)
 
     def test_unit_rate_transports_initial_phase(self):
         params = WkbParams(Htilde=1.0, epsilon=0.01, sign=Branch.MINUS)
-        phi0 = consistent_initial_phase(params)
-        res = phase_along(0.4, 0.9, params, phi0)
-        assert res.phi == pytest.approx(phi0(res.x0), abs=1e-14)
+        label = characteristic_label(0.4, 0.9, params)
+        assert phase_along(0.4, 0.9, params) == pytest.approx(
+            phase_along(label, 0.0, params), abs=1e-14
+        )
 
     @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
     def test_consistent_phase_slope_matches_ray_momentum(self, branch):
         params = WkbParams(Htilde=0.8, epsilon=0.04, sign=branch)
-        phi0 = consistent_initial_phase(params)
         h = 1e-6
         for x0 in (-1.5, -0.2, 0.3, 2.0):
-            slope = (phi0(x0 + h) - phi0(x0 - h)) / (2 * h)
+            slope = (phase_along(x0 + h, 0.0, params) - phase_along(x0 - h, 0.0, params)) / (2 * h)
             expected = branch.direction * 0.8 / math.sqrt(x0**2 + 0.04)
             assert slope == pytest.approx(expected, rel=1e-8)
 
     def test_solves_leading_order_phase_equation(self):
         # residual of phi_t + a(x) phi_x^2 + 1 under central differences
         params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
-        phi0 = consistent_initial_phase(params)
 
         def residual(h):
             worst = 0.0
             for x in (-1.0, -0.3, 0.2, 0.9):
                 for t in (0.2, 0.5):
-                    phi_t = (
-                        phase_along(x, t + h, params, phi0).phi
-                        - phase_along(x, t - h, params, phi0).phi
-                    ) / (2 * h)
-                    phi_x = (
-                        phase_along(x + h, t, params, phi0).phi
-                        - phase_along(x - h, t, params, phi0).phi
-                    ) / (2 * h)
+                    phi_t = (phase_along(x, t + h, params) - phase_along(x, t - h, params)) / (2 * h)
+                    phi_x = (phase_along(x + h, t, params) - phase_along(x - h, t, params)) / (2 * h)
                     worst = max(worst, abs(phi_t + (x * x + 0.01) * phi_x**2 + 1.0))
             return worst
 
