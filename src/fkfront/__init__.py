@@ -27,15 +27,7 @@ from .domain import (
     x_of_xi,
     xi_of_x,
 )
-from .front import (
-    FitReport,
-    FrontNotTransitedError,
-    FrontPath,
-    fit_power_law,
-    front_positions,
-    track_front,
-    trapping_time,
-)
+from .front import fit_power_law, front_positions, window_transits
 from .solver import (
     FactoredSymmetricTridiagonal,
     TridiagonalOperator,

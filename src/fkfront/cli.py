@@ -44,13 +44,7 @@ from .domain import (
     make_quadratic_diffusion,
     step_initial_condition,
 )
-from .front import (
-    FrontNotTransitedError,
-    fit_power_law,
-    front_positions,
-    track_front,
-    trapping_time,
-)
+from .front import fit_power_law, front_positions, window_transits
 from .solver import build_operator, factor_step_matrix, march
 from .spectral import average_prediction, solve_eigenproblem
 from .wkb import Branch, integrate_characteristic
@@ -193,43 +187,40 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
             continue
         epsilons.append(eps)
     # The march stops once every front has left the trapping window, which
-    # changes no trapping time; all rows share one time axis.
-    paths = track_front(_march(cfg, epsilons), _grid(cfg).x, radius=cfg.trap_radius)
-    _log_early_stop("trap-sweep", paths[0].times[-1], cfg,
-                    f"every front has left |x| < {cfg.trap_radius:g}")
+    # changes no trapping time.
+    transits, t_stop = window_transits(_march(cfg, epsilons), _grid(cfg).x, cfg.trap_radius)
+    _log_early_stop("trap-sweep", t_stop, cfg, f"every front has left |x| < {cfg.trap_radius:g}")
 
     statuses = {}
     rows = []
     pairs = []
-    for eps, path in zip(epsilons, paths):
-        try:
-            duration = trapping_time(path, radius=cfg.trap_radius)
-        except FrontNotTransitedError as exc:
-            status = "not-exited" if exc.entered else "not-entered"
-            statuses[io.format_cell(eps)] = (
-                status if exc.partial is None else f"{status} (>= {exc.partial:.6g})"
-            )
-            rows.append((eps, math.nan))
-            log.warning("epsilon %g: front %s within t_end=%g", eps, status, cfg.t_end)
+    for eps, (entry, exit_, last) in zip(epsilons, transits):
+        if exit_ is not None:
+            duration = exit_ - entry
+            statuses[io.format_cell(eps)] = "transited"
+            rows.append((eps, duration))
+            pairs.append((eps, duration))
             continue
-        statuses[io.format_cell(eps)] = "transited"
-        rows.append((eps, duration))
-        pairs.append((eps, duration))
+        status = "not-entered" if entry is None else "not-exited"
+        statuses[io.format_cell(eps)] = (
+            status if entry is None else f"{status} (>= {last - entry:.6g})")
+        rows.append((eps, math.nan))
+        log.warning("epsilon %g: front %s within t_end=%g", eps, status, cfg.t_end)
 
     meta = _meta(cfg, "trap-sweep", radius=cfg.trap_radius, statuses=statuses)
     csv_path = out / "trap_times.csv"
     io.write_csv(csv_path, ("epsilon", "trap_time"), rows)
     io.write_json(io.sidecar_path(csv_path), meta)
 
-    fits = {}
-    error = None
+    report = dict(meta)
     if len(pairs) >= 2:
-        fits["free"] = fit_power_law(pairs)
-        fits["fixed"] = fit_power_law(pairs, exponent=-0.5)
+        report["free"] = fit_power_law(pairs)
+        report["fixed"] = fit_power_law(pairs, exponent=-0.5)
     else:
-        error = f"power-law fit needs at least two transited epsilons, have {len(pairs)}"
-        log.warning("%s", error)
-    io.export_fit_reports(fits, out / "fit_report.json", meta, error=error)
+        report["fit_error"] = (
+            f"power-law fit needs at least two transited epsilons, have {len(pairs)}")
+        log.warning("%s", report["fit_error"])
+    io.write_json(out / "fit_report.json", report)
 
 
 def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:

@@ -121,6 +121,9 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"solver.t_end must be non-negative, got {cfg.t_end}")
     if 0 < cfg.t_end < cfg.dt:
         problems.append(f"solver.t_end below one step dt={cfg.dt}, got {cfg.t_end}")
+    if 0 < cfg.dt and not math.isfinite(cfg.t_end / cfg.dt):
+        problems.append(f"solver.t_end / solver.dt must be a finite step count, "
+                        f"got {cfg.t_end} / {cfg.dt}")
     if cfg.snapshot_stride < 1:
         problems.append(f"solver.snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
     if any(e <= 0 for e in cfg.sweep_epsilons):
@@ -139,6 +142,9 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"wkb.t_end must be non-negative, got {cfg.wkb_t_end}")
     if cfg.wkb_dt <= 0:
         problems.append(f"wkb.dt must be positive, got {cfg.wkb_dt}")
+    elif not math.isfinite(cfg.wkb_t_end / cfg.wkb_dt):
+        problems.append(f"wkb.t_end / wkb.dt must be a finite step count, "
+                        f"got {cfg.wkb_t_end} / {cfg.wkb_dt}")
     return problems
 
 

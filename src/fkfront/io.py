@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .front import FitReport
 from .spectral import EigenSystem
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "write_json",
     "sidecar_path",
     "export_eigen_system",
-    "export_fit_reports",
 ]
 
 
@@ -98,24 +96,3 @@ def export_eigen_system(
         mode_csv = out_dir / f"phi_{k}.csv"
         write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunction(k)))
         write_json(sidecar_path(mode_csv), {**meta, "mode": k})
-
-
-def _fit_payload(fit: FitReport) -> dict:
-    return {
-        "C": fit.C,
-        "p": fit.p,
-        "residuals": list(fit.residuals),
-        "epsilons": list(fit.epsilons),
-        "mode": fit.mode,
-    }
-
-
-def export_fit_reports(
-    fits: dict[str, FitReport], json_path: Path, meta: dict, error: str | None = None
-) -> None:
-    payload = dict(meta)
-    for name, fit in fits.items():
-        payload[name] = _fit_payload(fit)
-    if error is not None:
-        payload["fit_error"] = error
-    write_json(json_path, payload)

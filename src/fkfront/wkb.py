@@ -115,8 +115,8 @@ def integrate_characteristic(
     """Classical fourth-order Runge-Kutta integration of the ray equation.
 
     Integrates ``dx/dt = s 2 Htilde sqrt(a(x))`` with fixed step; the number
-    of steps is ``round(t_end/dt)`` and the step is adjusted to land on
-    ``t_end`` exactly.  ``Htilde = 0`` yields a stationary ray.  This is the
+    of steps is ``round(t_end/dt)``, which must not overflow, and the step
+    is adjusted to land on ``t_end`` exactly.  ``Htilde = 0`` yields a stationary ray.  This is the
     oracle the closed forms are checked against, so it deliberately shares
     no code with them.
     """
@@ -129,6 +129,8 @@ def integrate_characteristic(
         raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be a finite step count, got t_end={t_end}, dt={dt}")
     if t_end == 0.0:
         return CharacteristicPath(times=np.zeros(1), positions=np.full(1, float(x0)))
     rate = sign.direction * 2.0 * Htilde

@@ -15,7 +15,7 @@ from fkfront.domain import (
     make_quadratic_diffusion,
     step_initial_condition,
 )
-from fkfront.front import FrontPath, track_front
+from fkfront.front import front_positions
 from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import solve_eigenproblem
 
@@ -82,10 +82,9 @@ def times_of(fields) -> np.ndarray:
     return np.array([f.time for f in fields])
 
 
-def front_path(fields) -> FrontPath:
-    """Front path of the stored fields of one run."""
-    [path] = track_front(steps_of(fields), fields[0].grid.x)
-    return path
+def stored_positions(fields) -> np.ndarray:
+    """Front position of each stored field of one run (NaN where there is none)."""
+    return front_positions(np.array([f.values for f in fields]), fields[0].grid.x)
 
 
 def first_exit(positions: np.ndarray, radius: float) -> int | None:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import fkfront
 
-from conftest import first_exit, front_path, stored_fields
+from conftest import first_exit, steps_of, stored_fields, stored_positions, times_of
 from fkfront.asymptotics import sfa_evolve
 from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
@@ -31,7 +31,7 @@ from fkfront.config import (
     load_config,
 )
 from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
-from fkfront.front import FrontNotTransitedError, front_positions, track_front, trapping_time
+from fkfront.front import front_positions, window_transits
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -157,6 +157,7 @@ def valid_configs(draw) -> ExperimentConfig:
     L = draw(positive)
     n = draw(st.integers(3, 10**6))
     dt = draw(_finite(0.0, 1.0, exclude_min=True))
+    wkb_dt = draw(positive)
     modes = draw(st.integers(1, n - 1))
     return ExperimentConfig(
         L=L,
@@ -164,7 +165,8 @@ def valid_configs(draw) -> ExperimentConfig:
         epsilon=draw(positive),
         x_c0=draw(_finite(-L, L, exclude_min=True, exclude_max=True)),
         dt=dt,
-        t_end=draw(st.one_of(st.just(0.0), _finite(dt, 1e6))),
+        # t_end / dt must stay finite, so a subnormal dt caps the horizon
+        t_end=draw(st.one_of(st.just(0.0), _finite(dt, min(1e6, 1e300 * dt)))),
         snapshot_stride=draw(st.integers(1, 10**6)),
         sweep_epsilons=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
         trap_radius=draw(positive),
@@ -174,8 +176,8 @@ def valid_configs(draw) -> ExperimentConfig:
         wkb_htilde=draw(_finite(0.0, 1e6)),
         wkb_x0=tuple(draw(st.lists(_finite(-1e6, 1e6), min_size=1, max_size=5))),
         wkb_branch=draw(st.sampled_from(["plus", "minus", "both"])),
-        wkb_t_end=draw(_finite(0.0, 1e6)),
-        wkb_dt=draw(positive),
+        wkb_t_end=draw(_finite(0.0, min(1e6, 1e300 * wkb_dt))),
+        wkb_dt=wkb_dt,
     )
 
 
@@ -252,6 +254,22 @@ class TestCliErrorPaths:
         out.mkdir()
         assert main(["wkb", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "domain.L" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "solver"), ("compare-sfa", "solver"), ("trap-sweep", "solver"),
+        ("average", "solver"), ("wkb", "wkb"),
+    ])
+    def test_overflowing_step_count_exits_one_without_output(self, tmp_path, capsys, command,
+                                                             section):
+        # t_end / dt is inf; before: exit 2 with "cannot convert float infinity to
+        # integer", after a header-only CSV
+        cfg_path = write_config(tmp_path, f"[{section}]\nt_end = 1e300\ndt = 1e-10\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section}.t_end / {section}.dt must be a finite step count" in err
         assert list(out.iterdir()) == []
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
@@ -451,47 +469,65 @@ class TestTrapSweep:
         # t_end = 4.2 on this grid: epsilon 0.1 transits, the smaller two stay trapped
         cfg = ExperimentConfig(n=151, t_end=4.2, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.02, 0.001))
-        paths = track_front(_march(cfg, list(cfg.sweep_epsilons)), Grid(L=cfg.L, n=cfg.n).x,
-                            radius=cfg.trap_radius)
-        statuses = []
-        for eps, path in zip(cfg.sweep_epsilons, paths):
-            run = stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                logistic_reaction, cfg.x_c0, cfg.dt, cfg.t_end, stride)
-            stored = front_path(run)
-            assert np.array_equal(path.times, stored.times)
-            assert np.array_equal(path.positions, stored.positions, equal_nan=True)
-            try:
-                expected = trapping_time(stored, radius=cfg.trap_radius)
-            except FrontNotTransitedError as exc:
-                with pytest.raises(FrontNotTransitedError) as got:
-                    trapping_time(path, radius=cfg.trap_radius)
-                assert (got.value.entered, got.value.partial) == (exc.entered, exc.partial)
-                statuses.append("not-exited" if exc.entered else "not-entered")
-                continue
-            assert trapping_time(path, radius=cfg.trap_radius) == expected
-            statuses.append("transited")
-        assert statuses == ["transited", "not-exited", "not-exited"]
+        grid = Grid(L=cfg.L, n=cfg.n)
+        records, _ = window_transits(_march(cfg, list(cfg.sweep_epsilons)), grid.x,
+                                     cfg.trap_radius)
+        for eps, record in zip(cfg.sweep_epsilons, records):
+            run = stored_fields(grid, make_quadratic_diffusion(eps), logistic_reaction,
+                                cfg.x_c0, cfg.dt, cfg.t_end, stride)
+            [alone], _ = window_transits(steps_of(run), grid.x, cfg.trap_radius)
+            assert record == alone
+        assert [(entry is not None, exit_ is not None) for entry, exit_, _ in records] == [
+            (True, True), (True, False), (True, False)]
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_sweep_stops_once_every_front_has_left(self, stride):
         # t_end = 8 on this grid: every epsilon leaves the window, each at its own step
         cfg = ExperimentConfig(n=151, t_end=8.0, snapshot_stride=stride,
                                sweep_epsilons=(0.1, 0.05, 0.02))
-        stored = [front_path(stored_fields(Grid(L=cfg.L, n=cfg.n), make_quadratic_diffusion(eps),
-                                           logistic_reaction, cfg.x_c0, cfg.dt, cfg.t_end,
-                                           stride))
-                  for eps in cfg.sweep_epsilons]
-        exits = [first_exit(path.positions, cfg.trap_radius) for path in stored]
+        grid = Grid(L=cfg.L, n=cfg.n)
+        runs = [stored_fields(grid, make_quadratic_diffusion(eps), logistic_reaction, cfg.x_c0,
+                              cfg.dt, cfg.t_end, stride)
+                for eps in cfg.sweep_epsilons]
+        exits = [first_exit(stored_positions(run), cfg.trap_radius) for run in runs]
         assert None not in exits and len(set(exits)) == len(exits)
         stop = max(exits)
-        assert stop + 1 < len(stored[0].times)
-        paths = track_front(_march(cfg, list(cfg.sweep_epsilons)), Grid(L=cfg.L, n=cfg.n).x,
-                            radius=cfg.trap_radius)
-        for path, full in zip(paths, stored):
-            assert np.array_equal(path.times, full.times[: stop + 1])
-            assert np.array_equal(path.positions, full.positions[: stop + 1], equal_nan=True)
-            assert (trapping_time(path, radius=cfg.trap_radius)
-                    == trapping_time(full, radius=cfg.trap_radius))
+        times = times_of(runs[0])
+        assert stop + 1 < len(times)
+        drawn = []
+
+        def steps():
+            for t, u in _march(cfg, list(cfg.sweep_epsilons)):
+                drawn.append(t)
+                yield t, u
+
+        records, t_stop = window_transits(steps(), grid.x, cfg.trap_radius)
+        assert drawn == list(times[: stop + 1])
+        assert t_stop == times[stop]
+        for record, run in zip(records, runs):
+            [alone], _ = window_transits(steps_of(run), grid.x, cfg.trap_radius)
+            assert record == alone
+
+    @pytest.mark.parametrize("t_end, epsilons, statuses", [
+        (4.2, "0.1 0.02 0.001", {"0.1": "transited", "0.02": "not-exited (>= 1.18204)",
+                                 "0.001": "not-exited (>= 1.1638)"}),
+        (1, "0.1 0.02", {"0.1": "not-entered", "0.02": "not-entered"}),
+    ])
+    def test_statuses_pinned(self, tmp_path, t_end, epsilons, statuses):
+        cfg_path = write_config(tmp_path, f"""
+[domain]
+n = 151
+[solver]
+t_end = {t_end}
+snapshot_stride = 3
+[sweep]
+epsilons = {epsilons}
+""")
+        out = tmp_path / "out"
+        assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "trap_times.json").read_text())["statuses"] == statuses
+        _, rows = read_rows(out / "trap_times.csv")
+        assert [r[1] == "nan" for r in rows] == [s != "transited" for s in statuses.values()]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("t_end, stops", [(8, True), (4, False)])

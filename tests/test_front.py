@@ -1,4 +1,4 @@
-"""Front location, tracking, trapping durations, power-law fitting."""
+"""Front location, window transits, trapping durations, power-law fitting."""
 
 import math
 
@@ -7,17 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_exit, front_path, steps_of, times_of
+from conftest import first_exit, steps_of, stored_positions
 from fkfront.domain import Grid, step_initial_condition
-from fkfront.front import (
-    FitReport,
-    FrontNotTransitedError,
-    FrontPath,
-    fit_power_law,
-    front_positions,
-    track_front,
-    trapping_time,
-)
+from fkfront.front import fit_power_law, front_positions, window_transits
 
 
 class TestLocateFront:
@@ -115,83 +107,140 @@ class TestFrontPositions:
             front_positions(u, Grid(L=1.0, n=3).x)
 
 
+WINDOW = 0.4
+
+
 class TestTrackFront:
+    """Front positions of a stored run, and stacked rows tracked alone."""
+
     def test_matches_per_snapshot_location(self, default_run):
-        path = front_path(default_run)
-        assert np.array_equal(path.times, times_of(default_run))
+        positions = stored_positions(default_run)
         x = default_run[0].grid.x
         for k in (0, 5, 12):
             expected = scalar_locate(default_run[k].values, x, 0.5)
-            assert path.positions[k] == pytest.approx(expected, abs=1e-14)
+            assert positions[k] == pytest.approx(expected, abs=1e-14)
 
     def test_missing_front_marked_nan(self, default_run):
-        path = front_path(default_run)
+        positions = stored_positions(default_run)
         # the profile saturates to 1 everywhere late in the run: no crossing
-        assert np.isnan(path.positions[-1])
-        assert np.isfinite(path.positions[0])
+        assert np.isnan(positions[-1])
+        assert np.isfinite(positions[0])
 
     def test_stacked_rows_tracked_alone(self, default_run):
         x = default_run[0].grid.x
         stacked = ((t, np.stack([u, u[::-1]])) for t, u in steps_of(default_run))
         mirrored = ((t, u[::-1]) for t, u in steps_of(default_run))
-        paths = track_front(stacked, x)
-        assert len(paths) == 2
-        for path, alone in zip(paths, (front_path(default_run), *track_front(mirrored, x))):
-            assert np.array_equal(path.times, alone.times)
-            assert np.array_equal(path.positions, alone.positions, equal_nan=True)
-
-    def test_path_validation(self):
-        with pytest.raises(ValueError):
-            FrontPath(times=np.array([0.0, 1.0]), positions=np.array([1.0]))
-        with pytest.raises(ValueError):
-            FrontPath(times=np.array([0.0, 0.0]), positions=np.array([1.0, 2.0]))
+        records, _ = window_transits(stacked, x, WINDOW)
+        [alone], _ = window_transits(steps_of(default_run), x, WINDOW)
+        [mirror], _ = window_transits(mirrored, x, WINDOW)
+        assert None not in alone and None not in mirror
+        assert records == [alone, mirror]
 
 
-WINDOW = 0.4
+def front_stream(times, rows, drawn=None):
+    """Nodes ``x`` and a ``(t, u)`` stream whose row ``b`` has its 1/2 front at
+    exactly ``rows[b][k]`` in state ``k``, and none where that is NaN.
+
+    Each position is a node at which its row is exactly 1/2, with 1 to the
+    left and 0 to the right, so :func:`front_positions` returns it bit for
+    bit.  ``drawn`` collects the index of every state drawn.
+    """
+    x = np.unique([p for row in rows for p in row if not math.isnan(p)] + [-1e3, 1e3])
+
+    def states():
+        for k, t in enumerate(times):
+            if drawn is not None:
+                drawn.append(k)
+            yield t, np.array([np.where(x < row[k], 1.0, np.where(x == row[k], 0.5, 0.0))
+                               for row in rows])
+
+    return x, states()
+
+
+def transit(times, positions, radius=WINDOW):
+    """The ``(entry, exit, last)`` record of one front path."""
+    x, stream = front_stream(times, [positions])
+    [record], _ = window_transits(stream, x, radius)
+    return record
+
+
+def oracle(times, positions, radius):
+    """The record of one row, restated on whole arrays, and the index of its
+    exit state (:func:`conftest.first_exit`; None if it never leaves).
+
+    Entry is at the first finite position inside the window, exit at the
+    first finite one outside after it; each is interpolated on the segment
+    from the finite position before it.  ``last`` is the time of the last
+    finite position up to the exit.
+    """
+    t, x = np.asarray(times, dtype=float), np.asarray(positions, dtype=float)
+    k_out = first_exit(x, radius)
+    read = np.isfinite(x)
+    if k_out is not None:
+        read[k_out + 1:] = False
+    last = float(t[read][-1]) if read.any() else None
+    inside = read & (np.abs(x) < radius)
+    if not inside.any():
+        return (None, None, last), k_out
+
+    def crossing(k, entering):
+        j = np.nonzero(read[:k])[0][-1]  # the finite position before k
+        b = math.copysign(radius, x[j] if entering else x[k])
+        return float(t[j] + (b - x[j]) / (x[k] - x[j]) * (t[k] - t[j]))
+
+    k_in = int(np.argmax(inside))
+    entry = crossing(k_in, entering=True) if read[:k_in].any() else float(t[k_in])
+    exit_ = None if k_out is None else crossing(k_out, entering=False)
+    return (entry, exit_, last), k_out
+
+
 outside_window = st.builds(lambda r, s: s * r, st.floats(WINDOW, 10.0), st.sampled_from([-1.0, 1.0]))
 inside_window = st.floats(-WINDOW, WINDOW, exclude_min=True, exclude_max=True)
+sample = st.one_of(st.just(math.nan), inside_window, outside_window)
+streams = st.integers(1, 25).flatmap(
+    lambda length: st.lists(st.lists(sample, min_size=length, max_size=length),
+                            min_size=1, max_size=3))
+nan = math.nan
 
 
 class TestTrappingTime:
     def test_linear_path_hand_case(self):
         ts = np.arange(0.0, 20.0 + 1e-12, 0.5)
-        path = FrontPath(times=ts, positions=-1.0 + 0.1 * ts)
+        entry, exit_, _ = transit(ts, -1.0 + 0.1 * ts)
         # enters |x|<0.4 at t=6, exits at t=14
-        assert trapping_time(path, radius=0.4) == pytest.approx(8.0, abs=1e-12)
+        assert entry == pytest.approx(6.0, abs=1e-12)
+        assert exit_ - entry == pytest.approx(8.0, abs=1e-12)
 
     def test_refinement_invariance_smooth_path(self):
         exact = math.sqrt(110.0) - math.sqrt(70.0)
 
         def duration(dt):
             ts = np.arange(0.0, 15.0 + 1e-12, dt)
-            return trapping_time(FrontPath(times=ts, positions=0.02 * ts**2 - 1.8), 0.4)
+            entry, exit_, _ = transit(ts, 0.02 * ts**2 - 1.8)
+            return exit_ - entry
 
         assert abs(duration(0.01) - exact) <= 1e-5
         assert abs(duration(0.25) - duration(0.01)) <= 3e-3
 
     def test_default_run_duration(self, default_run):
-        duration = trapping_time(front_path(default_run), radius=0.4)
-        assert 3.2 <= duration <= 3.5
+        [(entry, exit_, _)], _ = window_transits(steps_of(default_run), default_run[0].grid.x,
+                                                 radius=0.4)
+        assert 3.2 <= exit_ - entry <= 3.5
 
     def test_never_enters(self):
         ts = np.arange(0.0, 8.0 + 1e-12, 0.5)
-        with pytest.raises(FrontNotTransitedError) as exc_info:
-            trapping_time(FrontPath(times=ts, positions=-10.0 + 0.1 * ts), 0.4)
-        assert exc_info.value.entered is False
-        assert exc_info.value.partial is None
+        assert transit(ts, -10.0 + 0.1 * ts) == (None, None, 8.0)
 
     def test_enters_without_exiting(self):
         ts = np.arange(0.0, 8.0 + 1e-12, 0.5)
-        with pytest.raises(FrontNotTransitedError) as exc_info:
-            trapping_time(FrontPath(times=ts, positions=-1.0 + 0.1 * ts), 0.4)
-        assert exc_info.value.entered is True
-        assert exc_info.value.partial == pytest.approx(2.0, abs=1e-9)
+        entry, exit_, last = transit(ts, -1.0 + 0.1 * ts)
+        assert exit_ is None
+        assert last - entry == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_nonpositive_radius(self):
-        ts = np.array([0.0, 1.0])
-        path = FrontPath(times=ts, positions=np.array([-1.0, 1.0]))
-        with pytest.raises(ValueError):
-            trapping_time(path, radius=0.0)
+        for radius in (0.0, -WINDOW):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                window_transits(iter([]), np.array([-1.0, 0.0, 1.0]), radius)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -204,41 +253,14 @@ class TestTrappingTime:
         shift=st.floats(-1e3, 1e3),
     )
     def test_invariant_under_time_shift(self, before, during, after, tail, t0, steps, shift):
-        x = np.array(before + during + after + tail)
-        t = t0 + np.cumsum(steps[: x.size])
+        x = before + during + after + tail
+        t = t0 + np.cumsum(steps[: len(x)])
         shifted = t + shift
-        duration = trapping_time(FrontPath(times=t, positions=x), WINDOW)
-        moved = trapping_time(FrontPath(times=shifted, positions=x), WINDOW)
+        entry, exit_, _ = transit(t, x)
+        moved_entry, moved_exit, _ = transit(shifted, x)
         # each crossing time rounds a few times at the scale of the largest |t|
         scale = max(np.max(np.abs(t)), np.max(np.abs(shifted)))
-        assert abs(moved - duration) <= 1e-14 * scale
-
-
-# The row below crosses 1/2 once, at about p and exactly at p when p is a
-# node, so positions on the window's edges occur; a constant row has no
-# crossing (NaN).
-NODES = np.array([-20.0, -WINDOW, WINDOW, 20.0])
-
-
-def row_crossing_at(p: float) -> np.ndarray:
-    if math.isnan(p):
-        return np.ones(NODES.size)
-    return 0.5 - (NODES - p) / 64.0
-
-
-sample = st.one_of(st.just(math.nan), inside_window, outside_window)
-streams = st.integers(1, 25).flatmap(
-    lambda length: st.lists(st.lists(sample, min_size=length, max_size=length),
-                            min_size=1, max_size=3))
-nan = math.nan
-
-
-class TestTrackFrontStop:
-    @staticmethod
-    def stream(rows, drawn):
-        for k, column in enumerate(zip(*rows)):
-            drawn.append(k)
-            yield 0.1 * k, np.array([row_crossing_at(p) for p in column])
+        assert abs((moved_exit - moved_entry) - (exit_ - entry)) <= 1e-14 * scale
 
     @settings(max_examples=200, deadline=None)
     @given(rows=streams)
@@ -250,60 +272,62 @@ class TestTrackFrontStop:
     @example(rows=[[-1.0, 0.0, WINDOW, 1.0], [-WINDOW, 0.0, -WINDOW, 1.0]])  # on the edge
     @example(rows=[[-1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
                    [-1.0, 0.0, 0.1, 0.2, 1.0, 2.0]])  # rows leave at different steps
-    def test_stopped_paths_keep_trapping_time(self, rows):
-        drawn_full, drawn_stopped = [], []
-        full = track_front(self.stream(rows, drawn_full), NODES)
-        stopped = track_front(self.stream(rows, drawn_stopped), NODES, radius=WINDOW)
-        exits = [first_exit(path.positions, WINDOW) for path in full]
-        length = len(rows[0]) if None in exits else max(exits) + 1
-        assert len(drawn_stopped) == length
-        assert len(drawn_full) == len(rows[0])
-        for path, whole in zip(stopped, full):
-            assert np.array_equal(path.times, whole.times[:length])
-            assert np.array_equal(path.positions, whole.positions[:length], equal_nan=True)
-            try:
-                expected = trapping_time(whole, WINDOW)
-            except FrontNotTransitedError as exc:
-                with pytest.raises(FrontNotTransitedError) as got:
-                    trapping_time(path, WINDOW)
-                assert (got.value.entered, got.value.partial) == (exc.entered, exc.partial)
-            else:
-                assert trapping_time(path, WINDOW) == expected
+    def test_matches_first_exit_oracle(self, rows):
+        times = [0.1 * k for k in range(len(rows[0]))]
+        drawn = []
+        x, stream = front_stream(times, rows, drawn)
+        records, t_stop = window_transits(stream, x, WINDOW)
+        expected = [oracle(times, row, WINDOW) for row in rows]
+        exits = [k_out for _, k_out in expected]
+        # drawing stops at the state in which the last front leaves
+        length = len(times) if None in exits else max(exits) + 1
+        assert drawn == list(range(length))
+        assert t_stop == times[length - 1]
+        assert records == [record for record, _ in expected]
 
+
+class TestTrackFrontStop:
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            track_front(iter([]), NODES, radius=0.0)
+        # the radius is checked before the stream is touched: no state is drawn
+        for radius in (0.0, -WINDOW):
+            drawn = []
+            x, stream = front_stream([0.0, 0.1], [[-1.0, 0.0]], drawn)
+            with pytest.raises(ValueError, match="radius must be positive"):
+                window_transits(stream, x, radius)
+            assert drawn == []
 
 
 class TestFitPowerLaw:
     def test_exact_recovery_free_exponent(self):
         pairs = [(e, 3.0 * e**-0.5) for e in (0.1, 0.05, 0.025)]
         rep = fit_power_law(pairs)
-        assert rep.C == pytest.approx(3.0, abs=1e-10)
-        assert rep.p == pytest.approx(-0.5, abs=1e-10)
-        assert np.max(np.abs(rep.residuals)) <= 1e-10
-        assert rep.mode == "free"
+        assert rep["C"] == pytest.approx(3.0, abs=1e-10)
+        assert rep["p"] == pytest.approx(-0.5, abs=1e-10)
+        assert np.max(np.abs(rep["residuals"])) <= 1e-10
+        assert rep["mode"] == "free"
 
     def test_exact_recovery_inverse_law(self):
         pairs = [(e, 2.0 / e) for e in (0.1, 0.05, 0.025)]
         rep = fit_power_law(pairs)
-        assert rep.C == pytest.approx(2.0, abs=1e-10)
-        assert rep.p == pytest.approx(-1.0, abs=1e-10)
+        assert rep["C"] == pytest.approx(2.0, abs=1e-10)
+        assert rep["p"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_fixed_exponent_mode(self):
         pairs = [(e, 3.0 * e**-0.5) for e in (0.1, 0.05, 0.025, 0.0125)]
         rep = fit_power_law(pairs, exponent=-0.5)
-        assert rep.mode == "fixed"
-        assert rep.p == -0.5
-        assert rep.C == pytest.approx(3.0, abs=1e-10)
-        assert np.max(np.abs(rep.residuals)) <= 1e-10
+        assert rep["mode"] == "fixed"
+        assert rep["p"] == -0.5
+        assert rep["C"] == pytest.approx(3.0, abs=1e-10)
+        assert np.max(np.abs(rep["residuals"])) <= 1e-10
 
     def test_reports_sweep_epsilons(self):
         pairs = [(0.1, 3.0), (0.05, 4.0)]
         rep = fit_power_law(pairs)
-        assert isinstance(rep, FitReport)
-        assert tuple(rep.epsilons) == (0.1, 0.05)
-        assert rep.residuals.shape == (2,)
+        assert rep["epsilons"] == [0.1, 0.05]
+        assert len(rep["residuals"]) == 2
+        # JSON-ready: plain floats, not numpy scalars
+        values = (rep["C"], rep["p"], *rep["residuals"], *rep["epsilons"])
+        assert {type(v) for v in values} == {float}
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import pytest
 from conftest import (
     dense_matrix,
     diffuse_smooth,
-    front_path,
     stored_fields,
+    stored_positions,
     times_of,
     unit_floor_quadratic,
     zero_reaction,
@@ -576,10 +576,18 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             next(steps)
 
+    def test_march_rejects_an_overflowing_step_count(self):
+        # before: OverflowError "cannot convert float infinity to integer"
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        steps = march(factor_step_matrix([op], 1e-10), np.zeros(5), logistic_reaction, 1e300)
+        message = "t_end / dt must be a finite step count, got t_end=1e+300, dt=1e-10"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(steps)
+
 
 class TestUniformDiffusionControl:
     def test_front_speed_near_two(self, constant_a_run):
-        path = front_path(constant_a_run)
-        sel = (path.times >= 20.0) & np.isfinite(path.positions)
-        speed = float(np.polyfit(path.times[sel], path.positions[sel], 1)[0])
+        times, positions = times_of(constant_a_run), stored_positions(constant_a_run)
+        sel = (times >= 20.0) & np.isfinite(positions)
+        speed = float(np.polyfit(times[sel], positions[sel], 1)[0])
         assert abs(speed - 2.0) / 2.0 <= 0.05

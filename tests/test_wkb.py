@@ -179,6 +179,12 @@ class TestIntegrateCharacteristic:
         with pytest.raises(ValueError, match=message):
             integrate_characteristic(**kwargs)
 
+    def test_rejects_an_overflowing_step_count(self):
+        # before: OverflowError "cannot convert float infinity to integer"
+        with pytest.raises(ValueError, match="t_end / dt must be a finite step count"):
+            integrate_characteristic(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                     1e300, 1e-10)
+
 
 class TestPhase:
     def test_zero_time_returns_initial_phase(self):
