@@ -16,6 +16,12 @@ from pathlib import Path
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_text", "config_digest"]
 
+# Largest step count t_end / dt accepted in [solver] and [wkb].  A wkb ray
+# keeps two floats per step, so 1e7 steps are about 160 MB per ray, and a
+# solver march of 1e7 steps already runs for many minutes; a larger count
+# would exhaust memory or not finish, so it is rejected before any output.
+MAX_STEPS = 10_000_000
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent configuration file."""
@@ -103,6 +109,17 @@ _SCHEMA = {
 }
 
 
+def _step_count_problems(section: str, t_end: float, dt: float) -> list[str]:
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        return [f"{section}.t_end / {section}.dt must be a finite step count, "
+                f"got {t_end} / {dt}"]
+    if steps > MAX_STEPS:
+        return [f"{section}.t_end / {section}.dt must be at most {MAX_STEPS} steps, "
+                f"got {t_end} / {dt} = {steps:g}"]
+    return []
+
+
 def _validate(cfg: ExperimentConfig) -> list[str]:
     problems = []
     if cfg.L <= 0:
@@ -121,9 +138,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"solver.t_end must be non-negative, got {cfg.t_end}")
     if 0 < cfg.t_end < cfg.dt:
         problems.append(f"solver.t_end below one step dt={cfg.dt}, got {cfg.t_end}")
-    if 0 < cfg.dt and not math.isfinite(cfg.t_end / cfg.dt):
-        problems.append(f"solver.t_end / solver.dt must be a finite step count, "
-                        f"got {cfg.t_end} / {cfg.dt}")
+    if 0 < cfg.dt:
+        problems += _step_count_problems("solver", cfg.t_end, cfg.dt)
     if cfg.snapshot_stride < 1:
         problems.append(f"solver.snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
     if any(e <= 0 for e in cfg.sweep_epsilons):
@@ -142,9 +158,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"wkb.t_end must be non-negative, got {cfg.wkb_t_end}")
     if cfg.wkb_dt <= 0:
         problems.append(f"wkb.dt must be positive, got {cfg.wkb_dt}")
-    elif not math.isfinite(cfg.wkb_t_end / cfg.wkb_dt):
-        problems.append(f"wkb.t_end / wkb.dt must be a finite step count, "
-                        f"got {cfg.wkb_t_end} / {cfg.wkb_dt}")
+    else:
+        problems += _step_count_problems("wkb", cfg.wkb_t_end, cfg.wkb_dt)
     return problems
 
 

@@ -45,15 +45,22 @@ input bit for bit -- a logistic run that has saturated, where the solve's
 rounding absorbs the increment -- the march makes no further solve and
 yields that state again at the remaining stored steps.
 
-LAPACK comes from ``scipy.linalg``, which is imported inside the functions
-that call it, so importing this module does not load scipy.
+LAPACK comes from scipy's compiled wrapper module ``scipy.linalg._flapack``,
+loaded on first use by :func:`_lapack` without the ``scipy.linalg`` package,
+so importing this module does not load scipy and a solve does not load
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import types
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,6 +76,36 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+
+@functools.cache
+def _lapack() -> types.ModuleType:
+    """scipy's compiled LAPACK wrappers, ``scipy/linalg/_flapack``, loaded by path.
+
+    ``scipy.linalg.lapack`` re-exports these very routine objects, so every
+    result is bit for bit the same.  Only the ``scipy.linalg`` package
+    ``__init__`` is skipped, the largest part of a solving command's
+    start-up: its array-API layer imports numpy submodules (``numpy.f2py``,
+    ``numpy.testing``) that no command uses.  ``import scipy`` still runs,
+    and with it scipy's own start-up checks.  CPython keeps one instance of
+    the extension: a later ``import scipy.linalg`` finds the same module,
+    and a module that ``scipy.linalg`` already loaded is the one returned.
+
+    Raises ``ImportError`` naming the directory searched if the extension
+    is not there; there is no second way in.
+    """
+    import scipy
+
+    directory = Path(scipy.__file__).parent / "linalg"
+    name = "scipy.linalg._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, str(path))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
 
 
 @dataclass(frozen=True)
@@ -142,11 +179,9 @@ class FactoredSymmetricTridiagonal:
         ``rhs`` is the workspace: a contiguous float array receives the
         solution and is returned.  A caller that keeps ``rhs`` passes a copy.
         """
-        from scipy.linalg import lapack
-
         b = np.asarray(rhs, dtype=float)
         b *= self.weights
-        x, _ = lapack.dpttrs(self.d, self.e, b, overwrite_b=True)
+        x, _ = _lapack().dpttrs(self.d, self.e, b, overwrite_b=True)
         return x
 
 
@@ -167,8 +202,6 @@ def factor_step_matrix(
     ``ValueError``, and so does a weighted step matrix that ``dpttrf`` finds
     not positive definite (couplings so large that rounding loses it).
     """
-    from scipy.linalg import lapack
-
     # also rejects nan, which fails every comparison
     if not 0.0 < dt <= 1.0:
         raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
@@ -176,7 +209,7 @@ def factor_step_matrix(
     d = weights + dt * np.stack([op.neighbour_sums for op in ops])
     e = np.zeros_like(d)  # the last entry of each row is a block seam
     e[:, :-1] = [-dt * op.coupling for op in ops]
-    d, e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
+    d, e, info = _lapack().dpttrf(d.ravel(), e.ravel()[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
     return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights.ravel(), dt=dt)

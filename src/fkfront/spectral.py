@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .domain import DiffusionProfile, Grid
-from .solver import build_operator
+from .solver import _lapack, build_operator
 
 __all__ = [
     "EigenSolveError",
@@ -118,8 +118,7 @@ def solve_eigenproblem(
     a symmetric profile) may come out as another unit vector of the
     cluster's eigenspace.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     if not 1 <= m < grid.n:
         raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
     if vectors is None:

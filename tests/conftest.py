@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import fkfront
 from fkfront.domain import (
     DiffusionProfile,
     Field,
@@ -18,6 +24,11 @@ from fkfront.domain import (
 from fkfront.front import front_positions
 from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import solve_eigenproblem
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 array ``a`` as ``int64``: equal bits, not merely equal values."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def log_uniform(lo: float, hi: float):
@@ -159,3 +170,11 @@ def constant_a_run():
 def default_eigen(default_grid, default_diffusion):
     return solve_eigenproblem(default_diffusion, default_grid, m=64)
 
+
+def run_python(args, cwd):
+    """Run this interpreter on ``args`` with the package under test importable."""
+    src = Path(fkfront.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+    )

@@ -6,8 +6,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -17,13 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fkfront
-
-from conftest import first_exit, steps_of, stored_fields, stored_positions, times_of
+from conftest import (
+    first_exit,
+    run_python,
+    steps_of,
+    stored_fields,
+    stored_positions,
+    times_of,
+)
 from fkfront.asymptotics import sfa_evolve
 from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
+    MAX_STEPS,
     ConfigError,
     ExperimentConfig,
     canonical_text,
@@ -165,8 +169,9 @@ def valid_configs(draw) -> ExperimentConfig:
         epsilon=draw(positive),
         x_c0=draw(_finite(-L, L, exclude_min=True, exclude_max=True)),
         dt=dt,
-        # t_end / dt must stay finite, so a subnormal dt caps the horizon
-        t_end=draw(st.one_of(st.just(0.0), _finite(dt, min(1e6, 1e300 * dt)))),
+        # t_end / dt must stay at most MAX_STEPS; one step short of it keeps
+        # the quotient's rounding inside the bound
+        t_end=draw(st.one_of(st.just(0.0), _finite(dt, min(1e6, (MAX_STEPS - 1) * dt)))),
         snapshot_stride=draw(st.integers(1, 10**6)),
         sweep_epsilons=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
         trap_radius=draw(positive),
@@ -176,7 +181,7 @@ def valid_configs(draw) -> ExperimentConfig:
         wkb_htilde=draw(_finite(0.0, 1e6)),
         wkb_x0=tuple(draw(st.lists(_finite(-1e6, 1e6), min_size=1, max_size=5))),
         wkb_branch=draw(st.sampled_from(["plus", "minus", "both"])),
-        wkb_t_end=draw(_finite(0.0, min(1e6, 1e300 * wkb_dt))),
+        wkb_t_end=draw(_finite(0.0, min(1e6, (MAX_STEPS - 1) * wkb_dt))),
         wkb_dt=wkb_dt,
     )
 
@@ -271,6 +276,45 @@ class TestCliErrorPaths:
         err = capsys.readouterr().err
         assert f"config error: {section}.t_end / {section}.dt must be a finite step count" in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("section", ["solver", "wkb"])
+    def test_step_count_bound(self, tmp_path, section):
+        # 10000 / 0.001 rounds to exactly MAX_STEPS, and 10000.01 / 0.001 is above it
+        load_config(write_config(tmp_path, f"[{section}]\nt_end = 10000\ndt = 1e-3\n"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{section}.t_end / {section}.dt must be at most {MAX_STEPS} steps, "
+                f"got 10000.01 / 0.001 = 1e+07")):
+            load_config(write_config(tmp_path, f"[{section}]\nt_end = 10000.01\ndt = 1e-3\n"))
+
+    @pytest.mark.parametrize("command, section", [("trap-sweep", "solver"), ("wkb", "wkb")])
+    def test_huge_step_count_exits_one_without_output(self, tmp_path, capsys, command, section):
+        # finite but 1e18 steps; before: wkb exited 2 with "Unable to allocate
+        # 6.94 EiB" after a header-only CSV, and a solver march never ended
+        cfg_path = write_config(tmp_path, f"[{section}]\nt_end = 1e15\ndt = 1e-3\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"config error: {section}.t_end / {section}.dt must be at most {MAX_STEPS} "
+                f"steps, got 1000000000000000.0 / 0.001 = 1e+18") in err
+        assert list(out.iterdir()) == []
+
+    def test_missing_lapack_extension_exits_two_naming_the_directory(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        import scipy
+
+        from fkfront.solver import _lapack
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        _lapack.cache_clear()
+        try:
+            cfg_path = write_config(tmp_path, TINY_RUN)
+            assert main(["trap-sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        finally:
+            _lapack.cache_clear()
+        assert (f"error: scipy's LAPACK extension _flapack not found in "
+                f"{tmp_path / 'scipy' / 'linalg'}") in capsys.readouterr().err
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "[solver]\nspeed = 9\n")
@@ -718,7 +762,9 @@ class TestGoldenBytes:
 
 class TestImportFootprint:
     def test_commands_without_lapack_leave_scipy_unloaded(self, tmp_path):
-        """Only the commands that factor or eigensolve load scipy; none loads a process pool."""
+        """Only the commands that factor or eigensolve load scipy, and those
+        load its LAPACK extension without ``scipy.linalg`` and ``numpy.f2py``;
+        none loads a process pool."""
         cfg_path = write_config(tmp_path, TINY_RUN)
         script = textwrap.dedent("""
             import sys
@@ -742,22 +788,16 @@ class TestImportFootprint:
             pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing")
                            if m in sys.modules)
             assert not pools, ("trap-sweep --workers 2", pools)
-            assert main(["eigen", "--config", cfg, "--out", out]) == 0
-            assert "scipy.linalg" in sys.modules
+            for command in ("eigen", "compare-sfa", "average"):
+                assert main([command, "--config", cfg, "--out", out]) == 0
+            unwanted = sorted(m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules)
+            assert not unwanted, ("trap-sweep, eigen, compare-sfa, average", unwanted)
         """)
         result = run_python(["-c", script, str(cfg_path), str(tmp_path / "out")], tmp_path)
         assert result.returncode == 0, result.stderr
-        for name in ("characteristics.csv", "trap_times.csv", "eigenvalues.csv"):
+        for name in ("characteristics.csv", "trap_times.csv", "eigenvalues.csv",
+                     "front_comparison.csv", "average.csv"):
             assert (tmp_path / "out" / name).is_file()
-
-
-def run_python(args, cwd):
-    """Run this interpreter on ``args`` with the package under test importable."""
-    src = Path(fkfront.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-    )
 
 
 def entry_program(runner):

@@ -2,12 +2,15 @@
 
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
 from conftest import (
+    bits,
     dense_matrix,
     diffuse_smooth,
+    run_python,
     stored_fields,
     stored_positions,
     times_of,
@@ -26,6 +29,7 @@ from fkfront.domain import (
 from fkfront.solver import (
     FactoredSymmetricTridiagonal,
     TridiagonalOperator,
+    _lapack,
     build_operator,
     factor_step_matrix,
     march,
@@ -591,3 +595,89 @@ class TestUniformDiffusionControl:
         sel = (times >= 20.0) & np.isfinite(positions)
         speed = float(np.polyfit(times[sel], positions[sel], 1)[0])
         assert abs(speed - 2.0) / 2.0 <= 0.05
+
+
+def random_tridiagonal(seed: int, spd: bool) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """A diagonal and off-diagonal of random size and scale, and the generator
+    that drew them; ``spd`` makes the matrix diagonally dominant, so
+    symmetric positive definite."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+    d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    if spd:
+        d = np.abs(d) + np.pad(np.abs(e), (1, 0)) + np.pad(np.abs(e), (0, 1))
+    return d, e, rng
+
+
+class TestLapackLoader:
+    """:func:`fkfront.solver._lapack` gives the routines of ``scipy.linalg.lapack``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_pttrf_pttrs_match_scipy_linalg_bit_for_bit(self, seed, nrhs):
+        from scipy.linalg import lapack
+
+        d, e, rng = random_tridiagonal(seed, spd=True)
+        rhs = rng.normal(size=(d.size, nrhs))
+        results = []
+        for module in (_lapack(), lapack):
+            d_f, e_f, info = module.dpttrf(d, e)
+            assert info == 0
+            x, info = module.dpttrs(d_f, e_f, rhs)
+            assert info == 0
+            results.append((d_f, e_f, x))
+        for ours, theirs in zip(*results):
+            assert np.array_equal(bits(ours), bits(theirs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_stebz_stein_match_scipy_linalg_bit_for_bit(self, seed, data):
+        from scipy.linalg import lapack
+
+        d, e, _ = random_tridiagonal(seed, spd=False)
+        n = d.size
+        il = data.draw(st.integers(1, n))
+        iu = data.draw(st.integers(il, n))
+        results = []
+        for module in (_lapack(), lapack):
+            found, w, iblock, isplit, info = module.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
+            assert info == 0 and found == iu - il + 1
+            vecs, info = module.dstein(d, e, w[:found], iblock, isplit)
+            assert info == 0
+            results.append((w[:found], iblock, isplit, vecs))
+        (w, iblock, isplit, vecs), (w_ref, iblock_ref, isplit_ref, vecs_ref) = results
+        assert np.array_equal(iblock, iblock_ref) and np.array_equal(isplit, isplit_ref)
+        assert np.array_equal(bits(w), bits(w_ref))
+        assert np.array_equal(bits(vecs), bits(vecs_ref))
+
+    @pytest.mark.parametrize("order", ["loader first", "scipy.linalg first"])
+    def test_either_import_order_gives_the_scipy_linalg_routines(self, tmp_path, order):
+        script = textwrap.dedent("""
+            import sys
+
+            def load():
+                from fkfront.solver import _lapack
+                return _lapack()
+
+            if sys.argv[1] == "loader first":
+                module = load()
+                assert "scipy.linalg" not in sys.modules
+                from scipy.linalg import lapack
+            else:
+                from scipy.linalg import lapack
+                module = load()
+            names = ("dpttrf", "dpttrs", "dstebz", "dstein")
+            different = [n for n in names if getattr(module, n) is not getattr(lapack, n)]
+            assert not different, different
+        """)
+        result = run_python(["-c", script, order], tmp_path)
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_extension_raises_import_error_naming_the_directory(self, tmp_path,
+                                                                       monkeypatch):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "linalg"))):
+            _lapack.__wrapped__()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_matrix
+from conftest import bits, dense_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -115,10 +115,6 @@ def eigen_cases(draw):
     m = draw(st.integers(1, n - 1))
     dump = draw(st.lists(st.integers(0, m - 1), max_size=8))
     return grid, diffusion, m, dump
-
-
-def bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 # Gap to the neighbouring eigenvalues, relative to the spectral radius, above
