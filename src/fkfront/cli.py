@@ -19,6 +19,11 @@ interpreter finalization does not walk and free the tens of thousands of
 objects numpy and scipy leave behind (about 0.1 s after a solve).
 :func:`main` itself does not freeze: tests and library callers keep normal
 garbage collection.
+
+At module level only the standard library, :mod:`fkfront.config` and
+:mod:`fkfront.io` are imported; each command imports the layers it runs
+when it runs.  So ``--help`` and ``wkb`` never load numpy, and no command
+loads a layer it does not use.
 """
 
 from __future__ import annotations
@@ -29,25 +34,15 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import io
-from .asymptotics import sfa_evolve
 from .config import ConfigError, ExperimentConfig, config_digest, load_config
-from .domain import (
-    Field,
-    Grid,
-    logistic_reaction,
-    make_constant_diffusion,
-    make_quadratic_diffusion,
-    step_initial_condition,
-)
-from .front import fit_power_law, front_positions, window_transits
-from .solver import build_operator, factor_step_matrix, march
-from .spectral import average_prediction, solve_eigenproblem
-from .wkb import Branch, integrate_characteristic
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .domain import Grid
 
 __all__ = ["entry", "main", "sfa_front_comparison"]
 
@@ -55,6 +50,8 @@ log = logging.getLogger("fkfront")
 
 
 def _grid(cfg: ExperimentConfig) -> Grid:
+    from .domain import Grid
+
     return Grid(L=cfg.L, n=cfg.n)
 
 
@@ -76,6 +73,11 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     for ``epsilons[b]`` alone.  The grid is checked for resolution and the
     matrix factored here, before the first step is drawn.
     """
+    import numpy as np
+
+    from .domain import logistic_reaction, make_quadratic_diffusion, step_initial_condition
+    from .solver import build_operator, factor_step_matrix, march
+
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, epsilons)
     ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
@@ -147,6 +149,12 @@ def sfa_front_comparison(
     The states a stream holds after that one are not read, so a stream
     whose field can fall back to the level must not be passed.
     """
+    import numpy as np
+
+    from .asymptotics import sfa_evolve
+    from .domain import Field
+    from .front import front_positions
+
     first = None
     rows = []
     for t, u in steps:
@@ -180,6 +188,8 @@ def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
+    from .front import fit_power_law, window_transits
+
     epsilons = []
     for eps in cfg.sweep_epsilons:
         if eps in epsilons:
@@ -224,6 +234,9 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
+    from .domain import make_constant_diffusion, make_quadratic_diffusion
+    from .spectral import solve_eigenproblem
+
     if cfg.eigen_constant_a is not None:
         diffusion = make_constant_diffusion(cfg.eigen_constant_a)
     else:
@@ -235,6 +248,9 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
+    from .domain import make_quadratic_diffusion
+    from .wkb import Branch, characteristic_steps
+
     branches = {
         "plus": (Branch.PLUS,),
         "minus": (Branch.MINUS,),
@@ -245,10 +261,9 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
     def rows():
         for x0 in cfg.wkb_x0:
             for branch in branches:
-                path = integrate_characteristic(
+                for t, x in characteristic_steps(
                     x0, cfg.wkb_htilde, diffusion, branch, cfg.wkb_t_end, cfg.wkb_dt
-                )
-                for t, x in zip(path.times, path.positions):
+                ):
                     yield (t, x, x0, branch.value)
 
     csv_path = out / "characteristics.csv"
@@ -261,6 +276,8 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_average(cfg: ExperimentConfig, out: Path) -> None:
+    from .spectral import average_prediction
+
     grid = _grid(cfg)
     w = grid.quadrature_weights
     length = 2.0 * grid.L

@@ -14,13 +14,31 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_text", "config_digest"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    "canonical_text",
+    "config_digest",
+    "check_step_count",
+]
 
-# Largest step count t_end / dt accepted in [solver] and [wkb].  A wkb ray
-# keeps two floats per step, so 1e7 steps are about 160 MB per ray, and a
-# solver march of 1e7 steps already runs for many minutes; a larger count
+# Largest step count t_end / dt accepted in [solver] and [wkb], and by the
+# library entries solver.march and wkb.characteristic_steps.  A stored wkb
+# ray keeps two floats per step, so 1e7 steps are about 160 MB per ray, and
+# a solver march of 1e7 steps already runs for many minutes; a larger count
 # would exhaust memory or not finish, so it is rejected before any output.
 MAX_STEPS = 10_000_000
+
+
+def check_step_count(t_end: float, dt: float) -> None:
+    """Raise ``ValueError`` unless ``t_end / dt`` is finite and at most ``MAX_STEPS``."""
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end / dt must be a finite step count, got t_end={t_end}, dt={dt}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps, "
+                         f"got t_end={t_end}, dt={dt}")
 
 
 class ConfigError(Exception):

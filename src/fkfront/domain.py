@@ -11,6 +11,10 @@ For the quadratic coefficient :func:`xi_of_x` and :func:`x_of_xi` map
 between ``x`` and ``xi = asinh(x / sqrt(epsilon))``.  There
 ``dx/dxi = sqrt(a)``, and the model reads, exactly,
 ``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.
+
+Importing the module does not load numpy: the functions that build or
+take arrays import it when called, and :func:`make_quadratic_diffusion`
+needs none.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiffusionProfile",
@@ -76,6 +81,8 @@ def xi_of_x(x: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
     Odd in ``x`` and exact at 0.  Takes scalars or arrays and works for
     every ``x`` with ``|x| / sqrt(epsilon)`` finite.
     """
+    import numpy as np
+
     return np.arcsinh(x / math.sqrt(epsilon))
 
 
@@ -86,6 +93,8 @@ def x_of_xi(xi: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
     returns ``x`` to a few units in the last place of ``xi``: ``sinh``
     turns the rounding of ``xi`` into the relative error of ``x``.
     """
+    import numpy as np
+
     return math.sqrt(epsilon) * np.sinh(xi)
 
 
@@ -95,6 +104,8 @@ def make_constant_diffusion(level: float) -> DiffusionProfile:
     The analytically solvable control case: no slow spot, so a front
     settles at the pulled speed ``2 sqrt(level)``.
     """
+    import numpy as np
+
     return DiffusionProfile(
         epsilon=level,
         a=lambda x: np.full_like(np.asarray(x, dtype=float), level),
@@ -128,6 +139,8 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
+        import numpy as np
+
         nodes = np.linspace(-self.L, self.L, self.n)
         nodes.flags.writeable = False
         return nodes
@@ -135,6 +148,8 @@ class Grid:
     @cached_property
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoid weights; their sum is the domain length ``2 L`` exactly."""
+        import numpy as np
+
         w = np.full(self.n, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
         w.flags.writeable = False
@@ -150,6 +165,8 @@ class Field:
     time: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValueError(
@@ -162,5 +179,7 @@ def step_initial_condition(grid: Grid, x_c0: float) -> Field:
     """Sharp step: ``u = 1`` for ``x <= x_c0``, ``u = 0`` beyond (ties go to 1)."""
     if not -grid.L < x_c0 < grid.L:
         raise ValueError(f"initial front {x_c0} must lie strictly inside (-{grid.L}, {grid.L})")
+    import numpy as np
+
     values = np.where(grid.x <= x_c0, 1.0, 0.0)
     return Field(grid=grid, values=values, time=0.0)

@@ -10,17 +10,23 @@ scalars other than ``float64``/``int64``) is written cell by cell through
 :func:`format_cell`, which applies the same specs.  Files are UTF-8: text
 that UTF-8 cannot encode (a lone surrogate) raises ``UnicodeEncodeError``
 instead of being replaced.
+
+The module does not import numpy, so the ``wkb`` command, whose rows are
+plain floats, runs without it.  A numpy scalar cell means numpy is loaded,
+so a row's ``float64``/``int64`` cells take the float/int specs through the
+``numpy`` in ``sys.modules``, and :func:`format_cell` writes any other numpy
+scalar as the Python scalar of its value.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .spectral import EigenSystem
+if TYPE_CHECKING:
+    from .spectral import EigenSystem
 
 __all__ = [
     "format_cell",
@@ -31,28 +37,39 @@ __all__ = [
 ]
 
 
-_CELL_SPECS = {float: "%.15g", np.float64: "%.15g", int: "%d", np.int64: "%d", str: "%s"}
+_CELL_SPECS = {float: "%.15g", int: "%d", str: "%s"}
+
+
+def _cell_spec(cell_type: type) -> str | None:
+    """``%``-spec of cells of exactly ``cell_type``, or None off the table."""
+    spec = _CELL_SPECS.get(cell_type)
+    if spec is None and cell_type.__module__ == "numpy":
+        np = sys.modules["numpy"]
+        spec = {np.float64: _CELL_SPECS[float], np.int64: _CELL_SPECS[int]}.get(cell_type)
+    return spec
 
 
 def format_cell(value) -> str:
+    if type(value).__module__ == "numpy":
+        value = value.item()  # the Python scalar of the same value
     spec = _CELL_SPECS.get(type(value))
     if spec is not None:
         return spec % value
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
         return _CELL_SPECS[int] % int(value)
     return _CELL_SPECS[float] % float(value)
 
 
 def _row_format(types: tuple[type, ...]) -> str | None:
     """``%``-format of a whole row of cells of ``types``, or None off the table."""
-    try:
-        return ",".join(_CELL_SPECS[t] for t in types) + "\n"
-    except KeyError:
+    specs = [_cell_spec(t) for t in types]
+    if None in specs:
         return None
+    return ",".join(specs) + "\n"
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

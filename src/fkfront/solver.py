@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .config import check_step_count
 from .domain import DiffusionProfile, Grid
 
 __all__ = [
@@ -234,8 +235,8 @@ def march(
     rounding that a running sum of ``dt`` accumulates.  ``t_end = 0`` yields
     the initial state only; the first draw raises ``ValueError`` for a
     ``t_end`` that is not finite, a negative one, a positive one shorter than
-    one step, one whose step count ``t_end / dt`` overflows, or
-    ``stride < 1``.
+    one step, one whose step count ``t_end / dt`` overflows or exceeds
+    :data:`fkfront.config.MAX_STEPS`, or ``stride < 1``.
 
     The reaction ``f`` must be a pure function of the state.  The step map is
     then deterministic, so once a solve returns its input bit for bit every
@@ -254,8 +255,7 @@ def march(
         raise ValueError(f"positive t_end must be at least one step dt={dt}, got {t_end}")
     if stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be a finite step count, got t_end={t_end}, dt={dt}")
+    check_step_count(t_end, dt)
     n_steps = int(round(t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()

@@ -124,7 +124,8 @@ def solve_eigenproblem(
     if vectors is None:
         modes = np.arange(m)
     else:
-        modes = np.unique(np.fromiter(vectors, dtype=int))
+        # a sorted set, not np.unique, which loads numpy.ma on its first call
+        modes = np.array(sorted({int(k) for k in vectors}), dtype=int)
         if modes.size and not (modes[0] >= 0 and modes[-1] < m):
             raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
     n = grid.n

@@ -14,8 +14,11 @@ sqrt(a(x))`` with momentum ``p = s Htilde / sqrt(a)``, where ``s = +1`` for
 ``xi`` of :func:`fkfront.domain.xi_of_x`, where ``dx/dxi = sqrt(a)``, the
 flow is uniform motion ``xi = xi0 + s 2 Htilde t`` and the phase a plane
 wave ``phi = s Htilde xi - (Htilde**2 + 1) t``.  :func:`characteristic_label`
-and :func:`phase_along` are these exact forms; :func:`integrate_characteristic`
-integrates the ray equation independently (Runge-Kutta) for cross-checks.
+and :func:`phase_along` are these exact forms; :func:`characteristic_steps`
+integrates the ray equation independently (Runge-Kutta) for cross-checks, as
+a stream of ``(t, x)`` floats that :func:`integrate_characteristic` stores
+as arrays.  Importing the module does not load numpy, and neither does the
+stream: the ``wkb`` command writes it without numpy.
 
 In ``xi`` the dropped right side is ``psi_xixi + tanh(xi) psi_xi``.  On a
 plane wave ``psi_xixi = 0``, so the fan drops the drift ``tanh(xi) psi_xi``,
@@ -30,16 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
+from .config import check_step_count
 from .domain import DiffusionProfile, x_of_xi, xi_of_x
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Branch",
     "WkbParams",
     "CharacteristicPath",
     "characteristic_label",
+    "characteristic_steps",
     "integrate_characteristic",
     "phase_along",
 ]
@@ -96,6 +103,8 @@ class CharacteristicPath:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.positions, dtype=float)
         if t.shape != x.shape or t.ndim != 1:
@@ -104,21 +113,26 @@ class CharacteristicPath:
         object.__setattr__(self, "positions", x)
 
 
-def integrate_characteristic(
+def characteristic_steps(
     x0: float,
     Htilde: float,
     diffusion: DiffusionProfile,
     sign: Branch,
     t_end: float,
     dt: float,
-) -> CharacteristicPath:
+) -> Iterator[tuple[float, float]]:
     """Classical fourth-order Runge-Kutta integration of the ray equation.
 
-    Integrates ``dx/dt = s 2 Htilde sqrt(a(x))`` with fixed step; the number
-    of steps is ``round(t_end/dt)``, which must not overflow, and the step
-    is adjusted to land on ``t_end`` exactly.  ``Htilde = 0`` yields a stationary ray.  This is the
-    oracle the closed forms are checked against, so it deliberately shares
-    no code with them.
+    Integrates ``dx/dt = s 2 Htilde sqrt(a(x))`` with fixed step and yields
+    ``(t, x)`` as floats, from ``(0, x0)`` to ``t_end``.  The number of steps
+    is ``round(t_end/dt)``, at most :data:`fkfront.config.MAX_STEPS`, and the
+    step is adjusted to land on ``t_end`` exactly; step ``k`` is stamped
+    ``k * h``.  ``t_end = 0`` yields the start only and ``Htilde = 0`` a
+    stationary ray.  The first draw raises ``ValueError`` for an input that
+    is not finite, a negative ``t_end`` or ``Htilde``, a non-positive
+    ``dt`` and a step count out of range.  This is the oracle the closed
+    forms are checked against, so it deliberately shares no code with them;
+    it needs only ``diffusion.a`` on floats, not numpy.
     """
     # also rejects nan, which fails every comparison
     if not 0.0 < dt < math.inf:
@@ -129,10 +143,11 @@ def integrate_characteristic(
         raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be a finite step count, got t_end={t_end}, dt={dt}")
+    check_step_count(t_end, dt)
+    x = float(x0)
+    yield 0.0, x
     if t_end == 0.0:
-        return CharacteristicPath(times=np.zeros(1), positions=np.full(1, float(x0)))
+        return
     rate = sign.direction * 2.0 * Htilde
 
     def velocity(x: float) -> float:
@@ -140,18 +155,31 @@ def integrate_characteristic(
 
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
-    times = np.empty(n + 1)
-    positions = np.empty(n + 1)
-    times[0] = 0.0
-    positions[0] = x = float(x0)
     for k in range(1, n + 1):
         k1 = velocity(x)
         k2 = velocity(x + 0.5 * h * k1)
         k3 = velocity(x + 0.5 * h * k2)
         k4 = velocity(x + h * k3)
         x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k] = k * h
-        positions[k] = x
+        yield k * h, x
+
+
+def integrate_characteristic(
+    x0: float,
+    Htilde: float,
+    diffusion: DiffusionProfile,
+    sign: Branch,
+    t_end: float,
+    dt: float,
+) -> CharacteristicPath:
+    """The ray of :func:`characteristic_steps` as arrays, bit for bit its floats.
+
+    Raises what :func:`characteristic_steps` raises, at the call.
+    """
+    import numpy as np
+
+    steps = characteristic_steps(x0, Htilde, diffusion, sign, t_end, dt)
+    times, positions = np.fromiter(steps, dtype=np.dtype((float, 2))).T
     return CharacteristicPath(times=times, positions=positions)
 
 

@@ -799,6 +799,40 @@ class TestImportFootprint:
                      "front_comparison.csv", "average.csv"):
             assert (tmp_path / "out" / name).is_file()
 
+    def test_wkb_leaves_numpy_unloaded_and_eigen_numpy_ma(self, tmp_path):
+        """``import fkfront``, ``import fkfront.cli``, ``--help`` and ``wkb``
+        load no numpy, and ``wkb`` only the layers it runs; ``eigen`` loads
+        numpy but not ``numpy.ma``."""
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        script = textwrap.dedent("""
+            import sys
+
+            def loaded(prefix):
+                return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+            cfg, out = sys.argv[1:]
+            import fkfront
+            assert not loaded("numpy"), ("import fkfront", loaded("numpy"))
+            from fkfront.cli import main
+            assert not loaded("numpy"), ("import fkfront.cli", loaded("numpy"))
+            try:
+                main(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            assert not loaded("numpy"), ("--help", loaded("numpy"))
+            assert main(["wkb", "--config", cfg, "--out", out]) == 0
+            assert not loaded("numpy"), ("wkb", loaded("numpy"))
+            layers = ["fkfront", "fkfront.cli", "fkfront.config", "fkfront.domain", "fkfront.io",
+                      "fkfront.wkb"]
+            assert loaded("fkfront") == layers, ("wkb", loaded("fkfront"))
+            assert main(["eigen", "--config", cfg, "--out", out]) == 0
+            assert "numpy" in sys.modules and "numpy.ma" not in sys.modules, "eigen"
+        """)
+        result = run_python(["-c", script, str(cfg_path), str(tmp_path / "out")], tmp_path)
+        assert result.returncode == 0, result.stderr
+        for name in ("characteristics.csv", "eigenvalues.csv"):
+            assert (tmp_path / "out" / name).is_file()
+
 
 def entry_program(runner):
     """The ``-c`` program that runs the CLI as ``runner`` does.

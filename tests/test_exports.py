@@ -20,14 +20,32 @@ def test_every_name_in_all_is_defined(name):
 
 
 def test_package_reexports_only_names_in_their_module_all():
-    tree = ast.parse(Path(fkfront.__file__).read_text(encoding="utf-8"))
-    reexports = [(node.module, alias.name) for node in tree.body
-                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                 for alias in node.names]
+    # the package's name -> submodule table, which its __getattr__ resolves
+    reexports = list(fkfront._EXPORTS.items())
     assert reexports
-    stray = [(module, name) for module, name in reexports
+    assert fkfront.__all__ == [name for name, _ in reexports]
+    stray = [(module, name) for name, module in reexports
              if name not in importlib.import_module(f"fkfront.{module}").__all__]
     assert stray == []
+
+
+@pytest.mark.parametrize("name", fkfront.__all__)
+def test_package_name_resolves_to_its_module_object(name):
+    module = importlib.import_module(f"fkfront.{fkfront._EXPORTS[name]}")
+    assert getattr(fkfront, name) is getattr(module, name)
+    assert name in dir(fkfront)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from fkfront import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(fkfront.__all__)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'fkfront' has no attribute 'no_such_name'"):
+        fkfront.no_such_name
+    assert not hasattr(fkfront, "_no_such_private")
 
 
 ROLE = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")

@@ -18,6 +18,7 @@ from conftest import (
     zero_reaction,
 )
 
+from fkfront.config import MAX_STEPS
 from fkfront.domain import (
     DiffusionProfile,
     Grid,
@@ -587,6 +588,21 @@ class TestSolverConfigValidation:
         message = "t_end / dt must be a finite step count, got t_end=1e+300, dt=1e-10"
         with pytest.raises(ValueError, match=re.escape(message)):
             next(steps)
+
+    def test_march_rejects_more_steps_than_the_config_allows(self):
+        # before: the first draw yielded the initial state of a 1e18-step march
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        steps = march(factor_step_matrix([op], 1e-3), np.zeros(5), logistic_reaction, 1e15)
+        message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(steps)
+
+    def test_march_accepts_the_largest_step_count(self):
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        steps = march(factor_step_matrix([op], 0.5), np.zeros(5), logistic_reaction,
+                      0.5 * MAX_STEPS)
+        t, u = next(steps)
+        assert t == 0.0 and u.tolist() == [0.0] * 5
 
 
 class TestUniformDiffusionControl:

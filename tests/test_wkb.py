@@ -1,22 +1,25 @@
 """Exponential-tail transport: labels, the ray oracle, the plane-wave phase."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fkfront.config import MAX_STEPS
 from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion, xi_of_x
 from fkfront.wkb import (
     Branch,
     WkbParams,
     characteristic_label,
+    characteristic_steps,
     integrate_characteristic,
     phase_along,
 )
 
-from conftest import log_uniform
+from conftest import bits, log_uniform
 
 EPS = np.finfo(float).eps
 
@@ -184,6 +187,35 @@ class TestIntegrateCharacteristic:
         with pytest.raises(ValueError, match="t_end / dt must be a finite step count"):
             integrate_characteristic(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
                                      1e300, 1e-10)
+
+    def test_rejects_more_steps_than_the_config_allows(self):
+        # before: MemoryError "Unable to allocate 6.94 EiB"
+        message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_characteristic(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                     1e15, 1e-3)
+        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                     1e15, 1e-3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(steps)
+
+    def test_accepts_the_largest_step_count(self):
+        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                     0.5 * MAX_STEPS, 0.5)
+        assert next(steps) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("diffusion", [make_quadratic_diffusion(0.01),
+                                           make_constant_diffusion(0.7)])
+    @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+    @pytest.mark.parametrize("t_end", [0.0, 1e-9, 0.75])
+    def test_arrays_are_the_stream_bit_for_bit(self, diffusion, branch, t_end):
+        args = (-0.8, 1.3, diffusion, branch, t_end, 1e-2)
+        steps = list(characteristic_steps(*args))
+        assert all(type(t) is float and type(x) is float for t, x in steps)
+        path = integrate_characteristic(*args)
+        times, positions = np.array(steps).T
+        assert np.array_equal(bits(path.times), bits(times))
+        assert np.array_equal(bits(path.positions), bits(positions))
 
 
 class TestPhase:
