@@ -31,8 +31,7 @@ _EXPORTS = {
         ["EigenSolveError", "EigenSystem", "average_prediction", "solve_eigenproblem"],
         "spectral"),
     **dict.fromkeys(
-        ["Branch", "CharacteristicPath", "WkbParams", "characteristic_label",
-         "integrate_characteristic", "phase_along"], "wkb"),
+        ["Branch", "characteristic_label", "phase_along"], "wkb"),
 }
 
 __all__ = list(_EXPORTS)

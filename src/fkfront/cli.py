@@ -244,7 +244,13 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
         _warn_if_under_resolved(_grid(cfg), [cfg.epsilon])
     eig = solve_eigenproblem(diffusion, _grid(cfg), m=cfg.eigen_modes, vectors=cfg.eigen_dump)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
-    io.export_eigen_system(eig, cfg.eigen_dump, out, meta)
+    spectrum = out / "eigenvalues.csv"
+    io.write_csv(spectrum, ("n", "lambda"), enumerate(eig.eigenvalues))
+    io.write_json(io.sidecar_path(spectrum), meta)
+    for k in cfg.eigen_dump:
+        mode_csv = out / f"phi_{k}.csv"
+        io.write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunction(k)))
+        io.write_json(io.sidecar_path(mode_csv), {**meta, "mode": k})
 
 
 def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:

@@ -3,7 +3,8 @@
 Files use INI syntax.  Every key is optional (defaults reproduce the
 reference setup: half-width 100, 501 nodes, epsilon 0.1, front at -35);
 unknown sections or keys are rejected so typos cannot silently fall back to
-defaults.
+defaults.  ``[DEFAULT]`` is one of those unknown sections, and a ``%`` in a
+value is a literal character, never an interpolation.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ __all__ = [
 ]
 
 # Largest step count t_end / dt accepted in [solver] and [wkb], and by the
-# library entries solver.march and wkb.characteristic_steps.  A stored wkb
-# ray keeps two floats per step, so 1e7 steps are about 160 MB per ray, and
-# a solver march of 1e7 steps already runs for many minutes; a larger count
-# would exhaust memory or not finish, so it is rejected before any output.
+# library entries solver.march and wkb.characteristic_steps.  Both stream
+# their steps, so memory does not grow with the count, but a solver march of
+# 1e7 steps already runs for many minutes; a larger count would not finish
+# in useful time, and an infinite one would never end, so it is rejected
+# before any output.
 MAX_STEPS = 10_000_000
 
 
@@ -190,7 +192,11 @@ def load_config(path: "str | Path") -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are literal (no %-interpolation), and no header can name the
+    # default section (a header is one line), so [DEFAULT] is an ordinary,
+    # unknown section whose keys reach no other section.
+    parser = ConfigParser(default_section="\n", interpolation=None,
+                          inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (L vs l)
     try:
         with open(path, encoding="utf-8") as fh:

@@ -16,6 +16,9 @@ plain floats, runs without it.  A numpy scalar cell means numpy is loaded,
 so a row's ``float64``/``int64`` cells take the float/int specs through the
 ``numpy`` in ``sys.modules``, and :func:`format_cell` writes any other numpy
 scalar as the Python scalar of its value.
+
+The module only formats: each command in :mod:`fkfront.cli` names its
+files and writes them through :func:`write_csv` and :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -23,17 +26,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .spectral import EigenSystem
+from typing import Iterable, Sequence
 
 __all__ = [
     "format_cell",
     "write_csv",
     "write_json",
     "sidecar_path",
-    "export_eigen_system",
 ]
 
 
@@ -97,19 +96,3 @@ def write_json(path: Path, payload: dict) -> None:
 def sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
-
-def export_eigen_system(
-    eig: EigenSystem, dump_modes: Sequence[int], out_dir: Path, meta: dict
-) -> None:
-    """``eigenvalues.csv`` (n,lambda) plus one ``phi_<n>.csv`` per dumped mode.
-
-    Each dumped mode's eigenfunction must be in ``eig`` (see
-    :meth:`~fkfront.spectral.EigenSystem.eigenfunction`).
-    """
-    spectrum = out_dir / "eigenvalues.csv"
-    write_csv(spectrum, ("n", "lambda"), enumerate(eig.eigenvalues))
-    write_json(sidecar_path(spectrum), meta)
-    for k in dump_modes:
-        mode_csv = out_dir / f"phi_{k}.csv"
-        write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunction(k)))
-        write_json(sidecar_path(mode_csv), {**meta, "mode": k})

@@ -16,9 +16,12 @@ flow is uniform motion ``xi = xi0 + s 2 Htilde t`` and the phase a plane
 wave ``phi = s Htilde xi - (Htilde**2 + 1) t``.  :func:`characteristic_label`
 and :func:`phase_along` are these exact forms; :func:`characteristic_steps`
 integrates the ray equation independently (Runge-Kutta) for cross-checks, as
-a stream of ``(t, x)`` floats that :func:`integrate_characteristic` stores
-as arrays.  Importing the module does not load numpy, and neither does the
-stream: the ``wkb`` command writes it without numpy.
+a stream of ``(t, x)`` floats.  All three take the ray as plain values,
+``Htilde`` then ``epsilon`` (or the diffusion profile) then the branch, and
+apply one input rule: ``Htilde`` finite and non-negative (``0`` is the
+stationary ray), ``epsilon`` finite and positive.  Importing the module does
+not load numpy, and neither does the stream: the ``wkb`` command writes it
+without numpy.
 
 In ``xi`` the dropped right side is ``psi_xixi + tanh(xi) psi_xi``.  On a
 plane wave ``psi_xixi = 0``, so the fan drops the drift ``tanh(xi) psi_xi``,
@@ -31,7 +34,6 @@ which is what the solver's front does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
@@ -43,11 +45,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Branch",
-    "WkbParams",
-    "CharacteristicPath",
     "characteristic_label",
     "characteristic_steps",
-    "integrate_characteristic",
     "phase_along",
 ]
 
@@ -63,24 +62,17 @@ class Branch(Enum):
         return 1 if self is Branch.PLUS else -1
 
 
-@dataclass(frozen=True)
-class WkbParams:
-    """Ray-family label ``Htilde``, diffusion floor ``epsilon``, and direction."""
-
-    Htilde: float
-    epsilon: float
-    sign: Branch
-
-    def __post_init__(self) -> None:
-        # also rejects nan, which fails every comparison
-        if not 0.0 < self.Htilde < math.inf:
-            raise ValueError(f"Htilde must be finite and positive, got {self.Htilde}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+def _check_ray(Htilde: float, epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``Htilde >= 0`` and ``epsilon > 0``, both finite."""
+    # also rejects nan, which fails every comparison
+    if not 0.0 <= Htilde < math.inf:
+        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"diffusion floor must be finite and positive, got {epsilon}")
 
 
 def characteristic_label(
-    x: "float | np.ndarray", t: float, params: WkbParams
+    x: "float | np.ndarray", t: float, Htilde: float, epsilon: float, sign: Branch
 ) -> "float | np.ndarray":
     """Starting point ``x0`` of the ray that reaches ``x`` at time ``t``.
 
@@ -88,29 +80,14 @@ def characteristic_label(
 
         x0 = x_of_xi(xi_of_x(x) - s 2 Htilde t),   s = +/- 1 per branch.
 
-    At ``t = 0`` this returns ``x`` up to the rounding of the round trip;
-    at fixed ``t`` it is strictly increasing in ``x``, so rays never cross.
+    At ``t = 0`` or ``Htilde = 0`` this returns ``x`` up to the rounding of
+    the round trip; at fixed ``t`` it is strictly increasing in ``x``, so
+    rays never cross.  Raises ``ValueError`` for ``Htilde`` or ``epsilon``
+    out of range.
     """
-    shift = params.sign.direction * 2.0 * params.Htilde * t
-    return x_of_xi(xi_of_x(x, params.epsilon) - shift, params.epsilon)
-
-
-@dataclass(frozen=True)
-class CharacteristicPath:
-    """Uniformly sampled ray ``(times, positions)`` from a numerical integration."""
-
-    times: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.positions, dtype=float)
-        if t.shape != x.shape or t.ndim != 1:
-            raise ValueError("times and positions must be 1-d arrays of equal length")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "positions", x)
+    _check_ray(Htilde, epsilon)
+    shift = sign.direction * 2.0 * Htilde * t
+    return x_of_xi(xi_of_x(x, epsilon) - shift, epsilon)
 
 
 def characteristic_steps(
@@ -124,14 +101,16 @@ def characteristic_steps(
     """Classical fourth-order Runge-Kutta integration of the ray equation.
 
     Integrates ``dx/dt = s 2 Htilde sqrt(a(x))`` with fixed step and yields
-    ``(t, x)`` as floats, from ``(0, x0)`` to ``t_end``.  The number of steps
-    is ``round(t_end/dt)``, at most :data:`fkfront.config.MAX_STEPS`, and the
+    ``(t, x)`` as floats, from ``(0, x0)`` to ``t_end``; the ray is this
+    stream, and ``list`` of it is the whole path.  The number of steps is
+    ``round(t_end/dt)``, at most :data:`fkfront.config.MAX_STEPS`, and the
     step is adjusted to land on ``t_end`` exactly; step ``k`` is stamped
     ``k * h``.  ``t_end = 0`` yields the start only and ``Htilde = 0`` a
     stationary ray.  The first draw raises ``ValueError`` for an input that
     is not finite, a negative ``t_end`` or ``Htilde``, a non-positive
-    ``dt`` and a step count out of range.  This is the oracle the closed
-    forms are checked against, so it deliberately shares no code with them;
+    ``dt`` and a step count out of range.  This is the oracle
+    :func:`characteristic_label` and :func:`phase_along` are checked
+    against, so it shares their input rule but none of their arithmetic;
     it needs only ``diffusion.a`` on floats, not numpy.
     """
     # also rejects nan, which fails every comparison
@@ -139,8 +118,7 @@ def characteristic_steps(
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
-    if not 0.0 <= Htilde < math.inf:
-        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
+    _check_ray(Htilde, diffusion.epsilon)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     check_step_count(t_end, dt)
@@ -164,26 +142,7 @@ def characteristic_steps(
         yield k * h, x
 
 
-def integrate_characteristic(
-    x0: float,
-    Htilde: float,
-    diffusion: DiffusionProfile,
-    sign: Branch,
-    t_end: float,
-    dt: float,
-) -> CharacteristicPath:
-    """The ray of :func:`characteristic_steps` as arrays, bit for bit its floats.
-
-    Raises what :func:`characteristic_steps` raises, at the call.
-    """
-    import numpy as np
-
-    steps = characteristic_steps(x0, Htilde, diffusion, sign, t_end, dt)
-    times, positions = np.fromiter(steps, dtype=np.dtype((float, 2))).T
-    return CharacteristicPath(times=times, positions=positions)
-
-
-def phase_along(x: float, t: float, params: WkbParams) -> float:
+def phase_along(x: float, t: float, Htilde: float, epsilon: float, sign: Branch) -> float:
     """Phase of the ray family at ``(x, t)``: ``s Htilde xi - (Htilde**2 + 1) t``.
 
     This is ``phi = (Htilde**2 - 1) t + phi0(x0)`` transported along the rays
@@ -191,6 +150,7 @@ def phase_along(x: float, t: float, params: WkbParams) -> float:
     sqrt(a(x0))`` (the ray momentum at ``t = 0``), i.e.
     ``phi0 = s Htilde xi_of_x(x0)``.  With ``xi0 = xi - s 2 Htilde t`` the
     transport is a plane wave in ``xi`` and solves the phase equation exactly.
+    Raises ``ValueError`` for ``Htilde`` or ``epsilon`` out of range.
     """
-    scale = params.sign.direction * params.Htilde
-    return float(scale * xi_of_x(x, params.epsilon) - (params.Htilde**2 + 1.0) * t)
+    _check_ray(Htilde, epsilon)
+    return float(sign.direction * Htilde * xi_of_x(x, epsilon) - (Htilde**2 + 1.0) * t)

@@ -29,13 +29,7 @@ from fkfront.domain import (
 from fkfront.front import fit_power_law, window_transits
 from fkfront.solver import build_operator, factor_step_matrix, march
 from fkfront.spectral import average_prediction, solve_eigenproblem
-from fkfront.wkb import (
-    Branch,
-    WkbParams,
-    characteristic_label,
-    integrate_characteristic,
-    phase_along,
-)
+from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
 from conftest import (
     DEFAULT_DT,
@@ -266,10 +260,9 @@ def test_a5_characteristic_labels_and_layers():
         x0 = float(rng.uniform(-3.0, 3.0))
         ht = float(rng.uniform(0.3, 1.2))
         branch = Branch.PLUS if k % 2 == 0 else Branch.MINUS
-        params = WkbParams(Htilde=ht, epsilon=eps, sign=branch)
-        path = integrate_characteristic(x0, ht, diff, branch, t_end=1.0, dt=1e-3)
-        for i in range(0, path.times.size, 100):
-            lab = characteristic_label(float(path.positions[i]), float(path.times[i]), params)
+        path = np.array(list(characteristic_steps(x0, ht, diff, branch, t_end=1.0, dt=1e-3)))
+        for t, x in path[::100]:
+            lab = characteristic_label(float(x), float(t), ht, eps, branch)
             worst_drift = max(worst_drift, abs(lab - x0))
     # two rays start inside the slow spot |x| < sqrt(eps) = 0.1, the rest outside it
     ok = worst_drift <= 1e-6
@@ -302,14 +295,14 @@ def test_a6_closed_form_residuals():
         for h in steps
     ]
 
-    params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
+    params = (0.8, 0.01, Branch.MINUS)  # Htilde, epsilon, sign
 
     def phase_residual(h):
         worst = 0.0
         for x in (-1.0, -0.3, 0.2, 0.9):
             for t in (0.2, 0.5):
-                phi_t = (phase_along(x, t + h, params) - phase_along(x, t - h, params)) / (2 * h)
-                phi_x = (phase_along(x + h, t, params) - phase_along(x - h, t, params)) / (2 * h)
+                phi_t = (phase_along(x, t + h, *params) - phase_along(x, t - h, *params)) / (2 * h)
+                phi_x = (phase_along(x + h, t, *params) - phase_along(x - h, t, *params)) / (2 * h)
                 worst = max(worst, abs(phi_t + (x * x + 0.01) * phi_x**2 + 1.0))
         return worst
 

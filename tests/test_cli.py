@@ -98,6 +98,37 @@ x0 = -1 1
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, "[turbo]\nboost = 5\n"))
 
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        # before: [DEFAULT] alone loaded with n = 501, and its keys leaked
+        # into every other section ("unknown key [physics] n")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, "[DEFAULT]\nn = 7\ntypo = 3\n"))
+        assert str(err.value) == "unknown key [DEFAULT] n; unknown key [DEFAULT] typo"
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, "[DEFAULT]\nn = 7\n[physics]\nepsilon = 0.05\n"))
+        assert str(err.value) == "unknown key [DEFAULT] n"
+
+    @pytest.mark.parametrize("text", ["5%", "%(x_c0)s", "%%"])
+    def test_percent_is_a_literal_character(self, tmp_path, text):
+        # before: "5%" raised InterpolationSyntaxError, and "%(x_c0)s" was
+        # quietly replaced by the value of x_c0
+        cfg_path = write_config(tmp_path, f"[physics]\nepsilon = {text}\nx_c0 = -20\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad value for [physics] epsilon: could not convert string to float: {text!r}")):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[DEFAULT]\nn = 7\n", "unknown key [DEFAULT] n"),
+        ("[physics]\nepsilon = 5%\n", "bad value for [physics] epsilon"),
+    ])
+    def test_config_error_exits_one_without_output(self, tmp_path, capsys, text, message):
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["wkb", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_bad_values_all_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, "[domain]\nn = 2.5\nL = tiny\n"))

@@ -10,38 +10,53 @@ from hypothesis import strategies as st
 
 from fkfront.config import MAX_STEPS
 from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion, xi_of_x
-from fkfront.wkb import (
-    Branch,
-    WkbParams,
-    characteristic_label,
-    characteristic_steps,
-    integrate_characteristic,
-    phase_along,
-)
+from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
-from conftest import bits, log_uniform
+from conftest import log_uniform
 
 EPS = np.finfo(float).eps
 
 
-class TestWkbParams:
-    @pytest.mark.parametrize("kwargs", [
-        {"Htilde": 0.0, "epsilon": 0.1, "sign": Branch.PLUS},
-        {"Htilde": -1.0, "epsilon": 0.1, "sign": Branch.PLUS},
-        {"Htilde": 1.0, "epsilon": 0.0, "sign": Branch.MINUS},
-        {"Htilde": 1.0, "epsilon": -0.5, "sign": Branch.MINUS},
-    ])
-    def test_rejects_nonpositive_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            WkbParams(**kwargs)
+RAY_FUNCTIONS = {
+    "characteristic_label": lambda Htilde, epsilon: characteristic_label(
+        0.3, 0.5, Htilde, epsilon, Branch.PLUS),
+    "phase_along": lambda Htilde, epsilon: phase_along(0.3, 0.5, Htilde, epsilon, Branch.PLUS),
+    "characteristic_steps": lambda Htilde, epsilon: next(characteristic_steps(
+        0.3, Htilde, make_quadratic_diffusion(epsilon), Branch.PLUS, 0.5, 1e-2)),
+}
 
-    @pytest.mark.parametrize("field", ["Htilde", "epsilon"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite_parameters(self, field, value):
+
+class TestRayInputRule:
+    """The three ray functions share one rule: ``Htilde`` finite and >= 0,
+    ``epsilon`` finite and > 0."""
+
+    @pytest.mark.parametrize("function", RAY_FUNCTIONS)
+    @pytest.mark.parametrize("Htilde", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_htilde_out_of_range(self, function, Htilde):
+        message = f"Htilde must be finite and non-negative, got {Htilde}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RAY_FUNCTIONS[function](Htilde, 0.1)
+
+    @pytest.mark.parametrize("function", RAY_FUNCTIONS)
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_epsilon_out_of_range(self, function, epsilon):
         # nan fails every comparison, so "<= 0" alone does not reject it
-        kwargs = {"Htilde": 1.0, "epsilon": 0.1, "sign": Branch.PLUS, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            WkbParams(**kwargs)
+        message = f"diffusion floor must be finite and positive, got {epsilon}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RAY_FUNCTIONS[function](1.0, epsilon)
+
+    @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+    def test_zero_htilde_labels_the_stationary_ray(self, branch):
+        # the `wkb` command writes these rays for `htilde = 0`
+        eps = 0.01
+        for x0 in (-2.0, -0.05, 0.0, 0.3):
+            steps = characteristic_steps(x0, 0.0, make_quadratic_diffusion(eps), branch, 1.0, 1e-3)
+            path = np.array(list(steps))
+            assert np.all(path[:, 1] == x0)
+            for t, x in path[::100]:
+                assert characteristic_label(x, t, 0.0, eps, branch) == pytest.approx(
+                    x0, rel=1e-12, abs=1e-12)
+                assert phase_along(x, t, 0.0, eps, branch) == -t
 
     def test_branch_directions(self):
         assert Branch.PLUS.direction == 1
@@ -51,25 +66,23 @@ class TestWkbParams:
 class TestCharacteristicLabel:
     @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
     def test_identity_at_zero_time(self, branch):
-        params = WkbParams(Htilde=1.0, epsilon=0.1, sign=branch)
         for x in (-1e8, -3.2, -1e-3, 0.0, 0.7, 1e8):
-            label = characteristic_label(x, 0.0, params)
+            label = characteristic_label(x, 0.0, 1.0, 0.1, branch)
             assert label == pytest.approx(x, rel=1e-12, abs=1e-12)
 
     def test_strictly_increasing_in_x(self):
-        params = WkbParams(Htilde=0.8, epsilon=0.05, sign=Branch.MINUS)
         xs = np.linspace(-4.0, 4.0, 801)
-        labels = np.array([characteristic_label(float(x), 0.7, params) for x in xs])
+        labels = np.array([characteristic_label(float(x), 0.7, 0.8, 0.05, Branch.MINUS)
+                           for x in xs])
         assert np.all(np.diff(labels) > 0)
 
     def test_agrees_with_ray_integration(self):
         # start at x0 = 1, integrate the leftgoing ray, invert the label
         eps = 0.01
-        params = WkbParams(Htilde=1.0, epsilon=eps, sign=Branch.MINUS)
-        path = integrate_characteristic(
-            1.0, 1.0, make_quadratic_diffusion(eps), Branch.MINUS, 0.5, 1e-3
-        )
-        label = characteristic_label(float(path.positions[-1]), 0.5, params)
+        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(eps), Branch.MINUS,
+                                     0.5, 1e-3)
+        path = np.array(list(steps))
+        label = characteristic_label(path[-1, 1], 0.5, 1.0, eps, Branch.MINUS)
         assert abs(label - 1.0) <= 1e-6
 
     def test_constant_along_integrated_paths(self):
@@ -77,11 +90,10 @@ class TestCharacteristicLabel:
         diffusion = make_quadratic_diffusion(eps)
         for x0, Htilde, branch in ((-2.0, 1.0, Branch.PLUS), (0.5, 0.7, Branch.MINUS),
                                    (1.5, 1.3, Branch.PLUS)):
-            params = WkbParams(Htilde=Htilde, epsilon=eps, sign=branch)
-            path = integrate_characteristic(x0, Htilde, diffusion, branch, 1.0, 1e-3)
+            path = np.array(list(characteristic_steps(x0, Htilde, diffusion, branch, 1.0, 1e-3)))
             drift = max(
-                abs(characteristic_label(float(x), float(t), params) - x0)
-                for t, x in zip(path.times[::100], path.positions[::100])
+                abs(characteristic_label(x, t, Htilde, eps, branch) - x0)
+                for t, x in path[::100]
             )
             assert drift <= 1e-6
 
@@ -100,8 +112,7 @@ class TestCharacteristicLabel:
         shift = branch.direction * 2.0 * Htilde * t
         xi0 = xi_of_x(x, epsilon) - shift
         assume(abs(xi0) < 690.0)  # the label stays a finite float
-        params = WkbParams(Htilde=Htilde, epsilon=epsilon, sign=branch)
-        got = xi_of_x(characteristic_label(x, t, params), epsilon)
+        got = xi_of_x(characteristic_label(x, t, Htilde, epsilon, branch), epsilon)
         assert abs(got - xi0) <= 4.0 * EPS * (1.0 + abs(xi0))
 
     @settings(max_examples=300, deadline=None)
@@ -121,51 +132,53 @@ class TestCharacteristicLabel:
         assume(abs(x) / math.sqrt(epsilon) < 1e300)
         xi = xi_of_x(x, epsilon)
         assume(max(abs(xi - 2.0 * Htilde * s * (t1 + t2)) for s in (-1, 1)) < 690.0)
-        params = WkbParams(Htilde=Htilde, epsilon=epsilon, sign=branch)
-        twice = characteristic_label(characteristic_label(x, t1, params), t2, params)
-        once = characteristic_label(x, t1 + t2, params)
+        ray_args = (Htilde, epsilon, branch)
+        twice = characteristic_label(characteristic_label(x, t1, *ray_args), t2, *ray_args)
+        once = characteristic_label(x, t1 + t2, *ray_args)
         rounding = 8.0 * EPS * (1.0 + abs(xi) + 2.0 * Htilde * (t1 + t2))
         assert abs(twice - once) <= rounding * math.hypot(once, math.sqrt(epsilon))
 
 
-class TestIntegrateCharacteristic:
+class TestCharacteristicSteps:
     def test_zero_rate_is_stationary(self):
-        path = integrate_characteristic(
-            -3.0, 0.0, make_constant_diffusion(1.0), Branch.MINUS, 1.0, 1e-3
-        )
-        assert np.all(path.positions == -3.0)
+        steps = characteristic_steps(-3.0, 0.0, make_constant_diffusion(1.0), Branch.MINUS,
+                                     1.0, 1e-3)
+        path = np.array(list(steps))
+        assert np.all(path[:, 1] == -3.0)
 
     @pytest.mark.parametrize("branch, sign", [(Branch.PLUS, 1.0), (Branch.MINUS, -1.0)])
     def test_exact_on_uniform_diffusion(self, branch, sign):
-        path = integrate_characteristic(
-            -3.0, 0.7, make_constant_diffusion(1.0), branch, 1.0, 1e-3
-        )
-        expected = -3.0 + sign * 2.0 * 0.7 * path.times
-        assert np.max(np.abs(path.positions - expected)) <= 1e-12
+        steps = characteristic_steps(-3.0, 0.7, make_constant_diffusion(1.0), branch, 1.0, 1e-3)
+        times, positions = np.array(list(steps)).T
+        expected = -3.0 + sign * 2.0 * 0.7 * times
+        assert np.max(np.abs(positions - expected)) <= 1e-12
 
     def test_time_axis(self):
-        path = integrate_characteristic(
-            1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS, 0.5, 1e-2
-        )
-        assert path.times[0] == 0.0
-        assert path.times[-1] == pytest.approx(0.5, abs=1e-12)
-        assert path.positions[0] == 1.0
+        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                     0.5, 1e-2)
+        path = np.array(list(steps))
+        assert path[0, 0] == 0.0
+        assert path[-1, 0] == pytest.approx(0.5, abs=1e-12)
+        assert path[0, 1] == 1.0
 
     def test_zero_horizon(self):
-        path = integrate_characteristic(
-            1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS, 0.0, 1e-2
-        )
-        assert path.times.shape == (1,)
-        assert path.positions[0] == 1.0
+        steps = list(characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+                                          0.0, 1e-2))
+        assert steps == [(0.0, 1.0)]
+
+    @pytest.mark.parametrize("diffusion", [make_quadratic_diffusion(0.01),
+                                           make_constant_diffusion(0.7)])
+    @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+    @pytest.mark.parametrize("t_end", [0.0, 1e-9, 0.75])
+    def test_yields_python_floats(self, diffusion, branch, t_end):
+        steps = list(characteristic_steps(-0.8, 1.3, diffusion, branch, t_end, 1e-2))
+        assert all(type(t) is float and type(x) is float for t, x in steps)
 
     def test_validation(self):
         d = make_quadratic_diffusion(0.1)
-        with pytest.raises(ValueError):
-            integrate_characteristic(1.0, 1.0, d, Branch.PLUS, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            integrate_characteristic(1.0, 1.0, d, Branch.PLUS, -1.0, 1e-3)
-        with pytest.raises(ValueError):
-            integrate_characteristic(1.0, -0.5, d, Branch.PLUS, 1.0, 1e-3)
+        for t_end, dt, Htilde in ((1.0, 0.0, 1.0), (-1.0, 1e-3, 1.0), (1.0, 1e-3, -0.5)):
+            with pytest.raises(ValueError):
+                next(characteristic_steps(1.0, Htilde, d, Branch.PLUS, t_end, dt))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name, message", [
@@ -180,20 +193,17 @@ class TestIntegrateCharacteristic:
         kwargs = {"x0": 1.0, "Htilde": 1.0, "diffusion": make_quadratic_diffusion(0.1),
                   "sign": Branch.PLUS, "t_end": 1.0, "dt": 1e-2, name: value}
         with pytest.raises(ValueError, match=message):
-            integrate_characteristic(**kwargs)
+            next(characteristic_steps(**kwargs))
 
     def test_rejects_an_overflowing_step_count(self):
         # before: OverflowError "cannot convert float infinity to integer"
-        with pytest.raises(ValueError, match="t_end / dt must be a finite step count"):
-            integrate_characteristic(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
                                      1e300, 1e-10)
+        with pytest.raises(ValueError, match="t_end / dt must be a finite step count"):
+            next(steps)
 
     def test_rejects_more_steps_than_the_config_allows(self):
-        # before: MemoryError "Unable to allocate 6.94 EiB"
         message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            integrate_characteristic(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
-                                     1e15, 1e-3)
         steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
                                      1e15, 1e-3)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -204,61 +214,49 @@ class TestIntegrateCharacteristic:
                                      0.5 * MAX_STEPS, 0.5)
         assert next(steps) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("diffusion", [make_quadratic_diffusion(0.01),
-                                           make_constant_diffusion(0.7)])
-    @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
-    @pytest.mark.parametrize("t_end", [0.0, 1e-9, 0.75])
-    def test_arrays_are_the_stream_bit_for_bit(self, diffusion, branch, t_end):
-        args = (-0.8, 1.3, diffusion, branch, t_end, 1e-2)
-        steps = list(characteristic_steps(*args))
-        assert all(type(t) is float and type(x) is float for t, x in steps)
-        path = integrate_characteristic(*args)
-        times, positions = np.array(steps).T
-        assert np.array_equal(bits(path.times), bits(times))
-        assert np.array_equal(bits(path.positions), bits(positions))
-
 
 class TestPhase:
     def test_zero_time_returns_initial_phase(self):
         # the consistent initial phase is s Htilde xi
-        params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
+        params = (0.8, 0.01, Branch.MINUS)  # Htilde, epsilon, sign
         for x in (-1.0, 0.2):
             phi0 = -0.8 * math.asinh(x / 0.1)
-            assert phase_along(x, 0.0, params) == pytest.approx(phi0, abs=1e-14)
+            assert phase_along(x, 0.0, *params) == pytest.approx(phi0, abs=1e-14)
 
     def test_affine_time_dependence(self):
-        params = WkbParams(Htilde=1.4, epsilon=0.01, sign=Branch.PLUS)
+        params = (1.4, 0.01, Branch.PLUS)  # Htilde, epsilon, sign
         x, t = -0.7, 0.6
-        label = characteristic_label(x, t, params)
-        transported = phase_along(x, t, params) - phase_along(label, 0.0, params)
+        label = characteristic_label(x, t, *params)
+        transported = phase_along(x, t, *params) - phase_along(label, 0.0, *params)
         assert transported == pytest.approx((1.4**2 - 1.0) * t, abs=1e-12)
 
     def test_unit_rate_transports_initial_phase(self):
-        params = WkbParams(Htilde=1.0, epsilon=0.01, sign=Branch.MINUS)
-        label = characteristic_label(0.4, 0.9, params)
-        assert phase_along(0.4, 0.9, params) == pytest.approx(
-            phase_along(label, 0.0, params), abs=1e-14
+        params = (1.0, 0.01, Branch.MINUS)  # Htilde, epsilon, sign
+        label = characteristic_label(0.4, 0.9, *params)
+        assert phase_along(0.4, 0.9, *params) == pytest.approx(
+            phase_along(label, 0.0, *params), abs=1e-14
         )
 
     @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
     def test_consistent_phase_slope_matches_ray_momentum(self, branch):
-        params = WkbParams(Htilde=0.8, epsilon=0.04, sign=branch)
+        params = (0.8, 0.04, branch)  # Htilde, epsilon, sign
         h = 1e-6
         for x0 in (-1.5, -0.2, 0.3, 2.0):
-            slope = (phase_along(x0 + h, 0.0, params) - phase_along(x0 - h, 0.0, params)) / (2 * h)
+            rise = phase_along(x0 + h, 0.0, *params) - phase_along(x0 - h, 0.0, *params)
+            slope = rise / (2 * h)
             expected = branch.direction * 0.8 / math.sqrt(x0**2 + 0.04)
             assert slope == pytest.approx(expected, rel=1e-8)
 
     def test_solves_leading_order_phase_equation(self):
         # residual of phi_t + a(x) phi_x^2 + 1 under central differences
-        params = WkbParams(Htilde=0.8, epsilon=0.01, sign=Branch.MINUS)
+        params = (0.8, 0.01, Branch.MINUS)  # Htilde, epsilon, sign
 
         def residual(h):
             worst = 0.0
             for x in (-1.0, -0.3, 0.2, 0.9):
                 for t in (0.2, 0.5):
-                    phi_t = (phase_along(x, t + h, params) - phase_along(x, t - h, params)) / (2 * h)
-                    phi_x = (phase_along(x + h, t, params) - phase_along(x - h, t, params)) / (2 * h)
+                    phi_t = (phase_along(x, t + h, *params) - phase_along(x, t - h, *params)) / (2 * h)
+                    phi_x = (phase_along(x + h, t, *params) - phase_along(x - h, t, *params)) / (2 * h)
                     worst = max(worst, abs(phi_t + (x * x + 0.01) * phi_x**2 + 1.0))
             return worst
 
