@@ -267,10 +267,11 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
     def rows():
         for x0 in cfg.wkb_x0:
             for branch in branches:
+                label = branch.value
                 for t, x in characteristic_steps(
                     x0, cfg.wkb_htilde, diffusion, branch, cfg.wkb_t_end, cfg.wkb_dt
                 ):
-                    yield (t, x, x0, branch.value)
+                    yield (t, x, x0, label)
 
     csv_path = out / "characteristics.csv"
     io.write_csv(csv_path, ("t", "x", "x0", "branch"), rows())

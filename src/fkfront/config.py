@@ -3,17 +3,31 @@
 Files use INI syntax.  Every key is optional (defaults reproduce the
 reference setup: half-width 100, 501 nodes, epsilon 0.1, front at -35);
 unknown sections or keys are rejected so typos cannot silently fall back to
-defaults.  ``[DEFAULT]`` is one of those unknown sections, and a ``%`` in a
-value is a literal character, never an interpolation.
+defaults, an unknown section with no keys included.  ``[DEFAULT]`` is one
+of those unknown sections, and a ``%`` in a value is a literal character,
+never an interpolation.
+
+:func:`config_digest` hashes with CPython's built-in SHA-256 (``_sha2`` on
+3.12 and later, ``_sha256`` before), not :mod:`hashlib`: importing
+``hashlib`` maps OpenSSL's libcrypto, about 3.6 MB resident in every
+command, to hash a few hundred bytes.  ``hashlib`` is the fallback for an
+interpreter built without the built-in hashes; the digest is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+try:
+    from _sha2 import sha256 as _new_sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
 __all__ = [
     "ConfigError",
@@ -127,6 +141,7 @@ _SCHEMA = {
     ("wkb", "t_end"): ("wkb_t_end", _parse_float),
     ("wkb", "dt"): ("wkb_dt", _parse_float),
 }
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _step_count_problems(section: str, t_end: float, dt: float) -> list[str]:
@@ -207,7 +222,10 @@ def load_config(path: "str | Path") -> ExperimentConfig:
     overrides = {}
     problems = []
     for section in parser.sections():
-        for key in parser[section]:
+        keys = parser.options(section)
+        if not keys and section not in _SECTIONS:
+            problems.append(f"unknown section [{section}]")
+        for key in keys:
             entry = _SCHEMA.get((section, key))
             if entry is None:
                 problems.append(f"unknown key [{section}] {key}")
@@ -240,4 +258,5 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of :func:`canonical_text`, encoded as UTF-8."""
+    return _new_sha256(canonical_text(cfg).encode("utf-8")).hexdigest()

@@ -62,6 +62,8 @@ class TestConfig:
         assert cfg.t_end == 60.0
         assert cfg.snapshot_stride == 25
         assert cfg.sweep_epsilons == (0.1, 0.05, 0.025, 0.0125)
+        # a known section with no keys is valid
+        assert load_config(write_config(tmp_path, "[domain]\n")) == ExperimentConfig()
 
     def test_overrides_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -97,6 +99,11 @@ x0 = -1 1
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, "[turbo]\nboost = 5\n"))
+        # before: a key-less unknown section loaded as the defaults
+        for name in ("turbo", "DEFAULT"):
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, f"[{name}]\n"))
+            assert str(err.value) == f"unknown section [{name}]"
 
     def test_default_section_is_an_unknown_section(self, tmp_path):
         # before: [DEFAULT] alone loaded with n = 501, and its keys leaked
@@ -120,6 +127,8 @@ x0 = -1 1
     @pytest.mark.parametrize("text, message", [
         ("[DEFAULT]\nn = 7\n", "unknown key [DEFAULT] n"),
         ("[physics]\nepsilon = 5%\n", "bad value for [physics] epsilon"),
+        ("[turbo]\n", "unknown section [turbo]"),
+        ("[DEFAULT]\n", "unknown section [DEFAULT]"),
     ])
     def test_config_error_exits_one_without_output(self, tmp_path, capsys, text, message):
         cfg_path = write_config(tmp_path, text)
@@ -159,6 +168,21 @@ x0 = -1 1
         assert len(base) == 64
         assert base == config_digest(ExperimentConfig())
         assert base != config_digest(ExperimentConfig(epsilon=0.05))
+
+    def test_digest_without_builtin_sha256_falls_back_to_hashlib(self, tmp_path):
+        """An interpreter built without ``_sha2`` and ``_sha256`` hashes
+        through ``hashlib``, to the same digest."""
+        script = textwrap.dedent("""
+            import sys
+
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from fkfront.config import ExperimentConfig, config_digest
+            assert "hashlib" in sys.modules
+            print(config_digest(ExperimentConfig()))
+        """)
+        result = run_python(["-c", script], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == config_digest(ExperimentConfig())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize(
@@ -236,7 +260,9 @@ class TestConfigRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_config(write_config(Path(tmp), ini_of(cfg)))
         assert loaded == cfg
-        assert canonical_text(loaded) == canonical_text(cfg)
+        text = canonical_text(loaded)
+        assert text == canonical_text(cfg)
+        assert config_digest(loaded) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 FAST_RUN = """
@@ -795,7 +821,7 @@ class TestImportFootprint:
     def test_commands_without_lapack_leave_scipy_unloaded(self, tmp_path):
         """Only the commands that factor or eigensolve load scipy, and those
         load its LAPACK extension without ``scipy.linalg`` and ``numpy.f2py``;
-        none loads a process pool."""
+        none loads a process pool, and none ``hashlib`` (OpenSSL)."""
         cfg_path = write_config(tmp_path, TINY_RUN)
         script = textwrap.dedent("""
             import sys
@@ -819,21 +845,22 @@ class TestImportFootprint:
             pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing")
                            if m in sys.modules)
             assert not pools, ("trap-sweep --workers 2", pools)
-            for command in ("eigen", "compare-sfa", "average"):
+            for command in ("eigen", "compare-sfa", "average", "simulate"):
                 assert main([command, "--config", cfg, "--out", out]) == 0
-            unwanted = sorted(m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules)
-            assert not unwanted, ("trap-sweep, eigen, compare-sfa, average", unwanted)
+            unwanted = sorted(m for m in ("scipy.linalg", "numpy.f2py", "hashlib", "_hashlib")
+                              if m in sys.modules)
+            assert not unwanted, ("trap-sweep, eigen, compare-sfa, average, simulate", unwanted)
         """)
         result = run_python(["-c", script, str(cfg_path), str(tmp_path / "out")], tmp_path)
         assert result.returncode == 0, result.stderr
         for name in ("characteristics.csv", "trap_times.csv", "eigenvalues.csv",
-                     "front_comparison.csv", "average.csv"):
+                     "front_comparison.csv", "average.csv", "trajectory.csv"):
             assert (tmp_path / "out" / name).is_file()
 
     def test_wkb_leaves_numpy_unloaded_and_eigen_numpy_ma(self, tmp_path):
         """``import fkfront``, ``import fkfront.cli``, ``--help`` and ``wkb``
-        load no numpy, and ``wkb`` only the layers it runs; ``eigen`` loads
-        numpy but not ``numpy.ma``."""
+        load no numpy and no ``hashlib``, and ``wkb`` only the layers it runs;
+        ``eigen`` loads numpy but not ``numpy.ma``."""
         cfg_path = write_config(tmp_path, TINY_RUN)
         script = textwrap.dedent("""
             import sys
@@ -841,18 +868,21 @@ class TestImportFootprint:
             def loaded(prefix):
                 return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
 
+            def unwanted():
+                return loaded("numpy") + loaded("hashlib") + loaded("_hashlib")
+
             cfg, out = sys.argv[1:]
             import fkfront
-            assert not loaded("numpy"), ("import fkfront", loaded("numpy"))
+            assert not unwanted(), ("import fkfront", unwanted())
             from fkfront.cli import main
-            assert not loaded("numpy"), ("import fkfront.cli", loaded("numpy"))
+            assert not unwanted(), ("import fkfront.cli", unwanted())
             try:
                 main(["--help"])
             except SystemExit as exc:
                 assert exc.code == 0, exc.code
-            assert not loaded("numpy"), ("--help", loaded("numpy"))
+            assert not unwanted(), ("--help", unwanted())
             assert main(["wkb", "--config", cfg, "--out", out]) == 0
-            assert not loaded("numpy"), ("wkb", loaded("numpy"))
+            assert not unwanted(), ("wkb", unwanted())
             layers = ["fkfront", "fkfront.cli", "fkfront.config", "fkfront.domain", "fkfront.io",
                       "fkfront.wkb"]
             assert loaded("fkfront") == layers, ("wkb", loaded("fkfront"))
