@@ -16,8 +16,7 @@ import importlib
 # exported name -> submodule that defines it (and lists it in its __all__)
 _EXPORTS = {
     **dict.fromkeys(
-        ["RootPair", "SfaResidualReport", "TwcBranch", "sfa_evolve", "sfa_residual",
-         "stationary_roots"], "asymptotics"),
+        ["sfa_evolve", "sfa_residual", "stationary_roots"], "asymptotics"),
     **dict.fromkeys(
         ["ConfigError", "ExperimentConfig", "config_digest", "load_config"], "config"),
     **dict.fromkeys(
@@ -28,8 +27,7 @@ _EXPORTS = {
         ["FactoredSymmetricTridiagonal", "TridiagonalOperator", "build_operator",
          "factor_step_matrix", "march"], "solver"),
     **dict.fromkeys(
-        ["EigenSolveError", "EigenSystem", "average_prediction", "solve_eigenproblem"],
-        "spectral"),
+        ["EigenSolveError", "average_prediction", "solve_eigenproblem"], "spectral"),
     **dict.fromkeys(
         ["Branch", "characteristic_label", "phase_along"], "wkb"),
 }

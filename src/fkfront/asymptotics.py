@@ -8,16 +8,20 @@ as pure drift and the model collapses to the hyperbolic equation
 Its characteristics contract exponentially toward the origin,
 ``x(t) = x0 * exp(-2 (t - t0))``, and the logistic reaction integrates
 exactly along them, which gives the evolution rule implemented by
-:func:`sfa_evolve`.  In the coordinate ``eta = +/- ln|x| + c t`` the same
-model becomes a constant-coefficient wave problem whose exponential tails
-are classified by :func:`stationary_roots`.
+:func:`sfa_evolve`.
+
+In ``xi = asinh(x / sqrt(epsilon))`` (:func:`fkfront.domain.xi_of_x`) the
+full model reads ``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.  Far from the
+origin ``xi ~ +/- ln|x| + const`` and the drift ``s = tanh(xi)`` tends to
+``-1`` (entry side) or ``+1`` (exit side); it is 0 at the origin.  With
+``s`` held fixed and ``eta = xi + c t`` the model linearized about ``u = 0``
+is a constant-coefficient wave problem, whose exponential tails are
+classified by :func:`stationary_roots`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -25,9 +29,6 @@ import numpy as np
 from .domain import DiffusionProfile, Field
 
 __all__ = [
-    "TwcBranch",
-    "RootPair",
-    "SfaResidualReport",
     "sfa_evolve",
     "stationary_roots",
     "sfa_residual",
@@ -62,8 +63,9 @@ def sfa_evolve(field: Field, x: "float | np.ndarray", t: float) -> "float | np.n
     ``|x| >= 1e-307 * L`` off the grid, and the logistic decay stays positive
     (at least ``exp(-745)``), so 0 stays fixed.
     """
-    if t < field.time:
-        raise ValueError(f"cannot evolve backwards: t={t} < snapshot time {field.time}")
+    if not t >= field.time:
+        raise ValueError(f"cannot evolve backwards: need t >= snapshot time {field.time}, "
+                         f"got t={t}")
     delta = t - field.time
     with np.errstate(over="ignore"):  # an infinite foot lies off the grid like a finite one
         u0 = _interpolate(field, np.asarray(x, dtype=float) * math.exp(2.0 * min(delta, 354.0)))
@@ -73,67 +75,39 @@ def sfa_evolve(field: Field, x: "float | np.ndarray", t: float) -> "float | np.n
     return u0 / (u0 + (1.0 - u0) * decay)
 
 
-class TwcBranch(Enum):
-    """Sign case of the logarithmic coordinate ``eta = +/- ln|x| + c t``."""
+def stationary_roots(c: float, s: float) -> tuple[tuple[complex, complex], str]:
+    """Tail exponents: the roots of ``lambda**2 - (c - s) lambda + 1 = 0``.
 
-    PLUS = "plus"
-    MINUS = "minus"
+    ``u = U(eta)``, ``eta = xi + c t``, solves ``u_t = u_xixi + s u_xi + u``,
+    the model in ``xi`` linearized about 0 with the drift ``s = tanh(xi)``
+    held fixed, when ``U = e^{lambda eta}``.  ``s`` lies in ``[-1, 1]``: -1
+    far on the entry side, 0 at the origin, +1 far on the exit side.
+    Returns ``((r1, r2), kind)``, ``kind`` one of ``real_distinct``,
+    ``real_double``, ``complex``: real roots larger first, complex ones with
+    the positive imaginary part first.  They multiply to 1 and sum to
+    ``c - s``.
 
-
-@dataclass(frozen=True)
-class RootPair:
-    """Decay exponents of ``u'' + (-c +/- 1) u' + u = 0`` linearized tails.
-
-    ``kind`` is one of ``real_distinct``, ``real_double``, ``complex``;
-    ``non_oscillatory`` flags the strict speed range (``c < -1`` on the plus
-    branch, ``c > 1`` on the minus branch) where the decay is monotone.
+    Both roots are real and negative, a monotone tail ahead of a front
+    moving right at speed ``-c``, iff ``c <= s - 2``.  The double root -1
+    sits at ``c = s - 2``, the pulled speed ``2 - s``: 3, 2 and 1 for ``s``
+    = -1, 0 and 1.  A non-finite ``c`` or an ``s`` outside ``[-1, 1]``
+    raises ``ValueError``.
     """
-
-    branch: TwcBranch
-    c: float
-    roots: tuple[complex, complex]
-    kind: str
-    non_oscillatory: bool
-
-
-def stationary_roots(c: float, branch: TwcBranch) -> RootPair:
-    """Roots of ``lambda**2 + (-c +/- 1) lambda + 1 = 0`` for speed ``c``.
-
-    The two roots multiply to 1 and sum to ``c - 1`` (plus branch) or
-    ``c + 1`` (minus branch).
-    """
-    c = float(c)
-    branch = TwcBranch(branch)
-    beta = c - 1.0 if branch is TwcBranch.PLUS else c + 1.0
-    disc = beta * beta - 4.0
-    if disc > 0.0:
-        r = math.sqrt(disc)
-        roots = (complex((beta + r) / 2.0), complex((beta - r) / 2.0))
-        kind = "real_distinct"
-    elif disc == 0.0:
-        roots = (complex(beta / 2.0), complex(beta / 2.0))
-        kind = "real_double"
-    else:
-        r = math.sqrt(-disc)
-        roots = (complex(beta / 2.0, r / 2.0), complex(beta / 2.0, -r / 2.0))
-        kind = "complex"
-    non_osc = c < -1.0 if branch is TwcBranch.PLUS else c > 1.0
-    return RootPair(branch=branch, c=c, roots=roots, kind=kind, non_oscillatory=non_osc)
-
-
-@dataclass(frozen=True)
-class SfaResidualReport:
-    """Pointwise diagnostics of the reduced model at probe locations.
-
-    ``residual`` is ``u_t - a'(x) u_x - f(u)`` of the evolved field by
-    central differences; ``validity_ratio`` is ``|a u_xx| / |a' u_x|``, the
-    size of the neglected curvature term against the drift term (NaN where
-    both vanish, +inf where only the drift does).
-    """
-
-    xs: np.ndarray
-    residual: np.ndarray
-    validity_ratio: np.ndarray
+    c, s = float(c), float(s)
+    if not math.isfinite(c):
+        raise ValueError(f"speed c must be finite, got {c}")
+    if not -1.0 <= s <= 1.0:
+        raise ValueError(f"drift s must lie in [-1, 1], got {s}")
+    half = (c - s) / 2.0
+    # sqrt|half**2 - 1| as a product, which cannot overflow for a finite c
+    root = math.sqrt(abs(half - 1.0)) * math.sqrt(abs(half + 1.0))
+    if abs(half) < 1.0:
+        return (complex(half, root), complex(half, -root)), "complex"
+    if abs(half) == 1.0:
+        return (complex(half), complex(half)), "real_double"
+    big = half + math.copysign(root, half)  # the root of larger size; the other is 1/big
+    r1, r2 = sorted((big, 1.0 / big), reverse=True)
+    return (complex(r1), complex(r2)), "real_distinct"
 
 
 def sfa_residual(
@@ -144,8 +118,14 @@ def sfa_residual(
     xs: np.ndarray,
     space_step: float,
     time_step: float | None = None,
-) -> SfaResidualReport:
+) -> tuple[np.ndarray, np.ndarray]:
     """Check how well :func:`sfa_evolve` of ``field`` satisfies the reduced model at ``t``.
+
+    Returns ``(residual, validity_ratio)`` at the probes ``xs``.
+    ``residual`` is ``u_t - a'(x) u_x - f(u)`` of the evolved field;
+    ``validity_ratio`` is ``|a u_xx| / |a' u_x|``, the size of the neglected
+    curvature term against the drift term (NaN where both vanish, +inf where
+    only the drift does).
 
     ``f`` is the reaction.  Derivatives are second-order central differences
     with probe spacings ``space_step`` (in x) and ``time_step`` (in t,
@@ -155,11 +135,11 @@ def sfa_residual(
     ulps of ``t`` below it) is accepted, and its lower time is taken at the
     snapshot.
     """
-    if space_step <= 0:
-        raise ValueError(f"space_step must be positive, got {space_step}")
+    if not 0.0 < space_step < math.inf:
+        raise ValueError(f"space_step must be positive and finite, got {space_step}")
     ht = space_step if time_step is None else float(time_step)
-    if ht <= 0:
-        raise ValueError(f"time_step must be positive, got {time_step}")
+    if not 0.0 < ht < math.inf:
+        raise ValueError(f"time_step must be positive and finite, got {time_step}")
     t_lo = t - ht
     if t_lo < field.time:
         # t = field.time + ht is rounded, so t - ht may fall an ulp behind
@@ -187,4 +167,4 @@ def sfa_residual(
     drift = np.abs(np.asarray(diffusion.aprime(xs), dtype=float) * u_x)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = curvature / drift
-    return SfaResidualReport(xs=xs, residual=residual, validity_ratio=ratio)
+    return residual, ratio

@@ -121,7 +121,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
 
 def sfa_front_comparison(
     steps: Iterable[tuple[float, np.ndarray]], grid: Grid, level: float = 0.5
-) -> list[tuple]:
+) -> tuple[list[tuple], float]:
     """Rows ``(t, xc_numeric, xc_sfa, abs_diff)`` where both fronts exist.
 
     ``steps`` streams the ``(t, u)`` states of one run on ``grid``, with
@@ -147,7 +147,8 @@ def sfa_front_comparison(
       ``dt v (1 - v)`` that ``g`` adds near the level.
 
     The states a stream holds after that one are not read, so a stream
-    whose field can fall back to the level must not be passed.
+    whose field can fall back to the level must not be passed.  Returns the
+    rows and the time of the last state drawn (NaN for an empty stream).
     """
     import numpy as np
 
@@ -157,6 +158,7 @@ def sfa_front_comparison(
 
     first = None
     rows = []
+    t = math.nan
     for t, u in steps:
         u = np.reshape(u, grid.n)
         if first is None:
@@ -168,19 +170,11 @@ def sfa_front_comparison(
                 break
             continue
         rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
-    return rows
+    return rows, t
 
 
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
-    grid = _grid(cfg)
-    t_stop = 0.0
-
-    def steps():
-        nonlocal t_stop
-        for t_stop, u in _march(cfg, [cfg.epsilon]):
-            yield t_stop, u
-
-    rows = sfa_front_comparison(steps(), grid)
+    rows, t_stop = sfa_front_comparison(_march(cfg, [cfg.epsilon]), _grid(cfg))
     _log_early_stop("compare-sfa", t_stop, cfg, "u > 0.5 at every node, no front can return")
     csv_path = out / "front_comparison.csv"
     io.write_csv(csv_path, ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows)
@@ -237,19 +231,20 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
     from .domain import make_constant_diffusion, make_quadratic_diffusion
     from .spectral import solve_eigenproblem
 
+    grid = _grid(cfg)
     if cfg.eigen_constant_a is not None:
         diffusion = make_constant_diffusion(cfg.eigen_constant_a)
     else:
         diffusion = make_quadratic_diffusion(cfg.epsilon)
-        _warn_if_under_resolved(_grid(cfg), [cfg.epsilon])
-    eig = solve_eigenproblem(diffusion, _grid(cfg), m=cfg.eigen_modes, vectors=cfg.eigen_dump)
+        _warn_if_under_resolved(grid, [cfg.epsilon])
+    eigenvalues, phis = solve_eigenproblem(diffusion, grid, cfg.eigen_modes, cfg.eigen_dump)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
     spectrum = out / "eigenvalues.csv"
-    io.write_csv(spectrum, ("n", "lambda"), enumerate(eig.eigenvalues))
+    io.write_csv(spectrum, ("n", "lambda"), enumerate(eigenvalues))
     io.write_json(io.sidecar_path(spectrum), meta)
     for k in cfg.eigen_dump:
         mode_csv = out / f"phi_{k}.csv"
-        io.write_csv(mode_csv, ("x", "phi"), zip(eig.grid.x, eig.eigenfunction(k)))
+        io.write_csv(mode_csv, ("x", "phi"), zip(grid.x, phis[k]))
         io.write_json(io.sidecar_path(mode_csv), {**meta, "mode": k})
 
 

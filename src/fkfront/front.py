@@ -94,8 +94,8 @@ def window_transits(
     Returns the records and the time of the last state drawn (NaN for an
     empty stream).
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rows: list[list] = []  # per row: entry, exit, time and position of the last front read
     t = math.nan
     for t, u in steps:
@@ -125,10 +125,10 @@ def fit_power_law(
 ) -> dict:
     """Least-squares fit of ``duration = C * epsilon**p`` in log space.
 
-    ``pairs`` holds ``(epsilon, duration)`` rows, all strictly positive, at
-    least two of them.  With ``exponent=None`` both ``C`` and ``p`` are free
-    (``mode`` "free"); passing ``exponent`` (e.g. ``-0.5``) pins ``p`` and
-    fits only ``C`` ("fixed").  Returns the JSON-ready report: ``C``, ``p``,
+    ``pairs`` holds ``(epsilon, duration)`` rows, all finite and strictly
+    positive, at least two of them.  With ``exponent=None`` both ``C`` and
+    ``p`` are free (``mode`` "free"); passing ``exponent`` (e.g. ``-0.5``)
+    pins ``p`` and fits only ``C`` ("fixed").  Returns the JSON-ready report: ``C``, ``p``,
     the log-space ``residuals``, the ``epsilons`` and the ``mode``, all as
     plain floats and lists.
     """
@@ -138,8 +138,8 @@ def fit_power_law(
     if data.shape[0] < 2:
         raise ValueError("need at least two (epsilon, duration) pairs")
     eps, dur = data[:, 0], data[:, 1]
-    if np.any(eps <= 0) or np.any(dur <= 0):
-        raise ValueError("epsilons and durations must be strictly positive")
+    if not np.all((data > 0) & (data < np.inf)):
+        raise ValueError("epsilons and durations must be strictly positive and finite")
     z = np.log(eps)
     y = np.log(dur)
     if exponent is None:

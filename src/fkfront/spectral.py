@@ -26,7 +26,6 @@ solver's mean lags it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -36,7 +35,6 @@ from .solver import _lapack, build_operator
 
 __all__ = [
     "EigenSolveError",
-    "EigenSystem",
     "solve_eigenproblem",
     "average_prediction",
 ]
@@ -46,55 +44,19 @@ class EigenSolveError(RuntimeError):
     """The tridiagonal eigensolver failed to converge."""
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Leading eigenpairs of the diffusion operator, slowest first.
-
-    ``eigenvalues`` are sorted descending (``eigenvalues[0]`` is the zero
-    mode).  ``modes`` lists, ascending, the modes whose eigenfunctions were
-    computed (every mode unless a subset was asked for); row ``j`` of
-    ``eigenfunctions`` samples mode ``modes[j]`` on the grid, normalized to
-    unit trapezoid norm with a positive left-end value.
-    """
-
-    grid: Grid
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    modes: "np.ndarray | None" = None
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        funcs = np.asarray(self.eigenfunctions, dtype=float)
-        modes = np.arange(vals.size) if self.modes is None else np.asarray(self.modes, dtype=int)
-        if vals.ndim != 1 or modes.ndim != 1 or funcs.shape != (modes.size, self.grid.n):
-            raise ValueError("eigenfunctions must be (len(modes), n), modes and eigenvalues 1-D")
-        if modes.size and not (modes[0] >= 0 and modes[-1] < vals.size
-                               and np.all(np.diff(modes) > 0)):
-            raise ValueError("modes must be ascending, distinct indices of the eigenvalues")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenfunctions", funcs)
-        object.__setattr__(self, "modes", modes)
-
-    @property
-    def count(self) -> int:
-        """Number of eigenvalues (the eigenfunctions may cover fewer modes)."""
-        return self.eigenvalues.size
-
-    def eigenfunction(self, k: int) -> np.ndarray:
-        """Mode ``k`` sampled on the grid; its eigenfunction must have been computed."""
-        j = int(np.searchsorted(self.modes, k))
-        if j == self.modes.size or self.modes[j] != k:
-            raise ValueError(f"the eigenfunction of mode {k} was not computed")
-        return self.eigenfunctions[j]
-
-
 def solve_eigenproblem(
     diffusion: DiffusionProfile,
     grid: Grid,
     m: int = 64,
     vectors: "Iterable[int] | None" = None,
-) -> EigenSystem:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Leading ``m`` Neumann eigenpairs of ``(a(x) phi')'`` on ``grid``.
+
+    Returns ``(eigenvalues, phis)``.  The ``m`` eigenvalues are sorted
+    descending, so ``eigenvalues[0]`` is the zero mode.  ``phis`` maps each
+    mode ``k`` whose eigenfunction was computed, in ascending order, to that
+    eigenfunction sampled on ``grid.x``, normalized to unit trapezoid norm
+    with a positive left-end value.
 
     The operator ``D = -W^{-1} K`` of :func:`~fkfront.solver.build_operator`
     is similar to the symmetric tridiagonal ``W^{1/2} D W^{-1/2}``, assembled
@@ -106,10 +68,10 @@ def solve_eigenproblem(
 
     ``vectors`` names the modes, ``0 <= k < m`` in any order and with
     repeats, whose eigenfunctions are computed; the default is every mode.
-    Eigenvalues do not depend on it.  ``dstein`` works on the requested
-    eigenvalues only, so the eigenvector work and memory are
-    ``O(n |vectors|)`` instead of ``O(n m)``, and the default gives bit for
-    bit what
+    Eigenvalues do not depend on it, and eigenfunctions not on its order or
+    repeats.  ``dstein`` works on the requested eigenvalues only, so the
+    eigenvector work and memory are ``O(n |vectors|)`` instead of
+    ``O(n m)``, and the default gives bit for bit what
     ``scipy.linalg.eigh_tridiagonal(..., select="i")`` gives (those are
     the two routines it runs).  ``dstein`` orthogonalizes a vector only
     against the requested vectors of nearby eigenvalues.  So a mode whose
@@ -121,13 +83,10 @@ def solve_eigenproblem(
     lapack = _lapack()
     if not 1 <= m < grid.n:
         raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
-    if vectors is None:
-        modes = np.arange(m)
-    else:
-        # a sorted set, not np.unique, which loads numpy.ma on its first call
-        modes = np.array(sorted({int(k) for k in vectors}), dtype=int)
-        if modes.size and not (modes[0] >= 0 and modes[-1] < m):
-            raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
+    # a sorted set, not np.unique, which loads numpy.ma on its first call
+    modes = range(m) if vectors is None else sorted({int(k) for k in vectors})
+    if modes and not (modes[0] >= 0 and modes[-1] < m):
+        raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {list(modes)}")
     n = grid.n
     op = build_operator(grid, diffusion)
     weights = op.weights
@@ -142,24 +101,21 @@ def solve_eigenproblem(
     w = w[:found]
     # w is grouped by split-off block; mode k (slowest first) sits at order[m - 1 - k]
     order = np.argsort(w)
-    positions = order[m - 1 - modes]
-    picked = np.sort(positions)
-    if picked.size:
-        # dstein takes the picked values in block order, their block indices
-        # first in a length-n array
-        sub_iblock = iblock.copy()
-        sub_iblock[: picked.size] = iblock[picked]
-        vecs, info = lapack.dstein(diag, offdiag, w[picked], sub_iblock, isplit)
-        if info != 0:  # pragma: no cover
-            raise EigenSolveError(f"dstein failed (info {info})")
-    else:
-        vecs = np.empty((n, 0))
-    vecs = vecs[:, np.searchsorted(picked, positions)]
+    eigenvalues = w[order][::-1]
+    # dstein takes the picked values in block order, their block indices
+    # first in a length-n array
+    picked = sorted(int(order[m - 1 - k]) for k in modes)
+    if not picked:
+        return eigenvalues, {}
+    sub_iblock = iblock.copy()
+    sub_iblock[: len(picked)] = iblock[picked]
+    vecs, info = lapack.dstein(diag, offdiag, w[picked], sub_iblock, isplit)
+    if info != 0:  # pragma: no cover
+        raise EigenSolveError(f"dstein failed (info {info})")
     funcs = (vecs / sqrt_qw[:, None]).T
-    flip = funcs[:, 0] < 0.0
-    funcs[flip] *= -1.0
-    return EigenSystem(grid=grid, eigenvalues=w[order][::-1], eigenfunctions=funcs,
-                       modes=modes)
+    funcs[funcs[:, 0] < 0.0] *= -1.0
+    row = dict(zip(picked, funcs))
+    return eigenvalues, {k: row[int(order[m - 1 - k])] for k in modes}
 
 
 def average_prediction(
@@ -170,8 +126,8 @@ def average_prediction(
     Starts at the step mean ``(L + x_c)/(2 L)`` at ``t = 0`` and rises
     monotonically to 1.
     """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0.0 < L < np.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     if not -L < x_c < L:
         raise ValueError(f"x_c must lie strictly inside (-{L}, {L}), got {x_c}")
     ratio = (L - x_c) / (L + x_c)

@@ -13,11 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fkfront.asymptotics import (
-    TwcBranch,
-    sfa_residual,
-    stationary_roots,
-)
+from fkfront.asymptotics import sfa_residual, stationary_roots
 from fkfront.cli import main, sfa_front_comparison
 from fkfront.domain import (
     Field,
@@ -170,7 +166,7 @@ def test_a1_clauses_tell_logarithmic_from_power_law(times, logarithmic):
 
 
 def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
-    rows = sfa_front_comparison(steps_of(default_run), default_grid)
+    rows, _ = sfa_front_comparison(steps_of(default_run), default_grid)
     threshold = -5.0 * math.sqrt(0.1)
     window = [(t, xc_num, gap) for t, xc_num, _, gap in rows if xc_num < threshold]
     assert window, "no stored times inside the comparison window"
@@ -184,7 +180,7 @@ def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
     ratio = sfa_residual(
         worst_field, default_diffusion, logistic_reaction, worst_t + dt,
         np.array([worst_xc]), space_step=default_grid.dx, time_step=0.5 * dt,
-    ).validity_ratio[0]
+    )[1][0]
     verdict(
         "A2 SFA front agreement",
         ok,
@@ -235,11 +231,12 @@ def test_a3_turning_point_behavior(default_run):
 
 def test_a4_eigen_oracle():
     grid = Grid(L=10.0, n=401)
-    eig = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
-    lam0 = abs(float(eig.eigenvalues[0]))
+    vals, phis = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
+    lam0 = abs(float(vals[0]))
     exact = -((np.arange(1, 11) * math.pi / 20.0) ** 2)
-    rel = float(np.max(np.abs(eig.eigenvalues[1:] - exact) / np.abs(exact)))
-    gram = eig.eigenfunctions @ np.diag(grid.quadrature_weights) @ eig.eigenfunctions.T
+    rel = float(np.max(np.abs(vals[1:] - exact) / np.abs(exact)))
+    funcs = np.stack([phis[k] for k in range(11)])
+    gram = funcs @ np.diag(grid.quadrature_weights) @ funcs.T
     defect = float(np.max(np.abs(gram - np.eye(11))))
     ok = lam0 <= 1e-10 and rel <= 1e-2 and defect <= 1e-8
     verdict(
@@ -291,7 +288,7 @@ def test_a6_closed_form_residuals():
         float(np.max(np.abs(sfa_residual(
             field, make_quadratic_diffusion(0.1), logistic_reaction, 0.3, xs,
             space_step=h, time_step=h,
-        ).residual)))
+        )[0])))
         for h in steps
     ]
 
@@ -377,20 +374,20 @@ def test_a8_stationary_root_algebra():
     worst_prod = 0.0
     worst_sum = 0.0
     for c in rng.uniform(-6.0, 6.0, size=1000):
-        for branch, beta in ((TwcBranch.PLUS, c - 1.0), (TwcBranch.MINUS, c + 1.0)):
-            r1, r2 = stationary_roots(float(c), branch).roots
+        for s, beta in ((1.0, c - 1.0), (-1.0, c + 1.0)):
+            (r1, r2), _ = stationary_roots(float(c), s)
             worst_prod = max(worst_prod, abs(r1 * r2 - 1.0))
             worst_sum = max(worst_sum, abs(r1 + r2 - beta))
     vieta_ok = worst_prod <= 1e-12 and worst_sum <= 1e-12
 
     delta = 1e-12
-    plus_kinds = tuple(
-        stationary_roots(c, TwcBranch.PLUS).kind for c in (-1.0 - delta, -1.0, -1.0 + delta)
+    exit_kinds = tuple(
+        stationary_roots(c, 1.0)[1] for c in (-1.0 - delta, -1.0, -1.0 + delta)
     )
-    minus_kinds = tuple(
-        stationary_roots(c, TwcBranch.MINUS).kind for c in (1.0 - delta, 1.0, 1.0 + delta)
+    entry_kinds = tuple(
+        stationary_roots(c, -1.0)[1] for c in (1.0 - delta, 1.0, 1.0 + delta)
     )
-    flips_ok = plus_kinds == ("real_distinct", "real_double", "complex") and minus_kinds == (
+    flips_ok = exit_kinds == ("real_distinct", "real_double", "complex") and entry_kinds == (
         "complex",
         "real_double",
         "real_distinct",
@@ -400,7 +397,7 @@ def test_a8_stationary_root_algebra():
         "A8 stationary-root algebra",
         vieta_ok and flips_ok,
         f"Vieta dev (prod {worst_prod:.1e}, sum {worst_sum:.1e}) <= 1e-12; "
-        f"classification flips at c = -1 (plus) and c = +1 (minus): {flips_ok}",
+        f"classification flips at c = -1 (s = +1) and c = +1 (s = -1): {flips_ok}",
     )
 
 

@@ -4,15 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkfront.asymptotics import (
-    TwcBranch,
-    sfa_evolve,
-    sfa_residual,
-    stationary_roots,
-)
+from fkfront.asymptotics import sfa_evolve, sfa_residual, stationary_roots
 from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
 
 
@@ -95,6 +90,14 @@ class TestSfaEvolve:
         with pytest.raises(ValueError):
             sfa_evolve(snap, 0.0, -0.1)
 
+    def test_rejects_nan_time_and_accepts_infinite_time(self):
+        snap = sigmoid_snapshot(3.0, -2.0)
+        with pytest.raises(ValueError, match="cannot evolve backwards"):
+            sfa_evolve(snap, snap.grid.x, math.nan)
+        # every foot lies off the grid and the logistic flow reaches 1
+        assert np.array_equal(np.asarray(sfa_evolve(snap, snap.grid.x, math.inf)),
+                              np.ones(snap.grid.n))
+
     @settings(max_examples=300, deadline=None)
     @given(
         profile=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=40),
@@ -120,58 +123,96 @@ class TestSfaEvolve:
             assert np.all(np.asarray(sfa_evolve(flat, xs, t)) == value)
 
 
+# Drifts of the far field on the entry side, at the origin, on the exit side.
+DRIFTS = (-1.0, 0.0, 1.0)
+
+
+@st.composite
+def speeds_and_drifts(draw):
+    """A drift ``s`` in [-1, 1] and a finite speed ``c``, often near ``s - 2``."""
+    s = draw(st.floats(-1.0, 1.0))
+    c = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-6, 1e-6).map(lambda d: s - 2.0 + d),
+    ))
+    return c, s
+
+
 class TestStationaryRoots:
     def test_hand_case_minus_branch(self):
-        pair = stationary_roots(1.5, TwcBranch.MINUS)
-        roots = sorted(r.real for r in pair.roots)
-        assert roots == pytest.approx([0.5, 2.0], abs=1e-12)
-        assert pair.kind == "real_distinct"
+        (r1, r2), kind = stationary_roots(1.5, -1.0)
+        assert sorted((r1.real, r2.real)) == pytest.approx([0.5, 2.0], abs=1e-12)
+        assert kind == "real_distinct"
 
     def test_double_roots_at_unit(self):
-        for c, branch in ((3.0, TwcBranch.PLUS), (1.0, TwcBranch.MINUS)):
-            pair = stationary_roots(c, branch)
-            assert pair.kind == "real_double"
-            assert pair.roots[0] == pytest.approx(1.0, abs=1e-14)
-            assert pair.roots[1] == pytest.approx(1.0, abs=1e-14)
+        for c, s in ((3.0, 1.0), (1.0, -1.0)):
+            (r1, r2), kind = stationary_roots(c, s)
+            assert kind == "real_double"
+            assert r1 == pytest.approx(1.0, abs=1e-14)
+            assert r2 == pytest.approx(1.0, abs=1e-14)
+
+    def test_double_root_minus_one_at_the_pulled_speed(self):
+        # the front moves right at -c: speeds 3, 2 and 1 in xi
+        for s in DRIFTS:
+            assert stationary_roots(s - 2.0, s) == ((-1.0, -1.0), "real_double")
 
     def test_vieta_relations_random_speeds(self):
         rng = np.random.default_rng(7)
         for c in rng.uniform(-6.0, 6.0, 1000):
-            for branch in (TwcBranch.PLUS, TwcBranch.MINUS):
-                pair = stationary_roots(float(c), branch)
-                beta = c - 1.0 if branch is TwcBranch.PLUS else c + 1.0
-                r1, r2 = pair.roots
+            for s in DRIFTS:
+                (r1, r2), _ = stationary_roots(float(c), s)
                 assert abs(r1 * r2 - 1.0) <= 1e-12
-                assert abs(r1 + r2 - beta) <= 1e-12
+                assert abs(r1 + r2 - (c - s)) <= 1e-12
 
     def test_classification_flips(self):
         d = 1e-12
-        kinds = [stationary_roots(-1.0 + s, TwcBranch.PLUS).kind for s in (-d, 0.0, d)]
+        kinds = [stationary_roots(-1.0 + e, 1.0)[1] for e in (-d, 0.0, d)]
         assert kinds == ["real_distinct", "real_double", "complex"]
-        kinds = [stationary_roots(1.0 + s, TwcBranch.MINUS).kind for s in (-d, 0.0, d)]
+        kinds = [stationary_roots(1.0 + e, -1.0)[1] for e in (-d, 0.0, d)]
         assert kinds == ["complex", "real_double", "real_distinct"]
 
     def test_complex_roots_are_conjugate(self):
-        pair = stationary_roots(0.0, TwcBranch.PLUS)
-        assert pair.kind == "complex"
-        assert pair.roots[0] == pair.roots[1].conjugate()
+        (r1, r2), kind = stationary_roots(0.0, 1.0)
+        assert kind == "complex"
+        assert r1 == r2.conjugate()
+        assert r1.imag > 0.0
 
-    def test_non_oscillatory_range_is_strict(self):
-        assert stationary_roots(-1.5, TwcBranch.PLUS).non_oscillatory is True
-        assert stationary_roots(-1.0, TwcBranch.PLUS).non_oscillatory is False
-        assert stationary_roots(1.5, TwcBranch.MINUS).non_oscillatory is True
-        assert stationary_roots(1.0, TwcBranch.MINUS).non_oscillatory is False
+    def test_monotone_tail_range_is_closed(self):
+        # the exit side: monotone below c = -1 and at it, not above
+        for c, monotone in ((-1.5, True), (-1.0, True), (-0.5, False)):
+            (r1, r2), _ = stationary_roots(c, 1.0)
+            assert (r1.imag == r2.imag == 0.0 and r1.real < 0.0 and r2.real < 0.0) == monotone
+        # the entry side: positive roots at c = 1.5, the monotone range is c <= -3
+        (r1, r2), _ = stationary_roots(1.5, -1.0)
+        assert r1.real > 0.0 and r2.real > 0.0
+        (r1, r2), _ = stationary_roots(-3.5, -1.0)
+        assert r1.real < 0.0 and r2.real < 0.0
 
-    def test_accepts_branch_names(self):
-        assert stationary_roots(1.5, "minus").kind == "real_distinct"
+    @settings(max_examples=500, deadline=None)
+    @given(speeds_and_drifts())
+    def test_roots_real_and_negative_iff_c_at_most_s_minus_2(self, case):
+        c, s = case
+        # c - s rounds: within a few ulps of -2 either answer is allowed
+        assume(abs((c - s) + 2.0) > 4.0 * np.finfo(float).eps * (abs(c) + 2.0))
+        (r1, r2), kind = stationary_roots(c, s)
+        real_negative = kind != "complex" and r1.real < 0.0 and r2.real < 0.0
+        assert real_negative == (c <= s - 2.0)
+        if kind == "complex":
+            assert r1 == r2.conjugate() and r1.imag > 0.0
+        else:
+            assert r1.imag == r2.imag == 0.0 and r1.real >= r2.real
+
+    @pytest.mark.parametrize("c, s", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0),
+                                      (0.0, math.nan), (0.0, 1.0 + 1e-15), (0.0, -1.5)])
+    def test_rejects_non_finite_speed_and_drift_outside_unit_interval(self, c, s):
         with pytest.raises(ValueError):
-            stationary_roots(1.5, "sideways")
+            stationary_roots(c, s)
 
 
 class TestSfaResidual:
     def test_residual_small_on_smooth_snapshot(self):
         snap = sigmoid_snapshot(4.0, -3.0)
-        rep = sfa_residual(
+        residual, ratio = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
             logistic_reaction,
@@ -179,14 +220,14 @@ class TestSfaResidual:
             np.linspace(-2.0, -0.5, 7),
             space_step=1e-2,
         )
-        assert np.max(np.abs(rep.residual)) <= 2e-2
+        assert np.max(np.abs(residual)) <= 2e-2
 
     def test_validity_ratio_power_law_tail(self):
         g = Grid(L=50.0, n=100001)
         lam = 0.05
         u = np.power(np.maximum(np.abs(g.x), 1e-9), -lam)
         snap = Field(g, u, 0.0)
-        rep = sfa_residual(
+        residual, ratio = sfa_residual(
             snap,
             make_quadratic_diffusion(1e-8),
             logistic_reaction,
@@ -196,11 +237,11 @@ class TestSfaResidual:
             time_step=1e-3,
         )
         # |a u_xx| / |a' u_x| for u = |x|^-lam tends to (lam + 1) / 2
-        assert rep.validity_ratio[0] == pytest.approx(0.525, abs=1e-3)
+        assert ratio[0] == pytest.approx(0.525, abs=1e-3)
 
     def test_validity_ratio_large_at_steep_profile(self):
         snap = sigmoid_snapshot(400.0, -3.0)
-        rep = sfa_residual(
+        residual, ratio = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
             logistic_reaction,
@@ -209,7 +250,7 @@ class TestSfaResidual:
             space_step=1e-4,
             time_step=1e-4,
         )
-        assert rep.validity_ratio[0] > 10.0
+        assert ratio[0] > 10.0
 
     def test_rejects_stencil_behind_snapshot(self):
         snap = sigmoid_snapshot(3.0, -2.0)
@@ -229,7 +270,7 @@ class TestSfaResidual:
         snap = Field(g, u, 1.0)
         t = 1.0 + 0.001
         assert t - 0.001 < 1.0  # the stencil's lower end rounds behind the snapshot
-        rep = sfa_residual(
+        residual, ratio = sfa_residual(
             snap,
             make_quadratic_diffusion(0.1),
             logistic_reaction,
@@ -238,8 +279,8 @@ class TestSfaResidual:
             space_step=1e-2,
             time_step=0.001,
         )
-        assert np.all(np.isfinite(rep.residual))
-        assert np.all(np.isfinite(rep.validity_ratio))
+        assert np.all(np.isfinite(residual))
+        assert np.all(np.isfinite(ratio))
 
     def test_rejects_nonpositive_steps(self):
         snap = sigmoid_snapshot(3.0, -2.0)
@@ -253,3 +294,12 @@ class TestSfaResidual:
                 snap, make_quadratic_diffusion(0.1), logistic_reaction, 0.5,
                 np.array([-2.0]), space_step=1e-2, time_step=-1e-3,
             )
+
+    @pytest.mark.parametrize("steps", [{"space_step": math.nan}, {"space_step": math.inf},
+                                       {"space_step": 1e-2, "time_step": math.nan},
+                                       {"space_step": 1e-2, "time_step": math.inf}])
+    def test_rejects_non_finite_steps(self, steps):
+        snap = sigmoid_snapshot(3.0, -2.0)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            sfa_residual(snap, make_quadratic_diffusion(0.1), logistic_reaction, 0.5,
+                         np.array([-2.0]), **steps)

@@ -418,13 +418,21 @@ class TestCompareSfa:
     def test_featureless_trajectory_yields_no_rows(self):
         grid = Grid(L=10.0, n=21)
         steps = ((0.1 * k, np.full(21, 0.8)) for k in range(3))
-        assert sfa_front_comparison(steps, grid) == []
+        # the first state is above the level at every node: nothing more is drawn
+        assert sfa_front_comparison(steps, grid) == ([], 0.0)
+
+    def test_empty_stream(self):
+        rows, t_last = sfa_front_comparison(iter([]), Grid(L=10.0, n=21))
+        assert rows == [] and math.isnan(t_last)
 
 
-def recorded(steps, minima):
-    """Pass ``steps`` through, appending ``min u`` of each state drawn to ``minima``."""
+def recorded(steps, minima, times=None):
+    """Pass ``steps`` through, appending ``min u`` of each state drawn to ``minima``
+    and, if given, its time to ``times``."""
     for t, u in steps:
         minima.append(float(u.min()))
+        if times is not None:
+            times.append(t)
         yield t, u
 
 
@@ -450,12 +458,14 @@ class TestCompareSfaStop:
     def check_stop(cfg):
         """Stopped and full comparisons agree; returns (drawn, stored) state counts."""
         grid = Grid(L=cfg.L, n=cfg.n)
-        drawn, every = [], []
-        rows = sfa_front_comparison(recorded(_march(cfg, [cfg.epsilon]), drawn), grid)
+        drawn, every, times = [], [], []
+        rows, t_last = sfa_front_comparison(
+            recorded(_march(cfg, [cfg.epsilon]), drawn, times), grid)
         assert rows == compare_every_state(recorded(_march(cfg, [cfg.epsilon]), every), grid)
         above = [m > 0.5 for m in every]
         stop = above.index(True) + 1 if True in above else len(every)
         assert drawn == every[:stop]
+        assert t_last == times[-1]
         return len(drawn), len(every)
 
     def test_only_a_state_above_the_level_everywhere_stops(self):
@@ -463,10 +473,11 @@ class TestCompareSfaStop:
         step = np.where(grid.x < 0.0, 1.0, 0.0)
         states = [step, np.full(21, 0.3), step, np.full(21, 0.8), step]
         drawn = []
-        rows = sfa_front_comparison(
+        rows, t_last = sfa_front_comparison(
             recorded(((0.1 * k, u) for k, u in enumerate(states)), drawn), grid)
         # the all-below state yields no row but does not stop; the all-above one does
         assert [row[0] for row in rows] == [0.0, 0.2]
+        assert t_last == 0.30000000000000004  # 0.1 * 3
         assert drawn == [0.0, 0.3, 0.0, 0.8]
 
     @settings(max_examples=40, deadline=None)

@@ -242,6 +242,12 @@ class TestTrappingTime:
             with pytest.raises(ValueError, match="radius must be positive"):
                 window_transits(iter([]), np.array([-1.0, 0.0, 1.0]), radius)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        # a NaN radius would report every front as never entered
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            window_transits(iter([]), np.array([-1.0, 0.0, 1.0]), radius)
+
     @settings(max_examples=100, deadline=None)
     @given(
         before=st.lists(outside_window, max_size=5),
@@ -338,3 +344,11 @@ class TestFitPowerLaw:
             fit_power_law([(0.1, 3.0), (-0.05, 4.0)])
         with pytest.raises(ValueError):
             fit_power_law([(0.1, 3.0), (0.05, 0.0)])
+
+    @pytest.mark.parametrize("pair", [(0.05, math.nan), (0.05, math.inf), (math.inf, 4.0),
+                                      (math.nan, 4.0)])
+    def test_rejects_non_finite_data(self, pair):
+        # unchecked, a NaN or infinite duration makes the fit all NaN, and an
+        # infinite epsilon makes polyfit warn
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            fit_power_law([(0.1, 3.0), pair])

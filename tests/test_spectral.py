@@ -15,76 +15,70 @@ from fkfront.domain import (
     make_quadratic_diffusion,
 )
 from fkfront.solver import build_operator
-from fkfront.spectral import (
-    EigenSystem,
-    average_prediction,
-    solve_eigenproblem,
-)
+from fkfront.spectral import average_prediction, solve_eigenproblem
+
+
+def stacked(phis, m):
+    """The eigenfunctions of modes ``0 .. m - 1`` as the rows of one array."""
+    return np.stack([phis[k] for k in range(m)])
 
 
 class TestSolveEigenproblem:
     def test_uniform_diffusion_oracle(self):
         # Neumann walls on [-10, 10]: lambda_n = -(n pi / 20)^2
         grid = Grid(L=10.0, n=201)
-        eig = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
-        assert abs(eig.eigenvalues[0]) <= 1e-10
+        vals, _ = solve_eigenproblem(make_constant_diffusion(1.0), grid, m=11)
+        assert abs(vals[0]) <= 1e-10
         n = np.arange(1, 11)
         exact = -((n * math.pi / 20.0) ** 2)
-        rel = np.abs(eig.eigenvalues[1:] - exact) / np.abs(exact)
+        rel = np.abs(vals[1:] - exact) / np.abs(exact)
         assert np.max(rel) <= 1e-2
 
     def test_eigenvalues_descend(self, default_eigen):
         # high even/odd mode pairs of the symmetric profile are degenerate
         # below double precision, so only non-strict ordering can hold overall
-        assert np.all(np.diff(default_eigen.eigenvalues) <= 0)
-        assert np.all(np.diff(default_eigen.eigenvalues[:8]) < 0)
-        assert default_eigen.count == 64
-        assert default_eigen.eigenfunctions.shape == (64, 501)
+        vals, phis = default_eigen
+        assert np.all(np.diff(vals) <= 0)
+        assert np.all(np.diff(vals[:8]) < 0)
+        assert vals.shape == (64,)
+        assert list(phis) == list(range(64))
+        assert all(phi.shape == (501,) for phi in phis.values())
 
     def test_ground_mode_is_positive_constant(self, default_eigen):
-        phi0 = default_eigen.eigenfunctions[0]
-        assert abs(default_eigen.eigenvalues[0]) <= 1e-10
-        assert np.max(np.abs(phi0 - math.sqrt(1.0 / 200.0))) <= 1e-8
+        vals, phis = default_eigen
+        assert abs(vals[0]) <= 1e-10
+        assert np.max(np.abs(phis[0] - math.sqrt(1.0 / 200.0))) <= 1e-8
 
     def test_orthonormal_under_quadrature(self, default_grid, default_eigen):
         w = default_grid.quadrature_weights
-        gram = default_eigen.eigenfunctions @ (w[:, None] * default_eigen.eigenfunctions.T)
-        defect = np.max(np.abs(gram - np.eye(default_eigen.count)))
+        funcs = stacked(default_eigen[1], 64)
+        gram = funcs @ (w[:, None] * funcs.T)
+        defect = np.max(np.abs(gram - np.eye(64)))
         assert defect <= 1e-12
 
     def test_rayleigh_identity(self, default_grid, default_diffusion, default_eigen):
         # lambda_n <phi_n, phi_n> equals the (negative) weighted Dirichlet form
+        vals, phis = default_eigen
         w = default_grid.quadrature_weights
         dx = default_grid.dx
         a_half = default_diffusion.a(default_grid.x[:-1] + 0.5 * dx)
         for k in (1, 3, 10):
-            phi = default_eigen.eigenfunctions[k]
-            lhs = default_eigen.eigenvalues[k] * float(w @ (phi * phi))
+            phi = phis[k]
+            lhs = vals[k] * float(w @ (phi * phi))
             rhs = -float(np.sum(a_half * np.diff(phi) ** 2 / dx))
             assert abs(lhs - rhs) <= 1e-9
 
     def test_modes_diagonalize_operator(self, default_grid, default_diffusion, default_eigen):
+        vals, phis = default_eigen
         op = build_operator(default_grid, default_diffusion)
         for k in (0, 2, 7):
-            phi = default_eigen.eigenfunctions[k]
-            resid = dense_matrix(op) @ phi - default_eigen.eigenvalues[k] * phi
+            resid = dense_matrix(op) @ phis[k] - vals[k] * phis[k]
             assert np.max(np.abs(resid)) <= 1e-9
 
     @pytest.mark.parametrize("m", [0, -3, 501, 600])
     def test_rejects_bad_mode_counts(self, m):
         with pytest.raises(ValueError):
             solve_eigenproblem(make_quadratic_diffusion(0.1), Grid(L=100.0, n=501), m=m)
-
-    def test_eigen_system_shape_validation(self):
-        g = Grid(L=1.0, n=5)
-        with pytest.raises(ValueError):
-            EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((2, 5)))
-        with pytest.raises(ValueError):
-            EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((2, 5)),
-                        modes=[2, 0])
-        with pytest.raises(ValueError):
-            EigenSystem(grid=g, eigenvalues=np.zeros(3), eigenfunctions=np.zeros((1, 5)),
-                        modes=[3])
 
 
 def eigh_tridiagonal_reference(diffusion, grid, m):
@@ -133,11 +127,10 @@ class TestEigenvectorSubset:
     @given(eigen_cases())
     def test_subset_matches_all_modes(self, case):
         grid, diffusion, m, dump = case
-        full = solve_eigenproblem(diffusion, grid, m=m)
-        sub = solve_eigenproblem(diffusion, grid, m=m, vectors=dump)
-        assert np.array_equal(bits(sub.eigenvalues), bits(full.eigenvalues))
-        assert sub.count == m
-        assert sub.modes.tolist() == sorted(set(dump))
+        vals, full = solve_eigenproblem(diffusion, grid, m=m)
+        sub_vals, sub = solve_eigenproblem(diffusion, grid, m=m, vectors=dump)
+        assert np.array_equal(bits(sub_vals), bits(vals))
+        assert list(sub) == sorted(set(dump))
 
         # every eigenpair of the weighted operator, for neighbours and spans
         dense = dense_matrix(build_operator(grid, diffusion))
@@ -149,20 +142,18 @@ class TestEigenvectorSubset:
         radius = max(np.abs(all_vals).max(), np.finfo(float).tiny)
         scale = np.abs(np.diag(dense)).max()
 
-        for j, k in enumerate(sub.modes):
-            phi = sub.eigenfunctions[j]
-            assert np.array_equal(sub.eigenfunction(k), phi)
+        for k, phi in sub.items():
             amp = np.abs(phi).max()
-            lam = full.eigenvalues[k]
+            lam = vals[k]
             gap = np.abs(np.delete(all_vals, k) - all_vals[k]).min() / radius
             if gap > ISOLATED_GAP:
-                assert np.abs(phi - full.eigenfunctions[k]).max() <= 1e-9 * amp
+                assert np.abs(phi - full[k]).max() <= 1e-9 * amp
                 continue
             resid = dense @ phi - lam * phi
             assert np.abs(resid).max() <= 1e-9 * (2.0 * scale + abs(lam)) * amp
             assert abs(float(w @ (phi * phi)) - 1.0) <= 1e-9
-            others = np.delete(sub.eigenfunctions, j, axis=0)
-            assert np.all(np.abs(others @ (w * phi)) <= 1e-9)
+            others = [other for j, other in sub.items() if j != k]
+            assert all(abs(float(other @ (w * phi))) <= 1e-9 for other in others)
             near = np.abs(all_vals - lam) <= CLUSTER_WINDOW * radius
             span = all_funcs[near]
             left = phi - (span @ (w * phi)) @ span
@@ -172,11 +163,11 @@ class TestEigenvectorSubset:
     @given(eigen_cases())
     def test_default_is_eigh_tridiagonal_bit_for_bit(self, case):
         grid, diffusion, m, _ = case
-        eig = solve_eigenproblem(diffusion, grid, m=m)
-        vals, funcs = eigh_tridiagonal_reference(diffusion, grid, m)
-        assert np.array_equal(bits(eig.eigenvalues), bits(vals))
-        assert np.array_equal(bits(eig.eigenfunctions), bits(funcs))
-        assert eig.modes.tolist() == list(range(m))
+        vals, phis = solve_eigenproblem(diffusion, grid, m=m)
+        ref_vals, ref_funcs = eigh_tridiagonal_reference(diffusion, grid, m)
+        assert np.array_equal(bits(vals), bits(ref_vals))
+        assert list(phis) == list(range(m))
+        assert np.array_equal(bits(stacked(phis, m)), bits(ref_funcs))
 
     def test_symmetric_pair_is_degenerate_below_rounding(self):
         """Modes 199 and 200 of the symmetric well at n = 2001 have equal
@@ -184,19 +175,19 @@ class TestEigenvectorSubset:
         eigenspace."""
         grid = Grid(L=100.0, n=2001)
         diffusion = make_quadratic_diffusion(0.1)
-        full = solve_eigenproblem(diffusion, grid, m=256)
-        [phi] = solve_eigenproblem(diffusion, grid, m=256, vectors=[200]).eigenfunctions
-        assert np.abs(phi - full.eigenfunctions[200]).max() > 0.1
+        vals, full = solve_eigenproblem(diffusion, grid, m=256)
+        phi = solve_eigenproblem(diffusion, grid, m=256, vectors=[200])[1][200]
+        assert np.abs(phi - full[200]).max() > 0.1
         w = grid.quadrature_weights
-        assert full.eigenvalues[199] == full.eigenvalues[200]
-        pair = full.eigenfunctions[199:201]
+        assert vals[199] == vals[200]
+        pair = np.stack([full[199], full[200]])
         left = phi - (pair @ (w * phi)) @ pair
         assert np.abs(left).max() <= 1e-9 * np.abs(phi).max()
 
     def test_no_vectors(self, default_grid, default_diffusion, default_eigen):
-        eig = solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=[])
-        assert np.array_equal(eig.eigenvalues, default_eigen.eigenvalues)
-        assert eig.eigenfunctions.shape == (0, default_grid.n)
+        vals, phis = solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=[])
+        assert np.array_equal(vals, default_eigen[0])
+        assert phis == {}
 
     @pytest.mark.parametrize("vectors", [[-1], [64], [0, 64]])
     def test_rejects_modes_outside_the_count(self, default_grid, default_diffusion, vectors):
@@ -204,9 +195,21 @@ class TestEigenvectorSubset:
             solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=vectors)
 
     def test_missing_mode_is_refused(self, default_grid, default_diffusion):
-        eig = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[1, 3])
-        with pytest.raises(ValueError, match="mode 2 was not computed"):
-            eig.eigenfunction(2)
+        _, phis = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[1, 3])
+        assert set(phis) == {1, 3}
+
+    def test_unsorted_repeated_request(self, default_grid, default_diffusion):
+        """Order and repeats in ``vectors`` change nothing: the modes are computed
+        as the sorted set.  A mode computed beside others matches it computed
+        alone only to rounding, since ``dstein`` starts each inverse iteration
+        from the next vector of one pseudo-random stream."""
+        _, phis = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[3, 0, 3, 1])
+        _, ordered = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[0, 1, 3])
+        assert set(phis) == {0, 1, 3}
+        for k, phi in phis.items():
+            assert np.array_equal(bits(phi), bits(ordered[k]))
+            alone = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[k])[1][k]
+            assert np.abs(phi - alone).max() <= 1e-9 * np.abs(phi).max()
 
 
 class TestAveragePrediction:
@@ -253,3 +256,10 @@ class TestAveragePrediction:
             average_prediction(1.0, -35.0, 0.0)
         with pytest.raises(ValueError):
             average_prediction(1.0, -120.0, 100.0)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_rejects_non_finite_length(self, L):
+        # unchecked, an infinite L makes the prediction NaN, and a NaN one
+        # fails the x_c bounds with a message about x_c, not L
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            average_prediction(1.0, 0.0, L)
