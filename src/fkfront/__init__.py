@@ -20,8 +20,8 @@ _EXPORTS = {
     **dict.fromkeys(
         ["ConfigError", "ExperimentConfig", "config_digest", "load_config"], "config"),
     **dict.fromkeys(
-        ["DiffusionProfile", "Field", "Grid", "logistic_reaction", "make_constant_diffusion",
-         "make_quadratic_diffusion", "step_initial_condition", "x_of_xi", "xi_of_x"], "domain"),
+        ["Grid", "logistic_reaction", "make_constant_diffusion", "make_quadratic_diffusion",
+         "step_initial_condition", "x_of_xi", "xi_of_x"], "domain"),
     **dict.fromkeys(["fit_power_law", "front_positions", "window_transits"], "front"),
     **dict.fromkeys(
         ["FactoredSymmetricTridiagonal", "TridiagonalOperator", "build_operator",

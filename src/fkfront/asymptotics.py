@@ -8,7 +8,9 @@ as pure drift and the model collapses to the hyperbolic equation
 Its characteristics contract exponentially toward the origin,
 ``x(t) = x0 * exp(-2 (t - t0))``, and the logistic reaction integrates
 exactly along them, which gives the evolution rule implemented by
-:func:`sfa_evolve`.
+:func:`sfa_evolve`.  It takes a snapshot as plain arrays, its nodes and
+values, and the time elapsed since it; :func:`sfa_residual` checks the
+result against the equation above and measures the neglected curvature term.
 
 In ``xi = asinh(x / sqrt(epsilon))`` (:func:`fkfront.domain.xi_of_x`) the
 full model reads ``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.  Far from the
@@ -22,11 +24,10 @@ classified by :func:`stationary_roots`.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .domain import DiffusionProfile, Field
+from .domain import make_quadratic_diffusion
 
 __all__ = [
     "sfa_evolve",
@@ -35,9 +36,8 @@ __all__ = [
 ]
 
 
-def _interpolate(field: Field, x: "float | np.ndarray") -> "float | np.ndarray":
-    """``field`` at ``x``, piecewise linear, clamped to its cell (see :func:`sfa_evolve`)."""
-    xp, fp = field.grid.x, field.values
+def _interpolate(xp: np.ndarray, fp: np.ndarray, x: "float | np.ndarray") -> "float | np.ndarray":
+    """``fp`` on the nodes ``xp`` at ``x``, linear, clamped to its cell (:func:`sfa_evolve`)."""
     # np.interp can round past the far end of a cell (slope * dx + fp[j]
     # need not equal fp[j + 1]); clamping to the cell keeps the promises.
     # j is the cell np.interp uses: xp[j] <= x < xp[j + 1], ends clamped.
@@ -46,32 +46,42 @@ def _interpolate(field: Field, x: "float | np.ndarray") -> "float | np.ndarray":
     return np.clip(np.interp(x, xp, fp), np.minimum(left, right), np.maximum(left, right))
 
 
-def sfa_evolve(field: Field, x: "float | np.ndarray", t: float) -> "float | np.ndarray":
-    """Evolve a field frozen at ``field.time`` under the drift-plus-logistic reduced model.
+def sfa_evolve(
+    nodes: np.ndarray, values: np.ndarray, x: "float | np.ndarray", elapsed: float
+) -> "float | np.ndarray":
+    """Evolve a snapshot under the drift-plus-logistic reduced model for ``elapsed``.
 
-    Trace the contracting characteristic through ``x`` back to the snapshot
-    time (hitting it at ``x * exp(2 dt)``), interpolate the field there and
-    apply the logistic flow for the elapsed time.  At ``t = field.time`` this
-    is the interpolant, bit for bit: piecewise linear, exact on the nodes,
-    clamped to the end values outside the grid, and between the two nodal
-    values around it, so samples in ``[0, 1]`` give values in ``[0, 1]`` and
+    The snapshot is ``values`` on the increasing ``nodes``, one value per
+    node and at least two nodes; other shapes raise ``ValueError``.  Trace
+    the contracting characteristic through ``x`` back to the snapshot
+    (hitting it at ``x * exp(2 elapsed)``), interpolate there and apply the
+    logistic flow for ``elapsed``.  At ``elapsed = 0`` this is the
+    interpolant, bit for bit: piecewise linear, exact on the nodes, clamped
+    to the end values outside the grid, and between the two nodal values
+    around it, so samples in ``[0, 1]`` give values in ``[0, 1]`` and
     monotone samples a monotone function.  Later, values in ``[0, 1]`` stay
-    there; 0 and 1 are fixed points; monotone profiles stay monotone, up to a
-    few units in the last place of the logistic map's rounding.  Any elapsed
-    time is accepted: past ``t - field.time = 354`` the stretch ``exp(2 dt)``
-    is held at ``exp(708)``, which still carries every foot with
-    ``|x| >= 1e-307 * L`` off the grid, and the logistic decay stays positive
-    (at least ``exp(-745)``), so 0 stays fixed.
+    there; 0 and 1 are fixed points; monotone profiles stay monotone, up to
+    a few units in the last place of the logistic map's rounding.  A
+    negative or NaN ``elapsed`` raises ``ValueError``; any other is accepted:
+    past ``elapsed = 354`` the stretch ``exp(2 elapsed)`` is held at
+    ``exp(708)``, which still carries every foot with
+    ``|x| >= 1e-307 * max|nodes|`` off the grid, and the logistic decay
+    stays positive (at least ``exp(-745)``), so 0 stays fixed.
     """
-    if not t >= field.time:
-        raise ValueError(f"cannot evolve backwards: need t >= snapshot time {field.time}, "
-                         f"got t={t}")
-    delta = t - field.time
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != nodes.shape or nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError(f"values shape {values.shape} does not match nodes shape "
+                         f"{nodes.shape}: need one value per node, at least two nodes")
+    # also rejects nan, which fails every comparison
+    if not elapsed >= 0.0:
+        raise ValueError(f"elapsed time must be non-negative, got {elapsed}")
     with np.errstate(over="ignore"):  # an infinite foot lies off the grid like a finite one
-        u0 = _interpolate(field, np.asarray(x, dtype=float) * math.exp(2.0 * min(delta, 354.0)))
-    if delta == 0.0:
+        u0 = _interpolate(nodes, values,
+                          np.asarray(x, dtype=float) * math.exp(2.0 * min(elapsed, 354.0)))
+    if elapsed == 0.0:
         return u0
-    decay = math.exp(-min(delta, 745.0))
+    decay = math.exp(-min(elapsed, 745.0))
     return u0 / (u0 + (1.0 - u0) * decay)
 
 
@@ -111,60 +121,64 @@ def stationary_roots(c: float, s: float) -> tuple[tuple[complex, complex], str]:
 
 
 def sfa_residual(
-    field: Field,
-    diffusion: DiffusionProfile,
-    f: Callable[[np.ndarray], np.ndarray],
+    nodes: np.ndarray,
+    values: np.ndarray,
+    epsilon: float,
     t: float,
     xs: np.ndarray,
     space_step: float,
     time_step: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check how well :func:`sfa_evolve` of ``field`` satisfies the reduced model at ``t``.
+    """Check how well :func:`sfa_evolve` of a snapshot satisfies the reduced model.
 
+    The snapshot is ``values`` on ``nodes``, evolved for the time ``t``.
     Returns ``(residual, validity_ratio)`` at the probes ``xs``.
-    ``residual`` is ``u_t - a'(x) u_x - f(u)`` of the evolved field;
-    ``validity_ratio`` is ``|a u_xx| / |a' u_x|``, the size of the neglected
-    curvature term against the drift term (NaN where both vanish, +inf where
-    only the drift does).
+    ``residual`` is ``u_t - 2 x u_x - u (1 - u)`` of the evolved field, the
+    model :func:`sfa_evolve` solves; ``validity_ratio`` is
+    ``|a u_xx| / |2 x u_x|`` for ``a = x**2 + epsilon``, the size of the
+    neglected curvature term against the drift term ``a' u_x`` (NaN where
+    both vanish, +inf where only the drift does).  A floor ``epsilon`` that
+    is not finite and positive, or a ``t`` that is not finite, raises
+    ``ValueError``.
 
-    ``f`` is the reaction.  Derivatives are second-order central differences
-    with probe spacings ``space_step`` (in x) and ``time_step`` (in t,
-    defaulting to ``space_step``); the temporal stencil must not reach behind
-    the snapshot, so ``t >= field.time + time_step`` is required.  A stencil
-    that starts at the snapshot up to rounding (``t - time_step`` within two
-    ulps of ``t`` below it) is accepted, and its lower time is taken at the
-    snapshot.
+    Derivatives are second-order central differences with probe spacings
+    ``space_step`` (in x) and ``time_step`` (in t, defaulting to
+    ``space_step``); the temporal stencil must not reach behind the
+    snapshot, so ``t >= time_step`` is required.  A stencil that starts at
+    the snapshot up to rounding (``t - time_step`` within two ulps of ``t``
+    below 0) is accepted, and its lower time is taken at the snapshot.
     """
+    a = make_quadratic_diffusion(epsilon)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not 0.0 < space_step < math.inf:
         raise ValueError(f"space_step must be positive and finite, got {space_step}")
     ht = space_step if time_step is None else float(time_step)
     if not 0.0 < ht < math.inf:
         raise ValueError(f"time_step must be positive and finite, got {time_step}")
     t_lo = t - ht
-    if t_lo < field.time:
-        # t = field.time + ht is rounded, so t - ht may fall an ulp behind
-        if field.time - t_lo > 2.0 * math.ulp(t):
+    if t_lo < 0.0:
+        # t = ht is rounded, so t - ht may fall an ulp behind the snapshot
+        if -t_lo > 2.0 * math.ulp(t):
             raise ValueError(
-                f"central time stencil at t={t} reaches before the snapshot; "
-                f"need t >= {field.time + ht}"
+                f"central time stencil at t={t} reaches before the snapshot; need t >= {ht}"
             )
-        t_lo = field.time
+        t_lo = 0.0
     xs = np.asarray(xs, dtype=float)
     hx = float(space_step)
 
-    u_mid = np.asarray(sfa_evolve(field, xs, t), dtype=float)
-    u_xp = sfa_evolve(field, xs + hx, t)
-    u_xm = sfa_evolve(field, xs - hx, t)
-    u_tp = sfa_evolve(field, xs, t + ht)
-    u_tm = sfa_evolve(field, xs, t_lo)
+    u_mid = np.asarray(sfa_evolve(nodes, values, xs, t), dtype=float)
+    u_xp = sfa_evolve(nodes, values, xs + hx, t)
+    u_xm = sfa_evolve(nodes, values, xs - hx, t)
+    u_tp = sfa_evolve(nodes, values, xs, t + ht)
+    u_tm = sfa_evolve(nodes, values, xs, t_lo)
 
     u_t = (u_tp - u_tm) / (2.0 * ht)
     u_x = (u_xp - u_xm) / (2.0 * hx)
     u_xx = (u_xp - 2.0 * u_mid + u_xm) / hx**2
 
-    residual = u_t - np.asarray(diffusion.aprime(xs), dtype=float) * u_x - f(u_mid)
-    curvature = np.abs(np.asarray(diffusion.a(xs), dtype=float) * u_xx)
-    drift = np.abs(np.asarray(diffusion.aprime(xs), dtype=float) * u_x)
+    drift = 2.0 * xs * u_x
+    residual = u_t - drift - u_mid * (1.0 - u_mid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = curvature / drift
+        ratio = np.abs(a(xs) * u_xx) / np.abs(drift)
     return residual, ratio

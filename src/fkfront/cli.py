@@ -81,7 +81,7 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, epsilons)
     ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
-    u0 = step_initial_condition(grid, cfg.x_c0).values
+    u0 = step_initial_condition(grid, cfg.x_c0)
     return march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)),
                  logistic_reaction, cfg.t_end, cfg.snapshot_stride)
 
@@ -153,7 +153,6 @@ def sfa_front_comparison(
     import numpy as np
 
     from .asymptotics import sfa_evolve
-    from .domain import Field
     from .front import front_positions
 
     first = None
@@ -162,8 +161,8 @@ def sfa_front_comparison(
     for t, u in steps:
         u = np.reshape(u, grid.n)
         if first is None:
-            first = Field(grid, u, t)
-        predicted = np.asarray(sfa_evolve(first, grid.x, t))
+            first, t0 = u, t
+        predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
         xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
         if math.isnan(xc_num) or math.isnan(xc_sfa):
             if u.min() > level:
@@ -233,11 +232,11 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
 
     grid = _grid(cfg)
     if cfg.eigen_constant_a is not None:
-        diffusion = make_constant_diffusion(cfg.eigen_constant_a)
+        a = make_constant_diffusion(cfg.eigen_constant_a)
     else:
-        diffusion = make_quadratic_diffusion(cfg.epsilon)
+        a = make_quadratic_diffusion(cfg.epsilon)
         _warn_if_under_resolved(grid, [cfg.epsilon])
-    eigenvalues, phis = solve_eigenproblem(diffusion, grid, cfg.eigen_modes, cfg.eigen_dump)
+    eigenvalues, phis = solve_eigenproblem(a, grid, cfg.eigen_modes, cfg.eigen_dump)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
     spectrum = out / "eigenvalues.csv"
     io.write_csv(spectrum, ("n", "lambda"), enumerate(eigenvalues))
@@ -249,7 +248,6 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
-    from .domain import make_quadratic_diffusion
     from .wkb import Branch, characteristic_steps
 
     branches = {
@@ -257,14 +255,13 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
         "minus": (Branch.MINUS,),
         "both": (Branch.PLUS, Branch.MINUS),
     }[cfg.wkb_branch]
-    diffusion = make_quadratic_diffusion(cfg.epsilon)
 
     def rows():
         for x0 in cfg.wkb_x0:
             for branch in branches:
                 label = branch.value
                 for t, x in characteristic_steps(
-                    x0, cfg.wkb_htilde, diffusion, branch, cfg.wkb_t_end, cfg.wkb_dt
+                    x0, cfg.wkb_htilde, cfg.epsilon, branch, cfg.wkb_t_end, cfg.wkb_dt
                 ):
                     yield (t, x, x0, label)
 

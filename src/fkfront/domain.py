@@ -2,15 +2,16 @@
 
 The model is ``u_t = (a(x) u_x)_x + f(u)`` on ``[-L, L]`` with zero-flux
 (Neumann) ends, advanced from a sharp step profile.  This module collects the
-pieces every other module consumes: the diffusion coefficient with its
-derivative, the reaction term, the uniform node grid, sampled fields, and the
-step initial condition.  Instances are immutable after construction and safe
-to share across threads.
+pieces every other module consumes: the diffusion coefficient ``a`` as a
+plain function of ``x``, the reaction term, the uniform node grid and the
+step initial condition, an array of nodal values.  A :class:`Grid` is
+immutable after construction and safe to share across threads.
 
 For the quadratic coefficient :func:`xi_of_x` and :func:`x_of_xi` map
 between ``x`` and ``xi = asinh(x / sqrt(epsilon))``.  There
 ``dx/dxi = sqrt(a)``, and the model reads, exactly,
-``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.
+``u_t = u_xixi + tanh(xi) u_xi + u (1 - u)``.  The floor ``epsilon`` is the
+only number in the model.
 
 Importing the module does not load numpy: the functions that build or
 take arrays import it when called, and :func:`make_quadratic_diffusion`
@@ -28,9 +29,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DiffusionProfile",
     "Grid",
-    "Field",
+    "check_floor",
     "make_quadratic_diffusion",
     "make_constant_diffusion",
     "logistic_reaction",
@@ -40,39 +40,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffusionProfile:
-    """Spatially varying diffusion coefficient ``a(x)`` and its derivative.
+def check_floor(epsilon: float) -> float:
+    """``epsilon`` as a float; ``ValueError`` unless it is finite and positive.
 
-    ``epsilon`` is the floor value of the coefficient (the uniform
-    parabolicity bound ``a(x) >= epsilon > 0``); one that is not finite and
-    positive raises ``ValueError``.  Both evaluators must accept scalars and
-    numpy arrays and evaluate pointwise.
+    The floor of the coefficient is its uniform parabolicity bound
+    ``a(x) >= epsilon > 0``.
     """
-
-    epsilon: float
-    a: Callable[[np.ndarray], np.ndarray]
-    aprime: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self) -> None:
-        # also rejects nan, which fails every comparison
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"diffusion floor must be finite and positive, got {self.epsilon}")
+    epsilon = float(epsilon)
+    # also rejects nan, which fails every comparison
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"diffusion floor must be finite and positive, got {epsilon}")
+    return epsilon
 
 
-def make_quadratic_diffusion(epsilon: float) -> DiffusionProfile:
-    """Quadratic well ``a(x) = x**2 + epsilon`` with ``a'(x) = 2 x``.
+def make_quadratic_diffusion(epsilon: float) -> Callable:
+    """The quadratic well ``a(x) = x**2 + epsilon``, on scalars and arrays.
 
     The coefficient nearly vanishes at the origin -- the slow spot the front
     has to cross -- while growing like ``x**2`` toward the ends of the domain;
-    ``epsilon > 0`` keeps the problem uniformly parabolic.
+    ``epsilon > 0`` keeps the problem uniformly parabolic.  A floor that is
+    not finite and positive raises ``ValueError``.
     """
-    eps = float(epsilon)
-    return DiffusionProfile(
-        epsilon=eps,
-        a=lambda x: x * x + eps,
-        aprime=lambda x: 2.0 * x,
-    )
+    eps = check_floor(epsilon)
+    return lambda x: x * x + eps
 
 
 def xi_of_x(x: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
@@ -98,19 +88,17 @@ def x_of_xi(xi: "float | np.ndarray", epsilon: float) -> "float | np.ndarray":
     return math.sqrt(epsilon) * np.sinh(xi)
 
 
-def make_constant_diffusion(level: float) -> DiffusionProfile:
-    """Spatially uniform ``a(x) = level`` with ``a'(x) = 0``.
+def make_constant_diffusion(level: float) -> Callable:
+    """Spatially uniform ``a(x) = level``, as an array shaped like ``x``.
 
     The analytically solvable control case: no slow spot, so a front
-    settles at the pulled speed ``2 sqrt(level)``.
+    settles at the pulled speed ``2 sqrt(level)``.  A level that is not
+    finite and positive raises ``ValueError``.
     """
     import numpy as np
 
-    return DiffusionProfile(
-        epsilon=level,
-        a=lambda x: np.full_like(np.asarray(x, dtype=float), level),
-        aprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    level = check_floor(level)
+    return lambda x: np.full_like(np.asarray(x, dtype=float), level)
 
 
 def logistic_reaction(u: np.ndarray) -> np.ndarray:
@@ -156,30 +144,10 @@ class Grid:
         return w
 
 
-@dataclass(frozen=True)
-class Field:
-    """Nodal samples of the concentration at one instant."""
-
-    grid: Grid
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid with {self.grid.n} nodes"
-            )
-        object.__setattr__(self, "values", v)
-
-
-def step_initial_condition(grid: Grid, x_c0: float) -> Field:
-    """Sharp step: ``u = 1`` for ``x <= x_c0``, ``u = 0`` beyond (ties go to 1)."""
+def step_initial_condition(grid: Grid, x_c0: float) -> np.ndarray:
+    """Sharp step on ``grid.x``: ``u = 1`` for ``x <= x_c0``, ``u = 0`` beyond (ties go to 1)."""
     if not -grid.L < x_c0 < grid.L:
         raise ValueError(f"initial front {x_c0} must lie strictly inside (-{grid.L}, {grid.L})")
     import numpy as np
 
-    values = np.where(grid.x <= x_c0, 1.0, 0.0)
-    return Field(grid=grid, values=values, time=0.0)
+    return np.where(grid.x <= x_c0, 1.0, 0.0)

@@ -32,8 +32,10 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
     Raises
     ------
     ValueError
-        If any value is not finite.
+        If any value or the level is not finite.
     """
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     u = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("field values must be finite")
@@ -128,10 +130,13 @@ def fit_power_law(
     ``pairs`` holds ``(epsilon, duration)`` rows, all finite and strictly
     positive, at least two of them.  With ``exponent=None`` both ``C`` and
     ``p`` are free (``mode`` "free"); passing ``exponent`` (e.g. ``-0.5``)
-    pins ``p`` and fits only ``C`` ("fixed").  Returns the JSON-ready report: ``C``, ``p``,
-    the log-space ``residuals``, the ``epsilons`` and the ``mode``, all as
-    plain floats and lists.
+    pins ``p`` and fits only ``C`` ("fixed"); an ``exponent`` that is not
+    finite raises ``ValueError``.  Returns the JSON-ready report: ``C``,
+    ``p``, the log-space ``residuals``, the ``epsilons`` and the ``mode``,
+    all as plain floats and lists.
     """
+    if exponent is not None and not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
     data = np.asarray(pairs, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (epsilon, duration) tuples")

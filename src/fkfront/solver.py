@@ -66,7 +66,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .config import check_step_count
-from .domain import DiffusionProfile, Grid
+from .domain import Grid
 
 __all__ = [
     "TridiagonalOperator",
@@ -146,16 +146,17 @@ class TridiagonalOperator:
         return np.pad(self.coupling, (1, 0)) + np.pad(self.coupling, (0, 1))
 
 
-def build_operator(grid: Grid, diffusion: DiffusionProfile) -> TridiagonalOperator:
+def build_operator(grid: Grid, a: Callable[[np.ndarray], np.ndarray]) -> TridiagonalOperator:
     """The couplings ``a(x_{i+1/2}) / dx**2`` of ``(a(x) u_x)_x`` on ``grid``.
 
+    ``a`` is the diffusion coefficient, evaluated on the array of half-points.
     A coefficient that is not finite and positive, or a grid so wide that
     ``dx**2`` overflows, raises ``ValueError`` (from the operator).
     """
     dx = grid.dx
     # overflow and nan are rejected by the operator, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        coupling = np.asarray(diffusion.a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
+        coupling = np.asarray(a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
     return TridiagonalOperator(grid=grid, coupling=coupling)
 
 

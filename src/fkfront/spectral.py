@@ -26,11 +26,11 @@ solver's mean lags it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .domain import DiffusionProfile, Grid
+from .domain import Grid
 from .solver import _lapack, build_operator
 
 __all__ = [
@@ -45,7 +45,7 @@ class EigenSolveError(RuntimeError):
 
 
 def solve_eigenproblem(
-    diffusion: DiffusionProfile,
+    a: Callable[[np.ndarray], np.ndarray],
     grid: Grid,
     m: int = 64,
     vectors: "Iterable[int] | None" = None,
@@ -88,7 +88,7 @@ def solve_eigenproblem(
     if modes and not (modes[0] >= 0 and modes[-1] < m):
         raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {list(modes)}")
     n = grid.n
-    op = build_operator(grid, diffusion)
+    op = build_operator(grid, a)
     weights = op.weights
     sqrt_qw = np.sqrt(grid.dx * weights)
     diag = -op.neighbour_sums / weights

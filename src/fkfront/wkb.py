@@ -17,11 +17,10 @@ wave ``phi = s Htilde xi - (Htilde**2 + 1) t``.  :func:`characteristic_label`
 and :func:`phase_along` are these exact forms; :func:`characteristic_steps`
 integrates the ray equation independently (Runge-Kutta) for cross-checks, as
 a stream of ``(t, x)`` floats.  All three take the ray as plain values,
-``Htilde`` then ``epsilon`` (or the diffusion profile) then the branch, and
-apply one input rule: ``Htilde`` finite and non-negative (``0`` is the
-stationary ray), ``epsilon`` finite and positive.  Importing the module does
-not load numpy, and neither does the stream: the ``wkb`` command writes it
-without numpy.
+``Htilde`` then ``epsilon`` then the branch, and apply one input rule:
+``Htilde`` finite and non-negative (``0`` is the stationary ray), ``epsilon``
+finite and positive.  Importing the module does not load numpy, and neither
+does the stream: the ``wkb`` command writes it without numpy.
 
 In ``xi`` the dropped right side is ``psi_xixi + tanh(xi) psi_xi``.  On a
 plane wave ``psi_xixi = 0``, so the fan drops the drift ``tanh(xi) psi_xi``,
@@ -38,7 +37,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
 from .config import check_step_count
-from .domain import DiffusionProfile, x_of_xi, xi_of_x
+from .domain import check_floor, make_quadratic_diffusion, x_of_xi, xi_of_x
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,8 +66,7 @@ def _check_ray(Htilde: float, epsilon: float) -> None:
     # also rejects nan, which fails every comparison
     if not 0.0 <= Htilde < math.inf:
         raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"diffusion floor must be finite and positive, got {epsilon}")
+    check_floor(epsilon)
 
 
 def characteristic_label(
@@ -83,9 +81,11 @@ def characteristic_label(
     At ``t = 0`` or ``Htilde = 0`` this returns ``x`` up to the rounding of
     the round trip; at fixed ``t`` it is strictly increasing in ``x``, so
     rays never cross.  Raises ``ValueError`` for ``Htilde`` or ``epsilon``
-    out of range.
+    out of range and for a ``t`` that is not finite.
     """
     _check_ray(Htilde, epsilon)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     shift = sign.direction * 2.0 * Htilde * t
     return x_of_xi(xi_of_x(x, epsilon) - shift, epsilon)
 
@@ -93,32 +93,33 @@ def characteristic_label(
 def characteristic_steps(
     x0: float,
     Htilde: float,
-    diffusion: DiffusionProfile,
+    epsilon: float,
     sign: Branch,
     t_end: float,
     dt: float,
 ) -> Iterator[tuple[float, float]]:
     """Classical fourth-order Runge-Kutta integration of the ray equation.
 
-    Integrates ``dx/dt = s 2 Htilde sqrt(a(x))`` with fixed step and yields
-    ``(t, x)`` as floats, from ``(0, x0)`` to ``t_end``; the ray is this
-    stream, and ``list`` of it is the whole path.  The number of steps is
-    ``round(t_end/dt)``, at most :data:`fkfront.config.MAX_STEPS`, and the
-    step is adjusted to land on ``t_end`` exactly; step ``k`` is stamped
-    ``k * h``.  ``t_end = 0`` yields the start only and ``Htilde = 0`` a
-    stationary ray.  The first draw raises ``ValueError`` for an input that
-    is not finite, a negative ``t_end`` or ``Htilde``, a non-positive
-    ``dt`` and a step count out of range.  This is the oracle
+    Integrates ``dx/dt = s 2 Htilde sqrt(a(x))``, ``a = x**2 + epsilon``,
+    with fixed step and yields ``(t, x)`` as floats, from ``(0, x0)`` to
+    ``t_end``; the ray is this stream, and ``list`` of it is the whole path.
+    The number of steps is ``round(t_end/dt)``, at most
+    :data:`fkfront.config.MAX_STEPS`, and the step is adjusted to land on
+    ``t_end`` exactly; step ``k`` is stamped ``k * h``.  ``t_end = 0``
+    yields the start only and ``Htilde = 0`` a stationary ray.  The first
+    draw raises ``ValueError`` for an input that is not finite, a negative
+    ``t_end`` or ``Htilde``, a non-positive ``epsilon`` or ``dt`` and a
+    step count out of range.  This is the oracle
     :func:`characteristic_label` and :func:`phase_along` are checked
     against, so it shares their input rule but none of their arithmetic;
-    it needs only ``diffusion.a`` on floats, not numpy.
+    it evaluates the coefficient on floats, without numpy.
     """
     # also rejects nan, which fails every comparison
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
-    _check_ray(Htilde, diffusion.epsilon)
+    _check_ray(Htilde, epsilon)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     check_step_count(t_end, dt)
@@ -127,9 +128,10 @@ def characteristic_steps(
     if t_end == 0.0:
         return
     rate = sign.direction * 2.0 * Htilde
+    a = make_quadratic_diffusion(epsilon)
 
     def velocity(x: float) -> float:
-        return rate * math.sqrt(diffusion.a(x))
+        return rate * math.sqrt(a(x))
 
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
@@ -150,7 +152,10 @@ def phase_along(x: float, t: float, Htilde: float, epsilon: float, sign: Branch)
     sqrt(a(x0))`` (the ray momentum at ``t = 0``), i.e.
     ``phi0 = s Htilde xi_of_x(x0)``.  With ``xi0 = xi - s 2 Htilde t`` the
     transport is a plane wave in ``xi`` and solves the phase equation exactly.
-    Raises ``ValueError`` for ``Htilde`` or ``epsilon`` out of range.
+    Raises ``ValueError`` for ``Htilde`` or ``epsilon`` out of range and for
+    a ``t`` that is not finite.
     """
     _check_ray(Htilde, epsilon)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return float(sign.direction * Htilde * xi_of_x(x, epsilon) - (Htilde**2 + 1.0) * t)

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 import fkfront
 from fkfront.domain import (
-    DiffusionProfile,
-    Field,
     Grid,
     logistic_reaction,
     make_constant_diffusion,
@@ -36,15 +34,6 @@ def log_uniform(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-def unit_floor_quadratic() -> DiffusionProfile:
-    """Quadratic diffusion with floor 1; smooth and never small."""
-    return DiffusionProfile(
-        epsilon=1.0,
-        a=lambda x: np.asarray(x, dtype=float) ** 2 + 1.0,
-        aprime=lambda x: 2.0 * np.asarray(x, dtype=float),
-    )
-
-
 def zero_reaction(u: np.ndarray) -> np.ndarray:
     """No source term; isolates the diffusion part of the scheme."""
     return np.zeros_like(u)
@@ -55,19 +44,18 @@ def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:
     return 0.5 + 0.3 * np.cos(np.pi * x / L) + 0.15 * np.cos(2 * np.pi * x / L)
 
 
-def diffuse_smooth(n: int, dt: float, t_end: float, diffusion: DiffusionProfile) -> Field:
-    """March the smooth profile under diffusion only (no source)."""
+def diffuse_smooth(n: int, dt: float, t_end: float, a) -> np.ndarray:
+    """The smooth profile marched to ``t_end`` under diffusion ``a`` only (no source)."""
     grid = Grid(L=100.0, n=n)
-    system = factor_step_matrix([build_operator(grid, diffusion)], dt)
-    *_, (t, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction, t_end)
-    return Field(grid, u, t)
+    system = factor_step_matrix([build_operator(grid, a)], dt)
+    *_, (_, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction, t_end)
+    return u
 
 
-def stored_fields(grid, diffusion, f, x_c0, dt, t_end, stride=1) -> tuple[Field, ...]:
-    """Every state ``march`` yields from the step initial condition, as fields."""
-    system = factor_step_matrix([build_operator(grid, diffusion)], dt)
-    steps = march(system, step_initial_condition(grid, x_c0).values, f, t_end, stride)
-    return tuple(Field(grid, u, t) for t, u in steps)
+def stored_fields(grid, a, f, x_c0, dt, t_end, stride=1) -> tuple[tuple[float, np.ndarray], ...]:
+    """Every ``(t, u)`` state ``march`` yields from the step initial condition."""
+    system = factor_step_matrix([build_operator(grid, a)], dt)
+    return tuple(march(system, step_initial_condition(grid, x_c0), f, t_end, stride))
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -84,18 +72,13 @@ def dense_matrix(op) -> np.ndarray:
     return dense
 
 
-def steps_of(fields):
-    """The ``(t, u)`` stream of stored fields, as ``march`` yields it."""
-    return ((f.time, f.values) for f in fields)
+def times_of(steps) -> np.ndarray:
+    return np.array([t for t, _ in steps])
 
 
-def times_of(fields) -> np.ndarray:
-    return np.array([f.time for f in fields])
-
-
-def stored_positions(fields) -> np.ndarray:
-    """Front position of each stored field of one run (NaN where there is none)."""
-    return front_positions(np.array([f.values for f in fields]), fields[0].grid.x)
+def stored_positions(steps, x: np.ndarray) -> np.ndarray:
+    """Front position on the nodes ``x`` of each stored state of one run (NaN where none)."""
+    return front_positions(np.array([u for _, u in steps]), x)
 
 
 def first_exit(positions: np.ndarray, radius: float) -> int | None:
@@ -120,7 +103,8 @@ def default_grid() -> Grid:
 
 
 @pytest.fixture(scope="session")
-def default_diffusion() -> DiffusionProfile:
+def default_diffusion():
+    """The coefficient ``a(x) = x**2 + 0.1`` of the default run."""
     return make_quadratic_diffusion(0.1)
 
 
@@ -152,11 +136,15 @@ def pure_diffusion_run(default_grid, default_diffusion):
     )
 
 
+# grid of the constant_a_run fixture
+CONSTANT_A_GRID = Grid(L=100.0, n=1001)
+
+
 @pytest.fixture(scope="session")
 def constant_a_run():
     """Uniform-diffusion control; the front must settle near the pulled speed 2."""
     return stored_fields(
-        Grid(L=100.0, n=1001),
+        CONSTANT_A_GRID,
         make_constant_diffusion(1.0),
         logistic_reaction,
         -50.0,

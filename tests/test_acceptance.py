@@ -16,7 +16,6 @@ import pytest
 from fkfront.asymptotics import sfa_residual, stationary_roots
 from fkfront.cli import main, sfa_front_comparison
 from fkfront.domain import (
-    Field,
     Grid,
     logistic_reaction,
     make_constant_diffusion,
@@ -28,12 +27,11 @@ from fkfront.spectral import average_prediction, solve_eigenproblem
 from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
 from conftest import (
+    CONSTANT_A_GRID,
     DEFAULT_DT,
     diffuse_smooth,
-    steps_of,
     stored_positions,
     times_of,
-    unit_floor_quadratic,
 )
 
 
@@ -165,8 +163,8 @@ def test_a1_clauses_tell_logarithmic_from_power_law(times, logarithmic):
     assert trapping_law_clauses(eps, t, power_rms)["holds"] == logarithmic
 
 
-def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
-    rows, _ = sfa_front_comparison(steps_of(default_run), default_grid)
+def test_a2_sfa_front_agreement(default_run, default_grid):
+    rows, _ = sfa_front_comparison(default_run, default_grid)
     threshold = -5.0 * math.sqrt(0.1)
     window = [(t, xc_num, gap) for t, xc_num, _, gap in rows if xc_num < threshold]
     assert window, "no stored times inside the comparison window"
@@ -176,10 +174,10 @@ def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
     # the drift model neglects a u_xx against a' u_x; report that ratio for
     # the stored field at the worst time, at its numerical front
     dt = DEFAULT_DT
-    worst_field = next(f for f in default_run if f.time == worst_t)
+    worst_u = next(u for t, u in default_run if t == worst_t)
     ratio = sfa_residual(
-        worst_field, default_diffusion, logistic_reaction, worst_t + dt,
-        np.array([worst_xc]), space_step=default_grid.dx, time_step=0.5 * dt,
+        default_grid.x, worst_u, 0.1, dt, np.array([worst_xc]),
+        space_step=default_grid.dx, time_step=0.5 * dt,
     )[1][0]
     verdict(
         "A2 SFA front agreement",
@@ -190,8 +188,9 @@ def test_a2_sfa_front_agreement(default_run, default_grid, default_diffusion):
     )
 
 
-def test_a3_turning_point_behavior(default_run):
-    positions = stored_positions(default_run)
+def test_a3_turning_point_behavior(default_run, default_grid):
+    x = default_grid.x
+    positions = stored_positions(default_run, x)
     finite = np.isfinite(positions)
     times = times_of(default_run)[finite]
     xs = positions[finite]
@@ -202,15 +201,14 @@ def test_a3_turning_point_behavior(default_run):
     pre_diffs = np.diff(xs[: k_in + 1])
     monotone_ok = bool(np.all(pre_diffs > 0))
 
-    [(entry, exit_, _)], _ = window_transits(steps_of(default_run), default_run[0].grid.x, 0.4)
+    [(entry, exit_, _)], _ = window_transits(default_run, x, 0.4)
     duration = exit_ - entry
     duration_ok = duration >= 10 * DEFAULT_DT
 
     exit_ok = xs[-1] > 0
 
     def max_gradient(k: int) -> float:
-        field = default_run[k]
-        return float(np.max(np.abs(np.gradient(field.values, field.grid.x))))
+        return float(np.max(np.abs(np.gradient(default_run[k][1], x))))
 
     stored = {float(t): i for i, t in enumerate(times_of(default_run))}
     k_near_zero = int(np.argmin(np.abs(xs)))
@@ -249,7 +247,6 @@ def test_a4_eigen_oracle():
 
 def test_a5_characteristic_labels_and_layers():
     eps = 0.01
-    diff = make_quadratic_diffusion(eps)
 
     rng = np.random.default_rng(7)
     worst_drift = 0.0
@@ -257,7 +254,7 @@ def test_a5_characteristic_labels_and_layers():
         x0 = float(rng.uniform(-3.0, 3.0))
         ht = float(rng.uniform(0.3, 1.2))
         branch = Branch.PLUS if k % 2 == 0 else Branch.MINUS
-        path = np.array(list(characteristic_steps(x0, ht, diff, branch, t_end=1.0, dt=1e-3)))
+        path = np.array(list(characteristic_steps(x0, ht, eps, branch, t_end=1.0, dt=1e-3)))
         for t, x in path[::100]:
             lab = characteristic_label(float(x), float(t), ht, eps, branch)
             worst_drift = max(worst_drift, abs(lab - x0))
@@ -282,12 +279,10 @@ def test_a6_closed_form_residuals():
 
     grid = Grid(L=10.0, n=20001)
     u = 1.0 / (1.0 + np.exp(np.clip(4.0 * (grid.x + 3.0), -500, 500)))
-    field = Field(grid, u, 0.0)
     xs = np.linspace(-2.0, -0.5, 7)
     res_sfa = [
         float(np.max(np.abs(sfa_residual(
-            field, make_quadratic_diffusion(0.1), logistic_reaction, 0.3, xs,
-            space_step=h, time_step=h,
+            grid.x, u, 0.1, 0.3, xs, space_step=h, time_step=h,
         )[0])))
         for h in steps
     ]
@@ -332,30 +327,31 @@ def test_a7_solver_properties(default_grid, default_run, pure_diffusion_run, con
     equilibria_ok = eq_dev0 == 0.0 and eq_dev1 <= 1e-12
 
     w = grid.quadrature_weights
-    masses = np.array([w @ f.values for f in pure_diffusion_run])
+    masses = np.array([w @ u for _, u in pure_diffusion_run])
     drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     mass_ok = drift <= 1e-8
 
-    lo = min(float(f.values.min()) for f in default_run)
-    hi = max(float(f.values.max()) for f in default_run)
+    lo = min(float(u.min()) for _, u in default_run)
+    hi = max(float(u.max()) for _, u in default_run)
     bounds_ok = lo >= -1e-12 and hi <= 1.0 + 1e-12
 
-    smooth = unit_floor_quadratic()
+    smooth = make_quadratic_diffusion(1.0)
     coarse = diffuse_smooth(251, 1e-3, 0.5, smooth)
     mid = diffuse_smooth(501, 1e-3, 0.5, smooth)
     fine = diffuse_smooth(1001, 1e-3, 0.5, smooth)
-    e1 = np.max(np.abs(coarse.values - mid.values[::2]))
-    e2 = np.max(np.abs(mid.values - fine.values[::2]))
+    e1 = np.max(np.abs(coarse - mid[::2]))
+    e2 = np.max(np.abs(mid - fine[::2]))
     spatial_order = math.log2(e1 / e2)
     a = diffuse_smooth(501, 0.04, 0.4, smooth)
     b = diffuse_smooth(501, 0.02, 0.4, smooth)
     c = diffuse_smooth(501, 0.01, 0.4, smooth)
     temporal_order = math.log2(
-        np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values - c.values))
+        np.max(np.abs(a - b)) / np.max(np.abs(b - c))
     )
     orders_ok = spatial_order >= 1.9 and 0.9 <= temporal_order <= 1.1
 
-    times, positions = times_of(constant_a_run), stored_positions(constant_a_run)
+    times = times_of(constant_a_run)
+    positions = stored_positions(constant_a_run, CONSTANT_A_GRID.x)
     keep = np.isfinite(positions) & (times >= 20.0)
     speed = float(np.polyfit(times[keep], positions[keep], 1)[0])
     speed_ok = abs(speed - 2.0) / 2.0 <= 0.05
@@ -404,13 +400,13 @@ def test_a8_stationary_root_algebra():
 def test_a9_average_growth(default_run, default_grid):
     grid = default_grid
     w = grid.quadrature_weights
-    avgs = np.array([w @ f.values / (2.0 * grid.L) for f in default_run])
+    avgs = np.array([w @ u / (2.0 * grid.L) for _, u in default_run])
     exact_start = (grid.L + (-35.0)) / (2.0 * grid.L)
     start_ok = avgs[0] == exact_start
     monotone_ok = bool(np.all(np.diff(avgs) >= -1e-12))
     reach = np.nonzero(avgs >= 0.9)[0]
     reach_ok = reach.size > 0
-    t_reach = float(default_run[reach[0]].time) if reach_ok else math.inf
+    t_reach = float(default_run[reach[0]][0]) if reach_ok else math.inf
     verdict(
         "A9 domain-average growth",
         start_ok and monotone_ok and reach_ok,

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from conftest import (
     first_exit,
     run_python,
-    steps_of,
     stored_fields,
     stored_positions,
     times_of,
@@ -34,7 +33,7 @@ from fkfront.config import (
     config_digest,
     load_config,
 )
-from fkfront.domain import Field, Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.domain import Grid, logistic_reaction, make_quadratic_diffusion
 from fkfront.front import front_positions, window_transits
 
 
@@ -443,8 +442,8 @@ def compare_every_state(steps, grid, level=0.5):
     for t, u in steps:
         u = np.reshape(u, grid.n)
         if first is None:
-            first = Field(grid, u, t)
-        predicted = np.asarray(sfa_evolve(first, grid.x, t))
+            first, t0 = u, t
+        predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
         xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
         if not (math.isnan(xc_num) or math.isnan(xc_sfa)):
             rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
@@ -587,7 +586,7 @@ class TestTrapSweep:
         for eps, record in zip(cfg.sweep_epsilons, records):
             run = stored_fields(grid, make_quadratic_diffusion(eps), logistic_reaction,
                                 cfg.x_c0, cfg.dt, cfg.t_end, stride)
-            [alone], _ = window_transits(steps_of(run), grid.x, cfg.trap_radius)
+            [alone], _ = window_transits(run, grid.x, cfg.trap_radius)
             assert record == alone
         assert [(entry is not None, exit_ is not None) for entry, exit_, _ in records] == [
             (True, True), (True, False), (True, False)]
@@ -601,7 +600,7 @@ class TestTrapSweep:
         runs = [stored_fields(grid, make_quadratic_diffusion(eps), logistic_reaction, cfg.x_c0,
                               cfg.dt, cfg.t_end, stride)
                 for eps in cfg.sweep_epsilons]
-        exits = [first_exit(stored_positions(run), cfg.trap_radius) for run in runs]
+        exits = [first_exit(stored_positions(run, grid.x), cfg.trap_radius) for run in runs]
         assert None not in exits and len(set(exits)) == len(exits)
         stop = max(exits)
         times = times_of(runs[0])
@@ -617,7 +616,7 @@ class TestTrapSweep:
         assert drawn == list(times[: stop + 1])
         assert t_stop == times[stop]
         for record, run in zip(records, runs):
-            [alone], _ = window_transits(steps_of(run), grid.x, cfg.trap_radius)
+            [alone], _ = window_transits(run, grid.x, cfg.trap_radius)
             assert record == alone
 
     @pytest.mark.parametrize("t_end, epsilons, statuses", [

@@ -1,6 +1,7 @@
-"""Domain primitives: diffusion profiles, grids, fields, initial data."""
+"""Domain primitives: diffusion coefficients, grids, initial data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fkfront.domain import (
-    DiffusionProfile,
-    Field,
     Grid,
     logistic_reaction,
     make_constant_diffusion,
@@ -26,39 +25,42 @@ EPS = np.finfo(float).eps
 
 class TestQuadraticDiffusion:
     def test_floor_at_origin(self):
-        assert make_quadratic_diffusion(0.1).a(0.0) == 0.1
+        assert make_quadratic_diffusion(0.1)(0.0) == 0.1
 
-    def test_values_and_slope(self):
-        d = make_quadratic_diffusion(0.1)
-        assert d.a(1.0) == pytest.approx(1.1, abs=1e-15)
-        assert d.aprime(-2.0) == pytest.approx(-4.0, abs=1e-15)
-        assert d.epsilon == 0.1
+    def test_values(self):
+        a = make_quadratic_diffusion(0.1)
+        assert a(1.0) == pytest.approx(1.1, abs=1e-15)
+        assert a(-2.0) == pytest.approx(4.1, abs=1e-15)
 
     def test_vectorized(self):
-        d = make_quadratic_diffusion(0.25)
+        a = make_quadratic_diffusion(0.25)
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.allclose(d.a(x), x * x + 0.25, atol=1e-15)
-        assert np.allclose(d.aprime(x), 2 * x, atol=1e-15)
+        assert np.array_equal(a(x), x * x + 0.25)
 
     def test_positive_everywhere(self):
-        d = make_quadratic_diffusion(1e-6)
+        a = make_quadratic_diffusion(1e-6)
         x = np.linspace(-100, 100, 1001)
-        assert np.all(d.a(x) > 0)
+        assert np.all(a(x) > 0)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1])
-    def test_rejects_nonpositive_floor(self, eps):
-        with pytest.raises(ValueError):
-            make_quadratic_diffusion(eps)
-        with pytest.raises(ValueError):
-            DiffusionProfile(epsilon=eps, a=lambda x: x, aprime=lambda x: x)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_rejects_non_finite_floor(self, eps):
-        # nan fails every comparison, so "eps <= 0" alone does not reject it
-        with pytest.raises(ValueError, match="diffusion floor must be finite and positive"):
-            make_quadratic_diffusion(eps)
-        with pytest.raises(ValueError, match="diffusion floor must be finite and positive"):
-            make_constant_diffusion(eps)
+class TestConstantDiffusion:
+    def test_an_array_shaped_like_x(self):
+        a = make_constant_diffusion(0.7)
+        assert np.array_equal(a(np.array([-2.0, 0.0, 3.0])), [0.7, 0.7, 0.7])
+        assert a(5.0).shape == ()
+        assert a(5.0) == 0.7
+
+
+class TestFloorCheck:
+    """Both coefficients reject a floor or level that is not finite and positive."""
+
+    @pytest.mark.parametrize("make", [make_quadratic_diffusion, make_constant_diffusion])
+    @pytest.mark.parametrize("value", [0.0, -0.1, -math.inf, math.nan, math.inf])
+    def test_rejects_floor_out_of_range(self, make, value):
+        # nan fails every comparison, so "<= 0" alone does not reject it
+        message = f"diffusion floor must be finite and positive, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(value)
 
 
 class TestStretchedCoordinate:
@@ -158,42 +160,29 @@ class TestGrid:
         assert Grid(L=8e307, n=3).dx == 8e307
 
 
-class TestField:
-    def test_holds_grid_values_time(self):
-        g = Grid(L=1.0, n=5)
-        f = Field(g, np.zeros(5), 1.5)
-        assert f.time == 1.5
-        assert f.values.shape == (5,)
-
-    def test_rejects_length_mismatch(self):
-        g = Grid(L=1.0, n=5)
-        with pytest.raises(ValueError):
-            Field(g, np.zeros(4), 0.0)
-
-
 class TestStepInitialCondition:
     def test_indicator_values(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, -35.0)
-        assert set(np.unique(f.values)) == {0.0, 1.0}
-        assert np.all(f.values[g.x <= -35.0] == 1.0)
-        assert np.all(f.values[g.x > -35.0] == 0.0)
-        assert f.time == 0.0
+        u = step_initial_condition(g, -35.0)
+        assert u.shape == (501,) and u.dtype == np.float64
+        assert set(np.unique(u)) == {0.0, 1.0}
+        assert np.all(u[g.x <= -35.0] == 1.0)
+        assert np.all(u[g.x > -35.0] == 0.0)
 
     def test_default_jump_sits_between_nodes(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, -35.0)
+        u = step_initial_condition(g, -35.0)
         i = int(np.searchsorted(g.x, -35.0))
         assert g.x[i - 1] == pytest.approx(-35.2, abs=1e-12)
         assert g.x[i] == pytest.approx(-34.8, abs=1e-12)
-        assert f.values[i - 1] == 1.0
-        assert f.values[i] == 0.0
+        assert u[i - 1] == 1.0
+        assert u[i] == 0.0
 
     def test_jump_on_a_node_included_left(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, float(g.x[162]))
-        assert f.values[162] == 1.0
-        assert f.values[163] == 0.0
+        u = step_initial_condition(g, float(g.x[162]))
+        assert u[162] == 1.0
+        assert u[163] == 0.0
 
     def test_front_outside_domain_rejected(self):
         g = Grid(L=10.0, n=21)

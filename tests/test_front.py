@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_exit, steps_of, stored_positions
+from conftest import first_exit, stored_positions
 from fkfront.domain import Grid, step_initial_condition
 from fkfront.front import fit_power_law, front_positions, window_transits
 
@@ -22,8 +22,8 @@ class TestLocateFront:
 
     def test_default_step_crossing(self):
         g = Grid(L=100.0, n=501)
-        f = step_initial_condition(g, -35.0)
-        assert front_positions(f.values[np.newaxis], g.x)[0] == pytest.approx(-35.0, abs=1e-12)
+        u = step_initial_condition(g, -35.0)
+        assert front_positions(u[np.newaxis], g.x)[0] == pytest.approx(-35.0, abs=1e-12)
 
     @pytest.mark.parametrize("value", [0.2, 0.8])
     def test_constant_field_has_no_crossing(self, value):
@@ -47,6 +47,13 @@ class TestLocateFront:
         g = Grid(L=1.0, n=3)
         with pytest.raises(ValueError):
             front_positions(np.array([[1.0, np.nan, 0.0]]), g.x)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, level):
+        # before: a nan level made every row report no front
+        g = Grid(L=1.0, n=3)
+        with pytest.raises(ValueError, match=f"level must be finite, got {level}"):
+            front_positions(np.array([[1.0, 0.5, 0.0]]), g.x, level)
 
 
 def scalar_locate(u, x, level):
@@ -113,25 +120,25 @@ WINDOW = 0.4
 class TestTrackFront:
     """Front positions of a stored run, and stacked rows tracked alone."""
 
-    def test_matches_per_snapshot_location(self, default_run):
-        positions = stored_positions(default_run)
-        x = default_run[0].grid.x
+    def test_matches_per_snapshot_location(self, default_run, default_grid):
+        x = default_grid.x
+        positions = stored_positions(default_run, x)
         for k in (0, 5, 12):
-            expected = scalar_locate(default_run[k].values, x, 0.5)
+            expected = scalar_locate(default_run[k][1], x, 0.5)
             assert positions[k] == pytest.approx(expected, abs=1e-14)
 
-    def test_missing_front_marked_nan(self, default_run):
-        positions = stored_positions(default_run)
+    def test_missing_front_marked_nan(self, default_run, default_grid):
+        positions = stored_positions(default_run, default_grid.x)
         # the profile saturates to 1 everywhere late in the run: no crossing
         assert np.isnan(positions[-1])
         assert np.isfinite(positions[0])
 
-    def test_stacked_rows_tracked_alone(self, default_run):
-        x = default_run[0].grid.x
-        stacked = ((t, np.stack([u, u[::-1]])) for t, u in steps_of(default_run))
-        mirrored = ((t, u[::-1]) for t, u in steps_of(default_run))
+    def test_stacked_rows_tracked_alone(self, default_run, default_grid):
+        x = default_grid.x
+        stacked = ((t, np.stack([u, u[::-1]])) for t, u in default_run)
+        mirrored = ((t, u[::-1]) for t, u in default_run)
         records, _ = window_transits(stacked, x, WINDOW)
-        [alone], _ = window_transits(steps_of(default_run), x, WINDOW)
+        [alone], _ = window_transits(default_run, x, WINDOW)
         [mirror], _ = window_transits(mirrored, x, WINDOW)
         assert None not in alone and None not in mirror
         assert records == [alone, mirror]
@@ -222,9 +229,8 @@ class TestTrappingTime:
         assert abs(duration(0.01) - exact) <= 1e-5
         assert abs(duration(0.25) - duration(0.01)) <= 3e-3
 
-    def test_default_run_duration(self, default_run):
-        [(entry, exit_, _)], _ = window_transits(steps_of(default_run), default_run[0].grid.x,
-                                                 radius=0.4)
+    def test_default_run_duration(self, default_run, default_grid):
+        [(entry, exit_, _)], _ = window_transits(default_run, default_grid.x, radius=0.4)
         assert 3.2 <= exit_ - entry <= 3.5
 
     def test_never_enters(self):
@@ -352,3 +358,9 @@ class TestFitPowerLaw:
         # infinite epsilon makes polyfit warn
         with pytest.raises(ValueError, match="strictly positive and finite"):
             fit_power_law([(0.1, 3.0), pair])
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, exponent):
+        # before: exponent=nan returned C = p = nan
+        with pytest.raises(ValueError, match=f"exponent must be finite, got {exponent}"):
+            fit_power_law([(0.1, 3.0), (0.05, 4.0)], exponent=exponent)

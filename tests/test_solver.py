@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 from conftest import (
+    CONSTANT_A_GRID,
     bits,
     dense_matrix,
     diffuse_smooth,
@@ -14,13 +15,11 @@ from conftest import (
     stored_fields,
     stored_positions,
     times_of,
-    unit_floor_quadratic,
     zero_reaction,
 )
 
 from fkfront.config import MAX_STEPS
 from fkfront.domain import (
-    DiffusionProfile,
     Grid,
     logistic_reaction,
     make_constant_diffusion,
@@ -104,13 +103,11 @@ class TestBuildOperator:
     @settings(max_examples=20, deadline=None)
     @given(exponents=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=40), data=st.data())
     def test_rejects_non_finite_or_non_positive_coefficient(self, bad, exponents, data):
-        profile = DiffusionProfile(
-            epsilon=0.1,
-            a=lambda x: np.where(np.asarray(x) > 0.5, bad, np.asarray(x) ** 2 + 0.1),
-            aprime=lambda x: 2.0 * np.asarray(x),
-        )
+        def a(x):
+            return np.where(x > 0.5, bad, x * x + 0.1)
+
         with pytest.raises(ValueError, match="finite and positive"):
-            build_operator(Grid(L=2.0, n=9), profile)
+            build_operator(Grid(L=2.0, n=9), a)
         # the operator type itself holds no such coupling, wherever it sits
         coupling = 10.0 ** np.array(exponents)
         coupling[data.draw(st.integers(0, coupling.size - 1))] = bad
@@ -231,7 +228,7 @@ class TestMaximumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, x_c0).values
+        u0 = step_initial_condition(grid, x_c0)
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
         lows, highs = [], []
         for _, u in march(system, u0, logistic_reaction, steps * dt):
@@ -265,7 +262,7 @@ class TestMinimumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, x_c0).values
+        u0 = step_initial_condition(grid, x_c0)
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
         above = [bool(u.min() > 0.5)
                  for _, u in march(system, u0, logistic_reaction, steps * dt, stride)]
@@ -275,7 +272,7 @@ class TestMinimumPrincipleProperty:
     def test_reaches_above_half_and_stays(self):
         # the whole field passes 1/2 well before t_end on this grid
         grid = Grid(L=4.0, n=51)
-        u0 = step_initial_condition(grid, -1.0).values
+        u0 = step_initial_condition(grid, -1.0)
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
         above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction, 10.0)]
         first = above.index(True)
@@ -358,7 +355,7 @@ class TestFixedPointSkip:
         assume(-L < x_c0 < L)
         ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
         system = factor_step_matrix(ops, dt)
-        u0 = np.tile(step_initial_condition(grid, x_c0).values, (len(ops), 1))
+        u0 = np.tile(step_initial_condition(grid, x_c0), (len(ops), 1))
         t_end = max(1, round(horizon / dt)) * dt
         expected, first_fixed = plain_march(system, u0, logistic_reaction, t_end, stride)
         event("fixed point reached" if first_fixed else "no fixed point")
@@ -372,7 +369,7 @@ class TestFixedPointSkip:
     def test_saturated_run_stops_solving(self, caplog):
         grid = Grid(L=4.0, n=51)
         system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
-        u0 = step_initial_condition(grid, -1.0).values
+        u0 = step_initial_condition(grid, -1.0)
         expected, first_fixed = plain_march(system, u0, logistic_reaction, 60.0, 25)
         counting = CountingSystem(system)
         with caplog.at_level("INFO", logger="fkfront"):
@@ -427,14 +424,14 @@ class TestImexStep:
     def test_monotone_profile_stays_monotone(self):
         g = Grid(L=100.0, n=501)
         system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.01)
-        u0 = step_initial_condition(g, -35.0).values
+        u0 = step_initial_condition(g, -35.0)
         for _, u in march(system, u0, logistic_reaction, 0.5):
             assert np.all(np.diff(u) <= 1e-13)
 
     def test_yielded_states_are_fresh_arrays(self):
         g = Grid(L=10.0, n=11)
         system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.1)
-        u0 = step_initial_condition(g, -5.0).values
+        u0 = step_initial_condition(g, -5.0)
         states = [u for _, u in march(system, u0, logistic_reaction, 0.3)]
         assert len(states) == 4
         assert np.array_equal(states[0], u0) and states[0] is not u0
@@ -461,29 +458,29 @@ class TestConservationAndBounds:
         assert drift <= 1e-8
 
     def test_maximum_principle(self, default_run):
-        lo = min(float(f.values.min()) for f in default_run)
-        hi = max(float(f.values.max()) for f in default_run)
+        lo = min(float(u.min()) for _, u in default_run)
+        hi = max(float(u.max()) for _, u in default_run)
         assert lo >= -1e-12
         assert hi <= 1 + 1e-12
 
 
 class TestConvergenceOrders:
     def test_spatial_refinement_quarters_error(self):
-        diffusion = unit_floor_quadratic()
-        coarse = diffuse_smooth(251, 1e-3, 0.5, diffusion)
-        mid = diffuse_smooth(501, 1e-3, 0.5, diffusion)
-        fine = diffuse_smooth(1001, 1e-3, 0.5, diffusion)
-        e1 = np.max(np.abs(coarse.values - mid.values[::2]))
-        e2 = np.max(np.abs(mid.values - fine.values[::2]))
+        smooth = make_quadratic_diffusion(1.0)
+        coarse = diffuse_smooth(251, 1e-3, 0.5, smooth)
+        mid = diffuse_smooth(501, 1e-3, 0.5, smooth)
+        fine = diffuse_smooth(1001, 1e-3, 0.5, smooth)
+        e1 = np.max(np.abs(coarse - mid[::2]))
+        e2 = np.max(np.abs(mid - fine[::2]))
         assert 3.5 <= e1 / e2 <= 4.6  # second order: halving dx quarters the error
 
     def test_temporal_refinement_halves_error(self):
-        diffusion = unit_floor_quadratic()
-        a = diffuse_smooth(501, 0.04, 0.4, diffusion)
-        b = diffuse_smooth(501, 0.02, 0.4, diffusion)
-        c = diffuse_smooth(501, 0.01, 0.4, diffusion)
-        e1 = np.max(np.abs(a.values - b.values))
-        e2 = np.max(np.abs(b.values - c.values))
+        smooth = make_quadratic_diffusion(1.0)
+        a = diffuse_smooth(501, 0.04, 0.4, smooth)
+        b = diffuse_smooth(501, 0.02, 0.4, smooth)
+        c = diffuse_smooth(501, 0.01, 0.4, smooth)
+        e1 = np.max(np.abs(a - b))
+        e2 = np.max(np.abs(b - c))
         assert 1.8 <= e1 / e2 <= 2.2  # first order in time
 
 
@@ -526,16 +523,15 @@ class TestSimulate:
             stride=5,
         )
         assert len(fields) == 1
-        expected = step_initial_condition(g, -5.0)
-        assert np.array_equal(fields[0].values, expected.values)
+        assert np.array_equal(fields[0][1], step_initial_condition(g, -5.0))
 
     def test_time_stamps_are_step_multiples(self, default_run):
         steps = np.arange(0, 6001, 25)
         assert np.array_equal(times_of(default_run), steps * 0.01)
-        assert default_run[-1].time == 60.0
+        assert default_run[-1][0] == 60.0
 
     def test_grid_and_times_properties(self, default_run, default_grid):
-        assert all(f.grid is default_grid for f in default_run)
+        assert all(u.shape == (default_grid.n,) for _, u in default_run)
         times = times_of(default_run)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(60.0, abs=1e-9)
@@ -607,7 +603,8 @@ class TestSolverConfigValidation:
 
 class TestUniformDiffusionControl:
     def test_front_speed_near_two(self, constant_a_run):
-        times, positions = times_of(constant_a_run), stored_positions(constant_a_run)
+        times = times_of(constant_a_run)
+        positions = stored_positions(constant_a_run, CONSTANT_A_GRID.x)
         sel = (times >= 20.0) & np.isfinite(positions)
         speed = float(np.polyfit(times[sel], positions[sel], 1)[0])
         assert abs(speed - 2.0) / 2.0 <= 0.05

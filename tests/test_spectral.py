@@ -61,7 +61,7 @@ class TestSolveEigenproblem:
         vals, phis = default_eigen
         w = default_grid.quadrature_weights
         dx = default_grid.dx
-        a_half = default_diffusion.a(default_grid.x[:-1] + 0.5 * dx)
+        a_half = default_diffusion(default_grid.x[:-1] + 0.5 * dx)
         for k in (1, 3, 10):
             phi = phis[k]
             lhs = vals[k] * float(w @ (phi * phi))

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fkfront.config import MAX_STEPS
-from fkfront.domain import make_constant_diffusion, make_quadratic_diffusion, xi_of_x
+from fkfront.domain import x_of_xi, xi_of_x
 from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
 from conftest import log_uniform
@@ -22,7 +22,7 @@ RAY_FUNCTIONS = {
         0.3, 0.5, Htilde, epsilon, Branch.PLUS),
     "phase_along": lambda Htilde, epsilon: phase_along(0.3, 0.5, Htilde, epsilon, Branch.PLUS),
     "characteristic_steps": lambda Htilde, epsilon: next(characteristic_steps(
-        0.3, Htilde, make_quadratic_diffusion(epsilon), Branch.PLUS, 0.5, 1e-2)),
+        0.3, Htilde, epsilon, Branch.PLUS, 0.5, 1e-2)),
 }
 
 
@@ -45,12 +45,21 @@ class TestRayInputRule:
         with pytest.raises(ValueError, match=re.escape(message)):
             RAY_FUNCTIONS[function](1.0, epsilon)
 
+    @pytest.mark.parametrize("function", [characteristic_label, phase_along],
+                             ids=lambda function: function.__name__)
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_exact_forms_reject_non_finite_time(self, function, t):
+        # before: nan gave nan, and phase_along(1, inf, 0, 0.1, PLUS) gave -inf;
+        # the oracle rejects a non-finite t_end already
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite, got {t}")):
+            function(1.0, t, 0.0, 0.1, Branch.PLUS)
+
     @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
     def test_zero_htilde_labels_the_stationary_ray(self, branch):
         # the `wkb` command writes these rays for `htilde = 0`
         eps = 0.01
         for x0 in (-2.0, -0.05, 0.0, 0.3):
-            steps = characteristic_steps(x0, 0.0, make_quadratic_diffusion(eps), branch, 1.0, 1e-3)
+            steps = characteristic_steps(x0, 0.0, eps, branch, 1.0, 1e-3)
             path = np.array(list(steps))
             assert np.all(path[:, 1] == x0)
             for t, x in path[::100]:
@@ -79,18 +88,16 @@ class TestCharacteristicLabel:
     def test_agrees_with_ray_integration(self):
         # start at x0 = 1, integrate the leftgoing ray, invert the label
         eps = 0.01
-        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(eps), Branch.MINUS,
-                                     0.5, 1e-3)
+        steps = characteristic_steps(1.0, 1.0, eps, Branch.MINUS, 0.5, 1e-3)
         path = np.array(list(steps))
         label = characteristic_label(path[-1, 1], 0.5, 1.0, eps, Branch.MINUS)
         assert abs(label - 1.0) <= 1e-6
 
     def test_constant_along_integrated_paths(self):
         eps = 0.01
-        diffusion = make_quadratic_diffusion(eps)
         for x0, Htilde, branch in ((-2.0, 1.0, Branch.PLUS), (0.5, 0.7, Branch.MINUS),
                                    (1.5, 1.3, Branch.PLUS)):
-            path = np.array(list(characteristic_steps(x0, Htilde, diffusion, branch, 1.0, 1e-3)))
+            path = np.array(list(characteristic_steps(x0, Htilde, eps, branch, 1.0, 1e-3)))
             drift = max(
                 abs(characteristic_label(x, t, Htilde, eps, branch) - x0)
                 for t, x in path[::100]
@@ -141,76 +148,74 @@ class TestCharacteristicLabel:
 
 class TestCharacteristicSteps:
     def test_zero_rate_is_stationary(self):
-        steps = characteristic_steps(-3.0, 0.0, make_constant_diffusion(1.0), Branch.MINUS,
-                                     1.0, 1e-3)
+        steps = characteristic_steps(-3.0, 0.0, 1.0, Branch.MINUS, 1.0, 1e-3)
         path = np.array(list(steps))
         assert np.all(path[:, 1] == -3.0)
 
     @pytest.mark.parametrize("branch, sign", [(Branch.PLUS, 1.0), (Branch.MINUS, -1.0)])
-    def test_exact_on_uniform_diffusion(self, branch, sign):
-        steps = characteristic_steps(-3.0, 0.7, make_constant_diffusion(1.0), branch, 1.0, 1e-3)
+    @pytest.mark.parametrize("epsilon", [1e-4, 1.0, 1e4])
+    def test_follows_uniform_motion_in_xi(self, branch, sign, epsilon):
+        # the closed form x = x_of_xi(xi0 + s 2 Htilde t), to the RK4 error
+        steps = characteristic_steps(-3.0, 0.7, epsilon, branch, 1.0, 1e-3)
         times, positions = np.array(list(steps)).T
-        expected = -3.0 + sign * 2.0 * 0.7 * times
-        assert np.max(np.abs(positions - expected)) <= 1e-12
+        expected = x_of_xi(xi_of_x(-3.0, epsilon) + sign * 2.0 * 0.7 * times, epsilon)
+        assert np.max(np.abs(positions - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_time_axis(self):
-        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
-                                     0.5, 1e-2)
+        steps = characteristic_steps(1.0, 1.0, 0.1, Branch.PLUS, 0.5, 1e-2)
         path = np.array(list(steps))
         assert path[0, 0] == 0.0
         assert path[-1, 0] == pytest.approx(0.5, abs=1e-12)
         assert path[0, 1] == 1.0
 
     def test_zero_horizon(self):
-        steps = list(characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
-                                          0.0, 1e-2))
+        steps = list(characteristic_steps(1.0, 1.0, 0.1, Branch.PLUS, 0.0, 1e-2))
         assert steps == [(0.0, 1.0)]
 
-    @pytest.mark.parametrize("diffusion", [make_quadratic_diffusion(0.01),
-                                           make_constant_diffusion(0.7)])
+    @pytest.mark.parametrize("epsilon", [0.01, 7])
     @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
     @pytest.mark.parametrize("t_end", [0.0, 1e-9, 0.75])
-    def test_yields_python_floats(self, diffusion, branch, t_end):
-        steps = list(characteristic_steps(-0.8, 1.3, diffusion, branch, t_end, 1e-2))
+    def test_yields_python_floats(self, epsilon, branch, t_end):
+        steps = list(characteristic_steps(-0.8, 1.3, epsilon, branch, t_end, 1e-2))
         assert all(type(t) is float and type(x) is float for t, x in steps)
 
     def test_validation(self):
-        d = make_quadratic_diffusion(0.1)
         for t_end, dt, Htilde in ((1.0, 0.0, 1.0), (-1.0, 1e-3, 1.0), (1.0, 1e-3, -0.5)):
             with pytest.raises(ValueError):
-                next(characteristic_steps(1.0, Htilde, d, Branch.PLUS, t_end, dt))
+                next(characteristic_steps(1.0, Htilde, 0.1, Branch.PLUS, t_end, dt))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name, message", [
         ("x0", "x0 must be finite"),
         ("Htilde", "Htilde must be finite and non-negative"),
+        ("epsilon", "diffusion floor must be finite and positive"),
         ("t_end", "t_end must be finite and non-negative"),
         ("dt", "dt must be finite and positive"),
     ])
     def test_rejects_non_finite_inputs(self, name, message, value):
         # before: an all-nan path for x0 or Htilde = nan, and OverflowError /
         # "cannot convert float NaN to integer" for t_end = inf / dt = nan
-        kwargs = {"x0": 1.0, "Htilde": 1.0, "diffusion": make_quadratic_diffusion(0.1),
+        kwargs = {"x0": 1.0, "Htilde": 1.0, "epsilon": 0.1,
                   "sign": Branch.PLUS, "t_end": 1.0, "dt": 1e-2, name: value}
         with pytest.raises(ValueError, match=message):
             next(characteristic_steps(**kwargs))
 
     def test_rejects_an_overflowing_step_count(self):
         # before: OverflowError "cannot convert float infinity to integer"
-        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+        steps = characteristic_steps(1.0, 1.0, 0.1, Branch.PLUS,
                                      1e300, 1e-10)
         with pytest.raises(ValueError, match="t_end / dt must be a finite step count"):
             next(steps)
 
     def test_rejects_more_steps_than_the_config_allows(self):
         message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
-        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+        steps = characteristic_steps(1.0, 1.0, 0.1, Branch.PLUS,
                                      1e15, 1e-3)
         with pytest.raises(ValueError, match=re.escape(message)):
             next(steps)
 
     def test_accepts_the_largest_step_count(self):
-        steps = characteristic_steps(1.0, 1.0, make_quadratic_diffusion(0.1), Branch.PLUS,
+        steps = characteristic_steps(1.0, 1.0, 0.1, Branch.PLUS,
                                      0.5 * MAX_STEPS, 0.5)
         assert next(steps) == (0.0, 1.0)
 
