@@ -216,13 +216,16 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
     io.write_json(io.sidecar_path(csv_path), meta)
 
     report = dict(meta)
-    if len(pairs) >= 2:
-        report["free"] = fit_power_law(pairs)
-        report["fixed"] = fit_power_law(pairs, exponent=-0.5)
-    else:
-        report["fit_error"] = (
-            f"power-law fit needs at least two transited epsilons, have {len(pairs)}")
-        log.warning("%s", report["fit_error"])
+    try:
+        if len(pairs) < 2:
+            raise ValueError(
+                f"power-law fit needs at least two transited epsilons, have {len(pairs)}")
+        # the free fit also raises when distinct epsilons share one log, as
+        # 0.1 and 0.10000000000000002 do
+        report.update(free=fit_power_law(pairs), fixed=fit_power_law(pairs, exponent=-0.5))
+    except ValueError as exc:
+        report["fit_error"] = str(exc)
+        log.warning("%s", exc)
     io.write_json(out / "fit_report.json", report)
 
 

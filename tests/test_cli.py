@@ -564,6 +564,36 @@ class TestTrapSweep:
         assert "needs at least two" in report["fit_error"]
         assert "free" not in report
 
+    def test_epsilons_with_one_log_fit_error_surfaced(self, tmp_path):
+        # two floats, so both run, but with one log: before, the free fit
+        # warned and wrote a minimum-norm line
+        cfg_path = write_config(tmp_path, TRAP_BASE.format(epsilons="0.1 0.10000000000000002"))
+        out = tmp_path / "out"
+        assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "trap_times.csv")
+        assert all(2.0 < float(r[1]) < 6.0 for r in rows) and len(rows) == 2
+        report = json.loads((out / "fit_report.json").read_text())
+        assert "at least two distinct epsilons" in report["fit_error"]
+        assert "free" not in report and "fixed" not in report
+
+    def test_fit_calls_no_numpy_lapack(self, tmp_path, monkeypatch):
+        # np.polyfit solves through np.linalg.lstsq, whose first call loads
+        # numpy's LAPACK: about 1 MB of peak RSS for a fit of a few points
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy LAPACK called")
+
+        for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "svd")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg_path = write_config(tmp_path, "[domain]\nL = 10\nn = 51\n[physics]\nx_c0 = -3.5\n"
+                                "[solver]\nt_end = 10\nsnapshot_stride = 1\n[eigen]\nmodes = 8\n"
+                                "[sweep]\nepsilons = 0.1 0.05 0.025\n")
+        out = tmp_path / "out"
+        assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert "fit_error" not in report
+        assert -0.5 < report["free"]["p"] < 0.0
+        assert report["fixed"]["p"] == -0.5
+
     def test_unfinished_transit_reported(self, tmp_path):
         cfg_path = write_config(
             tmp_path, "[solver]\nt_end = 4\nsnapshot_stride = 5\n[sweep]\nepsilons = 0.1\n"

@@ -113,6 +113,20 @@ class TestFrontPositions:
         with pytest.raises(ValueError):
             front_positions(u, Grid(L=1.0, n=3).x)
 
+    # before: 1.5, a position read off the first three of four nodes; and an
+    # IndexError for a 2-D x
+    @pytest.mark.parametrize("x", [np.arange(4.0), np.arange(3.0)[np.newaxis]])
+    def test_rejects_nodes_not_matching_columns(self, x):
+        u = np.array([[1.0, 0.5, 0.0]])
+        with pytest.raises(ValueError, match=r"need nodes x of shape \(n,\)"):
+            front_positions(u, x)
+        with pytest.raises(ValueError, match=r"need nodes x of shape \(n,\)"):
+            window_transits([(0.0, u[0])], x, WINDOW)
+
+    def test_rejects_one_dimensional_values(self):
+        with pytest.raises(ValueError, match=r"values of shape \(B, n\)"):
+            front_positions(np.array([1.0, 0.5, 0.0]), np.arange(3.0))
+
 
 WINDOW = 0.4
 
@@ -345,6 +359,35 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([(0.1, 3.0)])
 
+    @pytest.mark.parametrize("other", [0.1, 0.10000000000000002])
+    def test_free_fit_needs_two_distinct_epsilons(self, other):
+        # before: polyfit warned and returned a minimum-norm line, p = -0.2698;
+        # 0.10000000000000002 is another float with the same log as 0.1
+        pairs = [(0.1, 3.0), (other, 4.0)]
+        with pytest.raises(ValueError, match="at least two distinct epsilons"):
+            fit_power_law(pairs)
+        # a pinned exponent still fits C: the mean of log(duration) + log(epsilon)/2
+        rep = fit_power_law(pairs, exponent=-0.5)
+        assert rep["C"] == pytest.approx(math.sqrt(12.0 * 0.1), rel=1e-14)
+
+    # Well conditioned: epsilon in [1e-3, 1] with log(epsilon) spread over at
+    # least 1, durations in [e**-2, e**5].  Near the degenerate fit any two
+    # least-squares solvers disagree, and |log C| scales the error of C.
+    well_conditioned = st.lists(
+        st.tuples(st.floats(-6.9, 0.0), st.floats(-2.0, 5.0)), min_size=2, max_size=8
+    ).filter(lambda rows: max(r[0] for r in rows) - min(r[0] for r in rows) >= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(well_conditioned)
+    def test_free_fit_matches_polyfit(self, logs):
+        pairs = [(math.exp(z), math.exp(y)) for z, y in logs]
+        rep = fit_power_law(pairs)
+        z, y = np.log(np.array(pairs)).T
+        p, log_c = np.polyfit(z, y, 1)
+        assert rep["C"] == pytest.approx(math.exp(log_c), rel=1e-12, abs=0)
+        assert rep["p"] == pytest.approx(p, rel=0, abs=1e-12)
+        assert rep["residuals"] == pytest.approx(y - (log_c + p * z), rel=0, abs=1e-12)
+
     def test_rejects_nonpositive_data(self):
         with pytest.raises(ValueError):
             fit_power_law([(0.1, 3.0), (-0.05, 4.0)])
@@ -355,7 +398,7 @@ class TestFitPowerLaw:
                                       (math.nan, 4.0)])
     def test_rejects_non_finite_data(self, pair):
         # unchecked, a NaN or infinite duration makes the fit all NaN, and an
-        # infinite epsilon makes polyfit warn
+        # infinite epsilon makes log(epsilon) infinite, so the free slope is NaN
         with pytest.raises(ValueError, match="strictly positive and finite"):
             fit_power_law([(0.1, 3.0), pair])
 
