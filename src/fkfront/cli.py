@@ -16,7 +16,7 @@ Exit codes: 0 on success, 1 on configuration errors (nothing is written),
 and the ``fkfront`` console script.  It runs :func:`main`, freezes the
 collector's view of the heap with ``gc.freeze`` and exits, so that
 interpreter finalization does not walk and free the tens of thousands of
-objects numpy and scipy leave behind (about 0.1 s after a solve).
+objects numpy leaves behind (about 0.1 s after a solve).
 :func:`main` itself does not freeze: tests and library callers keep normal
 garbage collection.
 
@@ -183,30 +183,33 @@ def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
     from .front import fit_power_law, window_transits
 
-    epsilons = []
+    # the CSV rows and the statuses name an epsilon by its cell, so epsilons
+    # that print alike (0.1 and 0.10000000000000002) are one epsilon
+    epsilons = {}
     for eps in cfg.sweep_epsilons:
-        if eps in epsilons:
+        cell = io.format_cell(eps)
+        if cell in epsilons:
             log.warning("duplicate epsilon %g in sweep; keeping first occurrence", eps)
             continue
-        epsilons.append(eps)
+        epsilons[cell] = eps
     # The march stops once every front has left the trapping window, which
     # changes no trapping time.
-    transits, t_stop = window_transits(_march(cfg, epsilons), _grid(cfg).x, cfg.trap_radius)
+    transits, t_stop = window_transits(_march(cfg, list(epsilons.values())), _grid(cfg).x,
+                                       cfg.trap_radius)
     _log_early_stop("trap-sweep", t_stop, cfg, f"every front has left |x| < {cfg.trap_radius:g}")
 
     statuses = {}
     rows = []
     pairs = []
-    for eps, (entry, exit_, last) in zip(epsilons, transits):
+    for (cell, eps), (entry, exit_, last) in zip(epsilons.items(), transits):
         if exit_ is not None:
             duration = exit_ - entry
-            statuses[io.format_cell(eps)] = "transited"
+            statuses[cell] = "transited"
             rows.append((eps, duration))
             pairs.append((eps, duration))
             continue
         status = "not-entered" if entry is None else "not-exited"
-        statuses[io.format_cell(eps)] = (
-            status if entry is None else f"{status} (>= {last - entry:.6g})")
+        statuses[cell] = status if entry is None else f"{status} (>= {last - entry:.6g})"
         rows.append((eps, math.nan))
         log.warning("epsilon %g: front %s within t_end=%g", eps, status, cfg.t_end)
 
@@ -220,8 +223,6 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
         if len(pairs) < 2:
             raise ValueError(
                 f"power-law fit needs at least two transited epsilons, have {len(pairs)}")
-        # the free fit also raises when distinct epsilons share one log, as
-        # 0.1 and 0.10000000000000002 do
         report.update(free=fit_power_law(pairs), fixed=fit_power_law(pairs, exponent=-0.5))
     except ValueError as exc:
         report["fit_error"] = str(exc)

@@ -45,26 +45,21 @@ input bit for bit -- a logistic run that has saturated, where the solve's
 rounding absorbs the increment -- the march makes no further solve and
 yields that state again at the remaining stored steps.
 
-LAPACK comes from scipy's compiled wrapper module ``scipy.linalg._flapack``,
-loaded on first use by :func:`_lapack` without the ``scipy.linalg`` package,
-so importing this module does not load scipy and a solve does not load
-``scipy.linalg``.
+LAPACK is the library numpy already links, called through
+:mod:`fkfront.lapack`, so no module loads scipy.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
+import ctypes
 import logging
 import math
-import types
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import lapack
 from .config import check_step_count
 from .domain import Grid
 
@@ -77,36 +72,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-@functools.cache
-def _lapack() -> types.ModuleType:
-    """scipy's compiled LAPACK wrappers, ``scipy/linalg/_flapack``, loaded by path.
-
-    ``scipy.linalg.lapack`` re-exports these very routine objects, so every
-    result is bit for bit the same.  Only the ``scipy.linalg`` package
-    ``__init__`` is skipped, the largest part of a solving command's
-    start-up: its array-API layer imports numpy submodules (``numpy.f2py``,
-    ``numpy.testing``) that no command uses.  ``import scipy`` still runs,
-    and with it scipy's own start-up checks.  CPython keeps one instance of
-    the extension: a later ``import scipy.linalg`` finds the same module,
-    and a module that ``scipy.linalg`` already loaded is the one returned.
-
-    Raises ``ImportError`` naming the directory searched if the extension
-    is not there; there is no second way in.
-    """
-    import scipy
-
-    directory = Path(scipy.__file__).parent / "linalg"
-    name = "scipy.linalg._flapack"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = directory / f"_flapack{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location(name, str(path))
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
 
 
 @dataclass(frozen=True)
@@ -167,24 +132,65 @@ class FactoredSymmetricTridiagonal:
     The factored matrix is ``W M``, for the step matrix ``M = I - dt D`` and
     the stacked trapezoid ``weights`` ``W``; :meth:`solve` applies ``W`` to
     the right-hand side, so it solves ``M x = rhs``.  ``dt`` is the step the
-    factors were made for, and the one :func:`march` takes.
+    factors were made for, and the one :func:`march` takes.  ``d`` and
+    ``weights`` must be contiguous float64 arrays of one length n, ``e`` of
+    length n - 1 (``ValueError`` otherwise).
+
+    ``dpttrs`` solves in :attr:`workspace`, n entries that the system holds,
+    so every argument of the foreign call is built here, once: looking up
+    the address of a new right-hand side would add about 1 µs to each
+    solve, which takes about 15 µs at n = 2001.  The call holds the GIL, so
+    the workspace serves one solve at a time.
     """
 
     d: np.ndarray
     e: np.ndarray
     weights: np.ndarray
     dt: float
+    workspace: np.ndarray = field(init=False, repr=False, compare=False)
+    _dpttrs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = np.size(self.d)
+        lapack.checked("d", self.d, np.float64, n)
+        lapack.checked("e", self.e, np.float64, max(n - 1, 0))
+        lapack.checked("weights", self.weights, np.float64, n)
+        work = np.empty(n)
+        info = lapack.INT()
+        n_ref = lapack.ref_int(n)
+        # n, nrhs, d, e, b, ldb, info
+        args = (n_ref, lapack.ref_int(1), lapack.pointer(self.d), lapack.pointer(self.e),
+                lapack.pointer(work), n_ref, ctypes.byref(info))
+        object.__setattr__(self, "workspace", work)
+        object.__setattr__(self, "_dpttrs", (lapack.load().routines["dpttrs"], args, info))
+
+    def __reduce__(self):
+        # a pickle or a copy builds its own workspace and foreign-call
+        # arguments; these point into this instance's arrays
+        return type(self), (self.d, self.e, self.weights, self.dt)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against the stored factors, in place.
 
-        ``rhs`` is the workspace: a contiguous float array receives the
-        solution and is returned.  A caller that keeps ``rhs`` passes a copy.
+        ``rhs`` receives the solution and is returned.  Passing
+        :attr:`workspace` itself solves there, with no copy; any other
+        ``rhs`` must be a writable, contiguous float64 array of length n
+        (``ValueError`` otherwise, with ``rhs`` left as it was) and is
+        copied through the workspace.  A caller that keeps ``rhs`` passes a
+        copy.
         """
-        b = np.asarray(rhs, dtype=float)
-        b *= self.weights
-        x, _ = _lapack().dpttrs(self.d, self.e, b, overwrite_b=True)
-        return x
+        work = self.workspace
+        if rhs is not work:
+            lapack.checked("rhs", rhs, np.float64, work.size, writable=True)
+            np.copyto(work, rhs)
+            np.copyto(rhs, self.solve(work))
+            return rhs
+        work *= self.weights
+        routine, args, info = self._dpttrs
+        routine(*args)
+        if info.value != 0:  # pragma: no cover
+            raise ValueError(f"dpttrs failed (info {info.value})")
+        return work
 
 
 def factor_step_matrix(
@@ -211,7 +217,7 @@ def factor_step_matrix(
     d = weights + dt * np.stack([op.neighbour_sums for op in ops])
     e = np.zeros_like(d)  # the last entry of each row is a block seam
     e[:, :-1] = [-dt * op.coupling for op in ops]
-    d, e, info = _lapack().dpttrf(d.ravel(), e.ravel()[:-1])
+    d, e, info = lapack.load().dpttrf(d.ravel(), e.ravel()[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
     return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights.ravel(), dt=dt)
@@ -227,8 +233,9 @@ def march(
     """Advance ``u0`` to ``t_end`` in ``round(t_end / dt)`` steps of ``dt = system.dt``.
 
     ``system`` holds the ``L D L^T`` factors of the trapezoid-weighted
-    ``I - dt D`` from :func:`factor_step_matrix`, so each step is one
-    ``dpttrs`` solve.  ``u0`` has shape ``(n,)`` or, for B stacked blocks,
+    ``I - dt D`` from :func:`factor_step_matrix`, so each step builds its
+    right-hand side in ``system.workspace`` and is one ``dpttrs`` solve
+    there.  ``u0`` has shape ``(n,)`` or, for B stacked blocks,
     ``(B, n)``.  Yields ``(t, u)`` at ``t = 0``, every ``stride``-th step, and
     the final step, with ``u`` in the shape of ``u0``; the state between
     those steps is never kept.  Each yielded state is a new array, so a
@@ -260,12 +267,16 @@ def march(
     n_steps = int(round(t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()
+    work = system.workspace
     fixed = False
     yield 0.0, u.reshape(shape)
     for k in range(1, n_steps + 1):
         if not fixed:
             prev = u
-            u = system.solve(prev + dt * np.asarray(f(prev), dtype=float))
+            # the right-hand side prev + dt f(prev), built where the solve runs
+            np.multiply(np.asarray(f(prev), dtype=float), dt, out=work)
+            work += prev
+            u = system.solve(work).copy()
             # the last entry gates the full compare (a nan there never
             # passes); the int64 views keep -0.0 apart from 0.0
             fixed = u[-1] == prev[-1] and np.array_equal(u.view(np.int64),

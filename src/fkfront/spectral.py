@@ -31,7 +31,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .domain import Grid
-from .solver import _lapack, build_operator
+from .lapack import load
+from .solver import build_operator
 
 __all__ = [
     "EigenSolveError",
@@ -71,16 +72,17 @@ def solve_eigenproblem(
     Eigenvalues do not depend on it, and eigenfunctions not on its order or
     repeats.  ``dstein`` works on the requested eigenvalues only, so the
     eigenvector work and memory are ``O(n |vectors|)`` instead of
-    ``O(n m)``, and the default gives bit for bit what
-    ``scipy.linalg.eigh_tridiagonal(..., select="i")`` gives (those are
-    the two routines it runs).  ``dstein`` orthogonalizes a vector only
+    ``O(n m)``.  The routines are those of the LAPACK numpy links
+    (:func:`fkfront.lapack.load`), and the default gives bit for bit what
+    ``scipy.linalg.eigh_tridiagonal(..., select="i")`` gives, which runs
+    the same two.  ``dstein`` orthogonalizes a vector only
     against the requested vectors of nearby eigenvalues.  So a mode whose
     eigenvalue is isolated matches its all-modes row to rounding, but a
     mode in a cluster that is degenerate to rounding (the even/odd pairs of
     a symmetric profile) may come out as another unit vector of the
     cluster's eigenspace.
     """
-    lapack = _lapack()
+    lapack = load()
     if not 1 <= m < grid.n:
         raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
     # a sorted set, not np.unique, which loads numpy.ma on its first call

@@ -355,22 +355,22 @@ class TestCliErrorPaths:
                 f"steps, got 1000000000000000.0 / 0.001 = 1e+18") in err
         assert list(out.iterdir()) == []
 
-    def test_missing_lapack_extension_exits_two_naming_the_directory(self, tmp_path, capsys,
-                                                                     monkeypatch):
-        import scipy
+    def test_unresolved_lapack_exits_two_naming_the_library(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from numpy.linalg import _umath_linalg
 
-        from fkfront.solver import _lapack
+        from fkfront import lapack
 
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        _lapack.cache_clear()
+        monkeypatch.setattr(lapack, "NAMES", ("no_such_{}_64_",))
+        lapack.load.cache_clear()
         try:
             cfg_path = write_config(tmp_path, TINY_RUN)
             assert main(["trap-sweep", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
         finally:
-            _lapack.cache_clear()
-        assert (f"error: scipy's LAPACK extension _flapack not found in "
-                f"{tmp_path / 'scipy' / 'linalg'}") in capsys.readouterr().err
+            lapack.load.cache_clear()
+        assert (f"error: LAPACK routines dpttrf, dpttrs, dstebz, dstein not found in "
+                f"{_umath_linalg.__file__}") in capsys.readouterr().err
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "[solver]\nspeed = 9\n")
@@ -564,16 +564,20 @@ class TestTrapSweep:
         assert "needs at least two" in report["fit_error"]
         assert "free" not in report
 
-    def test_epsilons_with_one_log_fit_error_surfaced(self, tmp_path):
-        # two floats, so both run, but with one log: before, the free fit
-        # warned and wrote a minimum-norm line
+    def test_epsilons_that_print_alike_are_one_epsilon(self, tmp_path, caplog):
+        # before, both ran: two CSV rows read 0.1 under a single status, and
+        # the free fit found both on one log
         cfg_path = write_config(tmp_path, TRAP_BASE.format(epsilons="0.1 0.10000000000000002"))
         out = tmp_path / "out"
-        assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with caplog.at_level("WARNING", logger="fkfront"):
+            assert main(["trap-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "duplicate epsilon 0.1 in sweep; keeping first occurrence" in caplog.text
         _, rows = read_rows(out / "trap_times.csv")
-        assert all(2.0 < float(r[1]) < 6.0 for r in rows) and len(rows) == 2
+        assert [r[0] for r in rows] == ["0.1"] and 2.0 < float(rows[0][1]) < 6.0
+        assert json.loads((out / "trap_times.json").read_text())["statuses"] == {
+            "0.1": "transited"}
         report = json.loads((out / "fit_report.json").read_text())
-        assert "at least two distinct epsilons" in report["fit_error"]
+        assert "needs at least two transited epsilons, have 1" in report["fit_error"]
         assert "free" not in report and "fixed" not in report
 
     def test_fit_calls_no_numpy_lapack(self, tmp_path, monkeypatch):
@@ -858,36 +862,33 @@ class TestGoldenBytes:
 
 
 class TestImportFootprint:
-    def test_commands_without_lapack_leave_scipy_unloaded(self, tmp_path):
-        """Only the commands that factor or eigensolve load scipy, and those
-        load its LAPACK extension without ``scipy.linalg`` and ``numpy.f2py``;
-        none loads a process pool, and none ``hashlib`` (OpenSSL)."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """No command loads scipy: the solving commands call the LAPACK numpy
+        links.  None loads ``numpy.f2py``, a process pool or ``hashlib``
+        (OpenSSL)."""
         cfg_path = write_config(tmp_path, TINY_RUN)
         script = textwrap.dedent("""
             import sys
 
             def scipy_modules():
-                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
 
             cfg, out = sys.argv[1:]
             import fkfront
-            assert not scipy_modules(), ("import fkfront", scipy_modules())
             from fkfront.cli import main
-            assert not scipy_modules(), ("import fkfront.cli", scipy_modules())
             try:
                 main(["--help"])
             except SystemExit as exc:
                 assert exc.code == 0, exc.code
-            assert not scipy_modules(), ("--help", scipy_modules())
             assert main(["wkb", "--config", cfg, "--out", out]) == 0
-            assert not scipy_modules(), ("wkb", scipy_modules())
             assert main(["trap-sweep", "--config", cfg, "--out", out, "--workers", "2"]) == 0
             pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing")
                            if m in sys.modules)
             assert not pools, ("trap-sweep --workers 2", pools)
             for command in ("eigen", "compare-sfa", "average", "simulate"):
                 assert main([command, "--config", cfg, "--out", out]) == 0
-            unwanted = sorted(m for m in ("scipy.linalg", "numpy.f2py", "hashlib", "_hashlib")
+            assert not scipy_modules(), scipy_modules()
+            unwanted = sorted(m for m in ("numpy.f2py", "hashlib", "_hashlib")
                               if m in sys.modules)
             assert not unwanted, ("trap-sweep, eigen, compare-sfa, average, simulate", unwanted)
         """)

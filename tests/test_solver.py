@@ -26,10 +26,10 @@ from fkfront.domain import (
     make_quadratic_diffusion,
     step_initial_condition,
 )
+from fkfront import lapack
 from fkfront.solver import (
     FactoredSymmetricTridiagonal,
     TridiagonalOperator,
-    _lapack,
     build_operator,
     factor_step_matrix,
     march,
@@ -200,6 +200,19 @@ class TestSymmetricStepFactors:
         assert system.solve(rhs) is rhs
         assert np.max(np.abs(rhs - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("clone", ["pickle", "deepcopy", "copy"])
+    def test_clone_solves_bit_for_bit_in_its_own_workspace(self, clone):
+        import copy
+        import pickle
+
+        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
+        system = factor_step_matrix([op], 0.1)
+        other = {"pickle": lambda s: pickle.loads(pickle.dumps(s)),
+                 "deepcopy": copy.deepcopy, "copy": copy.copy}[clone](system)
+        assert other.workspace is not system.workspace
+        rhs = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(bits(other.solve(rhs.copy())), bits(system.solve(rhs.copy())))
+
     def test_rejects_step_matrix_not_positive_definite(self):
         # couplings of 4e16 swamp the weights, and dpttrf loses positivity
         # to rounding in the last pivot
@@ -286,6 +299,7 @@ class CountingSystem:
     def __init__(self, system):
         self.system = system
         self.dt = system.dt
+        self.workspace = system.workspace
         self.calls = 0
 
     def solve(self, rhs):
@@ -299,6 +313,7 @@ class Negating:
     ``-0.0``, which compare equal but differ in bits."""
 
     dt = 0.5
+    workspace = np.empty(4)
 
     def solve(self, rhs):
         return -np.asarray(rhs, dtype=float)
@@ -623,37 +638,41 @@ def random_tridiagonal(seed: int, spd: bool) -> tuple[np.ndarray, np.ndarray, np
     return d, e, rng
 
 
-class TestLapackLoader:
-    """:func:`fkfront.solver._lapack` gives the routines of ``scipy.linalg.lapack``."""
+class TestLapackBinding:
+    """:func:`fkfront.lapack.load` calls the LAPACK numpy links and gives
+    the results of ``scipy.linalg.lapack`` bit for bit."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     def test_pttrf_pttrs_match_scipy_linalg_bit_for_bit(self, seed, nrhs):
-        from scipy.linalg import lapack
+        from scipy.linalg import lapack as scipy_lapack
 
         d, e, rng = random_tridiagonal(seed, spd=True)
         rhs = rng.normal(size=(d.size, nrhs))
-        results = []
-        for module in (_lapack(), lapack):
-            d_f, e_f, info = module.dpttrf(d, e)
-            assert info == 0
-            x, info = module.dpttrs(d_f, e_f, rhs)
-            assert info == 0
-            results.append((d_f, e_f, x))
-        for ours, theirs in zip(*results):
+        d_f, e_f, info = lapack.load().dpttrf(d, e)
+        assert info == 0
+        d_ref, e_ref, info = scipy_lapack.dpttrf(d, e)
+        assert info == 0
+        x_ref, info = scipy_lapack.dpttrs(d_ref, e_ref, rhs)
+        assert info == 0
+        # the binding solves one right-hand side at a time, the reference
+        # all nrhs at once; unit weights leave each column as it is
+        system = FactoredSymmetricTridiagonal(d=d_f, e=e_f, weights=np.ones(d.size), dt=1.0)
+        x = np.stack([system.solve(column.copy()) for column in rhs.T], axis=1)
+        for ours, theirs in ((d_f, d_ref), (e_f, e_ref), (x, x_ref)):
             assert np.array_equal(bits(ours), bits(theirs))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
     def test_stebz_stein_match_scipy_linalg_bit_for_bit(self, seed, data):
-        from scipy.linalg import lapack
+        from scipy.linalg import lapack as scipy_lapack
 
         d, e, _ = random_tridiagonal(seed, spd=False)
         n = d.size
         il = data.draw(st.integers(1, n))
         iu = data.draw(st.integers(il, n))
         results = []
-        for module in (_lapack(), lapack):
+        for module in (lapack.load(), scipy_lapack):
             found, w, iblock, isplit, info = module.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
             assert info == 0 and found == iu - il + 1
             vecs, info = module.dstein(d, e, w[:found], iblock, isplit)
@@ -664,33 +683,99 @@ class TestLapackLoader:
         assert np.array_equal(bits(w), bits(w_ref))
         assert np.array_equal(bits(vecs), bits(vecs_ref))
 
-    @pytest.mark.parametrize("order", ["loader first", "scipy.linalg first"])
-    def test_either_import_order_gives_the_scipy_linalg_routines(self, tmp_path, order):
+    def test_binding_resolves_with_scipy_never_imported(self, tmp_path):
+        # None in sys.modules makes every import of scipy raise ImportError
         script = textwrap.dedent("""
             import sys
 
-            def load():
-                from fkfront.solver import _lapack
-                return _lapack()
+            sys.modules["scipy"] = None
+            import numpy as np
 
-            if sys.argv[1] == "loader first":
-                module = load()
-                assert "scipy.linalg" not in sys.modules
-                from scipy.linalg import lapack
-            else:
-                from scipy.linalg import lapack
-                module = load()
-            names = ("dpttrf", "dpttrs", "dstebz", "dstein")
-            different = [n for n in names if getattr(module, n) is not getattr(lapack, n)]
-            assert not different, different
+            from fkfront.domain import Grid, make_quadratic_diffusion
+            from fkfront.solver import build_operator, factor_step_matrix
+            from fkfront.spectral import solve_eigenproblem
+
+            grid = Grid(L=4.0, n=51)
+            a = make_quadratic_diffusion(0.1)
+            x = factor_step_matrix([build_operator(grid, a)], 0.01).solve(np.ones(51))
+            assert np.allclose(x, 1.0), x
+            eigenvalues, phis = solve_eigenproblem(a, grid, m=4)
+            assert abs(eigenvalues[0]) < 1e-9, eigenvalues
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+            assert not loaded, loaded
         """)
-        result = run_python(["-c", script, order], tmp_path)
+        result = run_python(["-c", script], tmp_path)
         assert result.returncode == 0, result.stderr
 
-    def test_missing_extension_raises_import_error_naming_the_directory(self, tmp_path,
-                                                                       monkeypatch):
-        import scipy
+    def test_unresolved_names_raise_import_error_naming_library_and_names(self, monkeypatch):
+        from numpy.linalg import _umath_linalg
 
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "linalg"))):
-            _lapack.__wrapped__()
+        monkeypatch.setattr(lapack, "NAMES", ("no_such_{}_64_", "nor_{}_"))
+        with pytest.raises(ImportError, match=re.escape(_umath_linalg.__file__)) as caught:
+            lapack.load.__wrapped__()
+        assert "no_such_<r>_64_, nor_<r>_" in str(caught.value)
+
+
+def refuse(*args):
+    raise AssertionError("LAPACK called")
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class TestLapackArgumentChecks:
+    """An array LAPACK would read or write past raises ``ValueError`` before
+    the foreign call; the routines are swapped for :func:`refuse` to show it."""
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(22),
+        np.zeros(21, dtype=np.float32),
+        np.zeros(42)[::2],
+        np.zeros(21)[:, None],
+        read_only(np.zeros(21)),
+    ], ids=["wrong length", "float32", "not contiguous", "2-D", "read-only"])
+    def test_bad_right_hand_side_raises_before_dpttrs(self, monkeypatch, bad):
+        monkeypatch.setitem(lapack.load().routines, "dpttrs", refuse)
+        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
+        system = factor_step_matrix([op], 0.1)
+        before = bad.copy()
+        with pytest.raises(ValueError, match=r"LAPACK argument rhs must be a writable aligned "
+                                             r"contiguous float64 array of shape \(21,\)"):
+            system.solve(bad)
+        assert np.array_equal(bad, before)
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            system.solve(np.zeros(21))
+
+    def test_factors_of_mismatched_lengths_are_refused(self):
+        with pytest.raises(ValueError, match=r"LAPACK argument e .* shape \(4,\)"):
+            FactoredSymmetricTridiagonal(d=np.ones(5), e=np.ones(5), weights=np.ones(5), dt=0.1)
+
+    def dstein_inputs(self):
+        d, e, _ = random_tridiagonal(7, spd=False)
+        found, w, iblock, isplit, info = lapack.load().dstebz(d, e, 2, 0.0, 1.0, 1, 3, 0.0, "B")
+        assert info == 0 and found == 3
+        return d, e, w[:found], iblock, isplit
+
+    def test_short_block_index_array_raises_before_dstein(self, monkeypatch):
+        d, e, w, iblock, isplit = self.dstein_inputs()
+        monkeypatch.setitem(lapack.load().routines, "dstein", refuse)
+        with pytest.raises(ValueError, match=rf"iblock .* shape \({d.size},\)"):
+            lapack.load().dstein(d, e, w, iblock[:-1].copy(), isplit)
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            lapack.load().dstein(d, e, w, iblock, isplit)
+
+    @pytest.mark.parametrize("case", ["block past n", "block 0", "ends past n"])
+    def test_block_indices_out_of_range_raise_before_dstein(self, monkeypatch, case):
+        d, e, w, iblock, isplit = self.dstein_inputs()
+        monkeypatch.setitem(lapack.load().routines, "dstein", refuse)
+        iblock, isplit = iblock.copy(), isplit.copy()
+        if case == "block past n":
+            iblock[: w.size] = d.size + 1
+        elif case == "block 0":
+            iblock[0] = 0
+        else:
+            isplit[int(iblock[: w.size].max()) - 1] = d.size + 1
+        with pytest.raises(ValueError, match="dstein iblock must name blocks 1..n"):
+            lapack.load().dstein(d, e, w, iblock, isplit)
