@@ -103,7 +103,10 @@ def make_constant_diffusion(level: float) -> Callable:
 
 def logistic_reaction(u: np.ndarray) -> np.ndarray:
     """Logistic growth ``f(u) = u (1 - u)``: unstable at 0, saturating at 1."""
-    return u * (1.0 - u)
+    # one new array, not two: the march evaluates this on every step
+    f = 1.0 - u
+    f *= u
+    return f
 
 
 @dataclass(frozen=True)

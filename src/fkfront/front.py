@@ -11,6 +11,16 @@ space, solved in closed form with numpy sums.  numpy's least-squares
 polynomial fit would solve it with an SVD, the only call into numpy's own
 LAPACK that a command would make, and initialising that LAPACK costs
 ``trap-sweep`` about 1 MB of peak RSS for a fit of a few points.
+
+A front moves a fraction of a cell per step, so :func:`window_transits`
+finds each row's next front from the few cells around its last one, and
+proves it there: every node right of those cells must be in the last
+node's sign class, one comparison over them.  Where that fails, and on a
+row's first state, it searches the whole row with :func:`front_positions`;
+either way the position is the same bit for bit.  Once a row's front has
+left the window, it asks a stream with a ``send`` (such as
+:func:`fkfront.solver.march`) to drop that row, and it reads the next
+state's row count to see whether the stream did.
 """
 
 from __future__ import annotations
@@ -41,13 +51,7 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
     """
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    u = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if u.ndim != 2 or x.shape != u.shape[1:]:
-        raise ValueError(f"values of shape (B, n) need nodes x of shape (n,), "
-                         f"got {u.shape} and {x.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("field values must be finite")
+    u, x = _checked_states(values, x)
     # The rightmost crossing cell starts at the last node whose sign class
     # (-, 0, +) of u - level differs from the last node's: every node to its
     # right shares the last node's class.  Comparisons, not a product, which
@@ -65,6 +69,61 @@ def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np
     return positions
 
 
+def _checked_states(values, x) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and ``x`` as float arrays, once ``values`` is checked to be
+    finite and of shape ``(B, n)`` and ``x`` of shape ``(n,)``."""
+    u = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if u.ndim != 2 or x.shape != u.shape[1:]:
+        raise ValueError(f"values of shape (B, n) need nodes x of shape (n,), "
+                         f"got {u.shape} and {x.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("field values must be finite")
+    return u, x
+
+
+# Cells on each side of a row's last crossing cell that :func:`_front` reads
+# first.  A front moves a fraction of a cell per step at the grids and steps
+# of the commands (0.2 cells at the ``sweep`` benchmark's dx = 0.1, dt = 0.01).
+REACH = 6
+
+
+def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int | None]:
+    """``(position, cell)`` of the 1/2 front of ``row``: :func:`front_positions`
+    and the cell it lies in (NaN and None if there is none).
+
+    Given the ``cell`` of the last front, the nodes within :data:`REACH` cells
+    of it are read first.  If every node right of them is in the last node's
+    sign class (one comparison over them) and some node among them is not,
+    the rightmost such node starts the crossing cell that
+    :func:`front_positions` picks, and the position is interpolated with its
+    operations, so bit for bit the same.  Otherwise, and for a last node at
+    the level, the whole row is searched.
+    """
+    level = 0.5
+    n = row.size
+    if cell is not None:
+        lo, hi = max(cell - REACH, 0), min(cell + REACH + 1, n - 1)
+        end = row[-1]
+        below = end < level
+        if end != level and (row[hi + 1:] < level if below else row[hi + 1:] > level).all():
+            near = row[lo:hi + 2].tolist()  # hi + 1: the right end of a crossing at hi
+            for j in range(hi, lo - 1, -1):
+                value = near[j - lo]
+                if (value >= level) if below else (value <= level):
+                    left, right = value - level, near[j + 1 - lo] - level
+                    theta = left / (left - right)
+                    x_left, x_right = x[j:j + 2].tolist()
+                    return x_left + theta * (x_right - x_left), j
+    [position] = front_positions(row[np.newaxis], x, level).tolist()
+    if math.isnan(position):
+        return position, None
+    # the cell on uniform nodes, a first guess on others
+    x_first, x_last = x[[0, -1]].tolist()
+    guess = (position - x_first) / (x_last - x_first) * (n - 1) if x_last > x_first else 0.0
+    return position, min(max(int(guess), 0), n - 2) if math.isfinite(guess) else None
+
+
 def _boundary_crossing(
     t_prev: float, x_prev: float, t_next: float, x_next: float, outside: float, radius: float
 ) -> float:
@@ -78,6 +137,22 @@ def _boundary_crossing(
     return t_prev + theta * (t_next - t_prev)
 
 
+def _read_front(record: list, t: float, row: np.ndarray, x: np.ndarray, radius: float) -> None:
+    """Update a :func:`window_transits` ``record`` with the front of ``row`` at ``t``."""
+    position, record[4] = _front(row, x, record[4])
+    if math.isnan(position):
+        return
+    entry, _, t_prev, x_prev, _ = record
+    inside = abs(position) < radius
+    if entry is None and inside:
+        record[0] = t if t_prev is None else _boundary_crossing(
+            t_prev, x_prev, t, position, outside=x_prev, radius=radius)
+    elif entry is not None and not inside:
+        record[1] = _boundary_crossing(
+            t_prev, x_prev, t, position, outside=position, radius=radius)
+    record[2], record[3] = t, position
+
+
 def window_transits(
     steps: Iterable[tuple[float, np.ndarray]], x: np.ndarray, radius: float
 ) -> tuple[list[tuple[float | None, float | None, float | None]], float]:
@@ -86,9 +161,9 @@ def window_transits(
     ``steps`` streams ``(t, u)`` states, typically from
     :func:`fkfront.solver.march`; ``u`` has shape ``(n,)`` or, for B stacked
     runs, ``(B, n)`` on the nodes ``x``.  Only the front positions of each
-    state are read (:func:`front_positions`); a state in which a row has no
-    front (NaN) is skipped for that row, and so is every state after the
-    row's exit.  Each row gets one record ``(entry, exit, last)``:
+    state are read; a state in which a row has no front (NaN) is skipped for
+    that row, and so is every state after the row's exit.  Each row gets one
+    record ``(entry, exit, last)``:
 
     - ``entry``: the time the front first lies inside the window, linearly
       interpolated to its crossing of ``|x| = radius`` from the row's
@@ -104,31 +179,53 @@ def window_transits(
     No further state is drawn once every row's front has left the window.
     Returns the records and the time of the last state drawn (NaN for an
     empty stream).
+
+    Each position is bit for bit that of :func:`front_positions`, which
+    searches a row's first state and any state in which the search from
+    the row's last front cannot prove the crossing (:func:`_front`).  Every
+    state is checked whole to be finite.
+
+    Once rows have exited, a ``steps`` with a ``send`` (a generator) is
+    drawn with ``steps.send`` and the ascending indices of the rows still
+    live, and a stream such as :func:`~fkfront.solver.march` drops the other
+    rows from its next states.  The next state's row count tells whether it
+    did: the live rows' count (the rows are those), or the count before
+    (the request was ignored, as by a generator that discards what is sent).
+    Any other count raises ``ValueError``.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    rows: list[list] = []  # per row: entry, exit, time and position of the last front read
+    steps = iter(steps)
+    send = getattr(steps, "send", None)
+    # per row: entry, exit, time and position of the last front read, and its cell
+    records = rows = None  # rows: the records of the rows of the states drawn
+    live = []
+    asked = False
     t = math.nan
-    for t, u in steps:
-        found = front_positions(np.atleast_2d(u), x).tolist()
-        if not rows:
-            rows = [[None, None, None, None] for _ in found]
-        # plain floats: a few rows cost well under a microsecond, array ops ~8 us
-        for row, position in zip(rows, found):
-            entry, exit_, t_prev, x_prev = row
-            if exit_ is not None or math.isnan(position):
-                continue
-            inside = abs(position) < radius
-            if entry is None and inside:
-                row[0] = t if t_prev is None else _boundary_crossing(
-                    t_prev, x_prev, t, position, outside=x_prev, radius=radius)
-            elif entry is not None and not inside:
-                row[1] = _boundary_crossing(
-                    t_prev, x_prev, t, position, outside=position, radius=radius)
-            row[2], row[3] = t, position
-        if all(row[1] is not None for row in rows):
+    state = next(steps, None)
+    while state is not None:
+        t, u = state
+        u, x = _checked_states(np.atleast_2d(u), x)
+        if rows is None:
+            records = rows = [[None] * 5 for _ in u]
+        elif asked and len(u) == len(live):
+            rows = [rows[j] for j in live]
+        elif len(u) != len(rows):
+            raise ValueError(f"the state at t={t:g} has {len(u)} rows, after {len(rows)}"
+                             + (f" and a request to keep {len(live)}" if asked else ""))
+        for record, row in zip(rows, u):
+            if record[1] is None:
+                _read_front(record, t, row, x, radius)
+        live = [j for j, record in enumerate(rows) if record[1] is None]
+        if not live:
             break
-    return [(entry, exit_, last) for entry, exit_, last, _ in rows], t
+        u = state = None  # a narrowing march may free this state as it gathers the next
+        asked = send is not None and len(live) < len(rows)
+        try:
+            state = send(live) if asked else next(steps)
+        except StopIteration:
+            state = None
+    return [tuple(record[:3]) for record in records or ()], t
 
 
 def fit_power_law(

@@ -97,10 +97,12 @@ class Lapack:
 
     def dpttrf(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """``d, e, info``: the ``L D L^T`` factors of the symmetric tridiagonal
-        matrix with diagonal ``d`` and off-diagonal ``e``, in new arrays."""
+        matrix with diagonal ``d`` and off-diagonal ``e``, written over them
+        (both writable), as scipy's wrapper does with ``overwrite_d`` and
+        ``overwrite_e``."""
         n = np.size(d)
-        d = checked("d", d, np.float64, n).copy()
-        e = checked("e", e, np.float64, max(n - 1, 0)).copy()
+        checked("d", d, np.float64, n, writable=True)
+        checked("e", e, np.float64, max(n - 1, 0), writable=True)
         info = INT()
         self.routines["dpttrf"](ref_int(n), pointer(d), pointer(e), ctypes.byref(info))
         return d, e, info.value

@@ -1,21 +1,9 @@
 """Implicit/explicit time stepping for ``u_t = (a(x) u_x)_x + f(u)``.
 
-Space: conservative finite volumes.  The operator is stored as its ``n - 1``
-face couplings ``c_i = a(x_{i+1/2}) / dx**2`` (the coefficient at the cell
-half-points ``x_i + dx/2``) and is ``D = -W^{-1} K``:
-
-- ``W = diag(1/2, 1, ..., 1, 1/2)``, the trapezoid rule in units of ``dx``;
-- ``K`` symmetric, ``K[i, i+1] = -c_i`` and ``K[i, i] = c_{i-1} + c_i``
-  (a missing coupling counts as 0 at the ends).
-
-So row ``i`` of ``D`` is ``[c_{i-1}, -(c_{i-1} + c_i), c_i]``, and the halved
-end weights are the zero-flux walls' mirror-image ghost node
-(``u_{-1} = u_1``), which doubles the end coupling: row 0 is
-``[-2 c_0, 2 c_0]``.  ``K`` annihilates constants and ``W D = -K`` is
-symmetric, so every row of ``D`` sums to zero and, without reaction, the
-discrete mass ``sum W u`` is conserved to rounding.
-:class:`TridiagonalOperator` holds only positive couplings that keep every
-entry of ``D`` finite.
+Space: the conservative operator ``D = -W^{-1} K`` of :mod:`fkfront.stencil`,
+with ``W`` the trapezoid weights and ``K`` symmetric.  Its
+:class:`TridiagonalOperator` and :func:`build_operator` are importable from
+here too.
 
 Time: backward Euler on the diffusion, forward Euler on the reaction
 (first order).  Each step solves one tridiagonal system
@@ -35,7 +23,11 @@ substitution keeps the division off the sequential dependency chain.  Several
 runs that share a grid and ``dt`` -- an epsilon sweep -- march together as
 one block-diagonal tridiagonal system whose blocks are uncoupled (zero
 entries at the seams); each block's solution is bit-for-bit the one its run
-would get alone.
+would get alone.  The factors of a block-diagonal matrix are its blocks'
+own factors, so the kept blocks, copied forward over retired ones, are the
+factors of the shorter stack: :meth:`FactoredSymmetricTridiagonal.narrowed`
+retires blocks in the system's own memory, and each kept block keeps its
+bits.
 
 :func:`march` is the one stepper.  It is a generator of the stored steps,
 so a caller derives what it needs from each state as it comes (a front
@@ -43,7 +35,11 @@ position, a mean, a CSV row) and no run has to keep its fields; a caller
 that wants every field keeps the states it yields.  Once a step returns its
 input bit for bit -- a logistic run that has saturated, where the solve's
 rounding absorbs the increment -- the march makes no further solve and
-yields that state again at the remaining stored steps.
+yields that state again at the remaining stored steps.  A consumer that no
+longer needs some blocks of a stacked march sends the indices of the blocks
+to keep into the generator (``keep = yield t, u``), and from the next step
+on the march solves only those; a consumer that iterates with ``for`` sends
+nothing and gets the full march.
 
 LAPACK is the library numpy already links, called through
 :mod:`fkfront.lapack`, so no module loads scipy.
@@ -54,6 +50,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -61,7 +58,7 @@ import numpy as np
 
 from . import lapack
 from .config import check_step_count
-from .domain import Grid
+from .stencil import TridiagonalOperator, build_operator  # re-exported
 
 __all__ = [
     "TridiagonalOperator",
@@ -74,58 +71,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """``D = -W^{-1} K`` on ``grid``, stored as its couplings (module docstring).
-
-    ``coupling[i] = a(x_{i+1/2}) / dx**2`` joins nodes ``i`` and ``i+1``.
-    A ``coupling`` whose length is not ``n - 1``, or with an entry that is
-    not positive or that makes an entry of ``D`` overflow (``nan``, ``inf``,
-    neighbour sums past the float range), raises ``ValueError``.
-    """
-
-    grid: Grid
-    coupling: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coupling, dtype=float)
-        if c.shape != (self.grid.n - 1,):
-            raise ValueError(f"coupling must have length {self.grid.n - 1}")
-        object.__setattr__(self, "coupling", c)
-        # |D[i, i]| = (c_{i-1} + c_i) / W_i bounds every entry of D and holds
-        # every coupling; its overflow is rejected here, not warned about
-        with np.errstate(over="ignore"):
-            diagonal = self.neighbour_sums / self.weights
-        if not (np.all(c > 0) and np.all(np.isfinite(diagonal))):
-            raise ValueError("diffusion coefficient a(x)/dx**2 must be finite and positive "
-                             "at all half-points")
-
-    @property
-    def weights(self) -> np.ndarray:
-        """``W``: the grid's trapezoid weights in units of ``dx``."""
-        return self.grid.quadrature_weights / self.grid.dx
-
-    @property
-    def neighbour_sums(self) -> np.ndarray:
-        """The diagonal of ``K``, ``c_{i-1} + c_i``."""
-        return np.pad(self.coupling, (1, 0)) + np.pad(self.coupling, (0, 1))
-
-
-def build_operator(grid: Grid, a: Callable[[np.ndarray], np.ndarray]) -> TridiagonalOperator:
-    """The couplings ``a(x_{i+1/2}) / dx**2`` of ``(a(x) u_x)_x`` on ``grid``.
-
-    ``a`` is the diffusion coefficient, evaluated on the array of half-points.
-    A coefficient that is not finite and positive, or a grid so wide that
-    ``dx**2`` overflows, raises ``ValueError`` (from the operator).
-    """
-    dx = grid.dx
-    # overflow and nan are rejected by the operator, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = np.asarray(a(grid.x[:-1] + 0.5 * dx), dtype=float) / np.float64(dx) ** 2
-    return TridiagonalOperator(grid=grid, coupling=coupling)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredSymmetricTridiagonal:
     """``L D L^T`` factors of a weighted step matrix, as returned by LAPACK ``dpttrf``.
 
@@ -140,22 +86,27 @@ class FactoredSymmetricTridiagonal:
     so every argument of the foreign call is built here, once: looking up
     the address of a new right-hand side would add about 1 µs to each
     solve, which takes about 15 µs at n = 2001.  The call holds the GIL, so
-    the workspace serves one solve at a time.
+    the workspace serves one solve at a time.  A system made without a
+    ``workspace`` allocates its own; :meth:`narrowed` passes a part of its
+    own.  Equality and hashing are by identity.
     """
 
     d: np.ndarray
     e: np.ndarray
     weights: np.ndarray
     dt: float
-    workspace: np.ndarray = field(init=False, repr=False, compare=False)
-    _dpttrs: tuple = field(init=False, repr=False, compare=False)
+    workspace: np.ndarray | None = field(default=None, repr=False)
+    _dpttrs: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = np.size(self.d)
         lapack.checked("d", self.d, np.float64, n)
         lapack.checked("e", self.e, np.float64, max(n - 1, 0))
         lapack.checked("weights", self.weights, np.float64, n)
-        work = np.empty(n)
+        if self.workspace is None:
+            work = np.empty(n)
+        else:
+            work = lapack.checked("workspace", self.workspace, np.float64, n, writable=True)
         info = lapack.INT()
         n_ref = lapack.ref_int(n)
         # n, nrhs, d, e, b, ldb, info
@@ -185,6 +136,8 @@ class FactoredSymmetricTridiagonal:
             np.copyto(work, rhs)
             np.copyto(rhs, self.solve(work))
             return rhs
+        if self._dpttrs is None:
+            raise ValueError("a narrowed system's factors are spent; solve with the narrowed one")
         work *= self.weights
         routine, args, info = self._dpttrs
         routine(*args)
@@ -192,14 +145,36 @@ class FactoredSymmetricTridiagonal:
             raise ValueError(f"dpttrs failed (info {info.value})")
         return work
 
+    def narrowed(self, keep: list[int], blocks: int) -> FactoredSymmetricTridiagonal:
+        """The factors of the blocks ``keep`` (ascending indices, as :func:`march`
+        checks them) of the ``blocks`` stacked here, in this system's memory.
+
+        Block ``keep[j]`` is copied to block ``j`` of :attr:`d`, :attr:`e` and
+        :attr:`weights` (the seam entries of ``e`` are zero already), and the
+        returned system solves on the leading parts of them and of
+        :attr:`workspace`: no new array, and each kept block solves bit for
+        bit as before.  This system is spent: its :meth:`solve` raises
+        ``ValueError``.
+        """
+        size = self.d.size // blocks
+        for j, b in enumerate(keep):
+            if j < b:
+                for a, width in ((self.d, size), (self.weights, size), (self.e, size - 1)):
+                    a[j * size:j * size + width] = a[b * size:b * size + width]
+        n = len(keep) * size
+        object.__setattr__(self, "_dpttrs", None)
+        return FactoredSymmetricTridiagonal(self.d[:n], self.e[:n - 1], self.weights[:n],
+                                            self.dt, self.workspace[:n])
+
 
 def factor_step_matrix(
     ops: Sequence[TridiagonalOperator], dt: float
 ) -> FactoredSymmetricTridiagonal:
     """Factor ``I - dt D`` for one or more operators stacked block-diagonally.
 
-    The B operators must share a grid size ``n``; unknown ``b * n + i`` is
-    node ``i`` of block ``b``.  The couplings across block seams are zero, so
+    The B operators, at least one, must share a grid size ``n``
+    (``ValueError`` otherwise); unknown ``b * n + i`` is node ``i`` of block
+    ``b``.  The couplings across block seams are zero, so
     the blocks stay independent: each block's solution is bit-for-bit that
     of its own system, unless some block's solution overflows (``0 * inf``
     at a seam then spreads ``nan``).
@@ -213,14 +188,22 @@ def factor_step_matrix(
     # also rejects nan, which fails every comparison
     if not 0.0 < dt <= 1.0:
         raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
-    weights = np.stack([op.weights for op in ops])
-    d = weights + dt * np.stack([op.neighbour_sums for op in ops])
-    e = np.zeros_like(d)  # the last entry of each row is a block seam
-    e[:, :-1] = [-dt * op.coupling for op in ops]
-    d, e, info = lapack.load().dpttrf(d.ravel(), e.ravel()[:-1])
+    if len({op.grid.n for op in ops}) != 1:  # also no operator at all
+        raise ValueError(f"stacked operators must share one grid size, got "
+                         f"{[op.grid.n for op in ops]}")
+    # built in place and factored there: no state-sized temporaries
+    weights = np.concatenate([op.weights for op in ops])
+    d = np.concatenate([op.neighbour_sums for op in ops])
+    d *= dt
+    d += weights
+    n = d.size // len(ops)
+    e = np.zeros(d.size)  # the last entry of each block is a seam
+    for b, op in enumerate(ops):
+        np.multiply(op.coupling, -dt, out=e[b * n:(b + 1) * n - 1])
+    d, e, info = lapack.load().dpttrf(d, e[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
-    return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights.ravel(), dt=dt)
+    return FactoredSymmetricTridiagonal(d=d, e=e, weights=weights, dt=dt)
 
 
 def march(
@@ -253,6 +236,16 @@ def march(
     ``fkfront.solver`` logger names the time.  The yielded bits are those of
     the full march.  The check compares the last entry first (a scalar)
     and only on a match the whole state, as ``int64`` bits.
+
+    A consumer of a stacked march may send, at any stored step, the
+    ascending indices of the blocks to keep (``keep = yield t, u``).  From
+    the next step on, only those are solved, in the part of ``system`` that
+    :meth:`FactoredSymmetricTridiagonal.narrowed` leaves them (so
+    ``system`` is spent), and the yielded states have shape
+    ``(len(keep), n)``, row ``j`` being block ``keep[j]``.  Each kept block
+    keeps the bits it had in the full march.  A request that is not an
+    ascending selection of the live blocks raises ``ValueError`` before any
+    further solve.  A ``for`` loop sends nothing.
     """
     dt = system.dt
     if not math.isfinite(t_end):
@@ -267,11 +260,11 @@ def march(
     n_steps = int(round(t_end / dt))
     shape = np.shape(u0)
     u = np.array(u0, dtype=float).ravel()
+    del u0  # a caller's temporary is freed, not held for the whole march
     work = system.workspace
     fixed = False
-    yield 0.0, u.reshape(shape)
-    for k in range(1, n_steps + 1):
-        if not fixed:
+    for k in range(n_steps + 1):
+        if k and not fixed:
             prev = u
             # the right-hand side prev + dt f(prev), built where the solve runs
             np.multiply(np.asarray(f(prev), dtype=float), dt, out=work)
@@ -285,5 +278,16 @@ def march(
                 log.info("march: fixed point reached: the step to t=%g returned its input "
                          "bit for bit, no further solve before t_end=%g", k * dt, t_end)
         if k % stride == 0 or k == n_steps:
-            yield k * dt, (u.copy() if fixed else u).reshape(shape)
-
+            keep = yield k * dt, (u.copy() if fixed else u).reshape(shape)
+            if keep is not None:
+                blocks = u.size // shape[-1]
+                keep = [operator.index(b) for b in keep]
+                if not keep or keep != sorted(set(keep)) or not 0 <= keep[0] <= keep[-1] < blocks:
+                    raise ValueError(f"blocks to keep must be ascending indices of the {blocks} "
+                                     f"marched, at least one, got {keep}")
+                if len(keep) < blocks:
+                    system = system.narrowed(keep, blocks)
+                    work = system.workspace
+                    # the consumer may hold u: the kept rows go to a new state
+                    u = u.reshape(blocks, -1)[keep].ravel()
+                    shape = (len(keep), shape[-1])

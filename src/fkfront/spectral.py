@@ -5,10 +5,10 @@ natural basis is the Neumann eigenproblem of the diffusion operator,
 
     (a(x) phi_n')' = lambda_n phi_n,    phi_n'(+/-L) = 0,
 
-discretized with the solver's conservative stencil.  That stencil is
-self-adjoint under trapezoid weights, so the discrete eigenvalues are real
-and non-positive (``lambda_0 = 0`` with constant ``phi_0``) and the discrete
-modes come out orthonormal in the trapezoid inner product.
+discretized with the conservative stencil of :mod:`fkfront.stencil`.  That
+stencil is self-adjoint under trapezoid weights, so the discrete eigenvalues
+are real and non-positive (``lambda_0 = 0`` with constant ``phi_0``) and the
+discrete modes come out orthonormal in the trapezoid inner product.
 :func:`solve_eigenproblem` finds the eigenvalues by bisection and the
 eigenfunctions by inverse iteration, for every mode or only for the modes a
 caller names (the ``eigen`` command names the ones it writes).
@@ -32,7 +32,7 @@ import numpy as np
 
 from .domain import Grid
 from .lapack import load
-from .solver import build_operator
+from .stencil import build_operator
 
 __all__ = [
     "EigenSolveError",

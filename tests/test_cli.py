@@ -653,6 +653,47 @@ class TestTrapSweep:
             [alone], _ = window_transits(run, grid.x, cfg.trap_radius)
             assert record == alone
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_sweep_searches_each_row_whole_once_and_solves_live_rows(self, stride,
+                                                                      monkeypatch):
+        import fkfront.front
+
+        cfg = ExperimentConfig(n=151, t_end=8.0, snapshot_stride=stride,
+                               sweep_epsilons=(0.1, 0.05, 0.02))
+        grid = Grid(L=cfg.L, n=cfg.n)
+        exits = sorted(first_exit(stored_positions(
+            stored_fields(grid, make_quadratic_diffusion(eps), logistic_reaction, cfg.x_c0,
+                          cfg.dt, cfg.t_end, stride), grid.x), cfg.trap_radius)
+            for eps in cfg.sweep_epsilons)
+        searched = []
+        whole_rows = fkfront.front.front_positions
+
+        def counted(values, x, level=0.5):
+            searched.append(len(values))
+            return whole_rows(values, x, level)
+
+        monkeypatch.setattr(fkfront.front, "front_positions", counted)
+        rows = []
+        steps = _march(cfg, list(cfg.sweep_epsilons))
+
+        def forwarding():
+            keep = None
+            while True:
+                try:
+                    t, u = next(steps) if keep is None else steps.send(keep)
+                except StopIteration:
+                    return
+                rows.append(len(u))
+                keep = yield t, u
+
+        window_transits(forwarding(), grid.x, cfg.trap_radius)
+        # each row's first state only: the search from the last front never
+        # falls back on this run, against one search of every state before
+        assert searched == [1, 1, 1]
+        # each exited row is solved no more
+        assert rows == ([3] * (exits[0] + 1) + [2] * (exits[1] - exits[0])
+                        + [1] * (exits[2] - exits[1]))
+
     @pytest.mark.parametrize("t_end, epsilons, statuses", [
         (4.2, "0.1 0.02 0.001", {"0.1": "transited", "0.02": "not-exited (>= 1.18204)",
                                  "0.001": "not-exited (>= 1.1638)"}),

@@ -158,22 +158,35 @@ class TestTrackFront:
         assert records == [alone, mirror]
 
 
-def front_stream(times, rows, drawn=None):
+def front_stream(times, rows, drawn=None, rising=(), honour=False):
     """Nodes ``x`` and a ``(t, u)`` stream whose row ``b`` has its 1/2 front at
     exactly ``rows[b][k]`` in state ``k``, and none where that is NaN.
 
     Each position is a node at which its row is exactly 1/2, with 1 to the
-    left and 0 to the right, so :func:`front_positions` returns it bit for
-    bit.  ``drawn`` collects the index of every state drawn.
+    left and 0 to the right (0 and 1 for a row in ``rising``, whose last
+    node is above 1/2), so :func:`front_positions` returns it bit for bit.
+    The nodes are the positions, the ends ±1e3 and a grid of spacing 1/4
+    over [-10, 10], so a front that moves by more than 1.5 jumps past the
+    cells that :func:`fkfront.front.window_transits` reads first.
+    ``drawn`` collects the index of every state drawn.  With ``honour``, a
+    request sent into the stream keeps only the rows it names, as
+    :func:`fkfront.solver.march` does; otherwise it is ignored.
     """
-    x = np.unique([p for row in rows for p in row if not math.isnan(p)] + [-1e3, 1e3])
+    positions = [p for row in rows for p in row if not math.isnan(p)]
+    x = np.unique(positions + list(np.linspace(-10.0, 10.0, 81)) + [-1e3, 1e3])
 
     def states():
+        live = list(range(len(rows)))
         for k, t in enumerate(times):
             if drawn is not None:
                 drawn.append(k)
-            yield t, np.array([np.where(x < row[k], 1.0, np.where(x == row[k], 0.5, 0.0))
-                               for row in rows])
+            u = np.array([np.where(x < rows[b][k], 1.0, np.where(x == rows[b][k], 0.5, 0.0))
+                          for b in live])
+            flip = [j for j, b in enumerate(live) if b in rising]
+            u[flip] = 1.0 - u[flip]
+            keep = yield t, u
+            if honour and keep is not None:
+                live = [live[j] for j in keep]
 
     return x, states()
 
@@ -288,6 +301,10 @@ class TestTrappingTime:
         scale = max(np.max(np.abs(t)), np.max(np.abs(shifted)))
         assert abs((moved_exit - moved_entry) - (exit_ - entry)) <= 1e-14 * scale
 
+    # Each stream is read ignoring requests to drop rows, with every row
+    # falling, and honouring them, with rows 0 and 2 rising to the right
+    # (their last node above the level).
+    @pytest.mark.parametrize("honour, rising", [(False, set()), (True, {0, 2})])
     @settings(max_examples=200, deadline=None)
     @given(rows=streams)
     @example(rows=[[-1.0, 0.1, nan, nan, 0.2, 1.0, 2.0]])  # NaN positions between entry and exit
@@ -298,10 +315,17 @@ class TestTrappingTime:
     @example(rows=[[-1.0, 0.0, WINDOW, 1.0], [-WINDOW, 0.0, -WINDOW, 1.0]])  # on the edge
     @example(rows=[[-1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
                    [-1.0, 0.0, 0.1, 0.2, 1.0, 2.0]])  # rows leave at different steps
-    def test_matches_first_exit_oracle(self, rows):
+    # a middle row leaves first, then the last
+    @example(rows=[[-1.0, 0.0, 0.1, 0.2, 0.3, 2.0], [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+                   [-1.0, 0.0, 0.1, 3.0, 4.0, 5.0]])
+    @example(rows=[[-9.0, -3.0, 0.0, 9.0], [9.0, 0.1, -8.0, 0.2]])  # jumps past the cells read first
+    @example(rows=[[-1.0, 0.0, nan, nan, -7.0, -0.1, 6.0]])  # vanishes, returns far away
+    # the last node at the level: a front on the far wall
+    @example(rows=[[-1.0, 0.0, 1e3, 1e3], [-1.0, -0.3, 0.0, 0.3]])
+    def test_matches_first_exit_oracle(self, honour, rising, rows):
         times = [0.1 * k for k in range(len(rows[0]))]
         drawn = []
-        x, stream = front_stream(times, rows, drawn)
+        x, stream = front_stream(times, rows, drawn, rising, honour)
         records, t_stop = window_transits(stream, x, WINDOW)
         expected = [oracle(times, row, WINDOW) for row in rows]
         exits = [k_out for _, k_out in expected]
@@ -321,6 +345,43 @@ class TestTrackFrontStop:
             with pytest.raises(ValueError, match="radius must be positive"):
                 window_transits(stream, x, radius)
             assert drawn == []
+
+
+class TestStreamContract:
+    """A state's row count tells whether a request to drop rows was honoured."""
+
+    def states(self):
+        # row 0 enters at once and leaves in state 1; the others stay inside
+        x, stream = front_stream([0.0, 0.1, 0.2], [[0.0, 1.0, 2.0], [0.0, 0.1, 0.2],
+                                                   [0.0, 0.1, 0.2]])
+        return x, list(stream)
+
+    def test_request_is_sent_once_a_row_has_left(self):
+        x, states = self.states()
+        sent = []
+
+        def stream():
+            for t, u in states:
+                sent.append((yield t, u))
+
+        window_transits(stream(), x, WINDOW)
+        # ignored, so sent again, by the rows' indices in the stream
+        assert sent == [None, [1, 2], [1, 2]]
+
+    def test_state_of_neither_count_raises(self):
+        x, states = self.states()
+
+        def stream():
+            yield states[0]
+            yield states[1]
+            yield states[2][0], states[2][1][:1]
+
+        with pytest.raises(ValueError, match=r"the state at t=0.2 has 1 rows, after 3 and a "
+                                             r"request to keep 2"):
+            window_transits(stream(), x, WINDOW)
+        # an iterator without send is asked nothing, and keeps its rows
+        with pytest.raises(ValueError, match=r"the state at t=0.1 has 2 rows, after 3$"):
+            window_transits(iter([states[0], (0.1, states[1][1][1:])]), x, WINDOW)
 
 
 class TestFitPowerLaw:

@@ -226,6 +226,12 @@ class TestSymmetricStepFactors:
         with pytest.raises(ValueError, match="dt must satisfy"):
             factor_step_matrix([op], dt)
 
+    @pytest.mark.parametrize("sizes", [(5, 6), ()])
+    def test_rejects_operators_without_one_grid_size(self, sizes):
+        ops = [build_operator(Grid(L=1.0, n=n), make_quadratic_diffusion(0.1)) for n in sizes]
+        with pytest.raises(ValueError, match="must share one grid size"):
+            factor_step_matrix(ops, 0.1)
+
 
 class TestMaximumPrincipleProperty:
     @settings(max_examples=60, deadline=None)
@@ -414,6 +420,121 @@ class TestFixedPointSkip:
         states = [u for _, u in march(counting, u0, zero_reaction, 3.0)]
         assert counting.calls == 6
         assert all(np.isnan(u).all() for u in states[1:])
+
+
+def narrowed_march(system, u0, f, t_end, requests, stride=1):
+    """Every ``(t, u)`` a march yields, sending ``requests[k]`` as the blocks
+    to keep after the ``k``-th state drawn (``for`` iteration elsewhere)."""
+    steps = march(system, u0, f, t_end, stride)
+    states = [next(steps)]
+    while True:
+        keep = requests.get(len(states) - 1)
+        try:
+            states.append(next(steps) if keep is None else steps.send(keep))
+        except StopIteration:
+            return states
+
+
+class TestNarrowing:
+    """A consumer sends the blocks to keep; the kept blocks keep their bits."""
+
+    epsilons = (0.1, 0.05, 0.025, 0.0125)
+
+    def stack(self, epsilons=epsilons):
+        grid = Grid(L=10.0, n=41)
+        ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
+        u0 = np.tile(step_initial_condition(grid, -5.0), (len(ops), 1))
+        return ops, u0
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_kept_rows_keep_the_bits_of_the_full_and_solo_marches(self, stride):
+        ops, u0 = self.stack()
+        dt, t_end = 0.05, 4.0
+        full = list(march(factor_step_matrix(ops, dt), u0, logistic_reaction, t_end, stride))
+        solo = [list(march(factor_step_matrix([op], dt), row, logistic_reaction, t_end, stride))
+                for op, row in zip(ops, u0)]
+        # a middle block retires first, then the last of those kept
+        states = narrowed_march(factor_step_matrix(ops, dt), u0, logistic_reaction, t_end,
+                                {5: [0, 2, 3], 12: [0, 1]}, stride)
+        assert [t for t, _ in states] == [t for t, _ in full]
+        assert [u.shape[0] for _, u in states] == [4] * 6 + [3] * 7 + [2] * (len(full) - 13)
+        for k, (_, u) in enumerate(states):
+            blocks = [0, 1, 2, 3] if k <= 5 else [0, 2, 3] if k <= 12 else [0, 2]
+            for row, b in zip(u, blocks):
+                assert np.array_equal(bits(row), bits(full[k][1][b]))
+                assert np.array_equal(bits(row), bits(solo[b][k][1]))
+
+    def test_each_block_takes_its_weights_along(self):
+        # the stacked weights differ per block here, unlike on one grid
+        ops, u0 = self.stack()
+        factored = factor_step_matrix(ops, 0.05)
+        weights = factored.weights * np.repeat([1.0, 2.0, 3.0, 4.0], u0.shape[1])
+
+        def system():
+            return FactoredSymmetricTridiagonal(factored.d.copy(), factored.e.copy(),
+                                                weights.copy(), 0.05)
+
+        full = list(march(system(), u0, logistic_reaction, 1.0))
+        states = narrowed_march(system(), u0, logistic_reaction, 1.0, {3: [1, 3]})
+        for (_, u), (_, v) in zip(states[4:], full[4:]):
+            assert np.array_equal(bits(u), bits(v[[1, 3]]))
+
+    def test_one_dimensional_state_keeps_its_only_block(self):
+        ops, u0 = self.stack(epsilons=(0.1,))
+        system = factor_step_matrix(ops, 0.1)
+        expected = list(march(factor_step_matrix(ops, 0.1), u0[0], logistic_reaction, 0.5))
+        states = narrowed_march(system, u0[0], logistic_reaction, 0.5, {1: [0]})
+        assert [u.shape for _, u in states] == [u0[0].shape] * 6
+        assert_same_bits(states, expected)
+
+    @pytest.mark.parametrize("keep", [[], [1, 0], [0, 0], [0, 4], [-1, 2], [2, 2, 3]])
+    def test_request_that_is_no_ascending_selection_raises_before_a_solve(self, keep):
+        ops, u0 = self.stack()
+        counting = CountingSystem(factor_step_matrix(ops, 0.05))
+        steps = march(counting, u0, logistic_reaction, 1.0)
+        next(steps)
+        next(steps)
+        with pytest.raises(ValueError, match="blocks to keep must be ascending indices of the 4"):
+            steps.send(keep)
+        assert counting.calls == 1
+        assert next(steps, None) is None
+
+    def test_narrowed_from_system_is_spent(self):
+        ops, u0 = self.stack()
+        system = factor_step_matrix(ops, 0.05)
+        narrowed_march(system, u0, logistic_reaction, 0.2, {1: [1, 3]})
+        with pytest.raises(ValueError, match="factors are spent"):
+            system.solve(system.workspace)
+
+    def test_narrowed_stack_stops_at_the_fixed_point_of_its_block(self, caplog):
+        grid = Grid(L=4.0, n=51)
+        ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in (0.05, 0.1, 0.02)]
+        u0 = np.tile(step_initial_condition(grid, -1.0), (3, 1))
+        solo, first_fixed = plain_march(factor_step_matrix(ops[1:2], 0.01), u0[1],
+                                        logistic_reaction, 60.0, 25)
+        with caplog.at_level("INFO", logger="fkfront"):
+            states = narrowed_march(factor_step_matrix(ops, 0.01), u0, logistic_reaction, 60.0,
+                                    {1: [1]}, 25)
+        assert first_fixed is not None
+        assert_same_bits(states[2:], solo[2:])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"march: fixed point reached: the step to t={first_fixed * 0.01:g} returned its "
+            "input bit for bit, no further solve before t_end=60"
+        ]
+
+
+class TestIdentity:
+    """Equality and hashing by identity: the generated ``==`` over array
+    fields raised (the truth value of an array is ambiguous), and ``hash``
+    raised ``TypeError``."""
+
+    def test_operators_and_factors_compare_by_identity(self):
+        grid = Grid(L=10.0, n=21)
+        ops = [build_operator(grid, make_quadratic_diffusion(0.1)) for _ in range(2)]
+        systems = [factor_step_matrix([op], 0.1) for op in ops]
+        for a, b in (ops, systems):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 def one_step(g, diffusion, u0, dt):
@@ -649,8 +770,10 @@ class TestLapackBinding:
 
         d, e, rng = random_tridiagonal(seed, spd=True)
         rhs = rng.normal(size=(d.size, nrhs))
-        d_f, e_f, info = lapack.load().dpttrf(d, e)
-        assert info == 0
+        d_f, e_f = d.copy(), e.copy()
+        factors = lapack.load().dpttrf(d_f, e_f)
+        # factored in place
+        assert factors[0] is d_f and factors[1] is e_f and factors[2] == 0
         d_ref, e_ref, info = scipy_lapack.dpttrf(d, e)
         assert info == 0
         x_ref, info = scipy_lapack.dpttrs(d_ref, e_ref, rhs)
@@ -747,6 +870,11 @@ class TestLapackArgumentChecks:
         assert np.array_equal(bad, before)
         with pytest.raises(AssertionError, match="LAPACK called"):
             system.solve(np.zeros(21))
+
+    def test_read_only_factors_are_not_overwritten(self, monkeypatch):
+        monkeypatch.setitem(lapack.load().routines, "dpttrf", refuse)
+        with pytest.raises(ValueError, match=r"LAPACK argument d must be a writable"):
+            lapack.load().dpttrf(read_only(np.ones(5)), np.zeros(4))
 
     def test_factors_of_mismatched_lengths_are_refused(self):
         with pytest.raises(ValueError, match=r"LAPACK argument e .* shape \(4,\)"):
