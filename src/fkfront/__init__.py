@@ -23,11 +23,10 @@ _EXPORTS = {
         ["Grid", "logistic_reaction", "make_constant_diffusion", "make_quadratic_diffusion",
          "step_initial_condition", "x_of_xi", "xi_of_x"], "domain"),
     **dict.fromkeys(["fit_power_law", "front_positions", "window_transits"], "front"),
-    **dict.fromkeys(
-        ["FactoredSymmetricTridiagonal", "TridiagonalOperator", "build_operator",
-         "factor_step_matrix", "march"], "solver"),
+    **dict.fromkeys(["FactoredSymmetricTridiagonal", "factor_step_matrix", "march"], "solver"),
     **dict.fromkeys(
         ["EigenSolveError", "average_prediction", "solve_eigenproblem"], "spectral"),
+    **dict.fromkeys(["TridiagonalOperator", "build_operator"], "stencil"),
     **dict.fromkeys(
         ["Branch", "characteristic_label", "phase_along"], "wkb"),
 }

@@ -9,8 +9,10 @@ eigen         diffusion-operator spectrum and selected modes
 wkb           ray fan of the exponential-tail transport
 average       domain mean against its logistic prediction
 
-Exit codes: 0 on success, 1 on configuration errors (nothing is written),
-2 on runtime failures.
+Each command writes each CSV with its JSON sidecar in one
+:func:`fkfront.io.write_table` call, as plain ``float``, ``int`` and ``str``
+cells.  Exit codes: 0 on success, 1 on configuration errors (nothing is
+written), 2 on runtime failures.
 
 :func:`entry` is the process entry behind both ``python -m fkfront.cli``
 and the ``fkfront`` console script.  It runs :func:`main`, freezes the
@@ -76,7 +78,8 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     import numpy as np
 
     from .domain import logistic_reaction, make_quadratic_diffusion, step_initial_condition
-    from .solver import build_operator, factor_step_matrix, march
+    from .solver import factor_step_matrix, march
+    from .stencil import build_operator
 
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, epsilons)
@@ -113,10 +116,9 @@ def _meta(cfg: ExperimentConfig, command: str, **extra) -> dict:
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
     grid = _grid(cfg)
     steps = _march(cfg, [cfg.epsilon])
-    rows = ((t, xi, ui) for t, u in steps for xi, ui in zip(grid.x, u[0]))
-    csv_path = out / "trajectory.csv"
-    io.write_csv(csv_path, ("t", "x", "u"), rows)
-    io.write_json(io.sidecar_path(csv_path), _meta(cfg, "simulate"))
+    x = grid.x.tolist()
+    rows = ((t, xi, ui) for t, u in steps for xi, ui in zip(x, u[0].tolist()))
+    io.write_table(out / "trajectory.csv", ("t", "x", "u"), rows, _meta(cfg, "simulate"))
 
 
 def sfa_front_comparison(
@@ -175,9 +177,8 @@ def sfa_front_comparison(
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
     rows, t_stop = sfa_front_comparison(_march(cfg, [cfg.epsilon]), _grid(cfg))
     _log_early_stop("compare-sfa", t_stop, cfg, "u > 0.5 at every node, no front can return")
-    csv_path = out / "front_comparison.csv"
-    io.write_csv(csv_path, ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows)
-    io.write_json(io.sidecar_path(csv_path), _meta(cfg, "compare-sfa"))
+    io.write_table(out / "front_comparison.csv", ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows,
+                   _meta(cfg, "compare-sfa"))
 
 
 def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
@@ -214,9 +215,7 @@ def cmd_trap_sweep(cfg: ExperimentConfig, out: Path) -> None:
         log.warning("epsilon %g: front %s within t_end=%g", eps, status, cfg.t_end)
 
     meta = _meta(cfg, "trap-sweep", radius=cfg.trap_radius, statuses=statuses)
-    csv_path = out / "trap_times.csv"
-    io.write_csv(csv_path, ("epsilon", "trap_time"), rows)
-    io.write_json(io.sidecar_path(csv_path), meta)
+    io.write_table(out / "trap_times.csv", ("epsilon", "trap_time"), rows, meta)
 
     report = dict(meta)
     try:
@@ -242,13 +241,11 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path) -> None:
         _warn_if_under_resolved(grid, [cfg.epsilon])
     eigenvalues, phis = solve_eigenproblem(a, grid, cfg.eigen_modes, cfg.eigen_dump)
     meta = _meta(cfg, "eigen", modes=cfg.eigen_modes, constant_a=cfg.eigen_constant_a)
-    spectrum = out / "eigenvalues.csv"
-    io.write_csv(spectrum, ("n", "lambda"), enumerate(eigenvalues))
-    io.write_json(io.sidecar_path(spectrum), meta)
+    io.write_table(out / "eigenvalues.csv", ("n", "lambda"), enumerate(eigenvalues.tolist()), meta)
+    x = grid.x.tolist()
     for k in cfg.eigen_dump:
-        mode_csv = out / f"phi_{k}.csv"
-        io.write_csv(mode_csv, ("x", "phi"), zip(grid.x, phis[k]))
-        io.write_json(io.sidecar_path(mode_csv), {**meta, "mode": k})
+        io.write_table(out / f"phi_{k}.csv", ("x", "phi"), zip(x, phis[k].tolist()),
+                       {**meta, "mode": k})
 
 
 def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
@@ -269,13 +266,9 @@ def cmd_wkb(cfg: ExperimentConfig, out: Path) -> None:
                 ):
                     yield (t, x, x0, label)
 
-    csv_path = out / "characteristics.csv"
-    io.write_csv(csv_path, ("t", "x", "x0", "branch"), rows())
-    io.write_json(
-        io.sidecar_path(csv_path),
-        _meta(cfg, "wkb", htilde=cfg.wkb_htilde, branch=cfg.wkb_branch,
-              wkb_t_end=cfg.wkb_t_end, wkb_dt=cfg.wkb_dt),
-    )
+    io.write_table(out / "characteristics.csv", ("t", "x", "x0", "branch"), rows(),
+                   _meta(cfg, "wkb", htilde=cfg.wkb_htilde, branch=cfg.wkb_branch,
+                         wkb_t_end=cfg.wkb_t_end, wkb_dt=cfg.wkb_dt))
 
 
 def cmd_average(cfg: ExperimentConfig, out: Path) -> None:
@@ -288,9 +281,8 @@ def cmd_average(cfg: ExperimentConfig, out: Path) -> None:
         (t, float(w @ u[0]) / length, float(average_prediction(t, cfg.x_c0, cfg.L)))
         for t, u in _march(cfg, [cfg.epsilon])
     )
-    csv_path = out / "average.csv"
-    io.write_csv(csv_path, ("t", "avg_numeric", "avg_predicted"), rows)
-    io.write_json(io.sidecar_path(csv_path), _meta(cfg, "average"))
+    io.write_table(out / "average.csv", ("t", "avg_numeric", "avg_predicted"), rows,
+                   _meta(cfg, "average"))
 
 
 _COMMANDS = {

@@ -75,18 +75,16 @@ def ref_int(value: int):
     return ctypes.byref(INT(value))
 
 
-def _ref_double(value: float):
-    return ctypes.byref(ctypes.c_double(value))
-
-
 class Lapack:
     """The four routines, as :func:`load` resolves them.
 
-    :meth:`dpttrf`, :meth:`dstebz` and :meth:`dstein` take the arguments of
-    the ``scipy.linalg.lapack`` wrappers of the same names and return their
-    tuples, with ``int64`` index arrays.  ``routines`` maps each name to its
-    foreign function; :class:`fkfront.solver.FactoredSymmetricTridiagonal`
-    calls ``dpttrs`` from it with arguments built once per factorization.
+    :meth:`dpttrf` and :meth:`dstein` take the arguments of the
+    ``scipy.linalg.lapack`` wrappers of the same names; :meth:`dstebz` takes
+    only ``d, e, il, iu`` of scipy's ``dstebz`` (range 2, tolerance 0, order
+    ``"B"``).  Each returns its wrapper's tuple, with ``int64`` index arrays.
+    ``routines`` maps each name to its foreign function;
+    :class:`fkfront.solver.FactoredSymmetricTridiagonal` calls ``dpttrs``
+    from it with arguments built once per factorization.
     """
 
     def __init__(self, routines: dict[str, ctypes._CFuncPtr]) -> None:
@@ -107,30 +105,29 @@ class Lapack:
         self.routines["dpttrf"](ref_int(n), pointer(d), pointer(e), ctypes.byref(info))
         return d, e, info.value
 
-    def dstebz(self, d: np.ndarray, e: np.ndarray, range: int, vl: float, vu: float, il: int,
-               iu: int, tol: float, order: str) -> tuple[int, np.ndarray, np.ndarray,
-                                                         np.ndarray, int]:
-        """``m, w, iblock, isplit, info``: by bisection, the eigenvalues of the
-        symmetric tridiagonal ``(d, e)``; ``range`` 0, 1 or 2 picks all of
-        them, those in ``(vl, vu]`` or those of index ``il..iu``.  ``w``,
-        ``iblock`` and ``isplit`` have length n and are zero past what is
-        found."""
+    def dstebz(self, d: np.ndarray, e: np.ndarray, il: int,
+               iu: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, int]:
+        """``m, w, iblock, isplit, info``: by bisection at the default
+        tolerance, the eigenvalues of index ``il..iu`` (ascending, from 1) of
+        the symmetric tridiagonal ``(d, e)``, grouped by split-off block.
+        ``w``, ``iblock`` and ``isplit`` have length n and are zero past what
+        is found."""
         n = np.size(d)
         checked("d", d, np.float64, n)
         checked("e", e, np.float64, max(n - 1, 0))
-        if range not in (0, 1, 2):
-            raise ValueError(f"dstebz range must be 0, 1 or 2, got {range!r}")
         w = np.zeros(n)
         iblock = np.zeros(n, dtype=np.int64)
         isplit = np.zeros(n, dtype=np.int64)
         work = np.empty(4 * n)
         iwork = np.empty(3 * n, dtype=np.int64)
         m, nsplit, info = INT(), INT(), INT()
-        # the lengths of the two character arguments follow all the others
+        # range "I" (by index, so vl and vu are unread), tolerance 0 and order
+        # "B" (by block); the lengths of the two character arguments follow
+        # all the others
+        zero = ctypes.byref(ctypes.c_double(0.0))
         self.routines["dstebz"](
-            ctypes.c_char_p(b"AVI"[range:range + 1]), ctypes.c_char_p(order.encode()),
-            ref_int(n), _ref_double(vl), _ref_double(vu), ref_int(il), ref_int(iu),
-            _ref_double(tol), pointer(d), pointer(e), ctypes.byref(m), ctypes.byref(nsplit),
+            ctypes.c_char_p(b"I"), ctypes.c_char_p(b"B"), ref_int(n), zero, zero, ref_int(il),
+            ref_int(iu), zero, pointer(d), pointer(e), ctypes.byref(m), ctypes.byref(nsplit),
             pointer(w), pointer(iblock), pointer(isplit), pointer(work), pointer(iwork),
             ctypes.byref(info), ctypes.c_size_t(1), ctypes.c_size_t(1))
         return m.value, w, iblock, isplit, info.value

@@ -1,9 +1,7 @@
 """Implicit/explicit time stepping for ``u_t = (a(x) u_x)_x + f(u)``.
 
 Space: the conservative operator ``D = -W^{-1} K`` of :mod:`fkfront.stencil`,
-with ``W`` the trapezoid weights and ``K`` symmetric.  Its
-:class:`TridiagonalOperator` and :func:`build_operator` are importable from
-here too.
+with ``W`` the trapezoid weights and ``K`` symmetric.
 
 Time: backward Euler on the diffusion, forward Euler on the reaction
 (first order).  Each step solves one tridiagonal system
@@ -52,18 +50,18 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import lapack
 from .config import check_step_count
-from .stencil import TridiagonalOperator, build_operator  # re-exported
+
+if TYPE_CHECKING:
+    from .stencil import TridiagonalOperator
 
 __all__ = [
-    "TridiagonalOperator",
     "FactoredSymmetricTridiagonal",
-    "build_operator",
     "factor_step_matrix",
     "march",
 ]
@@ -114,11 +112,6 @@ class FactoredSymmetricTridiagonal:
                 lapack.pointer(work), n_ref, ctypes.byref(info))
         object.__setattr__(self, "workspace", work)
         object.__setattr__(self, "_dpttrs", (lapack.load().routines["dpttrs"], args, info))
-
-    def __reduce__(self):
-        # a pickle or a copy builds its own workspace and foreign-call
-        # arguments; these point into this instance's arrays
-        return type(self), (self.d, self.e, self.weights, self.dt)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against the stored factors, in place.

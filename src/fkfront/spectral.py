@@ -59,7 +59,7 @@ def solve_eigenproblem(
     eigenfunction sampled on ``grid.x``, normalized to unit trapezoid norm
     with a positive left-end value.
 
-    The operator ``D = -W^{-1} K`` of :func:`~fkfront.solver.build_operator`
+    The operator ``D = -W^{-1} K`` of :func:`~fkfront.stencil.build_operator`
     is similar to the symmetric tridiagonal ``W^{1/2} D W^{-1/2}``, assembled
     from the same couplings ``c`` and weights ``W``: diagonal
     ``-(c_{i-1} + c_i) / W_i``, off-diagonal ``c_i / sqrt(W_i W_{i+1})``.
@@ -95,9 +95,7 @@ def solve_eigenproblem(
     sqrt_qw = np.sqrt(grid.dx * weights)
     diag = -op.neighbour_sums / weights
     offdiag = (op.coupling / weights[:-1]) * sqrt_qw[:-1] / sqrt_qw[1:]
-    found, w, iblock, isplit, info = lapack.dstebz(
-        diag, offdiag, 2, 0.0, 1.0, n - m + 1, n, 0.0, "B"
-    )
+    found, w, iblock, isplit, info = lapack.dstebz(diag, offdiag, n - m + 1, n)
     if info != 0:  # pragma: no cover
         raise EigenSolveError(f"dstebz failed (info {info})")
     w = w[:found]

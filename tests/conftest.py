@@ -20,8 +20,9 @@ from fkfront.domain import (
     step_initial_condition,
 )
 from fkfront.front import front_positions
-from fkfront.solver import build_operator, factor_step_matrix, march
+from fkfront.solver import factor_step_matrix, march
 from fkfront.spectral import solve_eigenproblem
+from fkfront.stencil import build_operator
 
 
 def bits(a: np.ndarray) -> np.ndarray:

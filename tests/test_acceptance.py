@@ -22,8 +22,9 @@ from fkfront.domain import (
     make_quadratic_diffusion,
 )
 from fkfront.front import fit_power_law, window_transits
-from fkfront.solver import build_operator, factor_step_matrix, march
+from fkfront.solver import factor_step_matrix, march
 from fkfront.spectral import average_prediction, solve_eigenproblem
+from fkfront.stencil import build_operator
 from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
 from conftest import (

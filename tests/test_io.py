@@ -1,5 +1,6 @@
-"""CSV cell formatting: pinned bytes and agreement with the per-cell rule."""
+"""CSV cell formatting: pinned bytes, the one cell table, and the sidecar."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,21 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkfront.io import format_cell, write_csv
+from fkfront.io import format_cell, write_csv, write_table
 
 
 def reference_cell(value) -> str:
     """The per-cell rule the CSV bytes are defined by (15 significant digits)."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
+    if isinstance(value, int):
+        return str(value)
+    if math.isnan(value):
         return "nan"
-    return f"{v:.15g}"
+    return f"{value:.15g}"
 
 
 def reference_csv(header, rows) -> bytes:
@@ -39,13 +37,11 @@ def written(header, rows) -> bytes:
 
 
 GOLDEN_ROWS = [
-    (0.0, np.float64(0.1), 1, np.int64(-7), "plus"),
-    (math.nan, np.float64("nan"), 0, np.int64(2**62), ""),
-    (math.inf, -math.inf, -0.0, np.float64(-0.0), "minus"),
-    (1e-300, np.float64(1.2345678901234567e16), 123456789012345678901234567890, np.int64(0),
-     "a b"),
-    (True, np.bool_(False), np.float32(0.1), np.int32(3), 1.0 / 3.0),
-    (2.5, "x", False, np.float64(1e300), -1),
+    (0.0, 0.1, 1, -7, "plus"),
+    (math.nan, -math.nan, 0, 2**62, ""),
+    (math.inf, -math.inf, -0.0, 0, "minus"),
+    (1e-300, 1.2345678901234567e16, 123456789012345678901234567890, -1, "a b"),
+    (1.0 / 3.0, 2.5, -(10**29), 1e300, "x"),
 ]
 
 # Bytes written by the per-cell writer for GOLDEN_ROWS.
@@ -53,10 +49,9 @@ GOLDEN_BYTES = (
     b"a,b,c,d,e\n"
     b"0,0.1,1,-7,plus\n"
     b"nan,nan,0,4611686018427387904,\n"
-    b"inf,-inf,-0,-0,minus\n"
-    b"1e-300,1.23456789012346e+16,123456789012345678901234567890,0,a b\n"
-    b"true,false,0.100000001490116,3,0.333333333333333\n"
-    b"2.5,x,false,1e+300,-1\n"
+    b"inf,-inf,-0,0,minus\n"
+    b"1e-300,1.23456789012346e+16,123456789012345678901234567890,-1,a b\n"
+    b"0.333333333333333,2.5,-100000000000000000000000000000,1e+300,x\n"
 )
 
 
@@ -66,29 +61,47 @@ def test_golden_bytes():
 
 
 def test_repeated_row_types_reuse_one_format():
-    rows = [(float(k), np.float64(k) / 3, k, "s") for k in range(5)] * 2 + GOLDEN_ROWS * 2
+    rows = [(float(k), k / 3, k, "s", -k) for k in range(5)] * 2 + GOLDEN_ROWS * 2
     header = ("a", "b", "c", "d", "e")
     assert written(header, rows) == reference_csv(header, rows)
 
 
 def test_lists_and_array_rows():
-    rows = [[1.5, 2, "z"], np.array([0.25, -1e-5, math.inf])]
+    rows = [[1.5, 2, "z"], np.array([0.25, -1e-5, math.inf]).tolist()]
     assert written(("a", "b", "c"), rows) == reference_csv(("a", "b", "c"), rows)
 
 
-_floats = st.floats(allow_nan=True, allow_infinity=True)
-_int64 = st.integers(-(2**63), 2**63 - 1)
+@pytest.mark.parametrize("cell, name", [
+    (np.float64(0.5), r"numpy\.float64"),
+    (np.int64(3), r"numpy\.int64"),
+    (True, r"builtins\.bool"),
+    (np.bool_(True), r"numpy\.bool_?"),
+    (np.float32(0.1), r"numpy\.float32"),
+    (None, r"builtins\.NoneType"),
+], ids=["float64", "int64", "bool", "bool_", "float32", "None"])
+def test_off_table_cell_raises_type_error_naming_its_type(tmp_path, cell, name):
+    message = rf"a CSV cell must be a float, int or str, got {name}$"
+    with pytest.raises(TypeError, match=message):
+        format_cell(cell)
+    path = tmp_path / "out.csv"
+    # the row holding the cell is not written, nor any after it
+    with pytest.raises(TypeError, match=message):
+        write_csv(path, ("a", "b"), [(1.0, "x"), (2, "y"), (cell, "z"), (3.0, "w")])
+    assert path.read_bytes() == b"a,b\n1,x\n2,y\n"
+
+
+def test_write_table_writes_the_csv_and_its_sidecar(tmp_path):
+    write_table(tmp_path / "out.csv", ("t", "u"), [(0.5, 1)], {"command": "test", "n": 3})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    assert (tmp_path / "out.csv").read_bytes() == b"t,u\n0.5,1\n"
+    assert json.loads((tmp_path / "out.json").read_text()) == {"command": "test", "n": 3}
+
+
 cells = st.one_of(
-    _floats,
-    _floats.map(np.float64),
-    st.floats(width=32).map(np.float32),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.integers(),
-    _int64.map(np.int64),
-    st.integers(-(2**31), 2**31 - 1).map(np.int32),
     # may draw a lone surrogate, which UTF-8 cannot encode
     st.text(st.characters(blacklist_characters=",\n\r"), max_size=8),
-    st.booleans(),
-    st.booleans().map(np.bool_),
 )
 
 

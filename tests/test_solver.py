@@ -27,13 +27,8 @@ from fkfront.domain import (
     step_initial_condition,
 )
 from fkfront import lapack
-from fkfront.solver import (
-    FactoredSymmetricTridiagonal,
-    TridiagonalOperator,
-    build_operator,
-    factor_step_matrix,
-    march,
-)
+from fkfront.solver import FactoredSymmetricTridiagonal, factor_step_matrix, march
+from fkfront.stencil import TridiagonalOperator, build_operator
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -199,19 +194,6 @@ class TestSymmetricStepFactors:
         expected = np.linalg.solve(np.eye(21) - 0.1 * dense_matrix(op), rhs)
         assert system.solve(rhs) is rhs
         assert np.max(np.abs(rhs - expected)) <= 1e-12
-
-    @pytest.mark.parametrize("clone", ["pickle", "deepcopy", "copy"])
-    def test_clone_solves_bit_for_bit_in_its_own_workspace(self, clone):
-        import copy
-        import pickle
-
-        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
-        system = factor_step_matrix([op], 0.1)
-        other = {"pickle": lambda s: pickle.loads(pickle.dumps(s)),
-                 "deepcopy": copy.deepcopy, "copy": copy.copy}[clone](system)
-        assert other.workspace is not system.workspace
-        rhs = np.linspace(0.0, 1.0, 21)
-        assert np.array_equal(bits(other.solve(rhs.copy())), bits(system.solve(rhs.copy())))
 
     def test_rejects_step_matrix_not_positive_definite(self):
         # couplings of 4e16 swamp the weights, and dpttrf loses positivity
@@ -794,9 +776,14 @@ class TestLapackBinding:
         n = d.size
         il = data.draw(st.integers(1, n))
         iu = data.draw(st.integers(il, n))
+        ours = lapack.load()
         results = []
-        for module in (lapack.load(), scipy_lapack):
-            found, w, iblock, isplit, info = module.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B")
+        # scipy's wrapper takes the range (2, by index), vl, vu, the tolerance
+        # and the order that the binding fixes
+        for module, stebz in ((ours, ours.dstebz(d, e, il, iu)),
+                              (scipy_lapack,
+                               scipy_lapack.dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B"))):
+            found, w, iblock, isplit, info = stebz
             assert info == 0 and found == iu - il + 1
             vecs, info = module.dstein(d, e, w[:found], iblock, isplit)
             assert info == 0
@@ -815,8 +802,9 @@ class TestLapackBinding:
             import numpy as np
 
             from fkfront.domain import Grid, make_quadratic_diffusion
-            from fkfront.solver import build_operator, factor_step_matrix
+            from fkfront.solver import factor_step_matrix
             from fkfront.spectral import solve_eigenproblem
+            from fkfront.stencil import build_operator
 
             grid = Grid(L=4.0, n=51)
             a = make_quadratic_diffusion(0.1)
@@ -882,7 +870,7 @@ class TestLapackArgumentChecks:
 
     def dstein_inputs(self):
         d, e, _ = random_tridiagonal(7, spd=False)
-        found, w, iblock, isplit, info = lapack.load().dstebz(d, e, 2, 0.0, 1.0, 1, 3, 0.0, "B")
+        found, w, iblock, isplit, info = lapack.load().dstebz(d, e, 1, 3)
         assert info == 0 and found == 3
         return d, e, w[:found], iblock, isplit
 

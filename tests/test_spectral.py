@@ -14,8 +14,8 @@ from fkfront.domain import (
     make_constant_diffusion,
     make_quadratic_diffusion,
 )
-from fkfront.solver import build_operator
 from fkfront.spectral import average_prediction, solve_eigenproblem
+from fkfront.stencil import build_operator
 
 
 def stacked(phis, m):
