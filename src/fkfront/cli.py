@@ -72,21 +72,22 @@ def _march(cfg: ExperimentConfig, epsilons: list[float]) -> Iterator[tuple[float
     """Stored steps ``(t, u)`` of one run per epsilon, marched as one stacked system.
 
     ``u`` has shape ``(len(epsilons), n)``; row ``b`` is bit for bit the run
-    for ``epsilons[b]`` alone.  The grid is checked for resolution and the
-    matrix factored here, before the first step is drawn.
+    for ``epsilons[b]`` alone.  The grid is checked for resolution, and
+    :func:`~fkfront.solver.march` checks its arguments and factors the step
+    matrix, here, before the first step is drawn.
     """
     import numpy as np
 
     from .domain import logistic_reaction, make_quadratic_diffusion, step_initial_condition
-    from .solver import factor_step_matrix, march
+    from .solver import march
     from .stencil import build_operator
 
     grid = _grid(cfg)
     _warn_if_under_resolved(grid, epsilons)
     ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
     u0 = step_initial_condition(grid, cfg.x_c0)
-    return march(factor_step_matrix(ops, cfg.dt), np.tile(u0, (len(ops), 1)),
-                 logistic_reaction, cfg.t_end, cfg.snapshot_stride)
+    return march(ops, cfg.dt, np.tile(u0, (len(ops), 1)), logistic_reaction, cfg.t_end,
+                 cfg.snapshot_stride)
 
 
 def _log_early_stop(command: str, t: float, cfg: ExperimentConfig, reason: str) -> None:
@@ -140,8 +141,8 @@ def sfa_front_comparison(
       ``g(v) = v + dt v (1 - v)``; ``I - dt D`` is an M-matrix with unit row
       sums, so ``u'`` is a convex combination of the entries of ``g(u)`` and
       ``min u' >= min g(u)``;
-    - for ``dt <= 1``, which :func:`~fkfront.solver.factor_step_matrix`
-      enforces, ``g`` is increasing on ``[0, 1]`` with ``g(v) >= v``, so
+    - for ``dt <= 1``, which :func:`~fkfront.solver.march` enforces, ``g``
+      is increasing on ``[0, 1]`` with ``g(v) >= v``, so
       ``min g(u) = g(min u) >= min u``;
     - so once ``min u > level``, ``min u`` stays above ``level`` and no
       crossing can return.  This holds in exact arithmetic; in floating

@@ -144,17 +144,6 @@ _SCHEMA = {
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 
-def _step_count_problems(section: str, t_end: float, dt: float) -> list[str]:
-    steps = t_end / dt
-    if not math.isfinite(steps):
-        return [f"{section}.t_end / {section}.dt must be a finite step count, "
-                f"got {t_end} / {dt}"]
-    if steps > MAX_STEPS:
-        return [f"{section}.t_end / {section}.dt must be at most {MAX_STEPS} steps, "
-                f"got {t_end} / {dt} = {steps:g}"]
-    return []
-
-
 def _validate(cfg: ExperimentConfig) -> list[str]:
     problems = []
     if cfg.L <= 0:
@@ -173,8 +162,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"solver.t_end must be non-negative, got {cfg.t_end}")
     if 0 < cfg.t_end < cfg.dt:
         problems.append(f"solver.t_end below one step dt={cfg.dt}, got {cfg.t_end}")
-    if 0 < cfg.dt:
-        problems += _step_count_problems("solver", cfg.t_end, cfg.dt)
     if cfg.snapshot_stride < 1:
         problems.append(f"solver.snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
     if any(e <= 0 for e in cfg.sweep_epsilons):
@@ -193,8 +180,12 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"wkb.t_end must be non-negative, got {cfg.wkb_t_end}")
     if cfg.wkb_dt <= 0:
         problems.append(f"wkb.dt must be positive, got {cfg.wkb_dt}")
-    else:
-        problems += _step_count_problems("wkb", cfg.wkb_t_end, cfg.wkb_dt)
+    for section, t_end, dt in (("solver", cfg.t_end, cfg.dt), ("wkb", cfg.wkb_t_end, cfg.wkb_dt)):
+        if dt > 0:
+            try:
+                check_step_count(t_end, dt)
+            except ValueError as exc:
+                problems.append(f"[{section}] {exc}")
     return problems
 
 

@@ -19,8 +19,7 @@ node's sign class, one comparison over them.  Where that fails, and on a
 row's first state, it searches the whole row with :func:`front_positions`;
 either way the position is the same bit for bit.  Once a row's front has
 left the window, it asks a stream with a ``send`` (such as
-:func:`fkfront.solver.march`) to drop that row, and it reads the next
-state's row count to see whether the stream did.
+:func:`fkfront.solver.march`) to drop that row, and the stream must.
 """
 
 from __future__ import annotations
@@ -185,13 +184,12 @@ def window_transits(
     the row's last front cannot prove the crossing (:func:`_front`).  Every
     state is checked whole to be finite.
 
-    Once rows have exited, a ``steps`` with a ``send`` (a generator) is
-    drawn with ``steps.send`` and the ascending indices of the rows still
-    live, and a stream such as :func:`~fkfront.solver.march` drops the other
-    rows from its next states.  The next state's row count tells whether it
-    did: the live rows' count (the rows are those), or the count before
-    (the request was ignored, as by a generator that discards what is sent).
-    Any other count raises ``ValueError``.
+    Once rows have exited, a ``steps`` with a ``send`` (a generator such as
+    :func:`~fkfront.solver.march`) is drawn with ``steps.send`` and the
+    ascending indices of the rows still live, and must drop the other rows
+    from its next state.  A ``steps`` without a ``send`` is read whole.  A
+    state whose row count is not that of the rows kept raises
+    ``ValueError``.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -199,7 +197,6 @@ def window_transits(
     send = getattr(steps, "send", None)
     # per row: entry, exit, time and position of the last front read, and its cell
     records = rows = None  # rows: the records of the rows of the states drawn
-    live = []
     asked = False
     t = math.nan
     state = next(steps, None)
@@ -208,11 +205,9 @@ def window_transits(
         u, x = _checked_states(np.atleast_2d(u), x)
         if rows is None:
             records = rows = [[None] * 5 for _ in u]
-        elif asked and len(u) == len(live):
-            rows = [rows[j] for j in live]
         elif len(u) != len(rows):
-            raise ValueError(f"the state at t={t:g} has {len(u)} rows, after {len(rows)}"
-                             + (f" and a request to keep {len(live)}" if asked else ""))
+            raise ValueError(f"the state at t={t:g} has {len(u)} rows, after "
+                             + (f"a request to keep {len(rows)}" if asked else f"{len(rows)}"))
         for record, row in zip(rows, u):
             if record[1] is None:
                 _read_front(record, t, row, x, radius)
@@ -221,6 +216,8 @@ def window_transits(
             break
         u = state = None  # a narrowing march may free this state as it gathers the next
         asked = send is not None and len(live) < len(rows)
+        if asked:
+            rows = [rows[j] for j in live]
         try:
             state = send(live) if asked else next(steps)
         except StopIteration:

@@ -92,7 +92,7 @@ def solve_eigenproblem(
     n = grid.n
     op = build_operator(grid, a)
     weights = op.weights
-    sqrt_qw = np.sqrt(grid.dx * weights)
+    sqrt_qw = np.sqrt(grid.quadrature_weights)
     diag = -op.neighbour_sums / weights
     offdiag = (op.coupling / weights[:-1]) * sqrt_qw[:-1] / sqrt_qw[1:]
     found, w, iblock, isplit, info = lapack.dstebz(diag, offdiag, n - m + 1, n)

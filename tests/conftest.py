@@ -20,7 +20,7 @@ from fkfront.domain import (
     step_initial_condition,
 )
 from fkfront.front import front_positions
-from fkfront.solver import factor_step_matrix, march
+from fkfront.solver import march
 from fkfront.spectral import solve_eigenproblem
 from fkfront.stencil import build_operator
 
@@ -48,15 +48,21 @@ def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:
 def diffuse_smooth(n: int, dt: float, t_end: float, a) -> np.ndarray:
     """The smooth profile marched to ``t_end`` under diffusion ``a`` only (no source)."""
     grid = Grid(L=100.0, n=n)
-    system = factor_step_matrix([build_operator(grid, a)], dt)
-    *_, (_, u) = march(system, smooth_profile(grid.x, grid.L), zero_reaction, t_end)
+    *_, (_, u) = march([build_operator(grid, a)], dt, smooth_profile(grid.x, grid.L),
+                       zero_reaction, t_end)
     return u
 
 
 def stored_fields(grid, a, f, x_c0, dt, t_end, stride=1) -> tuple[tuple[float, np.ndarray], ...]:
     """Every ``(t, u)`` state ``march`` yields from the step initial condition."""
-    system = factor_step_matrix([build_operator(grid, a)], dt)
-    return tuple(march(system, step_initial_condition(grid, x_c0), f, t_end, stride))
+    return tuple(march([build_operator(grid, a)], dt, step_initial_condition(grid, x_c0), f,
+                       t_end, stride))
+
+
+def read_whole(stream):
+    """``stream`` as an iterator without a ``send``: no request to drop rows
+    reaches it, so :func:`fkfront.front.window_transits` reads every row."""
+    return iter(stream.__next__, None)
 
 
 def dense_matrix(op) -> np.ndarray:

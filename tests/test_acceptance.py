@@ -22,7 +22,7 @@ from fkfront.domain import (
     make_quadratic_diffusion,
 )
 from fkfront.front import fit_power_law, window_transits
-from fkfront.solver import factor_step_matrix, march
+from fkfront.solver import march
 from fkfront.spectral import average_prediction, solve_eigenproblem
 from fkfront.stencil import build_operator
 from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
@@ -320,8 +320,7 @@ def test_a7_solver_properties(default_grid, default_run, pure_diffusion_run, con
     grid = default_grid
     op = build_operator(grid, make_quadratic_diffusion(0.1))
     # ten steps of 0.1 from the two equilibria, marched as one stacked system
-    *_, (_, (zero, one)) = march(factor_step_matrix([op, op], 0.1),
-                                 np.stack([np.zeros(grid.n), np.ones(grid.n)]),
+    *_, (_, (zero, one)) = march([op, op], 0.1, np.stack([np.zeros(grid.n), np.ones(grid.n)]),
                                  logistic_reaction, 1.0)
     eq_dev0 = float(np.max(np.abs(zero)))
     eq_dev1 = float(np.max(np.abs(one - 1.0)))

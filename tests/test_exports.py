@@ -101,3 +101,15 @@ def test_readme_references_resolve():
     unresolved = [f"{module}.{name}" for module, name in found
                   if not hasattr(importlib.import_module(f"fkfront.{module}"), name)]
     assert found and unresolved == []
+
+
+def test_only_the_lapack_binding_imports_ctypes():
+    importers = []
+    for module in ["__init__", *MODULES]:
+        path = Path(fkfront.__path__[0]) / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.append(module)
+    assert sorted(set(importers)) == ["lapack"]

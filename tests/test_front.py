@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_exit, stored_positions
+from conftest import first_exit, read_whole, stored_positions
 from fkfront.domain import Grid, step_initial_condition
 from fkfront.front import fit_power_law, front_positions, window_transits
 
@@ -149,7 +149,7 @@ class TestTrackFront:
 
     def test_stacked_rows_tracked_alone(self, default_run, default_grid):
         x = default_grid.x
-        stacked = ((t, np.stack([u, u[::-1]])) for t, u in default_run)
+        stacked = read_whole((t, np.stack([u, u[::-1]])) for t, u in default_run)
         mirrored = ((t, u[::-1]) for t, u in default_run)
         records, _ = window_transits(stacked, x, WINDOW)
         [alone], _ = window_transits(default_run, x, WINDOW)
@@ -158,7 +158,7 @@ class TestTrackFront:
         assert records == [alone, mirror]
 
 
-def front_stream(times, rows, drawn=None, rising=(), honour=False):
+def front_stream(times, rows, drawn=None, rising=(), send=False):
     """Nodes ``x`` and a ``(t, u)`` stream whose row ``b`` has its 1/2 front at
     exactly ``rows[b][k]`` in state ``k``, and none where that is NaN.
 
@@ -168,9 +168,10 @@ def front_stream(times, rows, drawn=None, rising=(), honour=False):
     The nodes are the positions, the ends ±1e3 and a grid of spacing 1/4
     over [-10, 10], so a front that moves by more than 1.5 jumps past the
     cells that :func:`fkfront.front.window_transits` reads first.
-    ``drawn`` collects the index of every state drawn.  With ``honour``, a
-    request sent into the stream keeps only the rows it names, as
-    :func:`fkfront.solver.march` does; otherwise it is ignored.
+    ``drawn`` collects the index of every state drawn.  With ``send``, the
+    stream is a generator and a request sent into it keeps only the rows it
+    names, as :func:`fkfront.solver.march` does; otherwise it has no
+    ``send`` (:func:`conftest.read_whole`) and keeps every row.
     """
     positions = [p for row in rows for p in row if not math.isnan(p)]
     x = np.unique(positions + list(np.linspace(-10.0, 10.0, 81)) + [-1e3, 1e3])
@@ -185,10 +186,10 @@ def front_stream(times, rows, drawn=None, rising=(), honour=False):
             flip = [j for j, b in enumerate(live) if b in rising]
             u[flip] = 1.0 - u[flip]
             keep = yield t, u
-            if honour and keep is not None:
+            if keep is not None:
                 live = [live[j] for j in keep]
 
-    return x, states()
+    return x, states() if send else read_whole(states())
 
 
 def transit(times, positions, radius=WINDOW):
@@ -301,10 +302,10 @@ class TestTrappingTime:
         scale = max(np.max(np.abs(t)), np.max(np.abs(shifted)))
         assert abs((moved_exit - moved_entry) - (exit_ - entry)) <= 1e-14 * scale
 
-    # Each stream is read ignoring requests to drop rows, with every row
-    # falling, and honouring them, with rows 0 and 2 rising to the right
+    # Each stream is read whole, without a send, with every row falling, and
+    # through requests to drop rows, with rows 0 and 2 rising to the right
     # (their last node above the level).
-    @pytest.mark.parametrize("honour, rising", [(False, set()), (True, {0, 2})])
+    @pytest.mark.parametrize("send, rising", [(False, set()), (True, {0, 2})])
     @settings(max_examples=200, deadline=None)
     @given(rows=streams)
     @example(rows=[[-1.0, 0.1, nan, nan, 0.2, 1.0, 2.0]])  # NaN positions between entry and exit
@@ -322,10 +323,10 @@ class TestTrappingTime:
     @example(rows=[[-1.0, 0.0, nan, nan, -7.0, -0.1, 6.0]])  # vanishes, returns far away
     # the last node at the level: a front on the far wall
     @example(rows=[[-1.0, 0.0, 1e3, 1e3], [-1.0, -0.3, 0.0, 0.3]])
-    def test_matches_first_exit_oracle(self, honour, rising, rows):
+    def test_matches_first_exit_oracle(self, send, rising, rows):
         times = [0.1 * k for k in range(len(rows[0]))]
         drawn = []
-        x, stream = front_stream(times, rows, drawn, rising, honour)
+        x, stream = front_stream(times, rows, drawn, rising, send)
         records, t_stop = window_transits(stream, x, WINDOW)
         expected = [oracle(times, row, WINDOW) for row in rows]
         exits = [k_out for _, k_out in expected]
@@ -348,12 +349,14 @@ class TestTrackFrontStop:
 
 
 class TestStreamContract:
-    """A state's row count tells whether a request to drop rows was honoured."""
+    """A stream with a ``send`` drops the rows each request leaves out; one
+    without is read whole.  Any other row count raises."""
 
     def states(self):
         # row 0 enters at once and leaves in state 1; the others stay inside
-        x, stream = front_stream([0.0, 0.1, 0.2], [[0.0, 1.0, 2.0], [0.0, 0.1, 0.2],
-                                                   [0.0, 0.1, 0.2]])
+        x, stream = front_stream([0.0, 0.1, 0.2, 0.3], [[0.0, 1.0, 2.0, 3.0],
+                                                        [0.0, 0.1, 0.2, 0.2],
+                                                        [0.0, 0.1, 0.2, 0.2]])
         return x, list(stream)
 
     def test_request_is_sent_once_a_row_has_left(self):
@@ -361,25 +364,31 @@ class TestStreamContract:
         sent = []
 
         def stream():
+            live = [0, 1, 2]
             for t, u in states:
-                sent.append((yield t, u))
+                keep = yield t, u[live]
+                sent.append(keep)
+                if keep is not None:
+                    live = [live[j] for j in keep]
 
-        window_transits(stream(), x, WINDOW)
-        # ignored, so sent again, by the rows' indices in the stream
-        assert sent == [None, [1, 2], [1, 2]]
+        records, _ = window_transits(stream(), x, WINDOW)
+        # by the rows' indices in the stream, and not again
+        assert sent == [None, [1, 2], None, None]
+        assert records == window_transits(iter(states), x, WINDOW)[0]
 
-    def test_state_of_neither_count_raises(self):
+    def test_ignored_request_raises(self):
         x, states = self.states()
 
         def stream():
-            yield states[0]
-            yield states[1]
-            yield states[2][0], states[2][1][:1]
+            for t, u in states:
+                yield t, u
 
-        with pytest.raises(ValueError, match=r"the state at t=0.2 has 1 rows, after 3 and a "
-                                             r"request to keep 2"):
+        with pytest.raises(ValueError, match=r"the state at t=0.2 has 3 rows, after a request "
+                                             r"to keep 2$"):
             window_transits(stream(), x, WINDOW)
-        # an iterator without send is asked nothing, and keeps its rows
+
+    def test_stream_without_send_that_drops_a_row_raises(self):
+        x, states = self.states()
         with pytest.raises(ValueError, match=r"the state at t=0.1 has 2 rows, after 3$"):
             window_transits(iter([states[0], (0.1, states[1][1][1:])]), x, WINDOW)
 

@@ -3,6 +3,7 @@
 import math
 import re
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fkfront.domain import (
     step_initial_condition,
 )
 from fkfront import lapack
-from fkfront.solver import FactoredSymmetricTridiagonal, factor_step_matrix, march
+from fkfront.solver import march
 from fkfront.stencil import TridiagonalOperator, build_operator
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -160,59 +161,59 @@ def step_operators(draw):
     return ops, dt
 
 
+def one_solve(ops, dt, rhs):
+    """``(I - dt D) x = rhs`` for the stacked ``ops``: one step of :func:`march`
+    without a source."""
+    *_, (_, x) = march(ops, dt, rhs, zero_reaction, dt)
+    return x
+
+
 class TestSymmetricStepFactors:
     @settings(max_examples=60, deadline=None)
     @given(step_operators(), st.integers(0, 2**32 - 1))
     def test_step_matrix_takes_symmetric_path_and_agrees_with_lu(self, case, seed):
         ops, dt = case
         n = ops[0].grid.n
-        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
-        system = factor_step_matrix(ops, dt)
-        assert isinstance(system, FactoredSymmetricTridiagonal)
-        assert system.dt == dt
-        solution = system.solve(rhs.copy())
-        for b, op in enumerate(ops):
-            block = slice(b * n, (b + 1) * n)
-            expected = np.linalg.solve(np.eye(n) - dt * dense_matrix(op), rhs[block])
-            got = solution[block]
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(ops), n))
+        for op, block, got in zip(ops, rhs, one_solve(ops, dt, rhs)):
+            expected = np.linalg.solve(np.eye(n) - dt * dense_matrix(op), block)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @settings(max_examples=60, deadline=None)
     @given(step_operators(), st.integers(0, 2**32 - 1))
     def test_stack_matches_separate_symmetric_solves_bit_for_bit(self, case, seed):
         ops, dt = case
-        n = ops[0].grid.n
-        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(ops) * n)
-        separate = np.concatenate([factor_step_matrix([op], dt).solve(block.copy())
-                                   for op, block in zip(ops, rhs.reshape(len(ops), n))])
-        assert np.array_equal(factor_step_matrix(ops, dt).solve(rhs), separate)
-
-    def test_solve_writes_the_solution_into_rhs(self):
-        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
-        system = factor_step_matrix([op], 0.1)
-        rhs = np.linspace(0.0, 1.0, 21)
-        expected = np.linalg.solve(np.eye(21) - 0.1 * dense_matrix(op), rhs)
-        assert system.solve(rhs) is rhs
-        assert np.max(np.abs(rhs - expected)) <= 1e-12
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(ops), ops[0].grid.n))
+        separate = np.stack([one_solve([op], dt, block) for op, block in zip(ops, rhs)])
+        assert np.array_equal(one_solve(ops, dt, rhs), separate)
 
     def test_rejects_step_matrix_not_positive_definite(self):
         # couplings of 4e16 swamp the weights, and dpttrf loses positivity
         # to rounding in the last pivot
         op = build_operator(Grid(L=1.0, n=5), make_constant_diffusion(1e16))
         with pytest.raises(ValueError, match=r"not positive definite \(dpttrf info 5\)"):
-            factor_step_matrix([op], 1.0)
+            march([op], 1.0, np.zeros(5), logistic_reaction, 1.0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1, 1.5])
     def test_rejects_bad_dt(self, dt):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match="dt must satisfy"):
-            factor_step_matrix([op], dt)
+            march([op], dt, np.zeros(5), logistic_reaction, 1.0)
 
     @pytest.mark.parametrize("sizes", [(5, 6), ()])
     def test_rejects_operators_without_one_grid_size(self, sizes):
         ops = [build_operator(Grid(L=1.0, n=n), make_quadratic_diffusion(0.1)) for n in sizes]
         with pytest.raises(ValueError, match="must share one grid size"):
-            factor_step_matrix(ops, 0.1)
+            march(ops, 0.1, np.zeros(5), logistic_reaction, 1.0)
+
+    @pytest.mark.parametrize("blocks, shape", [(2, (5,)), (2, (10,)), (1, (2, 5)), (1, (4,))])
+    def test_rejects_initial_state_of_another_shape(self, blocks, shape):
+        # before: the first state was yielded, and the first step raised a
+        # broadcasting error, or a flat stack was yielded as one block
+        op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"u0 must have shape ({blocks}, 5), or (5,) for one operator, got {shape}")):
+            march([op] * blocks, 0.1, np.zeros(shape), logistic_reaction, 1.0)
 
 
 class TestMaximumPrincipleProperty:
@@ -230,9 +231,9 @@ class TestMaximumPrincipleProperty:
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
         u0 = step_initial_condition(grid, x_c0)
-        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
+        op = build_operator(grid, make_quadratic_diffusion(eps))
         lows, highs = [], []
-        for _, u in march(system, u0, logistic_reaction, steps * dt):
+        for _, u in march([op], dt, u0, logistic_reaction, steps * dt):
             lows.append(float(u.min()))
             highs.append(float(u.max()))
         assert len(lows) == steps + 1
@@ -264,9 +265,9 @@ class TestMinimumPrincipleProperty:
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
         u0 = step_initial_condition(grid, x_c0)
-        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(eps))], dt)
+        op = build_operator(grid, make_quadratic_diffusion(eps))
         above = [bool(u.min() > 0.5)
-                 for _, u in march(system, u0, logistic_reaction, steps * dt, stride)]
+                 for _, u in march([op], dt, u0, logistic_reaction, steps * dt, stride)]
         if True in above:
             assert all(above[above.index(True):])
 
@@ -274,37 +275,29 @@ class TestMinimumPrincipleProperty:
         # the whole field passes 1/2 well before t_end on this grid
         grid = Grid(L=4.0, n=51)
         u0 = step_initial_condition(grid, -1.0)
-        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
-        above = [bool(u.min() > 0.5) for _, u in march(system, u0, logistic_reaction, 10.0)]
+        op = build_operator(grid, make_quadratic_diffusion(0.1))
+        above = [bool(u.min() > 0.5) for _, u in march([op], 0.01, u0, logistic_reaction, 10.0)]
         first = above.index(True)
         assert 0 < first < len(above) // 2
         assert all(above[first:])
 
 
-class CountingSystem:
-    """A factored system that counts its solves."""
+def count_solves(monkeypatch) -> list[int]:
+    """The size of every ``dpttrs`` solve made from here on, as they are made."""
+    sizes = []
+    bind = lapack.Lapack.dpttrs
 
-    def __init__(self, system):
-        self.system = system
-        self.dt = system.dt
-        self.workspace = system.workspace
-        self.calls = 0
+    def dpttrs(self, d, e, b):
+        solve = bind(self, d, e, b)
 
-    def solve(self, rhs):
-        self.calls += 1
-        return self.system.solve(rhs)
+        def counted():
+            sizes.append(b.size)
+            solve()
 
+        return counted
 
-class Negating:
-    """A stand-in system whose solve returns ``-rhs``.  Under
-    :func:`signed_zero_reaction` a zero state flips between ``0.0`` and
-    ``-0.0``, which compare equal but differ in bits."""
-
-    dt = 0.5
-    workspace = np.empty(4)
-
-    def solve(self, rhs):
-        return -np.asarray(rhs, dtype=float)
+    monkeypatch.setattr(lapack.Lapack, "dpttrs", dpttrs)
+    return sizes
 
 
 def signed_zero_reaction(u: np.ndarray) -> np.ndarray:
@@ -312,17 +305,25 @@ def signed_zero_reaction(u: np.ndarray) -> np.ndarray:
     return 0.0 * u
 
 
-def plain_march(system, u0, f, t_end, stride=1):
+def plain_march(ops, dt, u0, f, t_end, stride=1):
     """The stored ``(t, u)`` of a march that solves on every step, with no
     fixed-point skip, and the first step whose solve returned its input bit
-    for bit (None if none did)."""
-    dt = system.dt
+    for bit (None if none did).  The factors are those of the weighted step
+    matrix ``W + dt K`` as :func:`march` documents it."""
+    weights = np.concatenate([op.weights for op in ops])
+    d = np.concatenate([op.neighbour_sums for op in ops]) * dt + weights
+    e = np.concatenate([np.append(op.coupling * -dt, 0.0) for op in ops])[:-1]
+    assert lapack.load().dpttrf(d, e)[2] == 0
+    rhs = np.empty(d.size)
+    solve = lapack.load().dpttrs(d, e, rhs)
     n_steps = int(round(t_end / dt))
     u = np.array(u0, dtype=float).ravel()
     stored, first_fixed = [(0.0, u.copy())], None
     for k in range(1, n_steps + 1):
         prev = u
-        u = system.solve(prev + dt * np.asarray(f(prev), dtype=float))
+        rhs[:] = (prev + dt * np.asarray(f(prev), dtype=float)) * weights
+        solve()
+        u = rhs.copy()
         if first_fixed is None and np.array_equal(u.view(np.int64), prev.view(np.int64)):
             first_fixed = k
         if k % stride == 0 or k == n_steps:
@@ -357,28 +358,28 @@ class TestFixedPointSkip:
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
         ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in epsilons]
-        system = factor_step_matrix(ops, dt)
         u0 = np.tile(step_initial_condition(grid, x_c0), (len(ops), 1))
         t_end = max(1, round(horizon / dt)) * dt
-        expected, first_fixed = plain_march(system, u0, logistic_reaction, t_end, stride)
+        expected, first_fixed = plain_march(ops, dt, u0, logistic_reaction, t_end, stride)
         event("fixed point reached" if first_fixed else "no fixed point")
-        counting = CountingSystem(system)
-        steps = list(march(counting, u0, logistic_reaction, t_end, stride))
+        with pytest.MonkeyPatch.context() as patch:
+            solves = count_solves(patch)
+            steps = list(march(ops, dt, u0, logistic_reaction, t_end, stride))
         assert all(np.shape(u) == u0.shape for _, u in steps)
         assert_same_bits(steps, expected)
         n_steps = int(round(t_end / dt))
-        assert counting.calls == (first_fixed or n_steps)
+        assert len(solves) == (first_fixed or n_steps)
 
-    def test_saturated_run_stops_solving(self, caplog):
+    def test_saturated_run_stops_solving(self, caplog, monkeypatch):
         grid = Grid(L=4.0, n=51)
-        system = factor_step_matrix([build_operator(grid, make_quadratic_diffusion(0.1))], 0.01)
+        ops = [build_operator(grid, make_quadratic_diffusion(0.1))]
         u0 = step_initial_condition(grid, -1.0)
-        expected, first_fixed = plain_march(system, u0, logistic_reaction, 60.0, 25)
-        counting = CountingSystem(system)
+        expected, first_fixed = plain_march(ops, 0.01, u0, logistic_reaction, 60.0, 25)
+        solves = count_solves(monkeypatch)
         with caplog.at_level("INFO", logger="fkfront"):
-            steps = list(march(counting, u0, logistic_reaction, 60.0, 25))
+            steps = list(march(ops, 0.01, u0, logistic_reaction, 60.0, 25))
         assert_same_bits(steps, expected)
-        assert first_fixed is not None and counting.calls == first_fixed < 6000
+        assert first_fixed is not None and len(solves) == first_fixed < 6000
         # every state after the fixed point is a fresh array
         late = [u for t, u in steps if t >= first_fixed * 0.01]
         assert len(late) > 2
@@ -388,26 +389,30 @@ class TestFixedPointSkip:
             "input bit for bit, no further solve before t_end=60"
         ]
 
-    def test_signed_zeros_do_not_match(self):
-        expected, first_fixed = plain_march(Negating(), np.zeros(4), signed_zero_reaction, 3.0)
-        assert first_fixed is None
-        assert [np.signbit(u[0]) for _, u in expected] == [False, True] * 3 + [False]
-        assert_same_bits(march(Negating(), np.zeros(4), signed_zero_reaction, 3.0), expected)
+    def test_signed_zeros_do_not_match(self, monkeypatch):
+        # each solve returns its right-hand side negated, so under
+        # signed_zero_reaction a zero state flips between 0.0 and -0.0, which
+        # compare equal but differ in bits
+        monkeypatch.setattr(lapack.Lapack, "dpttrs",
+                            lambda self, d, e, b: lambda: np.negative(b, out=b))
+        op = build_operator(Grid(L=1.0, n=4), make_constant_diffusion(1.0))
+        states = [u for _, u in march([op], 0.5, np.zeros(4), signed_zero_reaction, 3.0)]
+        assert [np.signbit(u).tolist() for u in states] == [
+            [sign] * 4 for sign in [False, True] * 3 + [False]]
 
-    def test_nan_in_the_last_entry_keeps_solving(self):
-        grid = Grid(L=2.0, n=5)
-        counting = CountingSystem(factor_step_matrix(
-            [build_operator(grid, make_constant_diffusion(1.0))], 0.5))
+    def test_nan_in_the_last_entry_keeps_solving(self, monkeypatch):
+        op = build_operator(Grid(L=2.0, n=5), make_constant_diffusion(1.0))
         u0 = np.array([1.0, 1.0, 1.0, 1.0, math.nan])
-        states = [u for _, u in march(counting, u0, zero_reaction, 3.0)]
-        assert counting.calls == 6
+        solves = count_solves(monkeypatch)
+        states = [u for _, u in march([op], 0.5, u0, zero_reaction, 3.0)]
+        assert len(solves) == 6
         assert all(np.isnan(u).all() for u in states[1:])
 
 
-def narrowed_march(system, u0, f, t_end, requests, stride=1):
+def narrowed_march(ops, dt, u0, f, t_end, requests, stride=1):
     """Every ``(t, u)`` a march yields, sending ``requests[k]`` as the blocks
     to keep after the ``k``-th state drawn (``for`` iteration elsewhere)."""
-    steps = march(system, u0, f, t_end, stride)
+    steps = march(ops, dt, u0, f, t_end, stride)
     states = [next(steps)]
     while True:
         keep = requests.get(len(states) - 1)
@@ -429,15 +434,21 @@ class TestNarrowing:
         return ops, u0
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_kept_rows_keep_the_bits_of_the_full_and_solo_marches(self, stride):
+    def test_kept_rows_keep_the_bits_of_the_full_and_solo_marches(self, stride, monkeypatch):
         ops, u0 = self.stack()
         dt, t_end = 0.05, 4.0
-        full = list(march(factor_step_matrix(ops, dt), u0, logistic_reaction, t_end, stride))
-        solo = [list(march(factor_step_matrix([op], dt), row, logistic_reaction, t_end, stride))
+        full = list(march(ops, dt, u0, logistic_reaction, t_end, stride))
+        solo = [list(march([op], dt, row, logistic_reaction, t_end, stride))
                 for op, row in zip(ops, u0)]
         # a middle block retires first, then the last of those kept
-        states = narrowed_march(factor_step_matrix(ops, dt), u0, logistic_reaction, t_end,
+        solves = count_solves(monkeypatch)
+        states = narrowed_march(ops, dt, u0, logistic_reaction, t_end,
                                 {5: [0, 2, 3], 12: [0, 1]}, stride)
+        # 80 steps; from the requests, after 5 and 12 strides, only the kept
+        # blocks are solved
+        n = u0.shape[1]
+        assert solves == ([4 * n] * 5 * stride + [3 * n] * 7 * stride
+                          + [2 * n] * (80 - 12 * stride))
         assert [t for t, _ in states] == [t for t, _ in full]
         assert [u.shape[0] for _, u in states] == [4] * 6 + [3] * 7 + [2] * (len(full) - 13)
         for k, (_, u) in enumerate(states):
@@ -446,57 +457,33 @@ class TestNarrowing:
                 assert np.array_equal(bits(row), bits(full[k][1][b]))
                 assert np.array_equal(bits(row), bits(solo[b][k][1]))
 
-    def test_each_block_takes_its_weights_along(self):
-        # the stacked weights differ per block here, unlike on one grid
-        ops, u0 = self.stack()
-        factored = factor_step_matrix(ops, 0.05)
-        weights = factored.weights * np.repeat([1.0, 2.0, 3.0, 4.0], u0.shape[1])
-
-        def system():
-            return FactoredSymmetricTridiagonal(factored.d.copy(), factored.e.copy(),
-                                                weights.copy(), 0.05)
-
-        full = list(march(system(), u0, logistic_reaction, 1.0))
-        states = narrowed_march(system(), u0, logistic_reaction, 1.0, {3: [1, 3]})
-        for (_, u), (_, v) in zip(states[4:], full[4:]):
-            assert np.array_equal(bits(u), bits(v[[1, 3]]))
-
     def test_one_dimensional_state_keeps_its_only_block(self):
         ops, u0 = self.stack(epsilons=(0.1,))
-        system = factor_step_matrix(ops, 0.1)
-        expected = list(march(factor_step_matrix(ops, 0.1), u0[0], logistic_reaction, 0.5))
-        states = narrowed_march(system, u0[0], logistic_reaction, 0.5, {1: [0]})
+        expected = list(march(ops, 0.1, u0[0], logistic_reaction, 0.5))
+        states = narrowed_march(ops, 0.1, u0[0], logistic_reaction, 0.5, {1: [0]})
         assert [u.shape for _, u in states] == [u0[0].shape] * 6
         assert_same_bits(states, expected)
 
     @pytest.mark.parametrize("keep", [[], [1, 0], [0, 0], [0, 4], [-1, 2], [2, 2, 3]])
-    def test_request_that_is_no_ascending_selection_raises_before_a_solve(self, keep):
+    def test_request_that_is_no_ascending_selection_raises_before_a_solve(self, keep,
+                                                                           monkeypatch):
         ops, u0 = self.stack()
-        counting = CountingSystem(factor_step_matrix(ops, 0.05))
-        steps = march(counting, u0, logistic_reaction, 1.0)
+        solves = count_solves(monkeypatch)
+        steps = march(ops, 0.05, u0, logistic_reaction, 1.0)
         next(steps)
         next(steps)
         with pytest.raises(ValueError, match="blocks to keep must be ascending indices of the 4"):
             steps.send(keep)
-        assert counting.calls == 1
+        assert len(solves) == 1
         assert next(steps, None) is None
-
-    def test_narrowed_from_system_is_spent(self):
-        ops, u0 = self.stack()
-        system = factor_step_matrix(ops, 0.05)
-        narrowed_march(system, u0, logistic_reaction, 0.2, {1: [1, 3]})
-        with pytest.raises(ValueError, match="factors are spent"):
-            system.solve(system.workspace)
 
     def test_narrowed_stack_stops_at_the_fixed_point_of_its_block(self, caplog):
         grid = Grid(L=4.0, n=51)
         ops = [build_operator(grid, make_quadratic_diffusion(eps)) for eps in (0.05, 0.1, 0.02)]
         u0 = np.tile(step_initial_condition(grid, -1.0), (3, 1))
-        solo, first_fixed = plain_march(factor_step_matrix(ops[1:2], 0.01), u0[1],
-                                        logistic_reaction, 60.0, 25)
+        solo, first_fixed = plain_march(ops[1:2], 0.01, u0[1], logistic_reaction, 60.0, 25)
         with caplog.at_level("INFO", logger="fkfront"):
-            states = narrowed_march(factor_step_matrix(ops, 0.01), u0, logistic_reaction, 60.0,
-                                    {1: [1]}, 25)
+            states = narrowed_march(ops, 0.01, u0, logistic_reaction, 60.0, {1: [1]}, 25)
         assert first_fixed is not None
         assert_same_bits(states[2:], solo[2:])
         assert [r.getMessage() for r in caplog.records] == [
@@ -506,23 +493,20 @@ class TestNarrowing:
 
 
 class TestIdentity:
-    """Equality and hashing by identity: the generated ``==`` over array
-    fields raised (the truth value of an array is ambiguous), and ``hash``
-    raised ``TypeError``."""
+    """Operators compare and hash by identity: the generated ``==`` over
+    array fields raised (the truth value of an array is ambiguous), and
+    ``hash`` raised ``TypeError``."""
 
-    def test_operators_and_factors_compare_by_identity(self):
+    def test_operators_compare_by_identity(self):
         grid = Grid(L=10.0, n=21)
-        ops = [build_operator(grid, make_quadratic_diffusion(0.1)) for _ in range(2)]
-        systems = [factor_step_matrix([op], 0.1) for op in ops]
-        for a, b in (ops, systems):
-            assert a == a and a != b
-            assert len({a, b, a}) == 2
+        a, b = [build_operator(grid, make_quadratic_diffusion(0.1)) for _ in range(2)]
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def one_step(g, diffusion, u0, dt):
     """``(t, u)`` after one step of ``dt`` from ``u0``."""
-    system = factor_step_matrix([build_operator(g, diffusion)], dt)
-    _, last = march(system, u0, logistic_reaction, dt)
+    _, last = march([build_operator(g, diffusion)], dt, u0, logistic_reaction, dt)
     return last
 
 
@@ -541,16 +525,16 @@ class TestImexStep:
 
     def test_monotone_profile_stays_monotone(self):
         g = Grid(L=100.0, n=501)
-        system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.01)
+        op = build_operator(g, make_quadratic_diffusion(0.1))
         u0 = step_initial_condition(g, -35.0)
-        for _, u in march(system, u0, logistic_reaction, 0.5):
+        for _, u in march([op], 0.01, u0, logistic_reaction, 0.5):
             assert np.all(np.diff(u) <= 1e-13)
 
     def test_yielded_states_are_fresh_arrays(self):
         g = Grid(L=10.0, n=11)
-        system = factor_step_matrix([build_operator(g, make_quadratic_diffusion(0.1))], 0.1)
+        op = build_operator(g, make_quadratic_diffusion(0.1))
         u0 = step_initial_condition(g, -5.0)
-        states = [u for _, u in march(system, u0, logistic_reaction, 0.3)]
+        states = [u for _, u in march([op], 0.1, u0, logistic_reaction, 0.3)]
         assert len(states) == 4
         assert np.array_equal(states[0], u0) and states[0] is not u0
         for k, u in enumerate(states):
@@ -570,8 +554,7 @@ class TestConservationAndBounds:
         ops, dt = case
         w = unit_trapezoid(ops[0].grid.n)
         u0 = np.random.default_rng(seed).uniform(0.0, 1.0, (len(ops), ops[0].grid.n))
-        masses = np.array([u @ w for _, u in march(factor_step_matrix(ops, dt), u0,
-                                                   zero_reaction, steps * dt)])
+        masses = np.array([u @ w for _, u in march(ops, dt, u0, zero_reaction, steps * dt)])
         drift = np.max(np.abs(masses - masses[0]) / masses[0])
         assert drift <= 1e-8
 
@@ -657,8 +640,8 @@ class TestSimulate:
 
 
 class TestSolverConfigValidation:
-    """The step size is checked when the step matrix is factored; the horizon
-    and the stride when the march is first drawn."""
+    """The step size, the horizon and the stride are checked when the march is
+    called, before its first draw."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -674,9 +657,8 @@ class TestSolverConfigValidation:
     def test_rejects_inconsistent_settings(self, kwargs):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError):
-            system = factor_step_matrix([op], kwargs["dt"])
-            next(march(system, np.zeros(5), logistic_reaction, kwargs["t_end"],
-                       kwargs.get("snapshot_stride", 1)))
+            march([op], kwargs["dt"], np.zeros(5), logistic_reaction, kwargs["t_end"],
+                  kwargs.get("snapshot_stride", 1))
 
     @pytest.mark.parametrize(
         "t_end, stride, message",
@@ -688,33 +670,28 @@ class TestSolverConfigValidation:
             (math.inf, 1, "t_end must be finite, got inf"),
         ],
     )
-    def test_march_checks_at_its_first_draw(self, t_end, stride, message):
+    def test_march_checks_at_the_call(self, t_end, stride, message):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
-        steps = march(factor_step_matrix([op], 0.1), np.zeros(5), logistic_reaction, t_end,
-                      stride)
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(steps)
+            march([op], 0.1, np.zeros(5), logistic_reaction, t_end, stride)
 
     def test_march_rejects_an_overflowing_step_count(self):
         # before: OverflowError "cannot convert float infinity to integer"
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
-        steps = march(factor_step_matrix([op], 1e-10), np.zeros(5), logistic_reaction, 1e300)
         message = "t_end / dt must be a finite step count, got t_end=1e+300, dt=1e-10"
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(steps)
+            march([op], 1e-10, np.zeros(5), logistic_reaction, 1e300)
 
     def test_march_rejects_more_steps_than_the_config_allows(self):
         # before: the first draw yielded the initial state of a 1e18-step march
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
-        steps = march(factor_step_matrix([op], 1e-3), np.zeros(5), logistic_reaction, 1e15)
         message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(steps)
+            march([op], 1e-3, np.zeros(5), logistic_reaction, 1e15)
 
     def test_march_accepts_the_largest_step_count(self):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
-        steps = march(factor_step_matrix([op], 0.5), np.zeros(5), logistic_reaction,
-                      0.5 * MAX_STEPS)
+        steps = march([op], 0.5, np.zeros(5), logistic_reaction, 0.5 * MAX_STEPS)
         t, u = next(steps)
         assert t == 0.0 and u.tolist() == [0.0] * 5
 
@@ -761,9 +738,11 @@ class TestLapackBinding:
         x_ref, info = scipy_lapack.dpttrs(d_ref, e_ref, rhs)
         assert info == 0
         # the binding solves one right-hand side at a time, the reference
-        # all nrhs at once; unit weights leave each column as it is
-        system = FactoredSymmetricTridiagonal(d=d_f, e=e_f, weights=np.ones(d.size), dt=1.0)
-        x = np.stack([system.solve(column.copy()) for column in rhs.T], axis=1)
+        # all nrhs at once
+        columns = [column.copy() for column in rhs.T]
+        for column in columns:
+            lapack.load().dpttrs(d_f, e_f, column)()
+        x = np.stack(columns, axis=1)
         for ours, theirs in ((d_f, d_ref), (e_f, e_ref), (x, x_ref)):
             assert np.array_equal(bits(ours), bits(theirs))
 
@@ -802,13 +781,14 @@ class TestLapackBinding:
             import numpy as np
 
             from fkfront.domain import Grid, make_quadratic_diffusion
-            from fkfront.solver import factor_step_matrix
+            from fkfront.solver import march
             from fkfront.spectral import solve_eigenproblem
             from fkfront.stencil import build_operator
 
             grid = Grid(L=4.0, n=51)
             a = make_quadratic_diffusion(0.1)
-            x = factor_step_matrix([build_operator(grid, a)], 0.01).solve(np.ones(51))
+            *_, (_, x) = march([build_operator(grid, a)], 0.01, np.ones(51), lambda u: 0.0 * u,
+                               0.01)
             assert np.allclose(x, 1.0), x
             eigenvalues, phis = solve_eigenproblem(a, grid, m=4)
             assert abs(eigenvalues[0]) < 1e-9, eigenvalues
@@ -849,15 +829,15 @@ class TestLapackArgumentChecks:
     ], ids=["wrong length", "float32", "not contiguous", "2-D", "read-only"])
     def test_bad_right_hand_side_raises_before_dpttrs(self, monkeypatch, bad):
         monkeypatch.setitem(lapack.load().routines, "dpttrs", refuse)
-        op = build_operator(Grid(L=10.0, n=21), make_quadratic_diffusion(0.1))
-        system = factor_step_matrix([op], 0.1)
+        d, e = np.full(21, 2.0), np.full(20, -0.5)
         before = bad.copy()
-        with pytest.raises(ValueError, match=r"LAPACK argument rhs must be a writable aligned "
+        with pytest.raises(ValueError, match=r"LAPACK argument b must be a writable aligned "
                                              r"contiguous float64 array of shape \(21,\)"):
-            system.solve(bad)
+            lapack.load().dpttrs(d, e, bad)
         assert np.array_equal(bad, before)
+        solve = lapack.load().dpttrs(d, e, np.zeros(21))
         with pytest.raises(AssertionError, match="LAPACK called"):
-            system.solve(np.zeros(21))
+            solve()
 
     def test_read_only_factors_are_not_overwritten(self, monkeypatch):
         monkeypatch.setitem(lapack.load().routines, "dpttrf", refuse)
@@ -866,7 +846,21 @@ class TestLapackArgumentChecks:
 
     def test_factors_of_mismatched_lengths_are_refused(self):
         with pytest.raises(ValueError, match=r"LAPACK argument e .* shape \(4,\)"):
-            FactoredSymmetricTridiagonal(d=np.ones(5), e=np.ones(5), weights=np.ones(5), dt=0.1)
+            lapack.load().dpttrs(np.ones(5), np.ones(5), np.zeros(5))
+
+    def test_empty_system_solves(self):
+        # before: "dpttrs failed (info -6)", a leading dimension of 0
+        lapack.load().dpttrs(np.empty(0), np.empty(0), np.empty(0))()
+
+    def test_solve_keeps_its_arrays_alive(self):
+        # the call holds their addresses, so it must hold the arrays
+        arrays = [np.ones(5), np.zeros(4), np.zeros(5)]
+        alive = [weakref.ref(a) for a in arrays]
+        solve = lapack.load().dpttrs(*arrays)
+        del arrays
+        assert all(ref() is not None for ref in alive)
+        del solve
+        assert all(ref() is None for ref in alive)
 
     def dstein_inputs(self):
         d, e, _ = random_tridiagonal(7, spd=False)
