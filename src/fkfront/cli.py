@@ -123,19 +123,19 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def sfa_front_comparison(
-    steps: Iterable[tuple[float, np.ndarray]], grid: Grid, level: float = 0.5
+    steps: Iterable[tuple[float, np.ndarray]], grid: Grid
 ) -> tuple[list[tuple], float]:
     """Rows ``(t, xc_numeric, xc_sfa, abs_diff)`` where both fronts exist.
 
     ``steps`` streams the ``(t, u)`` states of one run on ``grid``, with
     ``u`` of shape ``(n,)`` or ``(1, n)``.  The prediction evolves the
-    *first* state under the reduced drift model and locates the same level
-    crossing on the result.
+    *first* state under the reduced drift model and locates the same
+    :data:`~fkfront.front.LEVEL` crossing, 1/2, on the result.
 
-    No further state is drawn after the first one with ``u > level`` at
-    every node.  That state has no numerical front, and for ``0 < level < 1``
-    and a stream from :func:`~fkfront.solver.march` with the logistic
-    reaction no later state has one either, so no row is lost:
+    No further state is drawn after the first one with ``u > 1/2`` at every
+    node.  That state has no numerical front, and for a stream from
+    :func:`~fkfront.solver.march` with the logistic reaction no later state
+    has one either, so no row is lost:
 
     - each step solves ``(I - dt D) u' = g(u)`` with
       ``g(v) = v + dt v (1 - v)``; ``I - dt D`` is an M-matrix with unit row
@@ -144,19 +144,19 @@ def sfa_front_comparison(
     - for ``dt <= 1``, which :func:`~fkfront.solver.march` enforces, ``g``
       is increasing on ``[0, 1]`` with ``g(v) >= v``, so
       ``min g(u) = g(min u) >= min u``;
-    - so once ``min u > level``, ``min u`` stays above ``level`` and no
-      crossing can return.  This holds in exact arithmetic; in floating
-      point each solve moves ``min u`` by a few ulps, against the
-      ``dt v (1 - v)`` that ``g`` adds near the level.
+    - so once ``min u > 1/2``, ``min u`` stays above 1/2 and no crossing
+      can return.  This holds in exact arithmetic; in floating point each
+      solve moves ``min u`` by a few ulps, against the ``dt v (1 - v)``
+      that ``g`` adds near 1/2.
 
     The states a stream holds after that one are not read, so a stream
-    whose field can fall back to the level must not be passed.  Returns the
+    whose field can fall back to 1/2 must not be passed.  Returns the
     rows and the time of the last state drawn (NaN for an empty stream).
     """
     import numpy as np
 
     from .asymptotics import sfa_evolve
-    from .front import front_positions
+    from .front import LEVEL, front_positions
 
     first = None
     rows = []
@@ -166,9 +166,9 @@ def sfa_front_comparison(
         if first is None:
             first, t0 = u, t
         predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
-        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
+        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x).tolist()
         if math.isnan(xc_num) or math.isnan(xc_sfa):
-            if u.min() > level:
+            if u.min() > LEVEL:
                 break
             continue
         rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))

@@ -7,6 +7,12 @@ defaults, an unknown section with no keys included.  ``[DEFAULT]`` is one
 of those unknown sections, and a ``%`` in a value is a literal character,
 never an interpolation.
 
+Each range rule is one function, called by its library entry and by
+:func:`load_config`, which reports ``[section] <the library's message>``:
+``Grid``, ``check_floor`` and ``check_start`` of :mod:`fkfront.domain`, and,
+here so that no check loads numpy, :func:`check_march`, :func:`check_radius`,
+:func:`check_modes`, :func:`check_htilde` and :func:`check_ray_steps`.
+
 :func:`config_digest` hashes with CPython's built-in SHA-256 (``_sha2`` on
 3.12 and later, ``_sha256`` before), not :mod:`hashlib`: importing
 ``hashlib`` maps OpenSSL's libcrypto, about 3.6 MB resident in every
@@ -20,6 +26,9 @@ import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
+
+from .domain import Grid, check_floor, check_start
 
 try:
     from _sha2 import sha256 as _new_sha256
@@ -29,21 +38,14 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _new_sha256
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "load_config",
-    "canonical_text",
-    "config_digest",
-    "check_step_count",
-]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_text", "config_digest",
+           "check_step_count", "check_march", "check_radius", "check_modes", "check_htilde",
+           "check_ray_steps"]
 
-# Largest step count t_end / dt accepted in [solver] and [wkb], and by the
-# library entries solver.march and wkb.characteristic_steps.  Both stream
-# their steps, so memory does not grow with the count, but a solver march of
-# 1e7 steps already runs for many minutes; a larger count would not finish
-# in useful time, and an infinite one would never end, so it is rejected
-# before any output.
+# Largest step count t_end / dt of solver.march and wkb.characteristic_steps.
+# Both stream their steps, so memory does not grow with the count, but a march
+# of 1e7 steps already runs for many minutes; a larger count would not finish
+# in useful time, and an infinite one never, so it is rejected before any output.
 MAX_STEPS = 10_000_000
 
 
@@ -55,6 +57,57 @@ def check_step_count(t_end: float, dt: float) -> None:
     if steps > MAX_STEPS:
         raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps, "
                          f"got t_end={t_end}, dt={dt}")
+
+
+def check_march(dt: float, t_end: float, stride: int) -> None:
+    """``ValueError`` naming the first broken rule of :func:`fkfront.solver.march`."""
+    # also rejects nan, which fails every comparison
+    if not 0.0 < dt <= 1.0:
+        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end < 0.0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if 0.0 < t_end < dt:
+        raise ValueError(f"positive t_end must be at least one step dt={dt}, got {t_end}")
+    if stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
+    check_step_count(t_end, dt)
+
+
+def check_radius(radius: float) -> None:
+    """``ValueError`` unless the window radius of :func:`fkfront.front.window_transits`
+    is finite and positive."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
+def check_modes(m: int, n: int, vectors: Iterable[int] | None) -> list[int]:
+    """The modes of :func:`fkfront.spectral.solve_eigenproblem`'s ``vectors`` (None: all
+    ``m``), sorted once each; ``ValueError`` naming its first rule they or ``m`` break."""
+    if not 1 <= m < n:
+        raise ValueError(f"mode count must satisfy 1 <= m < {n}, got {m}")
+    # a sorted set, not np.unique, which loads numpy.ma on its first call
+    modes = list(range(m)) if vectors is None else sorted({int(k) for k in vectors})
+    if modes and not (modes[0] >= 0 and modes[-1] < m):
+        raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
+    return modes
+
+
+def check_htilde(Htilde: float) -> None:
+    """``ValueError`` unless the ray label of :mod:`fkfront.wkb` is finite and non-negative."""
+    if not 0.0 <= Htilde < math.inf:
+        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
+
+
+def check_ray_steps(t_end: float, dt: float) -> None:
+    """``ValueError`` naming the first broken step rule of
+    :func:`fkfront.wkb.characteristic_steps`."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    check_step_count(t_end, dt)
 
 
 class ConfigError(Exception):
@@ -91,7 +144,7 @@ class ExperimentConfig:
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):  # nan would pass every range check in _validate
+    if not math.isfinite(value):  # a bad value of its key, before any range rule
         raise ValueError(f"expected a finite number, got {text}")
     return value
 
@@ -145,47 +198,25 @@ _SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
+    """``[section] message`` for each row whose check, the library's own, raises."""
+    rows = [
+        ("domain", Grid, (cfg.L, cfg.n)),
+        ("physics", check_floor, (cfg.epsilon,)),
+        ("physics", check_start, (cfg.x_c0, cfg.L)),
+        ("solver", check_march, (cfg.dt, cfg.t_end, cfg.snapshot_stride)),
+        *(("sweep", check_floor, (eps,)) for eps in cfg.sweep_epsilons),
+        ("trap", check_radius, (cfg.trap_radius,)),
+        ("eigen", check_modes, (cfg.eigen_modes, cfg.n, cfg.eigen_dump)),
+        *(("eigen", check_floor, (a,)) for a in [cfg.eigen_constant_a] if a is not None),
+        ("wkb", check_htilde, (cfg.wkb_htilde,)),
+        ("wkb", check_ray_steps, (cfg.wkb_t_end, cfg.wkb_dt)),
+    ]
     problems = []
-    if cfg.L <= 0:
-        problems.append(f"domain.L must be positive, got {cfg.L}")
-    elif not math.isfinite(2.0 * cfg.L):
-        problems.append(f"domain.L must keep the width 2L finite, got {cfg.L}")
-    if cfg.n < 3:
-        problems.append(f"domain.n must be at least 3, got {cfg.n}")
-    if cfg.epsilon <= 0:
-        problems.append(f"physics.epsilon must be positive, got {cfg.epsilon}")
-    if cfg.L > 0 and not -cfg.L < cfg.x_c0 < cfg.L:
-        problems.append(f"physics.x_c0 must lie strictly inside (-L, L), got {cfg.x_c0}")
-    if not 0 < cfg.dt <= 1:
-        problems.append(f"solver.dt must satisfy 0 < dt <= 1, got {cfg.dt}")
-    if cfg.t_end < 0:
-        problems.append(f"solver.t_end must be non-negative, got {cfg.t_end}")
-    if 0 < cfg.t_end < cfg.dt:
-        problems.append(f"solver.t_end below one step dt={cfg.dt}, got {cfg.t_end}")
-    if cfg.snapshot_stride < 1:
-        problems.append(f"solver.snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if any(e <= 0 for e in cfg.sweep_epsilons):
-        problems.append("sweep.epsilons must all be positive")
-    if cfg.trap_radius <= 0:
-        problems.append(f"trap.radius must be positive, got {cfg.trap_radius}")
-    if not 1 <= cfg.eigen_modes < cfg.n:
-        problems.append(f"eigen.modes must satisfy 1 <= modes < n, got {cfg.eigen_modes}")
-    if any(k < 0 or k >= cfg.eigen_modes for k in cfg.eigen_dump):
-        problems.append("eigen.dump entries must index the computed modes")
-    if cfg.eigen_constant_a is not None and cfg.eigen_constant_a <= 0:
-        problems.append("eigen.constant_a must be positive when set")
-    if cfg.wkb_htilde < 0:
-        problems.append(f"wkb.htilde must be non-negative, got {cfg.wkb_htilde}")
-    if cfg.wkb_t_end < 0:
-        problems.append(f"wkb.t_end must be non-negative, got {cfg.wkb_t_end}")
-    if cfg.wkb_dt <= 0:
-        problems.append(f"wkb.dt must be positive, got {cfg.wkb_dt}")
-    for section, t_end, dt in (("solver", cfg.t_end, cfg.dt), ("wkb", cfg.wkb_t_end, cfg.wkb_dt)):
-        if dt > 0:
-            try:
-                check_step_count(t_end, dt)
-            except ValueError as exc:
-                problems.append(f"[{section}] {exc}")
+    for section, check, args in rows:
+        try:
+            check(*args)
+        except ValueError as exc:
+            problems.append(f"[{section}] {exc}")
     return problems
 
 

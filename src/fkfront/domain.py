@@ -28,16 +28,9 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "Grid",
-    "check_floor",
-    "make_quadratic_diffusion",
-    "make_constant_diffusion",
-    "logistic_reaction",
-    "step_initial_condition",
-    "xi_of_x",
-    "x_of_xi",
-]
+__all__ = ["Grid", "check_floor", "check_start", "make_quadratic_diffusion",
+           "make_constant_diffusion", "logistic_reaction", "step_initial_condition",
+           "xi_of_x", "x_of_xi"]
 
 
 def check_floor(epsilon: float) -> float:
@@ -51,6 +44,12 @@ def check_floor(epsilon: float) -> float:
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"diffusion floor must be finite and positive, got {epsilon}")
     return epsilon
+
+
+def check_start(x_c0: float, L: float) -> None:
+    """``ValueError`` unless the initial front ``x_c0`` lies strictly inside ``(-L, L)``."""
+    if not -L < x_c0 < L:
+        raise ValueError(f"initial front {x_c0} must lie strictly inside ({-L}, {L})")
 
 
 def make_quadratic_diffusion(epsilon: float) -> Callable:
@@ -149,8 +148,7 @@ class Grid:
 
 def step_initial_condition(grid: Grid, x_c0: float) -> np.ndarray:
     """Sharp step on ``grid.x``: ``u = 1`` for ``x <= x_c0``, ``u = 0`` beyond (ties go to 1)."""
-    if not -grid.L < x_c0 < grid.L:
-        raise ValueError(f"initial front {x_c0} must lie strictly inside (-{grid.L}, {grid.L})")
+    check_start(x_c0, grid.L)
     import numpy as np
 
     return np.where(grid.x <= x_c0, 1.0, 0.0)

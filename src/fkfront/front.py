@@ -1,10 +1,10 @@
 """Front tracking and the trapping-time statistic.
 
 The front position is the rightmost point where the linearly interpolated
-profile crosses a reference level (1/2 by default).  As the diffusion floor
+profile crosses the level :data:`LEVEL`, 1/2.  As the diffusion floor
 ``epsilon`` shrinks, the front lingers longer inside the slow window
 ``|x| < radius`` around the origin.  :func:`window_transits` follows the
-1/2 front of a stream of states through that window in one pass, keeping
+front of a stream of states through that window in one pass, keeping
 only its entry and exit instants, and :func:`fit_power_law` fits the growth
 of the residence against ``epsilon``.  The fit is a straight line in log
 space, solved in closed form with numpy sums.  numpy's least-squares
@@ -29,40 +29,41 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["front_positions", "window_transits", "fit_power_law"]
+from .config import check_radius
+
+__all__ = ["LEVEL", "front_positions", "window_transits", "fit_power_law"]
+
+LEVEL = 0.5  # the front is where u crosses this, halfway between the states 0 and 1
 
 
-def front_positions(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> np.ndarray:
+def front_positions(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Front position of each row of ``values`` (shape ``(B, n)``) on the nodes ``x``.
 
     A row's front is the rightmost ``x`` where its linearly interpolated
-    profile crosses ``level``.  A cell is a crossing when the signs (-, 0, +)
-    of ``u - level`` at its two ends differ: a cell with both ends identically
-    at the level is not one, and a cell with one end at the level crosses at
-    that end.  Returns the B positions, NaN for a row without a crossing
-    (e.g. a constant row).
+    profile crosses :data:`LEVEL`.  A cell is a crossing when the signs
+    (-, 0, +) of ``u - LEVEL`` at its two ends differ: a cell with both ends
+    identically at the level is not one, and a cell with one end at the
+    level crosses at that end.  Returns the B positions, NaN for a row
+    without a crossing (e.g. a constant row).
 
     Raises
     ------
     ValueError
         If ``values`` is not 2-D, if ``x`` is not 1-D with one node per
-        column, or if any value or the level is not finite.
+        column, or if any value is not finite.
     """
-    if not math.isfinite(level):
-        raise ValueError(f"level must be finite, got {level}")
     u, x = _checked_states(values, x)
     # The rightmost crossing cell starts at the last node whose sign class
-    # (-, 0, +) of u - level differs from the last node's: every node to its
-    # right shares the last node's class.  Comparisons, not a product, which
-    # can underflow to 0 for same signs.
+    # (-, 0, +) of u - LEVEL differs from the last node's: every node to its
+    # right shares the last node's class.
     end = u[:, -1:]
-    differs = ((u < level) != (end < level)) | ((u > level) != (end > level))
+    differs = ((u < LEVEL) != (end < LEVEL)) | ((u > LEVEL) != (end > LEVEL))
     rows = np.arange(u.shape[0])
     last = differs.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
     found = differs[rows, last]
     rows, i = rows[found], last[found]
     positions = np.full(u.shape[0], math.nan)
-    left, right = u[rows, i] - level, u[rows, i + 1] - level
+    left, right = u[rows, i] - LEVEL, u[rows, i + 1] - LEVEL
     theta = left / (left - right)
     positions[rows] = x[i] + theta * (x[i + 1] - x[i])
     return positions
@@ -88,7 +89,7 @@ REACH = 6
 
 
 def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int | None]:
-    """``(position, cell)`` of the 1/2 front of ``row``: :func:`front_positions`
+    """``(position, cell)`` of the front of ``row``: :func:`front_positions`
     and the cell it lies in (NaN and None if there is none).
 
     Given the ``cell`` of the last front, the nodes within :data:`REACH` cells
@@ -99,7 +100,7 @@ def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int
     operations, so bit for bit the same.  Otherwise, and for a last node at
     the level, the whole row is searched.
     """
-    level = 0.5
+    level = LEVEL
     n = row.size
     if cell is not None:
         lo, hi = max(cell - REACH, 0), min(cell + REACH + 1, n - 1)
@@ -114,7 +115,7 @@ def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int
                     theta = left / (left - right)
                     x_left, x_right = x[j:j + 2].tolist()
                     return x_left + theta * (x_right - x_left), j
-    [position] = front_positions(row[np.newaxis], x, level).tolist()
+    [position] = front_positions(row[np.newaxis], x).tolist()
     if math.isnan(position):
         return position, None
     # the cell on uniform nodes, a first guess on others
@@ -155,7 +156,7 @@ def _read_front(record: list, t: float, row: np.ndarray, x: np.ndarray, radius: 
 def window_transits(
     steps: Iterable[tuple[float, np.ndarray]], x: np.ndarray, radius: float
 ) -> tuple[list[tuple[float | None, float | None, float | None]], float]:
-    """Entry and exit of each row's 1/2 front through the window ``|x| < radius``.
+    """Entry and exit of each row's front through the window ``|x| < radius``.
 
     ``steps`` streams ``(t, u)`` states, typically from
     :func:`fkfront.solver.march`; ``u`` has shape ``(n,)`` or, for B stacked
@@ -187,12 +188,11 @@ def window_transits(
     Once rows have exited, a ``steps`` with a ``send`` (a generator such as
     :func:`~fkfront.solver.march`) is drawn with ``steps.send`` and the
     ascending indices of the rows still live, and must drop the other rows
-    from its next state.  A ``steps`` without a ``send`` is read whole.  A
-    state whose row count is not that of the rows kept raises
-    ``ValueError``.
+    from its next state, which a generator expression does not.  A ``steps``
+    without a ``send`` is read whole.  A state whose row count is not that
+    of the rows kept raises ``ValueError``.
     """
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    check_radius(radius)
     steps = iter(steps)
     send = getattr(steps, "send", None)
     # per row: entry, exit, time and position of the last front read, and its cell
@@ -206,8 +206,10 @@ def window_transits(
         if rows is None:
             records = rows = [[None] * 5 for _ in u]
         elif len(u) != len(rows):
-            raise ValueError(f"the state at t={t:g} has {len(u)} rows, after "
-                             + (f"a request to keep {len(rows)}" if asked else f"{len(rows)}"))
+            found = f"the state at t={t:g} has {len(u)} rows, after"
+            raise ValueError(f"a stream with a send must drop the rows it is asked to drop, "
+                             f"but {found} a request to keep {len(rows)}" if asked
+                             else f"{found} {len(rows)}")
         for record, row in zip(rows, u):
             if record[1] is None:
                 _read_front(record, t, row, x, radius)

@@ -46,14 +46,13 @@ LAPACK is the library numpy already links, called through
 from __future__ import annotations
 
 import logging
-import math
 import operator
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import lapack
-from .config import check_step_count
+from .config import check_march
 
 if TYPE_CHECKING:
     from .stencil import TridiagonalOperator
@@ -86,12 +85,13 @@ def march(
     off-diagonal ``-dt c``; it is built in place and factored there, once
     (``dpttrf``), and each step is one ``dpttrs`` solve.  ``ValueError`` is
     raised for a ``dt`` outside ``0 < dt <= 1``; a ``t_end`` that is not
-    finite, a negative one, or a positive one shorter than one step; a step
-    count ``t_end / dt`` that overflows or exceeds
-    :data:`fkfront.config.MAX_STEPS`; ``stride < 1``; operators without one
-    grid size; a ``u0`` of another shape; and a weighted step matrix that
-    ``dpttrf`` finds not positive definite (couplings so large that rounding
-    loses it).
+    finite, a negative one, or a positive one shorter than one step;
+    ``stride < 1``; a step count ``t_end / dt`` that overflows or exceeds
+    :data:`fkfront.config.MAX_STEPS` (these by
+    :func:`fkfront.config.check_march`, which ``load_config`` runs on
+    ``[solver]``); operators without one grid size; a ``u0`` of another
+    shape; and a weighted step matrix that ``dpttrf`` finds not positive
+    definite (couplings so large that rounding loses it).
 
     Yields ``(t, u)`` at ``t = 0``, every ``stride``-th step, and the final
     step, with ``u`` in the shape of ``u0``; the state between those steps
@@ -116,18 +116,7 @@ def march(
     ascending selection of the live blocks raises ``ValueError`` before any
     further solve.  A ``for`` loop sends nothing.
     """
-    # also rejects nan, which fails every comparison
-    if not 0.0 < dt <= 1.0:
-        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if 0.0 < t_end < dt:
-        raise ValueError(f"positive t_end must be at least one step dt={dt}, got {t_end}")
-    if stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
-    check_step_count(t_end, dt)
+    check_march(dt, t_end, stride)
     if len({op.grid.n for op in ops}) != 1:  # also no operator at all
         raise ValueError(f"stacked operators must share one grid size, got "
                          f"{[op.grid.n for op in ops]}")

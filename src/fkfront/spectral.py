@@ -30,15 +30,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .domain import Grid
+from .config import check_modes
+from .domain import Grid, check_start
 from .lapack import load
 from .stencil import build_operator
 
-__all__ = [
-    "EigenSolveError",
-    "solve_eigenproblem",
-    "average_prediction",
-]
+__all__ = ["EigenSolveError", "solve_eigenproblem", "average_prediction"]
 
 
 class EigenSolveError(RuntimeError):
@@ -83,12 +80,7 @@ def solve_eigenproblem(
     cluster's eigenspace.
     """
     lapack = load()
-    if not 1 <= m < grid.n:
-        raise ValueError(f"mode count must satisfy 1 <= m < {grid.n}, got {m}")
-    # a sorted set, not np.unique, which loads numpy.ma on its first call
-    modes = range(m) if vectors is None else sorted({int(k) for k in vectors})
-    if modes and not (modes[0] >= 0 and modes[-1] < m):
-        raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {list(modes)}")
+    modes = check_modes(m, grid.n, vectors)
     n = grid.n
     op = build_operator(grid, a)
     weights = op.weights
@@ -128,7 +120,6 @@ def average_prediction(
     """
     if not 0.0 < L < np.inf:
         raise ValueError(f"L must be positive and finite, got {L}")
-    if not -L < x_c < L:
-        raise ValueError(f"x_c must lie strictly inside (-{L}, {L}), got {x_c}")
+    check_start(x_c, L)
     ratio = (L - x_c) / (L + x_c)
     return 1.0 / (1.0 + ratio * np.exp(-np.asarray(t, dtype=float)))

@@ -19,8 +19,11 @@ integrates the ray equation independently (Runge-Kutta) for cross-checks, as
 a stream of ``(t, x)`` floats.  All three take the ray as plain values,
 ``Htilde`` then ``epsilon`` then the branch, and apply one input rule:
 ``Htilde`` finite and non-negative (``0`` is the stationary ray), ``epsilon``
-finite and positive.  Importing the module does not load numpy, and neither
-does the stream: the ``wkb`` command writes it without numpy.
+finite and positive.  The rules live in :func:`fkfront.config.check_htilde`,
+:func:`fkfront.domain.check_floor` and, for the steps,
+:func:`fkfront.config.check_ray_steps`, which ``load_config`` runs on
+``[wkb]``.  Importing the module does not load numpy, and neither does the
+stream: the ``wkb`` command writes it without numpy.
 
 In ``xi`` the dropped right side is ``psi_xixi + tanh(xi) psi_xi``.  On a
 plane wave ``psi_xixi = 0``, so the fan drops the drift ``tanh(xi) psi_xi``,
@@ -36,18 +39,13 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .config import check_step_count
+from .config import check_htilde, check_ray_steps
 from .domain import check_floor, make_quadratic_diffusion, x_of_xi, xi_of_x
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "Branch",
-    "characteristic_label",
-    "characteristic_steps",
-    "phase_along",
-]
+__all__ = ["Branch", "characteristic_label", "characteristic_steps", "phase_along"]
 
 
 class Branch(Enum):
@@ -61,12 +59,12 @@ class Branch(Enum):
         return 1 if self is Branch.PLUS else -1
 
 
-def _check_ray(Htilde: float, epsilon: float) -> None:
-    """Raise ``ValueError`` unless ``Htilde >= 0`` and ``epsilon > 0``, both finite."""
-    # also rejects nan, which fails every comparison
-    if not 0.0 <= Htilde < math.inf:
-        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
+def _check_ray(Htilde: float, epsilon: float, t: float = 0.0) -> None:
+    """Raise ``ValueError`` unless ``Htilde >= 0``, ``epsilon > 0`` and ``t``, all finite."""
+    check_htilde(Htilde)
     check_floor(epsilon)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
 
 
 def characteristic_label(
@@ -83,9 +81,7 @@ def characteristic_label(
     rays never cross.  Raises ``ValueError`` for ``Htilde`` or ``epsilon``
     out of range and for a ``t`` that is not finite.
     """
-    _check_ray(Htilde, epsilon)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_ray(Htilde, epsilon, t)
     shift = sign.direction * 2.0 * Htilde * t
     return x_of_xi(xi_of_x(x, epsilon) - shift, epsilon)
 
@@ -114,15 +110,10 @@ def characteristic_steps(
     against, so it shares their input rule but none of their arithmetic;
     it evaluates the coefficient on floats, without numpy.
     """
-    # also rejects nan, which fails every comparison
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    check_ray_steps(t_end, dt)
     _check_ray(Htilde, epsilon)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    check_step_count(t_end, dt)
     x = float(x0)
     yield 0.0, x
     if t_end == 0.0:
@@ -155,7 +146,5 @@ def phase_along(x: float, t: float, Htilde: float, epsilon: float, sign: Branch)
     Raises ``ValueError`` for ``Htilde`` or ``epsilon`` out of range and for
     a ``t`` that is not finite.
     """
-    _check_ray(Htilde, epsilon)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_ray(Htilde, epsilon, t)
     return float(sign.direction * Htilde * xi_of_x(x, epsilon) - (Htilde**2 + 1.0) * t)

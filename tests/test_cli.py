@@ -144,10 +144,17 @@ x0 = -1 1
         assert "n" in str(err.value) and "L" in str(err.value)
 
     def test_inconsistent_values_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="x_c0"):
+        # the messages are the library's, under the section of the setting
+        with pytest.raises(ConfigError, match=re.escape(
+                "[physics] initial front 150.0 must lie strictly inside (-100.0, 100.0)")):
             load_config(write_config(tmp_path, "[physics]\nx_c0 = 150\n"))
-        with pytest.raises(ConfigError, match="dt"):
+        with pytest.raises(ConfigError, match=re.escape("[solver] dt must satisfy")):
             load_config(write_config(tmp_path, "[solver]\ndt = 0\n"))
+
+    def test_empty_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match=re.escape("bad value for [sweep] epsilons: empty list")):
+            load_config(write_config(tmp_path, "[sweep]\nepsilons =\n"))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -203,6 +210,49 @@ x0 = -1 1
         out = tmp_path / "out"
         assert main(["average", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
+
+
+# One out-of-range value per range rule, and the library's message for it.
+OUT_OF_RANGE = [
+    ("domain", "L", "-1", "half-width L must be finite and positive (2L too), got -1.0"),
+    ("domain", "L", "1e308", "half-width L must be finite and positive (2L too), got 1e+308"),
+    ("domain", "n", "2", "need at least 3 nodes, got 2"),
+    ("physics", "epsilon", "0", "diffusion floor must be finite and positive, got 0.0"),
+    ("physics", "x_c0", "-100", "initial front -100.0 must lie strictly inside (-100.0, 100.0)"),
+    ("solver", "dt", "1.5", "dt must satisfy the positivity bound 0 < dt <= 1, got 1.5"),
+    ("solver", "t_end", "-1", "t_end must be non-negative, got -1.0"),
+    ("solver", "t_end", "0.001", "positive t_end must be at least one step dt=0.01, got 0.001"),
+    ("solver", "snapshot_stride", "0", "snapshot_stride must be >= 1, got 0"),
+    ("sweep", "epsilons", "0.1 -0.05", "diffusion floor must be finite and positive, got -0.05"),
+    ("trap", "radius", "0", "radius must be positive and finite, got 0.0"),
+    ("eigen", "modes", "0", "mode count must satisfy 1 <= m < 501, got 0"),
+    ("eigen", "dump", "0 64", "eigenfunction modes must satisfy 0 <= k < 64, got [0, 64]"),
+    ("eigen", "constant_a", "0", "diffusion floor must be finite and positive, got 0.0"),
+    ("wkb", "htilde", "-1", "Htilde must be finite and non-negative, got -1.0"),
+    ("wkb", "t_end", "-1", "t_end must be finite and non-negative, got -1.0"),
+    ("wkb", "dt", "0", "dt must be finite and positive, got 0.0"),
+]
+
+
+class TestRangeRules:
+    """``load_config`` runs the library's own checks: each rule is written
+    once, and a file that breaks it gets the library's message."""
+
+    @pytest.mark.parametrize("section, key, value, message", OUT_OF_RANGE,
+                             ids=[f"{row[0]}.{row[1]}={row[2]}" for row in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_one_with_the_library_message(
+            self, tmp_path, capsys, section, key, value, message):
+        cfg_path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["wkb", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"config error: [{section}] {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_every_ranged_key_has_a_case(self):
+        # x0 takes any finite numbers, and branch is checked as it is parsed
+        assert {(section, key) for section, key, _, _ in OUT_OF_RANGE} == (
+            set(_SCHEMA) - {("wkb", "x0"), ("wkb", "branch")})
 
 
 def _finite(lo=None, hi=None, **kw):
@@ -315,7 +365,8 @@ class TestCliErrorPaths:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["wkb", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert "domain.L" in capsys.readouterr().err
+        assert ("config error: [domain] half-width L must be finite and positive (2L too), "
+                "got 1e+308") in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, section", [
@@ -453,7 +504,7 @@ def recorded(steps, minima, times=None):
         yield t, u
 
 
-def compare_every_state(steps, grid, level=0.5):
+def compare_every_state(steps, grid):
     """Comparison rows over the whole stream, with no stop: the reference."""
     first = None
     rows = []
@@ -462,7 +513,7 @@ def compare_every_state(steps, grid, level=0.5):
         if first is None:
             first, t0 = u, t
         predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
-        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x, level).tolist()
+        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x).tolist()
         if not (math.isnan(xc_num) or math.isnan(xc_sfa)):
             rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
     return rows
@@ -686,9 +737,9 @@ class TestTrapSweep:
         searched = []
         whole_rows = fkfront.front.front_positions
 
-        def counted(values, x, level=0.5):
+        def counted(values, x):
             searched.append(len(values))
-            return whole_rows(values, x, level)
+            return whole_rows(values, x)
 
         monkeypatch.setattr(fkfront.front, "front_positions", counted)
         rows = []

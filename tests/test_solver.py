@@ -839,6 +839,11 @@ class TestLapackArgumentChecks:
         with pytest.raises(AssertionError, match="LAPACK called"):
             solve()
 
+    def test_non_array_is_named_by_its_type(self):
+        with pytest.raises(ValueError, match=r"LAPACK argument b must be an aligned contiguous "
+                                             r"float64 array of shape \(2,\), got list$"):
+            lapack.checked("b", [1.0, 2.0], np.float64, 2)
+
     def test_read_only_factors_are_not_overwritten(self, monkeypatch):
         monkeypatch.setitem(lapack.load().routines, "dpttrf", refuse)
         with pytest.raises(ValueError, match=r"LAPACK argument d must be a writable"):
@@ -875,6 +880,13 @@ class TestLapackArgumentChecks:
             lapack.load().dstein(d, e, w, iblock[:-1].copy(), isplit)
         with pytest.raises(AssertionError, match="LAPACK called"):
             lapack.load().dstein(d, e, w, iblock, isplit)
+
+    def test_more_eigenvalues_than_the_order_raise_before_dstein(self, monkeypatch):
+        d, e, _, iblock, isplit = self.dstein_inputs()
+        monkeypatch.setitem(lapack.load().routines, "dstein", refuse)
+        with pytest.raises(ValueError, match=f"dstein takes at most n={d.size} eigenvalues, "
+                                             f"got {d.size + 1}"):
+            lapack.load().dstein(d, e, np.zeros(d.size + 1), iblock, isplit)
 
     @pytest.mark.parametrize("case", ["block past n", "block 0", "ends past n"])
     def test_block_indices_out_of_range_raise_before_dstein(self, monkeypatch, case):
