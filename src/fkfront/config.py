@@ -7,11 +7,9 @@ defaults, an unknown section with no keys included.  ``[DEFAULT]`` is one
 of those unknown sections, and a ``%`` in a value is a literal character,
 never an interpolation.
 
-Each range rule is one function, called by its library entry and by
-:func:`load_config`, which reports ``[section] <the library's message>``:
-``Grid``, ``check_floor`` and ``check_start`` of :mod:`fkfront.domain`, and,
-here so that no check loads numpy, :func:`check_march`, :func:`check_radius`,
-:func:`check_modes`, :func:`check_htilde` and :func:`check_ray_steps`.
+:func:`load_config` writes no range rule of its own.  It runs each setting
+through the rule its library entry runs, all in :mod:`fkfront.domain`, and
+reports ``[section] <the library's message>``.
 
 :func:`config_digest` hashes with CPython's built-in SHA-256 (``_sha2`` on
 3.12 and later, ``_sha256`` before), not :mod:`hashlib`: importing
@@ -26,9 +24,17 @@ import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
 
-from .domain import Grid, check_floor, check_start
+from .domain import (
+    Grid,
+    check_floor,
+    check_htilde,
+    check_march,
+    check_modes,
+    check_radius,
+    check_ray_steps,
+    check_start,
+)
 
 try:
     from _sha2 import sha256 as _new_sha256
@@ -38,76 +44,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _new_sha256
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_text", "config_digest",
-           "check_step_count", "check_march", "check_radius", "check_modes", "check_htilde",
-           "check_ray_steps"]
-
-# Largest step count t_end / dt of solver.march and wkb.characteristic_steps.
-# Both stream their steps, so memory does not grow with the count, but a march
-# of 1e7 steps already runs for many minutes; a larger count would not finish
-# in useful time, and an infinite one never, so it is rejected before any output.
-MAX_STEPS = 10_000_000
-
-
-def check_step_count(t_end: float, dt: float) -> None:
-    """Raise ``ValueError`` unless ``t_end / dt`` is finite and at most ``MAX_STEPS``."""
-    steps = t_end / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"t_end / dt must be a finite step count, got t_end={t_end}, dt={dt}")
-    if steps > MAX_STEPS:
-        raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps, "
-                         f"got t_end={t_end}, dt={dt}")
-
-
-def check_march(dt: float, t_end: float, stride: int) -> None:
-    """``ValueError`` naming the first broken rule of :func:`fkfront.solver.march`."""
-    # also rejects nan, which fails every comparison
-    if not 0.0 < dt <= 1.0:
-        raise ValueError(f"dt must satisfy the positivity bound 0 < dt <= 1, got {dt}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if 0.0 < t_end < dt:
-        raise ValueError(f"positive t_end must be at least one step dt={dt}, got {t_end}")
-    if stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
-    check_step_count(t_end, dt)
-
-
-def check_radius(radius: float) -> None:
-    """``ValueError`` unless the window radius of :func:`fkfront.front.window_transits`
-    is finite and positive."""
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-
-
-def check_modes(m: int, n: int, vectors: Iterable[int] | None) -> list[int]:
-    """The modes of :func:`fkfront.spectral.solve_eigenproblem`'s ``vectors`` (None: all
-    ``m``), sorted once each; ``ValueError`` naming its first rule they or ``m`` break."""
-    if not 1 <= m < n:
-        raise ValueError(f"mode count must satisfy 1 <= m < {n}, got {m}")
-    # a sorted set, not np.unique, which loads numpy.ma on its first call
-    modes = list(range(m)) if vectors is None else sorted({int(k) for k in vectors})
-    if modes and not (modes[0] >= 0 and modes[-1] < m):
-        raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
-    return modes
-
-
-def check_htilde(Htilde: float) -> None:
-    """``ValueError`` unless the ray label of :mod:`fkfront.wkb` is finite and non-negative."""
-    if not 0.0 <= Htilde < math.inf:
-        raise ValueError(f"Htilde must be finite and non-negative, got {Htilde}")
-
-
-def check_ray_steps(t_end: float, dt: float) -> None:
-    """``ValueError`` naming the first broken step rule of
-    :func:`fkfront.wkb.characteristic_steps`."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
-    check_step_count(t_end, dt)
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "canonical_text", "config_digest"]
 
 
 class ConfigError(Exception):

@@ -16,7 +16,7 @@ A front moves a fraction of a cell per step, so :func:`window_transits`
 finds each row's next front from the few cells around its last one, and
 proves it there: every node right of those cells must be in the last
 node's sign class, one comparison over them.  Where that fails, and on a
-row's first state, it searches the whole row with :func:`front_positions`;
+row's first state, it searches the whole row as :func:`front_positions` does;
 either way the position is the same bit for bit.  Once a row's front has
 left the window, it asks a stream with a ``send`` (such as
 :func:`fkfront.solver.march`) to drop that row, and the stream must.
@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import check_radius
+from .domain import check_radius
 
 __all__ = ["LEVEL", "front_positions", "window_transits", "fit_power_law"]
 
@@ -53,6 +53,12 @@ def front_positions(values: np.ndarray, x: np.ndarray) -> np.ndarray:
         column, or if any value is not finite.
     """
     u, x = _checked_states(values, x)
+    return _fronts(u, x)[0]
+
+
+def _fronts(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`front_positions` of checked states ``u`` on the nodes ``x``, and
+    the cell each front lies in (-1 for a row without one)."""
     # The rightmost crossing cell starts at the last node whose sign class
     # (-, 0, +) of u - LEVEL differs from the last node's: every node to its
     # right shares the last node's class.
@@ -61,12 +67,13 @@ def front_positions(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows = np.arange(u.shape[0])
     last = differs.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
     found = differs[rows, last]
+    cells = np.where(found, last, -1)
     rows, i = rows[found], last[found]
     positions = np.full(u.shape[0], math.nan)
     left, right = u[rows, i] - LEVEL, u[rows, i + 1] - LEVEL
     theta = left / (left - right)
     positions[rows] = x[i] + theta * (x[i + 1] - x[i])
-    return positions
+    return positions, cells
 
 
 def _checked_states(values, x) -> tuple[np.ndarray, np.ndarray]:
@@ -115,13 +122,9 @@ def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int
                     theta = left / (left - right)
                     x_left, x_right = x[j:j + 2].tolist()
                     return x_left + theta * (x_right - x_left), j
-    [position] = front_positions(row[np.newaxis], x).tolist()
-    if math.isnan(position):
-        return position, None
-    # the cell on uniform nodes, a first guess on others
-    x_first, x_last = x[[0, -1]].tolist()
-    guess = (position - x_first) / (x_last - x_first) * (n - 1) if x_last > x_first else 0.0
-    return position, min(max(int(guess), 0), n - 2) if math.isfinite(guess) else None
+    positions, cells = _fronts(row[np.newaxis], x)
+    cell = int(cells[0])
+    return positions.item(), cell if cell >= 0 else None
 
 
 def _boundary_crossing(
@@ -253,9 +256,9 @@ def fit_power_law(
     if exponent is not None and not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
     data = np.asarray(pairs, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.size and (data.ndim != 2 or data.shape[1] != 2):
         raise ValueError("pairs must be a sequence of (epsilon, duration) tuples")
-    if data.shape[0] < 2:
+    if data.size < 4:  # fewer than two pairs, or none
         raise ValueError("need at least two (epsilon, duration) pairs")
     eps, dur = data[:, 0], data[:, 1]
     if not np.all((data > 0) & (data < np.inf)):

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from . import lapack
-from .config import check_march
+from .domain import check_march
 
 if TYPE_CHECKING:
     from .stencil import TridiagonalOperator
@@ -87,8 +87,8 @@ def march(
     raised for a ``dt`` outside ``0 < dt <= 1``; a ``t_end`` that is not
     finite, a negative one, or a positive one shorter than one step;
     ``stride < 1``; a step count ``t_end / dt`` that overflows or exceeds
-    :data:`fkfront.config.MAX_STEPS` (these by
-    :func:`fkfront.config.check_march`, which ``load_config`` runs on
+    :data:`fkfront.domain.MAX_STEPS` (these by
+    :func:`fkfront.domain.check_march`, which ``load_config`` runs on
     ``[solver]``); operators without one grid size; a ``u0`` of another
     shape; and a weighted step matrix that ``dpttrf`` finds not positive
     definite (couplings so large that rounding loses it).

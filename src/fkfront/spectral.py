@@ -30,8 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import check_modes
-from .domain import Grid, check_start
+from .domain import Grid, check_half_width, check_modes, check_start
 from .lapack import load
 from .stencil import build_operator
 
@@ -118,8 +117,7 @@ def average_prediction(
     Starts at the step mean ``(L + x_c)/(2 L)`` at ``t = 0`` and rises
     monotonically to 1.
     """
-    if not 0.0 < L < np.inf:
-        raise ValueError(f"L must be positive and finite, got {L}")
+    check_half_width(L)
     check_start(x_c, L)
     ratio = (L - x_c) / (L + x_c)
     return 1.0 / (1.0 + ratio * np.exp(-np.asarray(t, dtype=float)))

@@ -19,9 +19,9 @@ integrates the ray equation independently (Runge-Kutta) for cross-checks, as
 a stream of ``(t, x)`` floats.  All three take the ray as plain values,
 ``Htilde`` then ``epsilon`` then the branch, and apply one input rule:
 ``Htilde`` finite and non-negative (``0`` is the stationary ray), ``epsilon``
-finite and positive.  The rules live in :func:`fkfront.config.check_htilde`,
+finite and positive.  The rules live in :func:`fkfront.domain.check_htilde`,
 :func:`fkfront.domain.check_floor` and, for the steps,
-:func:`fkfront.config.check_ray_steps`, which ``load_config`` runs on
+:func:`fkfront.domain.check_ray_steps`, which ``load_config`` runs on
 ``[wkb]``.  Importing the module does not load numpy, and neither does the
 stream: the ``wkb`` command writes it without numpy.
 
@@ -39,8 +39,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .config import check_htilde, check_ray_steps
-from .domain import check_floor, make_quadratic_diffusion, x_of_xi, xi_of_x
+from .domain import (check_floor, check_htilde, check_ray_steps, make_quadratic_diffusion,
+                     x_of_xi, xi_of_x)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,7 @@ def characteristic_steps(
     with fixed step and yields ``(t, x)`` as floats, from ``(0, x0)`` to
     ``t_end``; the ray is this stream, and ``list`` of it is the whole path.
     The number of steps is ``round(t_end/dt)``, at most
-    :data:`fkfront.config.MAX_STEPS`, and the step is adjusted to land on
+    :data:`fkfront.domain.MAX_STEPS`, and the step is adjusted to land on
     ``t_end`` exactly; step ``k`` is stamped ``k * h``.  ``t_end = 0``
     yields the start only and ``Htilde = 0`` a stationary ray.  The first
     draw raises ``ValueError`` for an input that is not finite, a negative

@@ -27,14 +27,13 @@ from fkfront.asymptotics import sfa_evolve
 from fkfront.cli import _march, main, sfa_front_comparison
 from fkfront.config import (
     _SCHEMA,
-    MAX_STEPS,
     ConfigError,
     ExperimentConfig,
     canonical_text,
     config_digest,
     load_config,
 )
-from fkfront.domain import Grid, logistic_reaction, make_quadratic_diffusion
+from fkfront.domain import MAX_STEPS, Grid, logistic_reaction, make_quadratic_diffusion
 from fkfront.front import front_positions, window_transits
 
 
@@ -735,13 +734,13 @@ class TestTrapSweep:
                           cfg.dt, cfg.t_end, stride), grid.x), cfg.trap_radius)
             for eps in cfg.sweep_epsilons)
         searched = []
-        whole_rows = fkfront.front.front_positions
+        whole_rows = fkfront.front._fronts
 
-        def counted(values, x):
-            searched.append(len(values))
-            return whole_rows(values, x)
+        def counted(u, x):
+            searched.append(len(u))
+            return whole_rows(u, x)
 
-        monkeypatch.setattr(fkfront.front, "front_positions", counted)
+        monkeypatch.setattr(fkfront.front, "_fronts", counted)
         rows = []
         steps = _march(cfg, list(cfg.sweep_epsilons))
 

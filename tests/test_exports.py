@@ -19,35 +19,6 @@ def test_every_name_in_all_is_defined(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_reexports_only_names_in_their_module_all():
-    # the package's name -> submodule table, which its __getattr__ resolves
-    reexports = list(fkfront._EXPORTS.items())
-    assert reexports
-    assert fkfront.__all__ == [name for name, _ in reexports]
-    stray = [(module, name) for name, module in reexports
-             if name not in importlib.import_module(f"fkfront.{module}").__all__]
-    assert stray == []
-
-
-@pytest.mark.parametrize("name", fkfront.__all__)
-def test_package_name_resolves_to_its_module_object(name):
-    module = importlib.import_module(f"fkfront.{fkfront._EXPORTS[name]}")
-    assert getattr(fkfront, name) is getattr(module, name)
-    assert name in dir(fkfront)
-
-
-def test_star_import_binds_every_name():
-    namespace = {}
-    exec("from fkfront import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(fkfront.__all__)
-
-
-def test_unknown_package_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="module 'fkfront' has no attribute 'no_such_name'"):
-        fkfront.no_such_name
-    assert not hasattr(fkfront, "_no_such_private")
-
-
 ROLE = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
 
 
@@ -103,13 +74,36 @@ def test_readme_references_resolve():
     assert found and unresolved == []
 
 
-def test_only_the_lapack_binding_imports_ctypes():
-    importers = []
-    for module in ["__init__", *MODULES]:
-        path = Path(fkfront.__path__[0]) / f"{module}.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "ctypes" for name in names):
-                importers.append(module)
-    assert sorted(set(importers)) == ["lapack"]
+def imported_names(module):
+    """Dotted name of each module or package that ``fkfront/<module>.py`` imports,
+    a relative import resolved against ``fkfront``."""
+    path = Path(fkfront.__path__[0]) / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(["fkfront", *filter(None, [node.module])])
+            yield package
+            yield from (f"{package}.{alias.name}" for alias in node.names)
+
+
+# imported module -> the only modules of the package that may import it
+LAYERS = {
+    "ctypes": ["lapack"],  # the LAPACK binding
+    "fkfront.config": ["cli"],  # the INI reader; the library's rules live in domain
+}
+
+
+@pytest.mark.parametrize("imported", LAYERS)
+def test_module_is_imported_only_by_its_layer(imported):
+    importers = sorted({module for module in ["__init__", *MODULES]
+                        for name in imported_names(module)
+                        if name == imported or name.startswith(f"{imported}.")})
+    assert importers == LAYERS[imported]
+
+
+def test_package_root_is_its_docstring_alone():
+    tree = ast.parse((Path(fkfront.__path__[0]) / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1

@@ -416,9 +416,11 @@ class TestFitPowerLaw:
         values = (rep["C"], rep["p"], *rep["residuals"], *rep["epsilons"])
         assert {type(v) for v in values} == {float}
 
-    def test_needs_two_pairs(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(0.1, 3.0)])
+    @pytest.mark.parametrize("pairs", [[(0.1, 3.0)], []], ids=["one", "none"])
+    def test_needs_two_pairs(self, pairs):
+        with pytest.raises(ValueError, match=re.escape(
+                "need at least two (epsilon, duration) pairs")):
+            fit_power_law(pairs)
 
     @pytest.mark.parametrize("other", [0.1, 0.10000000000000002])
     def test_free_fit_needs_two_distinct_epsilons(self, other):

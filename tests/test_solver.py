@@ -19,8 +19,8 @@ from conftest import (
     zero_reaction,
 )
 
-from fkfront.config import MAX_STEPS
 from fkfront.domain import (
+    MAX_STEPS,
     Grid,
     logistic_reaction,
     make_constant_diffusion,

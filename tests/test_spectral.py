@@ -1,6 +1,7 @@
 """Diffusion-operator spectrum and the logistic prediction of the domain mean."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -257,9 +258,11 @@ class TestAveragePrediction:
         with pytest.raises(ValueError):
             average_prediction(1.0, -120.0, 100.0)
 
-    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 1e308])
     def test_rejects_non_finite_length(self, L):
         # unchecked, an infinite L makes the prediction NaN, and a NaN one
-        # fails the x_c bounds with a message about x_c, not L
-        with pytest.raises(ValueError, match="L must be positive and finite"):
+        # fails the x_c bounds with a message about x_c, not L; 1e308 is
+        # finite, but Grid rejects it because its width 2L overflows
+        with pytest.raises(ValueError, match=re.escape(
+                f"half-width L must be finite and positive (2L too), got {L}")):
             average_prediction(1.0, 0.0, L)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkfront.config import MAX_STEPS
-from fkfront.domain import x_of_xi, xi_of_x
+from fkfront.domain import MAX_STEPS, x_of_xi, xi_of_x
 from fkfront.wkb import Branch, characteristic_label, characteristic_steps, phase_along
 
 from conftest import log_uniform
