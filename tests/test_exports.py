@@ -19,6 +19,21 @@ def test_every_name_in_all_is_defined(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+# (module, name) for each name in a module's __all__
+PUBLIC = [(module, name) for module in MODULES
+          for name in importlib.import_module(f"fkfront.{module}").__all__]
+
+
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
+def test_public_name_has_one_home(module, name):
+    # only one module lists the name, and a function or class it lists is
+    # defined there, not imported from another module
+    assert [home for home, listed in PUBLIC if listed == name] == [module]
+    value = getattr(importlib.import_module(f"fkfront.{module}"), name)
+    if callable(value):
+        assert value.__module__ == f"fkfront.{module}"
+
+
 ROLE = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
 
 
