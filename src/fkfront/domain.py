@@ -111,8 +111,14 @@ def check_modes(m: int, n: int, vectors: Iterable[int] | None) -> list[int]:
     ``m``), sorted once each; ``ValueError`` naming its first rule they or ``m`` break."""
     if not 1 <= m < n:
         raise ValueError(f"mode count must satisfy 1 <= m < {n}, got {m}")
+    if vectors is None:
+        return list(range(m))
+    vectors = list(vectors)
+    for k in vectors:
+        if not -math.inf < k < math.inf or int(k) != k:
+            raise ValueError(f"eigenfunction modes must be integers, got {k}")
     # a sorted set, not np.unique, which loads numpy.ma on its first call
-    modes = list(range(m)) if vectors is None else sorted({int(k) for k in vectors})
+    modes = sorted({int(k) for k in vectors})
     if modes and not (modes[0] >= 0 and modes[-1] < m):
         raise ValueError(f"eigenfunction modes must satisfy 0 <= k < {m}, got {modes}")
     return modes

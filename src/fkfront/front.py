@@ -12,14 +12,11 @@ polynomial fit would solve it with an SVD, the only call into numpy's own
 LAPACK that a command would make, and initialising that LAPACK costs
 ``trap-sweep`` about 1 MB of peak RSS for a fit of a few points.
 
-A front moves a fraction of a cell per step, so :func:`window_transits`
-finds each row's next front from the few cells around its last one, and
-proves it there: every node right of those cells must be in the last
-node's sign class, one comparison over them.  Where that fails, and on a
-row's first state, it searches the whole row as :func:`front_positions` does;
-either way the position is the same bit for bit.  Once a row's front has
-left the window, it asks a stream with a ``send`` (such as
-:func:`fkfront.solver.march`) to drop that row, and the stream must.
+Each position is read by one search of the row: one comparison against
+:data:`LEVEL` and one reversed ``argmax``, the same for
+:func:`front_positions` and :func:`window_transits`.  Once a row's front has
+left the window, :func:`window_transits` asks a stream with a ``send`` (such
+as :func:`fkfront.solver.march`) to drop that row, and the stream must.
 """
 
 from __future__ import annotations
@@ -49,82 +46,44 @@ def front_positions(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``values`` is not 2-D, if ``x`` is not 1-D with one node per
-        column, or if any value is not finite.
+        If ``values`` is not 2-D or has no column, if ``x`` is not 1-D
+        with one node per column, or if any value is not finite.
     """
     u, x = _checked_states(values, x)
-    return _fronts(u, x)[0]
-
-
-def _fronts(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`front_positions` of checked states ``u`` on the nodes ``x``, and
-    the cell each front lies in (-1 for a row without one)."""
-    # The rightmost crossing cell starts at the last node whose sign class
-    # (-, 0, +) of u - LEVEL differs from the last node's: every node to its
-    # right shares the last node's class.
-    end = u[:, -1:]
-    differs = ((u < LEVEL) != (end < LEVEL)) | ((u > LEVEL) != (end > LEVEL))
-    rows = np.arange(u.shape[0])
-    last = differs.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
-    found = differs[rows, last]
-    cells = np.where(found, last, -1)
-    rows, i = rows[found], last[found]
-    positions = np.full(u.shape[0], math.nan)
-    left, right = u[rows, i] - LEVEL, u[rows, i + 1] - LEVEL
-    theta = left / (left - right)
-    positions[rows] = x[i] + theta * (x[i + 1] - x[i])
-    return positions, cells
+    return np.array([_front(row, x) for row in u], dtype=float)
 
 
 def _checked_states(values, x) -> tuple[np.ndarray, np.ndarray]:
     """``values`` and ``x`` as float arrays, once ``values`` is checked to be
-    finite and of shape ``(B, n)`` and ``x`` of shape ``(n,)``."""
+    finite and of shape ``(B, n)`` with ``n >= 1`` and ``x`` of shape ``(n,)``."""
     u = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     if u.ndim != 2 or x.shape != u.shape[1:]:
         raise ValueError(f"values of shape (B, n) need nodes x of shape (n,), "
                          f"got {u.shape} and {x.shape}")
+    if not x.size:
+        raise ValueError(f"values need at least one node, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("field values must be finite")
     return u, x
 
 
-# Cells on each side of a row's last crossing cell that :func:`_front` reads
-# first.  A front moves a fraction of a cell per step at the grids and steps
-# of the commands (0.2 cells at the ``sweep`` benchmark's dx = 0.1, dt = 0.01).
-REACH = 6
-
-
-def _front(row: np.ndarray, x: np.ndarray, cell: int | None) -> tuple[float, int | None]:
-    """``(position, cell)`` of the front of ``row``: :func:`front_positions`
-    and the cell it lies in (NaN and None if there is none).
-
-    Given the ``cell`` of the last front, the nodes within :data:`REACH` cells
-    of it are read first.  If every node right of them is in the last node's
-    sign class (one comparison over them) and some node among them is not,
-    the rightmost such node starts the crossing cell that
-    :func:`front_positions` picks, and the position is interpolated with its
-    operations, so bit for bit the same.  Otherwise, and for a last node at
-    the level, the whole row is searched.
-    """
-    level = LEVEL
-    n = row.size
-    if cell is not None:
-        lo, hi = max(cell - REACH, 0), min(cell + REACH + 1, n - 1)
-        end = row[-1]
-        below = end < level
-        if end != level and (row[hi + 1:] < level if below else row[hi + 1:] > level).all():
-            near = row[lo:hi + 2].tolist()  # hi + 1: the right end of a crossing at hi
-            for j in range(hi, lo - 1, -1):
-                value = near[j - lo]
-                if (value >= level) if below else (value <= level):
-                    left, right = value - level, near[j + 1 - lo] - level
-                    theta = left / (left - right)
-                    x_left, x_right = x[j:j + 2].tolist()
-                    return x_left + theta * (x_right - x_left), j
-    positions, cells = _fronts(row[np.newaxis], x)
-    cell = int(cells[0])
-    return positions.item(), cell if cell >= 0 else None
+def _front(row: np.ndarray, x: np.ndarray) -> float:
+    """:func:`front_positions` of one checked ``row`` on the nodes ``x``."""
+    # The rightmost crossing cell starts at the last node whose sign class
+    # (-, 0, +) of u - LEVEL differs from the last node's: every node to its
+    # right shares the last node's class.
+    end = row[-1].item()
+    differs = (row >= LEVEL if end < LEVEL else row <= LEVEL if end > LEVEL
+               else row != LEVEL)
+    i = row.size - 1 - differs[::-1].argmax().item()
+    if not differs[i]:  # the last node itself: no node differs
+        return math.nan
+    left, right = row[i:i + 2].tolist()
+    left, right = left - LEVEL, right - LEVEL
+    theta = left / (left - right)
+    x_left, x_right = x[i:i + 2].tolist()
+    return x_left + theta * (x_right - x_left)
 
 
 def _boundary_crossing(
@@ -142,10 +101,10 @@ def _boundary_crossing(
 
 def _read_front(record: list, t: float, row: np.ndarray, x: np.ndarray, radius: float) -> None:
     """Update a :func:`window_transits` ``record`` with the front of ``row`` at ``t``."""
-    position, record[4] = _front(row, x, record[4])
+    position = _front(row, x)
     if math.isnan(position):
         return
-    entry, _, t_prev, x_prev, _ = record
+    entry, _, t_prev, x_prev = record
     inside = abs(position) < radius
     if entry is None and inside:
         record[0] = t if t_prev is None else _boundary_crossing(
@@ -183,10 +142,8 @@ def window_transits(
     Returns the records and the time of the last state drawn (NaN for an
     empty stream).
 
-    Each position is bit for bit that of :func:`front_positions`, which
-    searches a row's first state and any state in which the search from
-    the row's last front cannot prove the crossing (:func:`_front`).  Every
-    state is checked whole to be finite.
+    Each position is that of :func:`front_positions`, from one search of
+    the row, and every state is checked whole to be finite.
 
     Once rows have exited, a ``steps`` with a ``send`` (a generator such as
     :func:`~fkfront.solver.march`) is drawn with ``steps.send`` and the
@@ -198,7 +155,7 @@ def window_transits(
     check_radius(radius)
     steps = iter(steps)
     send = getattr(steps, "send", None)
-    # per row: entry, exit, time and position of the last front read, and its cell
+    # per row: entry, exit, and the time and position of the last front read
     records = rows = None  # rows: the records of the rows of the states drawn
     asked = False
     t = math.nan
@@ -207,7 +164,7 @@ def window_transits(
         t, u = state
         u, x = _checked_states(np.atleast_2d(u), x)
         if rows is None:
-            records = rows = [[None] * 5 for _ in u]
+            records = rows = [[None] * 4 for _ in u]
         elif len(u) != len(rows):
             found = f"the state at t={t:g} has {len(u)} rows, after"
             raise ValueError(f"a stream with a send must drop the rows it is asked to drop, "

@@ -121,7 +121,7 @@ def march(
         raise ValueError(f"stacked operators must share one grid size, got "
                          f"{[op.grid.n for op in ops]}")
     n = ops[0].grid.n
-    if np.shape(u0)[-1:] != (n,) or np.size(u0) != len(ops) * n:
+    if np.ndim(u0) > 2 or np.shape(u0)[-1:] != (n,) or np.size(u0) != len(ops) * n:
         raise ValueError(f"u0 must have shape ({len(ops)}, {n}), or ({n},) for one operator, "
                          f"got {np.shape(u0)}")
     # built in place and factored there: no state-sized temporaries

@@ -63,8 +63,8 @@ def solve_eigenproblem(
     inverse iteration (``dstein``) the eigenvectors, which are mapped back.
     Requires ``1 <= m < grid.n``.
 
-    ``vectors`` names the modes, ``0 <= k < m`` in any order and with
-    repeats, whose eigenfunctions are computed; the default is every mode.
+    ``vectors`` names the modes, integers ``0 <= k < m`` in any order and
+    with repeats, whose eigenfunctions are computed; the default is every mode.
     Eigenvalues do not depend on it, and eigenfunctions not on its order or
     repeats.  ``dstein`` works on the requested eigenvalues only, so the
     eigenvector work and memory are ``O(n |vectors|)`` instead of

@@ -62,7 +62,7 @@ class TestFrontPositions:
     @given(st.data())
     def test_rows_match_scalar_scan(self, data):
         rows = data.draw(st.integers(1, 4))
-        n = data.draw(st.integers(3, 9))
+        n = data.draw(st.integers(3, 300))
         u = np.array(data.draw(st.lists(st.lists(self.values, min_size=n, max_size=n),
                                         min_size=rows, max_size=rows)))
         grid = Grid(L=2.0, n=n)
@@ -105,6 +105,17 @@ class TestFrontPositions:
             front_positions(u, x)
         with pytest.raises(ValueError, match=r"need nodes x of shape \(n,\)"):
             window_transits([(0.0, u[0])], x, WINDOW)
+
+    # before: numpy's "attempt to get argmax of an empty sequence"
+    def test_rejects_states_without_nodes(self):
+        with pytest.raises(ValueError, match=r"at least one node, got shape \(2, 0\)"):
+            front_positions(np.zeros((2, 0)), np.zeros(0))
+        with pytest.raises(ValueError, match=r"at least one node, got shape \(1, 0\)"):
+            window_transits([(0.0, np.zeros(0))], np.zeros(0), WINDOW)
+
+    @pytest.mark.parametrize("value", [0.2, 0.5, 0.8])
+    def test_one_node_has_no_crossing(self, value):
+        assert math.isnan(front_positions(np.array([[value]]), np.zeros(1))[0])
 
     def test_rejects_one_dimensional_values(self):
         with pytest.raises(ValueError, match=r"values of shape \(B, n\)"):
@@ -149,8 +160,7 @@ def front_stream(times, rows, drawn=None, rising=(), send=False):
     left and 0 to the right (0 and 1 for a row in ``rising``, whose last
     node is above 1/2), so :func:`front_positions` returns it bit for bit.
     The nodes are the positions, the ends ±1e3 and a grid of spacing 1/4
-    over [-10, 10], so a front that moves by more than 1.5 jumps past the
-    cells that :func:`fkfront.front.window_transits` reads first.
+    over [-10, 10].
     ``drawn`` collects the index of every state drawn.  With ``send``, the
     stream is a generator and a request sent into it keeps only the rows it
     names, as :func:`fkfront.solver.march` does; otherwise it has no

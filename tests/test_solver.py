@@ -206,10 +206,12 @@ class TestSymmetricStepFactors:
         with pytest.raises(ValueError, match="must share one grid size"):
             march(ops, 0.1, np.zeros(5), logistic_reaction, 1.0)
 
-    @pytest.mark.parametrize("blocks, shape", [(2, (5,)), (2, (10,)), (1, (2, 5)), (1, (4,))])
+    @pytest.mark.parametrize("blocks, shape", [(2, (5,)), (2, (10,)), (1, (2, 5)), (1, (4,)),
+                                               (2, (2, 1, 5)), (1, (1, 1, 5))])
     def test_rejects_initial_state_of_another_shape(self, blocks, shape):
         # before: the first state was yielded, and the first step raised a
-        # broadcasting error, or a flat stack was yielded as one block
+        # broadcasting error, or a flat stack was yielded as one block; a
+        # state of three dimensions was marched and yielded in its shape
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match=re.escape(
                 f"u0 must have shape ({blocks}, 5), or (5,) for one operator, got {shape}")):

@@ -195,6 +195,14 @@ class TestEigenvectorSubset:
         with pytest.raises(ValueError):
             solve_eigenproblem(default_diffusion, default_grid, m=64, vectors=vectors)
 
+    def test_rejects_non_integral_mode(self):
+        # before: int(1.5) dumped mode 1
+        with pytest.raises(ValueError, match=r"eigenfunction modes must be integers, got 1\.5"):
+            solve_eigenproblem(make_quadratic_diffusion(0.1), Grid(1.0, 5), 3, [1.5])
+        _, phis = solve_eigenproblem(make_quadratic_diffusion(0.1), Grid(1.0, 5), 3,
+                                     [np.int64(1), 2.0])
+        assert set(phis) == {1, 2}
+
     def test_missing_mode_is_refused(self, default_grid, default_diffusion):
         _, phis = solve_eigenproblem(default_diffusion, default_grid, m=8, vectors=[1, 3])
         assert set(phis) == {1, 3}
