@@ -13,7 +13,7 @@ LAPACK that a command would make, and initialising that LAPACK costs
 ``trap-sweep`` about 1 MB of peak RSS for a fit of a few points.
 
 Each position is read by one search of the row: one comparison against
-:data:`LEVEL` and one reversed ``argmax``, the same for
+:data:`LEVEL` and one ``bytes.rfind`` of its mask, the same for
 :func:`front_positions` and :func:`window_transits`.  Once a row's front has
 left the window, :func:`window_transits` asks a stream with a ``send`` (such
 as :func:`fkfront.solver.march`) to drop that row, and the stream must.
@@ -63,7 +63,7 @@ def _checked_states(values, x) -> tuple[np.ndarray, np.ndarray]:
                          f"got {u.shape} and {x.shape}")
     if not x.size:
         raise ValueError(f"values need at least one node, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("field values must be finite")
     return u, x
 
@@ -76,8 +76,8 @@ def _front(row: np.ndarray, x: np.ndarray) -> float:
     end = row[-1].item()
     differs = (row >= LEVEL if end < LEVEL else row <= LEVEL if end > LEVEL
                else row != LEVEL)
-    i = row.size - 1 - differs[::-1].argmax().item()
-    if not differs[i]:  # the last node itself: no node differs
+    i = differs.tobytes().rfind(1)  # one byte per node, 1 where it differs
+    if i < 0:
         return math.nan
     left, right = row[i:i + 2].tolist()
     left, right = left - LEVEL, right - LEVEL

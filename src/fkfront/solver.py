@@ -19,13 +19,13 @@ single solve against the factors.  The weighted matrix
 factored as ``L D L^T`` (LAPACK ``dpttrf``), and each step multiplies the
 right-hand side by ``W`` and calls ``dpttrs``, whose back substitution keeps
 the division off the sequential dependency chain.  Several runs that share a
-grid and ``dt`` -- an epsilon sweep -- march together as one block-diagonal
-tridiagonal system whose blocks are uncoupled (zero entries at the seams);
-each block's solution is bit-for-bit the one its run would get alone.  The
-factors of a block-diagonal matrix are its blocks' own factors, so when a
-consumer retires blocks, the kept ones, copied forward over the retired ones
-in the march's own arrays, are the factors of the shorter stack, and each
-keeps its bits.  The factors never leave the march.
+grid and ``dt`` -- an epsilon sweep -- are the rows of the march's ``(B, n)``
+arrays, laid end to end as one block-diagonal tridiagonal system; a zero at
+the end of each off-diagonal row uncouples the blocks, so each run's solution
+is bit-for-bit the one it would get alone.  A block-diagonal matrix's factors
+are its blocks' own, so when a consumer retires runs, the kept rows, copied
+up over the retired ones in place, are the factors of the shorter stack, and
+each keeps its bits.  The factors never leave the march.
 
 The march is a generator of the stored steps, so a caller derives what it
 needs from each state as it comes (a front position, a mean, a CSV row) and
@@ -33,8 +33,8 @@ no run has to keep its fields; a caller that wants every field keeps the
 states it yields.  Once a step returns its input bit for bit -- a logistic
 run that has saturated, where the solve's rounding absorbs the increment --
 the march makes no further solve and yields that state again at the
-remaining stored steps.  A consumer that no longer needs some blocks of a
-stacked march sends the indices of the blocks to keep into the generator
+remaining stored steps.  A consumer that no longer needs some runs of a
+stacked march sends the indices of the rows to keep into the generator
 (``keep = yield t, u``), and from the next step on the march solves only
 those; a consumer that iterates with ``for`` sends nothing and gets the full
 march.
@@ -73,15 +73,15 @@ def march(
     """Advance ``u0`` to ``t_end`` in ``round(t_end / dt)`` steps of ``dt``.
 
     ``D`` is the B operators ``ops`` stacked block-diagonally.  They must
-    share a grid size ``n``; unknown ``b * n + i`` is node ``i`` of block
-    ``b``, and ``u0`` has shape ``(B, n)``, or ``(n,)`` for one operator.
-    The couplings across block seams are zero, so each block's solution is
-    bit-for-bit that of its own march, unless some block's solution
-    overflows (``0 * inf`` at a seam then spreads ``nan``).
+    share a grid size ``n``; each run is one row, node ``i`` of run ``b``
+    being entry ``(b, i)``, and ``u0`` has shape ``(B, n)``, or ``(n,)`` for
+    one operator.  The couplings across the seams between rows are zero, so
+    each row's solution is bit-for-bit that of its own march, unless some
+    row's solution overflows (``0 * inf`` at a seam then spreads ``nan``).
 
     The call checks its arguments and factors the step matrix, so every
     error below is raised before the generator it returns is drawn.  Each
-    block of ``W + dt K`` has the diagonal ``W + dt (c_{i-1} + c_i)`` and the
+    row of ``W + dt K`` has the diagonal ``W + dt (c_{i-1} + c_i)`` and the
     off-diagonal ``-dt c``; it is built in place and factored there, once
     (``dpttrf``), and each step is one ``dpttrs`` solve.  ``ValueError`` is
     raised for a ``dt`` outside ``0 < dt <= 1``; a ``t_end`` that is not
@@ -100,21 +100,21 @@ def march(
     that a running sum of ``dt`` accumulates.  ``t_end = 0`` yields the
     initial state only.
 
-    The reaction ``f`` must be a pure function of the state.  The step map is
-    then deterministic, so once a solve returns its input bit for bit every
-    later step would too: no further solve is made, the remaining stored
-    steps yield fresh copies of that state, and one INFO line on the
-    ``fkfront.solver`` logger names the time.  The yielded bits are those of
-    the full march.  The check compares the last entry first (a scalar)
-    and only on a match the whole state, as ``int64`` bits.
+    The reaction ``f`` must be a pure function of the state, which it gets
+    as the ``(B, n)`` stack.  The step map is then deterministic, so once a
+    solve returns its input bit for bit every later step would too: no
+    further solve is made, the remaining stored steps yield fresh copies of
+    that state, and one INFO line on the ``fkfront.solver`` logger names the
+    time.  The yielded bits are those of the full march.  The check compares
+    the last entry first (a scalar) and only on a match the whole state, as
+    ``int64`` bits.
 
     A consumer of a stacked march may send, at any stored step, the
-    ascending indices of the blocks to keep (``keep = yield t, u``).  From
-    the next step on, only those are solved, and the yielded states have
-    shape ``(len(keep), n)``, row ``j`` being block ``keep[j]``.  Each kept
-    block keeps the bits it had in the full march.  A request that is not an
-    ascending selection of the live blocks raises ``ValueError`` before any
-    further solve.  A ``for`` loop sends nothing.
+    ascending indices of the rows to keep (``keep = yield t, u``).  From the
+    next step on, only those are solved, and row ``j`` of each state is run
+    ``keep[j]``, with the bits it had in the full march.  A request that is
+    not an ascending selection of the live rows raises ``ValueError`` before
+    any further solve.  A ``for`` loop sends nothing.
     """
     check_march(dt, t_end, stride)
     if len({op.grid.n for op in ops}) != 1:  # also no operator at all
@@ -124,28 +124,28 @@ def march(
     if np.ndim(u0) > 2 or np.shape(u0)[-1:] != (n,) or np.size(u0) != len(ops) * n:
         raise ValueError(f"u0 must have shape ({len(ops)}, {n}), or ({n},) for one operator, "
                          f"got {np.shape(u0)}")
-    # built in place and factored there: no state-sized temporaries
-    weights = np.concatenate([op.weights for op in ops])
-    d = np.concatenate([op.neighbour_sums for op in ops])
+    # one row per run, built in place and factored there: no state-sized temporaries
+    weights = np.stack([op.weights for op in ops])
+    d = np.stack([op.neighbour_sums for op in ops])
     d *= dt
     d += weights
-    e = np.zeros(d.size)  # the last entry of each block is a seam
-    for b, op in enumerate(ops):
-        np.multiply(op.coupling, -dt, out=e[b * n:(b + 1) * n - 1])
-    d, e, info = lapack.load().dpttrf(d, e[:-1])
+    e = np.zeros_like(d)  # the last column is the seam between runs
+    for row, op in zip(e, ops):
+        np.multiply(op.coupling, -dt, out=row[:-1])
+    *_, info = lapack.load().dpttrf(d.ravel(), e.ravel()[:-1])
     if info != 0:
         raise ValueError(f"step matrix is not positive definite (dpttrf info {info})")
-    u = np.array(u0, dtype=float)
+    u = np.array(u0, dtype=float, order="C")
     return _steps(d, e, weights, dt, u, f, t_end, int(round(t_end / dt)), stride)
 
 
 def _steps(d, e, weights, dt, u, f, t_end, n_steps, stride):
     """The generator :func:`march` returns, on the factors ``d, e`` it made."""
-    shape = u.shape
-    u = u.ravel()
+    one = u.ndim == 1  # yield row 0 alone
+    u = np.atleast_2d(u)
     # each right-hand side is built where the solve runs
-    work = np.empty(u.size)
-    solve = lapack.load().dpttrs(d, e, work)
+    work = np.empty(u.shape)
+    solve = lapack.load().dpttrs(d.ravel(), e.ravel()[:-1], work.ravel())
     fixed = False
     for k in range(n_steps + 1):
         if k and not fixed:
@@ -157,29 +157,24 @@ def _steps(d, e, weights, dt, u, f, t_end, n_steps, stride):
             u = work.copy()
             # the last entry gates the full compare (a nan there never
             # passes); the int64 views keep -0.0 apart from 0.0
-            fixed = u[-1] == prev[-1] and np.array_equal(u.view(np.int64),
-                                                         prev.view(np.int64))
+            fixed = u[-1, -1] == prev[-1, -1] and np.array_equal(u.view(np.int64),
+                                                                 prev.view(np.int64))
             if fixed and k < n_steps:
                 log.info("march: fixed point reached: the step to t=%g returned its input "
                          "bit for bit, no further solve before t_end=%g", k * dt, t_end)
         if k % stride == 0 or k == n_steps:
-            keep = yield k * dt, (u.copy() if fixed else u).reshape(shape)
+            state = u.copy() if fixed else u
+            keep = yield k * dt, state[0] if one else state
             if keep is not None:
-                size = shape[-1]
-                blocks = u.size // size
                 keep = [operator.index(b) for b in keep]
-                if not keep or keep != sorted(set(keep)) or not 0 <= keep[0] <= keep[-1] < blocks:
-                    raise ValueError(f"blocks to keep must be ascending indices of the {blocks} "
+                if not keep or keep != sorted(set(keep)) or not 0 <= keep[0] <= keep[-1] < len(u):
+                    raise ValueError(f"blocks to keep must be ascending indices of the {len(u)} "
                                      f"marched, at least one, got {keep}")
-                if len(keep) < blocks:
-                    # block keep[j] moves to block j; the seam entries of e are zero already
-                    for j, b in enumerate(keep):
-                        if j < b:
-                            for a, width in ((d, size), (weights, size), (e, size - 1)):
-                                a[j * size:j * size + width] = a[b * size:b * size + width]
-                    n = len(keep) * size
-                    d, e, weights, work = d[:n], e[:n - 1], weights[:n], work[:n]
-                    solve = lapack.load().dpttrs(d, e, work)
+                if len(keep) < len(u):
+                    # row keep[j] moves to row j; the seam column of e is zero in every row
+                    for a in (d, e, weights):
+                        a[:len(keep)] = a[keep]
+                    d, e, weights, work = (a[:len(keep)] for a in (d, e, weights, work))
+                    solve = lapack.load().dpttrs(d.ravel(), e.ravel()[:-1], work.ravel())
                     # the consumer may hold u: the kept rows go to a new state
-                    u = u.reshape(blocks, -1)[keep].ravel()
-                    shape = (len(keep), size)
+                    u = u[keep]

@@ -34,11 +34,7 @@ from .domain import Grid, check_half_width, check_modes, check_start
 from .lapack import load
 from .stencil import build_operator
 
-__all__ = ["EigenSolveError", "solve_eigenproblem", "average_prediction"]
-
-
-class EigenSolveError(RuntimeError):
-    """The tridiagonal eigensolver failed to converge."""
+__all__ = ["solve_eigenproblem", "average_prediction"]
 
 
 def solve_eigenproblem(
@@ -88,7 +84,7 @@ def solve_eigenproblem(
     offdiag = (op.coupling / weights[:-1]) * sqrt_qw[:-1] / sqrt_qw[1:]
     found, w, iblock, isplit, info = lapack.dstebz(diag, offdiag, n - m + 1, n)
     if info != 0:  # pragma: no cover
-        raise EigenSolveError(f"dstebz failed (info {info})")
+        raise RuntimeError(f"dstebz failed (info {info})")
     w = w[:found]
     # w is grouped by split-off block; mode k (slowest first) sits at order[m - 1 - k]
     order = np.argsort(w)
@@ -102,7 +98,7 @@ def solve_eigenproblem(
     sub_iblock[: len(picked)] = iblock[picked]
     vecs, info = lapack.dstein(diag, offdiag, w[picked], sub_iblock, isplit)
     if info != 0:  # pragma: no cover
-        raise EigenSolveError(f"dstein failed (info {info})")
+        raise RuntimeError(f"dstein failed (info {info})")
     funcs = (vecs / sqrt_qw[:, None]).T
     funcs[funcs[:, 0] < 0.0] *= -1.0
     row = dict(zip(picked, funcs))

@@ -1,5 +1,6 @@
 """Configuration loading and the command-line pipelines."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     first_exit,
     read_whole,
     run_python,
@@ -914,6 +916,50 @@ class TestAverageCommand:
         _, rows = read_rows(out / "average.csv")
         assert len(rows) == 241
         assert len({tuple(r[1:]) for r in rows[-40:]}) == 1
+
+
+class TestScalingSymmetry:
+    """``x -> k x`` with ``epsilon -> k**2 epsilon`` leaves ``(a u_x)_x``
+    unchanged, and for ``k`` a power of two it scales every product of the
+    scheme without rounding: the runs agree bit for bit, with positions
+    times ``k``.  ``eigen`` does not keep it yet: the ``dx`` under its
+    ``sqrt`` rounds."""
+
+    # epsilon 0.1 transits the window by t_end, 0.02 enters and stays
+    BASE = ExperimentConfig(L=4.0, n=81, epsilon=0.1, x_c0=-1.4, t_end=4.0, snapshot_stride=1,
+                            sweep_epsilons=(0.1, 0.02), trap_radius=0.4)
+
+    @staticmethod
+    def runs(cfg: ExperimentConfig, out: Path):
+        """The sweep's states and window records, the compare-sfa rows and
+        the bytes of ``average.csv`` for ``cfg``."""
+        grid = Grid(L=cfg.L, n=cfg.n)
+        states = list(_march(cfg, list(cfg.sweep_epsilons)))
+        records, _ = window_transits(states, grid.x, cfg.trap_radius)
+        rows, _ = sfa_front_comparison(_march(cfg, [cfg.epsilon]), grid)
+        assert main(["average", "--config", str(write_config(out, ini_of(cfg))),
+                     "--out", str(out)]) == 0
+        return states, records, rows, (out / "average.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-6, 6))
+    def test_power_of_two_rescaling_is_exact(self, j):
+        k = 2.0**j
+        base = self.BASE
+        scaled = dataclasses.replace(
+            base, L=k * base.L, epsilon=k * k * base.epsilon, x_c0=k * base.x_c0,
+            sweep_epsilons=tuple(k * k * eps for eps in base.sweep_epsilons),
+            trap_radius=k * base.trap_radius)
+        with tempfile.TemporaryDirectory() as tmp:
+            states, records, rows, average = self.runs(base, Path(tmp))
+            states_k, records_k, rows_k, average_k = self.runs(scaled, Path(tmp))
+        assert [t for t, _ in states_k] == [t for t, _ in states]
+        assert all(np.array_equal(bits(u_k), bits(u))
+                   for (_, u_k), (_, u) in zip(states_k, states))
+        assert records_k == records
+        assert any(exit_ is not None for _, exit_, _ in records)
+        assert rows_k == [(t, k * num, k * sfa, k * gap) for t, num, sfa, gap in rows]
+        assert average_k == average
 
 
 TINY_RUN = """

@@ -65,6 +65,15 @@ class TestFrontPositions:
         n = data.draw(st.integers(3, 300))
         u = np.array(data.draw(st.lists(st.lists(self.values, min_size=n, max_size=n),
                                         min_size=rows, max_size=rows)))
+        # the rows as a Fortran-ordered copy, or as every other column of a
+        # wider array whose other columns must not be read
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        if layout == "F":
+            u = np.asfortranarray(u)
+        elif layout == "strided":
+            wide = np.empty((rows, 2 * n))
+            wide[:, ::2], wide[:, 1::2] = u, 1.0 - u
+            u = wide[:, ::2]
         grid = Grid(L=2.0, n=n)
         got = front_positions(u, grid.x)
         expected = [scalar_locate(row, grid.x, 0.5) for row in u]
