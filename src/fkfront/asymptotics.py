@@ -60,9 +60,9 @@ def sfa_evolve(
     to the end values outside the grid, and between the two nodal values
     around it, so samples in ``[0, 1]`` give values in ``[0, 1]`` and
     monotone samples a monotone function.  Later, values in ``[0, 1]`` stay
-    there; 0 and 1 are fixed points; monotone profiles stay monotone, up to
-    a few units in the last place of the logistic map's rounding.  A
-    negative or NaN ``elapsed`` raises ``ValueError``; any other is accepted:
+    there; 0 and 1 are fixed points; monotone profiles stay monotone, in
+    floating point too, as each operation of the logistic map is monotone.
+    A negative or NaN ``elapsed`` raises ``ValueError``; any other is accepted:
     past ``elapsed = 354`` the stretch ``exp(2 elapsed)`` is held at
     ``exp(708)``, which still carries every foot with
     ``|x| >= 1e-307 * max|nodes|`` off the grid, and the logistic decay
@@ -81,8 +81,8 @@ def sfa_evolve(
                           np.asarray(x, dtype=float) * math.exp(2.0 * min(elapsed, 354.0)))
     if elapsed == 0.0:
         return u0
-    decay = math.exp(-min(elapsed, 745.0))
-    return u0 / (u0 + (1.0 - u0) * decay)
+    with np.errstate(divide="ignore", over="ignore"):  # u0 = 0 or subnormal: 1 / inf = 0
+        return 1.0 / (1.0 + math.exp(-min(elapsed, 745.0)) * (1.0 / u0 - 1.0))
 
 
 def stationary_roots(c: float, s: float) -> tuple[tuple[complex, complex], str]:

@@ -9,6 +9,7 @@ eigen         diffusion-operator spectrum and selected modes
 wkb           ray fan of the exponential-tail transport
 average       domain mean against its logistic prediction
 
+A command that solves marches each epsilon as one row of a ``(B, n)`` stack.
 Each command writes each CSV with its JSON sidecar in one
 :func:`fkfront.io.write_table` call, as plain ``float``, ``int`` and ``str``
 cells.  Exit codes: 0 on success, 1 on configuration errors (nothing is
@@ -18,9 +19,8 @@ written), 2 on runtime failures.
 and the ``fkfront`` console script.  It runs :func:`main`, freezes the
 collector's view of the heap with ``gc.freeze`` and exits, so that
 interpreter finalization does not walk and free the tens of thousands of
-objects numpy leaves behind (about 0.1 s after a solve).
-:func:`main` itself does not freeze: tests and library callers keep normal
-garbage collection.
+objects numpy leaves behind (about 0.1 s after a solve).  :func:`main`
+itself does not freeze: tests and library callers collect as usual.
 
 At module level only the standard library, :mod:`fkfront.config` and
 :mod:`fkfront.io` are imported; each command imports the layers it runs
@@ -122,15 +122,14 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
     io.write_table(out / "trajectory.csv", ("t", "x", "u"), rows, _meta(cfg, "simulate"))
 
 
-def sfa_front_comparison(
-    steps: Iterable[tuple[float, np.ndarray]], grid: Grid
-) -> tuple[list[tuple], float]:
+def sfa_front_comparison(steps: Iterable[tuple[float, np.ndarray]],
+                         x: np.ndarray) -> tuple[list[tuple], float]:
     """Rows ``(t, xc_numeric, xc_sfa, abs_diff)`` where both fronts exist.
 
-    ``steps`` streams the ``(t, u)`` states of one run on ``grid``, with
-    ``u`` of shape ``(n,)`` or ``(1, n)``.  The prediction evolves the
-    *first* state under the reduced drift model and locates the same
-    :data:`~fkfront.front.LEVEL` crossing, 1/2, on the result.
+    ``steps`` streams the ``(t, u)`` states of one run on the nodes ``x``,
+    ``u`` of shape ``(1, n)``; another shape raises ``ValueError``.  The
+    prediction evolves the *first* state under the reduced drift model and
+    locates the same :data:`~fkfront.front.LEVEL` crossing, 1/2, on it.
 
     No further state is drawn after the first one with ``u > 1/2`` at every
     node.  That state has no numerical front, and for a stream from
@@ -162,11 +161,12 @@ def sfa_front_comparison(
     rows = []
     t = math.nan
     for t, u in steps:
-        u = np.reshape(u, grid.n)
+        if np.shape(u) != (1, len(x)):
+            raise ValueError(f"one run's state must have shape (1, {len(x)}), got {np.shape(u)}")
         if first is None:
-            first, t0 = u, t
-        predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
-        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x).tolist()
+            first, t0 = u[0], t
+        predicted = np.asarray(sfa_evolve(x, first, x, t - t0))
+        xc_num, xc_sfa = front_positions(np.stack([u[0], predicted]), x).tolist()
         if math.isnan(xc_num) or math.isnan(xc_sfa):
             if u.min() > LEVEL:
                 break
@@ -176,7 +176,7 @@ def sfa_front_comparison(
 
 
 def cmd_compare_sfa(cfg: ExperimentConfig, out: Path) -> None:
-    rows, t_stop = sfa_front_comparison(_march(cfg, [cfg.epsilon]), _grid(cfg))
+    rows, t_stop = sfa_front_comparison(_march(cfg, [cfg.epsilon]), _grid(cfg).x)
     _log_early_stop("compare-sfa", t_stop, cfg, "u > 0.5 at every node, no front can return")
     io.write_table(out / "front_comparison.csv", ("t", "xc_numeric", "xc_sfa", "abs_diff"), rows,
                    _meta(cfg, "compare-sfa"))

@@ -4,10 +4,10 @@ The front position is the rightmost point where the linearly interpolated
 profile crosses the level :data:`LEVEL`, 1/2.  As the diffusion floor
 ``epsilon`` shrinks, the front lingers longer inside the slow window
 ``|x| < radius`` around the origin.  :func:`window_transits` follows the
-front of a stream of states through that window in one pass, keeping
-only its entry and exit instants, and :func:`fit_power_law` fits the growth
-of the residence against ``epsilon``.  The fit is a straight line in log
-space, solved in closed form with numpy sums.  numpy's least-squares
+front of each row of a stream of ``(B, n)`` states through that window in
+one pass, keeping its entry and exit instants, and :func:`fit_power_law`
+fits the growth of the residence against ``epsilon``, as a straight line in
+log space solved in closed form with numpy sums.  numpy's least-squares
 polynomial fit would solve it with an SVD, the only call into numpy's own
 LAPACK that a command would make, and initialising that LAPACK costs
 ``trap-sweep`` about 1 MB of peak RSS for a fit of a few points.
@@ -121,11 +121,11 @@ def window_transits(
     """Entry and exit of each row's front through the window ``|x| < radius``.
 
     ``steps`` streams ``(t, u)`` states, typically from
-    :func:`fkfront.solver.march`; ``u`` has shape ``(n,)`` or, for B stacked
-    runs, ``(B, n)`` on the nodes ``x``.  Only the front positions of each
-    state are read; a state in which a row has no front (NaN) is skipped for
-    that row, and so is every state after the row's exit.  Each row gets one
-    record ``(entry, exit, last)``:
+    :func:`fkfront.solver.march`, with ``u`` of shape ``(B, n)`` on the nodes
+    ``x``, one row per run; another shape raises ``ValueError``.  Only the
+    front positions of each state are read; a state in which a row has no
+    front (NaN) is skipped for that row, and so is every state after the
+    row's exit.  Each row gets one record ``(entry, exit, last)``:
 
     - ``entry``: the time the front first lies inside the window, linearly
       interpolated to its crossing of ``|x| = radius`` from the row's
@@ -162,7 +162,7 @@ def window_transits(
     state = next(steps, None)
     while state is not None:
         t, u = state
-        u, x = _checked_states(np.atleast_2d(u), x)
+        u, x = _checked_states(u, x)
         if rows is None:
             records = rows = [[None] * 4 for _ in u]
         elif len(u) != len(rows):

@@ -18,14 +18,15 @@ single solve against the factors.  The weighted matrix
 ``W (I - dt D) = W + dt K`` is symmetric and positive definite; it is
 factored as ``L D L^T`` (LAPACK ``dpttrf``), and each step multiplies the
 right-hand side by ``W`` and calls ``dpttrs``, whose back substitution keeps
-the division off the sequential dependency chain.  Several runs that share a
-grid and ``dt`` -- an epsilon sweep -- are the rows of the march's ``(B, n)``
-arrays, laid end to end as one block-diagonal tridiagonal system; a zero at
-the end of each off-diagonal row uncouples the blocks, so each run's solution
-is bit-for-bit the one it would get alone.  A block-diagonal matrix's factors
-are its blocks' own, so when a consumer retires runs, the kept rows, copied
-up over the retired ones in place, are the factors of the shorter stack, and
-each keeps its bits.  The factors never leave the march.
+the division off the sequential dependency chain.  A run is a row: the march
+takes and yields ``(B, n)`` states, a lone run as one row, and its runs -- an
+epsilon sweep on one grid and ``dt`` -- are laid end to end as one
+block-diagonal tridiagonal system; a zero at the end of each off-diagonal row
+uncouples the blocks, so each run's solution is bit for bit the one it would
+get alone.  A block-diagonal matrix's factors are its blocks' own, so when a
+consumer retires runs, the kept rows, copied up over the retired ones in
+place, are the factors of the shorter stack, and each keeps its bits.  The
+factors never leave the march.
 
 The march is a generator of the stored steps, so a caller derives what it
 needs from each state as it comes (a front position, a mean, a CSV row) and
@@ -74,10 +75,11 @@ def march(
 
     ``D`` is the B operators ``ops`` stacked block-diagonally.  They must
     share a grid size ``n``; each run is one row, node ``i`` of run ``b``
-    being entry ``(b, i)``, and ``u0`` has shape ``(B, n)``, or ``(n,)`` for
-    one operator.  The couplings across the seams between rows are zero, so
-    each row's solution is bit-for-bit that of its own march, unless some
-    row's solution overflows (``0 * inf`` at a seam then spreads ``nan``).
+    being entry ``(b, i)``, and ``u0`` has shape ``(B, n)``, a single run
+    too (``profile[None]``).  The couplings across the seams between rows
+    are zero, so each row's solution is bit-for-bit that of its own march,
+    unless some row's solution overflows (``0 * inf`` at a seam then spreads
+    ``nan``).
 
     The call checks its arguments and factors the step matrix, so every
     error below is raised before the generator it returns is drawn.  Each
@@ -94,8 +96,8 @@ def march(
     definite (couplings so large that rounding loses it).
 
     Yields ``(t, u)`` at ``t = 0``, every ``stride``-th step, and the final
-    step, with ``u`` in the shape of ``u0``; the state between those steps
-    is never kept.  Each yielded state is a new array, so a consumer may
+    step, with ``u`` of shape ``(B, n)``; the state between those steps is
+    never kept.  Each yielded state is a new array, so a consumer may
     keep it.  Step ``k`` is stamped ``t = k * dt``, free of the rounding
     that a running sum of ``dt`` accumulates.  ``t_end = 0`` yields the
     initial state only.
@@ -121,9 +123,8 @@ def march(
         raise ValueError(f"stacked operators must share one grid size, got "
                          f"{[op.grid.n for op in ops]}")
     n = ops[0].grid.n
-    if np.ndim(u0) > 2 or np.shape(u0)[-1:] != (n,) or np.size(u0) != len(ops) * n:
-        raise ValueError(f"u0 must have shape ({len(ops)}, {n}), or ({n},) for one operator, "
-                         f"got {np.shape(u0)}")
+    if np.shape(u0) != (len(ops), n):
+        raise ValueError(f"u0 must have shape (B, n) = ({len(ops)}, {n}), got {np.shape(u0)}")
     # one row per run, built in place and factored there: no state-sized temporaries
     weights = np.stack([op.weights for op in ops])
     d = np.stack([op.neighbour_sums for op in ops])
@@ -141,8 +142,6 @@ def march(
 
 def _steps(d, e, weights, dt, u, f, t_end, n_steps, stride):
     """The generator :func:`march` returns, on the factors ``d, e`` it made."""
-    one = u.ndim == 1  # yield row 0 alone
-    u = np.atleast_2d(u)
     # each right-hand side is built where the solve runs
     work = np.empty(u.shape)
     solve = lapack.load().dpttrs(d.ravel(), e.ravel()[:-1], work.ravel())
@@ -163,8 +162,7 @@ def _steps(d, e, weights, dt, u, f, t_end, n_steps, stride):
                 log.info("march: fixed point reached: the step to t=%g returned its input "
                          "bit for bit, no further solve before t_end=%g", k * dt, t_end)
         if k % stride == 0 or k == n_steps:
-            state = u.copy() if fixed else u
-            keep = yield k * dt, state[0] if one else state
+            keep = yield k * dt, u.copy() if fixed else u
             if keep is not None:
                 keep = [operator.index(b) for b in keep]
                 if not keep or keep != sorted(set(keep)) or not 0 <= keep[0] <= keep[-1] < len(u):

@@ -92,8 +92,6 @@ def solve_eigenproblem(
     # dstein takes the picked values in block order, their block indices
     # first in a length-n array
     picked = sorted(int(order[m - 1 - k]) for k in modes)
-    if not picked:
-        return eigenvalues, {}
     sub_iblock = iblock.copy()
     sub_iblock[: len(picked)] = iblock[picked]
     vecs, info = lapack.dstein(diag, offdiag, w[picked], sub_iblock, isplit)

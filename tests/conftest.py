@@ -48,15 +48,16 @@ def smooth_profile(x: np.ndarray, L: float) -> np.ndarray:
 def diffuse_smooth(n: int, dt: float, t_end: float, a) -> np.ndarray:
     """The smooth profile marched to ``t_end`` under diffusion ``a`` only (no source)."""
     grid = Grid(L=100.0, n=n)
-    *_, (_, u) = march([build_operator(grid, a)], dt, smooth_profile(grid.x, grid.L),
+    *_, (_, u) = march([build_operator(grid, a)], dt, smooth_profile(grid.x, grid.L)[None],
                        zero_reaction, t_end)
-    return u
+    return u[0]
 
 
 def stored_fields(grid, a, f, x_c0, dt, t_end, stride=1) -> tuple[tuple[float, np.ndarray], ...]:
-    """Every ``(t, u)`` state ``march`` yields from the step initial condition."""
-    return tuple(march([build_operator(grid, a)], dt, step_initial_condition(grid, x_c0), f,
-                       t_end, stride))
+    """Every ``(t, u)`` state ``march`` yields from the step initial condition,
+    ``u`` of shape ``(1, n)``."""
+    return tuple(march([build_operator(grid, a)], dt, step_initial_condition(grid, x_c0)[None],
+                       f, t_end, stride))
 
 
 def read_whole(stream):
@@ -85,7 +86,7 @@ def times_of(steps) -> np.ndarray:
 
 def stored_positions(steps, x: np.ndarray) -> np.ndarray:
     """Front position on the nodes ``x`` of each stored state of one run (NaN where none)."""
-    return front_positions(np.array([u for _, u in steps]), x)
+    return front_positions(np.concatenate([u for _, u in steps]), x)
 
 
 def first_exit(positions: np.ndarray, radius: float) -> int | None:

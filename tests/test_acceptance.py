@@ -165,7 +165,7 @@ def test_a1_clauses_tell_logarithmic_from_power_law(times, logarithmic):
 
 
 def test_a2_sfa_front_agreement(default_run, default_grid):
-    rows, _ = sfa_front_comparison(default_run, default_grid)
+    rows, _ = sfa_front_comparison(default_run, default_grid.x)
     threshold = -5.0 * math.sqrt(0.1)
     window = [(t, xc_num, gap) for t, xc_num, _, gap in rows if xc_num < threshold]
     assert window, "no stored times inside the comparison window"
@@ -175,7 +175,7 @@ def test_a2_sfa_front_agreement(default_run, default_grid):
     # the drift model neglects a u_xx against a' u_x; report that ratio for
     # the stored field at the worst time, at its numerical front
     dt = DEFAULT_DT
-    worst_u = next(u for t, u in default_run if t == worst_t)
+    worst_u = next(u[0] for t, u in default_run if t == worst_t)
     ratio = sfa_residual(
         default_grid.x, worst_u, 0.1, dt, np.array([worst_xc]),
         space_step=default_grid.dx, time_step=0.5 * dt,
@@ -209,7 +209,7 @@ def test_a3_turning_point_behavior(default_run, default_grid):
     exit_ok = xs[-1] > 0
 
     def max_gradient(k: int) -> float:
-        return float(np.max(np.abs(np.gradient(default_run[k][1], x))))
+        return float(np.max(np.abs(np.gradient(default_run[k][1][0], x))))
 
     stored = {float(t): i for i, t in enumerate(times_of(default_run))}
     k_near_zero = int(np.argmin(np.abs(xs)))
@@ -327,7 +327,7 @@ def test_a7_solver_properties(default_grid, default_run, pure_diffusion_run, con
     equilibria_ok = eq_dev0 == 0.0 and eq_dev1 <= 1e-12
 
     w = grid.quadrature_weights
-    masses = np.array([w @ u for _, u in pure_diffusion_run])
+    masses = np.array([w @ u[0] for _, u in pure_diffusion_run])
     drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     mass_ok = drift <= 1e-8
 
@@ -400,7 +400,7 @@ def test_a8_stationary_root_algebra():
 def test_a9_average_growth(default_run, default_grid):
     grid = default_grid
     w = grid.quadrature_weights
-    avgs = np.array([w @ u / (2.0 * grid.L) for _, u in default_run])
+    avgs = np.array([w @ u[0] / (2.0 * grid.L) for _, u in default_run])
     exact_start = (grid.L + (-35.0)) / (2.0 * grid.L)
     start_ok = avgs[0] == exact_start
     monotone_ok = bool(np.all(np.diff(avgs) >= -1e-12))

@@ -486,13 +486,21 @@ class TestCompareSfa:
 
     def test_featureless_trajectory_yields_no_rows(self):
         grid = Grid(L=10.0, n=21)
-        steps = ((0.1 * k, np.full(21, 0.8)) for k in range(3))
+        steps = ((0.1 * k, np.full((1, 21), 0.8)) for k in range(3))
         # the first state is above the level at every node: nothing more is drawn
-        assert sfa_front_comparison(steps, grid) == ([], 0.0)
+        assert sfa_front_comparison(steps, grid.x) == ([], 0.0)
 
     def test_empty_stream(self):
-        rows, t_last = sfa_front_comparison(iter([]), Grid(L=10.0, n=21))
+        rows, t_last = sfa_front_comparison(iter([]), Grid(L=10.0, n=21).x)
         assert rows == [] and math.isnan(t_last)
+
+    # before: np.reshape raised "cannot reshape array of size 42 into shape (21,)"
+    @pytest.mark.parametrize("shape", [(2, 21), (21,)])
+    def test_rejects_a_state_that_is_not_one_row(self, shape):
+        steps = [(0.0, np.full(shape, 0.8))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"one run's state must have shape (1, 21), got {shape}")):
+            sfa_front_comparison(steps, Grid(L=10.0, n=21).x)
 
 
 def recorded(steps, minima, times=None):
@@ -505,16 +513,15 @@ def recorded(steps, minima, times=None):
         yield t, u
 
 
-def compare_every_state(steps, grid):
-    """Comparison rows over the whole stream, with no stop: the reference."""
+def compare_every_state(steps, x):
+    """Comparison rows over the whole stream of one run, with no stop: the reference."""
     first = None
     rows = []
-    for t, u in steps:
-        u = np.reshape(u, grid.n)
+    for t, (u,) in steps:
         if first is None:
             first, t0 = u, t
-        predicted = np.asarray(sfa_evolve(grid.x, first, grid.x, t - t0))
-        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), grid.x).tolist()
+        predicted = np.asarray(sfa_evolve(x, first, x, t - t0))
+        xc_num, xc_sfa = front_positions(np.stack([u, predicted]), x).tolist()
         if not (math.isnan(xc_num) or math.isnan(xc_sfa)):
             rows.append((t, xc_num, xc_sfa, abs(xc_num - xc_sfa)))
     return rows
@@ -526,11 +533,11 @@ class TestCompareSfaStop:
     @staticmethod
     def check_stop(cfg):
         """Stopped and full comparisons agree; returns (drawn, stored) state counts."""
-        grid = Grid(L=cfg.L, n=cfg.n)
+        x = Grid(L=cfg.L, n=cfg.n).x
         drawn, every, times = [], [], []
         rows, t_last = sfa_front_comparison(
-            recorded(_march(cfg, [cfg.epsilon]), drawn, times), grid)
-        assert rows == compare_every_state(recorded(_march(cfg, [cfg.epsilon]), every), grid)
+            recorded(_march(cfg, [cfg.epsilon]), drawn, times), x)
+        assert rows == compare_every_state(recorded(_march(cfg, [cfg.epsilon]), every), x)
         above = [m > 0.5 for m in every]
         stop = above.index(True) + 1 if True in above else len(every)
         assert drawn == every[:stop]
@@ -539,11 +546,11 @@ class TestCompareSfaStop:
 
     def test_only_a_state_above_the_level_everywhere_stops(self):
         grid = Grid(L=10.0, n=21)
-        step = np.where(grid.x < 0.0, 1.0, 0.0)
-        states = [step, np.full(21, 0.3), step, np.full(21, 0.8), step]
+        step = np.where(grid.x < 0.0, 1.0, 0.0)[None]
+        states = [step, np.full((1, 21), 0.3), step, np.full((1, 21), 0.8), step]
         drawn = []
         rows, t_last = sfa_front_comparison(
-            recorded(((0.1 * k, u) for k, u in enumerate(states)), drawn), grid)
+            recorded(((0.1 * k, u) for k, u in enumerate(states)), drawn), grid.x)
         # the all-below state yields no row but does not stop; the all-above one does
         assert [row[0] for row in rows] == [0.0, 0.2]
         assert t_last == 0.30000000000000004  # 0.1 * 3
@@ -936,7 +943,7 @@ class TestScalingSymmetry:
         grid = Grid(L=cfg.L, n=cfg.n)
         states = list(_march(cfg, list(cfg.sweep_epsilons)))
         records, _ = window_transits(states, grid.x, cfg.trap_radius)
-        rows, _ = sfa_front_comparison(_march(cfg, [cfg.epsilon]), grid)
+        rows, _ = sfa_front_comparison(_march(cfg, [cfg.epsilon]), grid.x)
         assert main(["average", "--config", str(write_config(out, ini_of(cfg))),
                      "--out", str(out)]) == 0
         return states, records, rows, (out / "average.csv").read_bytes()

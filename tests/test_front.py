@@ -113,14 +113,14 @@ class TestFrontPositions:
         with pytest.raises(ValueError, match=r"need nodes x of shape \(n,\)"):
             front_positions(u, x)
         with pytest.raises(ValueError, match=r"need nodes x of shape \(n,\)"):
-            window_transits([(0.0, u[0])], x, WINDOW)
+            window_transits([(0.0, u)], x, WINDOW)
 
     # before: numpy's "attempt to get argmax of an empty sequence"
     def test_rejects_states_without_nodes(self):
         with pytest.raises(ValueError, match=r"at least one node, got shape \(2, 0\)"):
             front_positions(np.zeros((2, 0)), np.zeros(0))
         with pytest.raises(ValueError, match=r"at least one node, got shape \(1, 0\)"):
-            window_transits([(0.0, np.zeros(0))], np.zeros(0), WINDOW)
+            window_transits([(0.0, np.zeros((1, 0)))], np.zeros(0), WINDOW)
 
     @pytest.mark.parametrize("value", [0.2, 0.5, 0.8])
     def test_one_node_has_no_crossing(self, value):
@@ -129,6 +129,12 @@ class TestFrontPositions:
     def test_rejects_one_dimensional_values(self):
         with pytest.raises(ValueError, match=r"values of shape \(B, n\)"):
             front_positions(np.array([1.0, 0.5, 0.0]), np.arange(3.0))
+
+    # before: a state of shape (n,) was read as one row
+    def test_window_transits_rejects_one_dimensional_state(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "values of shape (B, n) need nodes x of shape (n,), got (3,) and (3,)")):
+            window_transits([(0.0, np.array([1.0, 0.5, 0.0]))], np.arange(3.0), WINDOW)
 
 
 WINDOW = 0.4
@@ -141,7 +147,7 @@ class TestTrackFront:
         x = default_grid.x
         positions = stored_positions(default_run, x)
         for k in (0, 5, 12):
-            expected = scalar_locate(default_run[k][1], x, 0.5)
+            expected = scalar_locate(default_run[k][1][0], x, 0.5)
             assert positions[k] == pytest.approx(expected, abs=1e-14)
 
     def test_missing_front_marked_nan(self, default_run, default_grid):
@@ -152,8 +158,8 @@ class TestTrackFront:
 
     def test_stacked_rows_tracked_alone(self, default_run, default_grid):
         x = default_grid.x
-        stacked = read_whole((t, np.stack([u, u[::-1]])) for t, u in default_run)
-        mirrored = ((t, u[::-1]) for t, u in default_run)
+        stacked = read_whole((t, np.concatenate([u, u[:, ::-1]])) for t, u in default_run)
+        mirrored = ((t, u[:, ::-1]) for t, u in default_run)
         records, _ = window_transits(stacked, x, WINDOW)
         [alone], _ = window_transits(default_run, x, WINDOW)
         [mirror], _ = window_transits(mirrored, x, WINDOW)

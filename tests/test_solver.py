@@ -184,7 +184,7 @@ class TestSymmetricStepFactors:
     def test_stack_matches_separate_symmetric_solves_bit_for_bit(self, case, seed):
         ops, dt = case
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(ops), ops[0].grid.n))
-        separate = np.stack([one_solve([op], dt, block) for op, block in zip(ops, rhs)])
+        separate = np.stack([one_solve([op], dt, block[None])[0] for op, block in zip(ops, rhs)])
         assert np.array_equal(one_solve(ops, dt, rhs), separate)
 
     def test_rejects_step_matrix_not_positive_definite(self):
@@ -192,29 +192,27 @@ class TestSymmetricStepFactors:
         # to rounding in the last pivot
         op = build_operator(Grid(L=1.0, n=5), make_constant_diffusion(1e16))
         with pytest.raises(ValueError, match=r"not positive definite \(dpttrf info 5\)"):
-            march([op], 1.0, np.zeros(5), logistic_reaction, 1.0)
+            march([op], 1.0, np.zeros((1, 5)), logistic_reaction, 1.0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1, 1.5])
     def test_rejects_bad_dt(self, dt):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match="dt must satisfy"):
-            march([op], dt, np.zeros(5), logistic_reaction, 1.0)
+            march([op], dt, np.zeros((1, 5)), logistic_reaction, 1.0)
 
     @pytest.mark.parametrize("sizes", [(5, 6), ()])
     def test_rejects_operators_without_one_grid_size(self, sizes):
         ops = [build_operator(Grid(L=1.0, n=n), make_quadratic_diffusion(0.1)) for n in sizes]
         with pytest.raises(ValueError, match="must share one grid size"):
-            march(ops, 0.1, np.zeros(5), logistic_reaction, 1.0)
+            march(ops, 0.1, np.zeros((1, 5)), logistic_reaction, 1.0)
 
     @pytest.mark.parametrize("blocks, shape", [(2, (5,)), (2, (10,)), (1, (2, 5)), (1, (4,)),
-                                               (2, (2, 1, 5)), (1, (1, 1, 5))])
+                                               (2, (2, 1, 5)), (1, (1, 1, 5)), (1, (5,))])
     def test_rejects_initial_state_of_another_shape(self, blocks, shape):
-        # before: the first state was yielded, and the first step raised a
-        # broadcasting error, or a flat stack was yielded as one block; a
-        # state of three dimensions was marched and yielded in its shape
+        # a run is a row, a lone one too: a profile of shape (n,) is no state
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match=re.escape(
-                f"u0 must have shape ({blocks}, 5), or (5,) for one operator, got {shape}")):
+                f"u0 must have shape (B, n) = ({blocks}, 5), got {shape}")):
             march([op] * blocks, 0.1, np.zeros(shape), logistic_reaction, 1.0)
 
 
@@ -232,7 +230,7 @@ class TestMaximumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, x_c0)
+        u0 = step_initial_condition(grid, x_c0)[None]
         op = build_operator(grid, make_quadratic_diffusion(eps))
         lows, highs = [], []
         for _, u in march([op], dt, u0, logistic_reaction, steps * dt):
@@ -266,7 +264,7 @@ class TestMinimumPrincipleProperty:
         grid = Grid(L=L, n=n)
         x_c0 = -L + 2.0 * L * front_at
         assume(-L < x_c0 < L)
-        u0 = step_initial_condition(grid, x_c0)
+        u0 = step_initial_condition(grid, x_c0)[None]
         op = build_operator(grid, make_quadratic_diffusion(eps))
         above = [bool(u.min() > 0.5)
                  for _, u in march([op], dt, u0, logistic_reaction, steps * dt, stride)]
@@ -276,7 +274,7 @@ class TestMinimumPrincipleProperty:
     def test_reaches_above_half_and_stays(self):
         # the whole field passes 1/2 well before t_end on this grid
         grid = Grid(L=4.0, n=51)
-        u0 = step_initial_condition(grid, -1.0)
+        u0 = step_initial_condition(grid, -1.0)[None]
         op = build_operator(grid, make_quadratic_diffusion(0.1))
         above = [bool(u.min() > 0.5) for _, u in march([op], 0.01, u0, logistic_reaction, 10.0)]
         first = above.index(True)
@@ -375,7 +373,7 @@ class TestFixedPointSkip:
     def test_saturated_run_stops_solving(self, caplog, monkeypatch):
         grid = Grid(L=4.0, n=51)
         ops = [build_operator(grid, make_quadratic_diffusion(0.1))]
-        u0 = step_initial_condition(grid, -1.0)
+        u0 = step_initial_condition(grid, -1.0)[None]
         expected, first_fixed = plain_march(ops, 0.01, u0, logistic_reaction, 60.0, 25)
         solves = count_solves(monkeypatch)
         with caplog.at_level("INFO", logger="fkfront"):
@@ -398,13 +396,13 @@ class TestFixedPointSkip:
         monkeypatch.setattr(lapack.Lapack, "dpttrs",
                             lambda self, d, e, b: lambda: np.negative(b, out=b))
         op = build_operator(Grid(L=1.0, n=4), make_constant_diffusion(1.0))
-        states = [u for _, u in march([op], 0.5, np.zeros(4), signed_zero_reaction, 3.0)]
-        assert [np.signbit(u).tolist() for u in states] == [
+        states = [u for _, u in march([op], 0.5, np.zeros((1, 4)), signed_zero_reaction, 3.0)]
+        assert [np.signbit(u[0]).tolist() for u in states] == [
             [sign] * 4 for sign in [False, True] * 3 + [False]]
 
     def test_nan_in_the_last_entry_keeps_solving(self, monkeypatch):
         op = build_operator(Grid(L=2.0, n=5), make_constant_diffusion(1.0))
-        u0 = np.array([1.0, 1.0, 1.0, 1.0, math.nan])
+        u0 = np.array([[1.0, 1.0, 1.0, 1.0, math.nan]])
         solves = count_solves(monkeypatch)
         states = [u for _, u in march([op], 0.5, u0, zero_reaction, 3.0)]
         assert len(solves) == 6
@@ -440,7 +438,7 @@ class TestNarrowing:
         ops, u0 = self.stack()
         dt, t_end = 0.05, 4.0
         full = list(march(ops, dt, u0, logistic_reaction, t_end, stride))
-        solo = [list(march([op], dt, row, logistic_reaction, t_end, stride))
+        solo = [list(march([op], dt, row[None], logistic_reaction, t_end, stride))
                 for op, row in zip(ops, u0)]
         # a middle block retires first, then the last of those kept
         solves = count_solves(monkeypatch)
@@ -457,14 +455,14 @@ class TestNarrowing:
             blocks = [0, 1, 2, 3] if k <= 5 else [0, 2, 3] if k <= 12 else [0, 2]
             for row, b in zip(u, blocks):
                 assert np.array_equal(bits(row), bits(full[k][1][b]))
-                assert np.array_equal(bits(row), bits(solo[b][k][1]))
+                assert np.array_equal(bits(row), bits(solo[b][k][1][0]))
 
-    def test_one_dimensional_state_keeps_its_only_block(self):
+    def test_one_row_stack_keeps_its_only_row(self):
         ops, u0 = self.stack(epsilons=(0.1,))
-        expected = list(march(ops, 0.1, u0[0], logistic_reaction, 0.5))
-        states = narrowed_march(ops, 0.1, u0[0], logistic_reaction, 0.5, {1: [0]})
-        assert [u.shape for _, u in states] == [u0[0].shape] * 6
-        assert_same_bits(states, expected)
+        expected = list(march(ops, 0.1, u0, logistic_reaction, 0.5))
+        states = narrowed_march(ops, 0.1, u0, logistic_reaction, 0.5, {1: [0]})
+        assert [u.shape for _, u in states] == [u0.shape] * 6
+        assert_same_bits(states, [(t, u[0]) for t, u in expected])
 
     @pytest.mark.parametrize("keep", [[], [1, 0], [0, 0], [0, 4], [-1, 2], [2, 2, 3]])
     def test_request_that_is_no_ascending_selection_raises_before_a_solve(self, keep,
@@ -515,27 +513,27 @@ def one_step(g, diffusion, u0, dt):
 class TestImexStep:
     def test_uniform_half_one_step(self):
         g = Grid(L=100.0, n=501)
-        t, u = one_step(g, make_constant_diffusion(1.0), np.full(501, 0.5), 0.1)
+        t, u = one_step(g, make_constant_diffusion(1.0), np.full((1, 501), 0.5), 0.1)
         assert np.allclose(u, 0.525, atol=1e-13)
         assert t == pytest.approx(0.1)
 
     @pytest.mark.parametrize("value, tol", [(0.0, 0.0), (1.0, 1e-12)])
     def test_equilibria_preserved(self, value, tol):
         g = Grid(L=100.0, n=501)
-        _, u = one_step(g, make_quadratic_diffusion(0.1), np.full(501, value), 0.01)
+        _, u = one_step(g, make_quadratic_diffusion(0.1), np.full((1, 501), value), 0.01)
         assert np.max(np.abs(u - value)) <= tol
 
     def test_monotone_profile_stays_monotone(self):
         g = Grid(L=100.0, n=501)
         op = build_operator(g, make_quadratic_diffusion(0.1))
-        u0 = step_initial_condition(g, -35.0)
+        u0 = step_initial_condition(g, -35.0)[None]
         for _, u in march([op], 0.01, u0, logistic_reaction, 0.5):
             assert np.all(np.diff(u) <= 1e-13)
 
     def test_yielded_states_are_fresh_arrays(self):
         g = Grid(L=10.0, n=11)
         op = build_operator(g, make_quadratic_diffusion(0.1))
-        u0 = step_initial_condition(g, -5.0)
+        u0 = step_initial_condition(g, -5.0)[None]
         states = [u for _, u in march([op], 0.1, u0, logistic_reaction, 0.3)]
         assert len(states) == 4
         assert np.array_equal(states[0], u0) and states[0] is not u0
@@ -545,7 +543,7 @@ class TestImexStep:
     @pytest.mark.parametrize("dt", [0.0, -0.1, 1.5])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must satisfy"):
-            one_step(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1), np.zeros(5), dt)
+            one_step(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1), np.zeros((1, 5)), dt)
 
 
 class TestConservationAndBounds:
@@ -626,7 +624,7 @@ class TestSimulate:
             stride=5,
         )
         assert len(fields) == 1
-        assert np.array_equal(fields[0][1], step_initial_condition(g, -5.0))
+        assert np.array_equal(fields[0][1], step_initial_condition(g, -5.0)[None])
 
     def test_time_stamps_are_step_multiples(self, default_run):
         steps = np.arange(0, 6001, 25)
@@ -634,7 +632,7 @@ class TestSimulate:
         assert default_run[-1][0] == 60.0
 
     def test_grid_and_times_properties(self, default_run, default_grid):
-        assert all(u.shape == (default_grid.n,) for _, u in default_run)
+        assert all(u.shape == (1, default_grid.n) for _, u in default_run)
         times = times_of(default_run)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(60.0, abs=1e-9)
@@ -659,7 +657,7 @@ class TestSolverConfigValidation:
     def test_rejects_inconsistent_settings(self, kwargs):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError):
-            march([op], kwargs["dt"], np.zeros(5), logistic_reaction, kwargs["t_end"],
+            march([op], kwargs["dt"], np.zeros((1, 5)), logistic_reaction, kwargs["t_end"],
                   kwargs.get("snapshot_stride", 1))
 
     @pytest.mark.parametrize(
@@ -675,27 +673,27 @@ class TestSolverConfigValidation:
     def test_march_checks_at_the_call(self, t_end, stride, message):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         with pytest.raises(ValueError, match=re.escape(message)):
-            march([op], 0.1, np.zeros(5), logistic_reaction, t_end, stride)
+            march([op], 0.1, np.zeros((1, 5)), logistic_reaction, t_end, stride)
 
     def test_march_rejects_an_overflowing_step_count(self):
         # before: OverflowError "cannot convert float infinity to integer"
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         message = "t_end / dt must be a finite step count, got t_end=1e+300, dt=1e-10"
         with pytest.raises(ValueError, match=re.escape(message)):
-            march([op], 1e-10, np.zeros(5), logistic_reaction, 1e300)
+            march([op], 1e-10, np.zeros((1, 5)), logistic_reaction, 1e300)
 
     def test_march_rejects_more_steps_than_the_config_allows(self):
         # before: the first draw yielded the initial state of a 1e18-step march
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
         message = f"t_end / dt must be at most {MAX_STEPS} steps, got t_end={1e15}, dt={1e-3}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            march([op], 1e-3, np.zeros(5), logistic_reaction, 1e15)
+            march([op], 1e-3, np.zeros((1, 5)), logistic_reaction, 1e15)
 
     def test_march_accepts_the_largest_step_count(self):
         op = build_operator(Grid(L=1.0, n=5), make_quadratic_diffusion(0.1))
-        steps = march([op], 0.5, np.zeros(5), logistic_reaction, 0.5 * MAX_STEPS)
+        steps = march([op], 0.5, np.zeros((1, 5)), logistic_reaction, 0.5 * MAX_STEPS)
         t, u = next(steps)
-        assert t == 0.0 and u.tolist() == [0.0] * 5
+        assert t == 0.0 and u.tolist() == [[0.0] * 5]
 
 
 class TestUniformDiffusionControl:
@@ -789,7 +787,7 @@ class TestLapackBinding:
 
             grid = Grid(L=4.0, n=51)
             a = make_quadratic_diffusion(0.1)
-            *_, (_, x) = march([build_operator(grid, a)], 0.01, np.ones(51), lambda u: 0.0 * u,
+            *_, (_, x) = march([build_operator(grid, a)], 0.01, np.ones((1, 51)), lambda u: 0.0 * u,
                                0.01)
             assert np.allclose(x, 1.0), x
             eigenvalues, phis = solve_eigenproblem(a, grid, m=4)
